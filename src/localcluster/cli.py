@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import io as gio
 from .errors import (
@@ -31,7 +28,7 @@ from .flowcluster import (
     local_flow_improve_scaled,
     mqi,
 )
-from .graph import Graph, NodeSet, conductance, cut, expansion, volume
+from .graph import Graph, NodeSet, conductance, expansion
 from .oracles import (
     brute_min_conductance,
     brute_min_expansion,
@@ -236,28 +233,6 @@ def _load_seed(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> NodeSet:
     return gio.load_seed_set(cfg.seed_set, lm, g)
 
 
-def _result_from_set(
-    g: Graph,
-    ids: tuple[int, ...],
-    objective_name: str,
-    objective: float,
-    touched: int,
-    iterations: int,
-    t0: float,
-) -> ClusterResult:
-    return ClusterResult(
-        set_ids=ids,
-        objective_name=objective_name,
-        objective=objective,
-        conductance=conductance(g, np.array(ids, dtype=np.int64)) if ids else math.inf,
-        cut=cut(g, np.array(ids, dtype=np.int64)) if ids else 0.0,
-        volume=volume(g, np.array(ids, dtype=np.int64)) if ids else 0.0,
-        touched_nodes=touched,
-        iterations=iterations,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
-
-
 def _cmd_spectral(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
     t0 = time.perf_counter()
     lam, vec = fiedler(g, normalized=not cfg.unnormalized, tol=cfg.tol or 1e-10)
@@ -267,7 +242,9 @@ def _cmd_spectral(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
         _emit_json({"lambda2": lam}, cfg.out)
         return EXIT_OK
     node_set, value, _ = sweep_cut(g, vec, objective=cfg.objective)
-    result = _result_from_set(g, node_set.ids, cfg.objective, value, g.n, 1, t0)
+    result = ClusterResult.of_set(
+        g, node_set.ids, cfg.objective, value, touched_nodes=g.n, iterations=1, t0=t0
+    )
     _emit_result(result, lm, cfg.out)
     return EXIT_OK
 
@@ -276,8 +253,9 @@ def _cmd_sweep(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
     t0 = time.perf_counter()
     vec = gio.read_vector_csv(cfg.vector_in, lm)
     node_set, value, profile = sweep_cut(g, vec, objective=cfg.objective)
-    result = _result_from_set(
-        g, node_set.ids, cfg.objective, value, int(profile.order.size), 1, t0
+    result = ClusterResult.of_set(
+        g, node_set.ids, cfg.objective, value, touched_nodes=int(profile.order.size),
+        iterations=1, t0=t0,
     )
     _emit_result(result, lm, cfg.out)
     return EXIT_OK
@@ -303,8 +281,7 @@ def _cmd_spectral_mqi(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
     if cfg.sweep:
         result = spectral_mqi_cluster(g, seed, tol=cfg.tol or 1e-8)
         if cfg.vector_out:
-            _, vec = spectral_mqi(g, seed, tol=cfg.tol or 1e-8)
-            gio.write_vector_csv(vec, lm, cfg.vector_out)
+            gio.write_vector_csv(result.vector, lm, cfg.vector_out)
         _emit_result(result, lm, cfg.out)
         return EXIT_OK
     lam, vec = spectral_mqi(g, seed, tol=cfg.tol or 1e-10)
@@ -332,7 +309,9 @@ def _cmd_mov(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
         _emit_json({"rho": rho, "correlation": achieved}, cfg.out)
         return EXIT_OK
     node_set, value, _ = sweep_cut(g, vec, objective=cfg.objective)
-    result = _result_from_set(g, node_set.ids, cfg.objective, value, g.n, 1, t0)
+    result = ClusterResult.of_set(
+        g, node_set.ids, cfg.objective, value, touched_nodes=g.n, iterations=1, t0=t0
+    )
     _emit_result(result, lm, cfg.out)
     return EXIT_OK
 
@@ -347,8 +326,7 @@ def _cmd_l1pr(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
     if cfg.sweep:
         result = l1pr_cluster(g, h, cfg.alpha, cfg.epsilon)
         if cfg.vector_out:
-            vec, _ = l1_pagerank(g, h, cfg.alpha, cfg.epsilon)
-            gio.write_vector_csv(vec, lm, cfg.vector_out)
+            gio.write_vector_csv(result.vector, lm, cfg.vector_out)
         _emit_result(result, lm, cfg.out)
         return EXIT_OK
     vec, touched = l1_pagerank(g, h, cfg.alpha, cfg.epsilon)
@@ -376,7 +354,9 @@ def _cmd_brute(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
         seed = _load_seed(cfg, g, lm)
         node_set, value = brute_min_subset_ratio(g, seed)
         name = "cut_over_volume"
-    result = _result_from_set(g, node_set.ids, name, value, g.n, 1, t0)
+    result = ClusterResult.of_set(
+        g, node_set.ids, name, value, touched_nodes=g.n, iterations=1, t0=t0
+    )
     _emit_result(result, lm, cfg.out)
     return EXIT_OK
 
@@ -387,8 +367,8 @@ def _cmd_eval(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
     value = (
         conductance(g, seed) if cfg.objective == "conductance" else expansion(g, seed)
     )
-    result = _result_from_set(
-        g, seed.ids, cfg.objective, value, len(seed), 1, t0
+    result = ClusterResult.of_set(
+        g, seed.ids, cfg.objective, value, touched_nodes=len(seed), iterations=1, t0=t0
     )
     _emit_result(result, lm, cfg.out)
     return EXIT_OK

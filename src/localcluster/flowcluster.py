@@ -1,37 +1,49 @@
 """Seed-set refinement by repeated min-cut solves on the augmented graph.
 
-One generic accept/reject loop drives three instantiations that differ
-only in how the per-round parameters are derived from the current set:
+The flow methods are one family. Each minimizes the seed-relative
+conductance
 
-* ``mqi``: confine to the seed, minimize cut(S)/vol(S) over subsets of R.
-* ``flow_improve``: allow the whole graph, minimize conductance relative
-  to the seed; solved to global optimality.
-* ``local_flow_improve``: interpolate between the two through a leave-R
-  penalty; solved strongly locally.
+    relative_conductance(S, R, kappa)
+        = cut(S) / (vol(S & R) - kappa * ratio * vol(S - R)),
 
-Each round builds the parameters from the current set W, solves one
-min-cut, and accepts the s-side only on strict objective decrease
-(relative tolerance 1e-12), which rules out floating-point cycling. An
-empty s-side ends the loop with the previous set.
+ratio = vol(R)/vol(R^c), and they differ only in the leave-the-seed
+penalty kappa in [1, inf]:
+
+* ``flow_improve``, kappa = 1: seed-relative conductance over the whole
+  graph, solved to global optimality.
+* ``mqi``, kappa = inf: confined to subsets of R, where the objective is
+  cut(S)/vol(S).
+* ``local_flow_improve``, kappa = 1 + delta/ratio, and
+  ``local_flow_improve_scaled``, kappa given: in between, solved strongly
+  locally.
+
+``refine_by_flow`` runs the one loop they all call. Each round solves the
+augmented min-cut at alpha = the current set's objective, beta =
+alpha*epsilon with epsilon = kappa*ratio, and gamma = 1, and accepts the
+s-side only on strict objective decrease (relative tolerance 1e-12), which
+rules out floating-point cycling. The accepted objective is the next
+alpha. An empty s-side ends the loop with the previous set.
+
+The solver follows from kappa. For kappa > 1 the output volume obeys
+vol(S) <= vol(R)*(1 + 2/epsilon) + cut(R), so the grow-on-demand local
+max-flow touches only a neighbourhood of R. At kappa = 1 that bound is at
+least vol(V), so growing cannot save work and the network is built whole.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError, SeedTooLargeError
 from .flownet import solve_maxflow
-from .graph import Graph, _as_node_array, conductance, cut, relative_conductance, volume
+from .graph import Graph, _as_node_array, relative_conductance
 from .refcut import AugmentedGraphSpec, materialize, solve_maxflow_local
 from .results import ClusterResult
 
 __all__ = [
-    "FlowScheme",
     "refine_by_flow",
     "mqi",
     "flow_improve",
@@ -43,144 +55,104 @@ ACCEPT_RTOL = 1e-12
 DEFAULT_MAX_ITERS = 50
 
 
-@dataclass(frozen=True)
-class FlowScheme:
-    """One refinement instantiation.
-
-    ``params(current_set) -> (alpha, beta, gamma)`` feeds the augmented
-    graph for the next solve; ``objective(candidate_set) -> float`` is the
-    quantity being monotonically improved (its fixed point is consistent
-    with the parameter rule); ``local`` picks the grow-on-demand solver
-    over full materialization.
-    """
-
-    name: str
-    params: Callable[[frozenset[int]], tuple[float, float, float]]
-    objective: Callable[[frozenset[int]], float]
-    local: bool
-
-
-def _seed_distribution(g: Graph, r_arr: np.ndarray) -> dict[int, float]:
-    """Source mass proportional to degrees on the seed set."""
-    return {int(v): float(g.degrees[v]) for v in r_arr}
+def _seed_ratio(g: Graph, r: object) -> tuple[np.ndarray, float]:
+    """The seed as a node array, and vol(R)/vol(R^c); rejects seeds with no ratio."""
+    r_arr = _as_node_array(g, r)
+    if r_arr.size == 0:
+        raise ParameterError("seed set is empty")
+    vol_r = float(g.degrees[r_arr].sum())
+    vol_rc = g.total_volume - vol_r
+    if vol_rc <= 0.0:
+        raise SeedTooLargeError("seed set covers the whole graph")
+    if vol_r <= 0.0:
+        raise ParameterError("seed set has zero volume")
+    return r_arr, vol_r / vol_rc
 
 
 def refine_by_flow(
     g: Graph,
     r: object,
-    scheme: FlowScheme,
+    kappa: float,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> ClusterResult:
-    """Run the accept/reject refinement loop from seed set R under a scheme.
+    """Minimize relative_conductance(., R, kappa) from the seed set R.
 
     Returns the final set with its objective history. The objective is
     strictly decreasing across accepted iterations and the loop always
     terminates: at a rejection, at an empty s-side, or at ``max_iters``.
+    At kappa = 1 every round solves the fully materialized network and
+    touches all n nodes; for kappa > 1 the rounds solve strongly locally,
+    warm-started from the current set. The objective is named
+    ``"cut_over_volume"`` at kappa = inf and ``"seed_relative_conductance"``
+    otherwise.
     """
     if max_iters < 1:
         raise ParameterError("max_iters must be >= 1")
+    if not kappa >= 1.0:
+        raise ParameterError(f"kappa must be >= 1 (got {kappa})")
     t0 = time.perf_counter()
-    r_arr = _as_node_array(g, r)
-    if r_arr.size == 0:
-        raise ParameterError("seed set is empty")
-    if g.total_volume - float(g.degrees[r_arr].sum()) <= 0.0:
-        raise SeedTooLargeError("seed set covers the whole graph")
+    r_arr, ratio = _seed_ratio(g, r)
+    eps = kappa * ratio
+    whole = kappa == 1.0
 
-    source = _seed_distribution(g, r_arr)
-    current = frozenset(int(v) for v in r_arr)
-    obj = scheme.objective(current)
+    source = {int(v): float(g.degrees[v]) for v in r_arr}
+    current = frozenset(source)
+    obj = relative_conductance(g, r_arr, r_arr, kappa=kappa)
+    if math.isinf(obj):
+        raise ParameterError("seed-relative conductance of the seed is not finite")
     history = [obj]
     touched: set[int] = set(current)
     iterations = 0
 
     for _ in range(max_iters):
-        alpha, beta, gamma = scheme.params(current)
-        spec = AugmentedGraphSpec(
-            alpha=alpha, beta=beta, gamma=gamma, source_weight=source
-        )
-        if scheme.local:
+        # 0 * inf is nan, so at kappa = inf beta stays inf even where alpha is 0.
+        beta = math.inf if math.isinf(eps) else obj * eps
+        spec = AugmentedGraphSpec(alpha=obj, beta=beta, gamma=1.0, source_weight=source)
+        if whole:
+            sol = solve_maxflow(materialize(spec, g))
+        else:
             sol, explored = solve_maxflow_local(spec, g, warm_start=current)
             touched.update(explored)
-        else:
-            sol = solve_maxflow(materialize(spec, g))
-            touched.update(range(g.n))
         iterations += 1
         candidate = sol.s_side
         if not candidate:
             break
-        cand_obj = scheme.objective(candidate)
-        if cand_obj < obj * (1.0 - ACCEPT_RTOL):
-            current, obj = candidate, cand_obj
-            history.append(obj)
-        else:
+        cand_obj = relative_conductance(g, candidate, r_arr, kappa=kappa)
+        if not cand_obj < obj * (1.0 - ACCEPT_RTOL):
             break
+        current, obj = candidate, cand_obj
+        history.append(obj)
 
-    ids = tuple(sorted(current))
-    runtime_ms = (time.perf_counter() - t0) * 1e3
-    return ClusterResult(
-        set_ids=ids,
-        objective_name=scheme.name,
-        objective=obj,
-        conductance=conductance(g, ids),
-        cut=cut(g, ids),
-        volume=volume(g, ids),
-        touched_nodes=len(touched),
+    return ClusterResult.of_set(
+        g,
+        sorted(current),
+        "cut_over_volume" if math.isinf(kappa) else "seed_relative_conductance",
+        obj,
+        touched_nodes=g.n if whole else len(touched),
         iterations=iterations,
-        runtime_ms=runtime_ms,
+        t0=t0,
         history=tuple(history),
     )
 
 
 def mqi(g: Graph, r: object, max_iters: int = DEFAULT_MAX_ITERS) -> ClusterResult:
-    """Best cut-to-volume subset of the seed set (confined refinement).
+    """Best cut-to-volume subset of the seed set: refine_by_flow at kappa = inf.
 
-    Each round solves a min-cut with the complement hard-wired to the
-    sink, so the output always stays inside R; at the fixed point no
-    nonempty subset of R has smaller cut(S)/vol(S).
+    Every node outside R is hard-wired to the sink, so the output always
+    stays inside R; at the fixed point no nonempty subset of R has smaller
+    cut(S)/vol(S).
     """
-    r_arr = _as_node_array(g, r)
-    in_r = frozenset(int(v) for v in r_arr)
-
-    def params(w: frozenset[int]) -> tuple[float, float, float]:
-        return cut(g, w), float("inf"), volume(g, w)
-
-    def objective(s: frozenset[int]) -> float:
-        if not s <= in_r:
-            return float("inf")
-        v = volume(g, s)
-        return cut(g, s) / v if v > 0 else float("inf")
-
-    scheme = FlowScheme(name="cut_over_volume", params=params, objective=objective, local=True)
-    return refine_by_flow(g, r_arr, scheme, max_iters=max_iters)
+    return refine_by_flow(g, r, math.inf, max_iters)
 
 
 def flow_improve(g: Graph, r: object, max_iters: int = DEFAULT_MAX_ITERS) -> ClusterResult:
-    """Globally optimal seed-relative conductance refinement.
+    """Globally optimal seed-relative conductance: refine_by_flow at kappa = 1.
 
     The fixed point minimizes cut(S)/(vol(S & R) - ratio*vol(S - R)) over
     every S in the graph, so the output's plain conductance never exceeds
     the seed's.
     """
-    r_arr = _as_node_array(g, r)
-    vol_r = volume(g, r_arr)
-    vol_rc = g.total_volume - vol_r
-    if vol_rc <= 0.0:
-        raise SeedTooLargeError("seed set covers the whole graph")
-    ratio = vol_r / vol_rc
-
-    def params(w: frozenset[int]) -> tuple[float, float, float]:
-        a = relative_conductance(g, w, r_arr)
-        if math.isinf(a):
-            raise ParameterError("seed-relative conductance of the seed is not finite")
-        return a, a * ratio, 1.0
-
-    def objective(s: frozenset[int]) -> float:
-        return relative_conductance(g, s, r_arr)
-
-    scheme = FlowScheme(
-        name="seed_relative_conductance", params=params, objective=objective, local=False
-    )
-    return refine_by_flow(g, r_arr, scheme, max_iters=max_iters)
+    return refine_by_flow(g, r, 1.0, max_iters)
 
 
 def local_flow_improve(
@@ -192,20 +164,14 @@ def local_flow_improve(
     """Strongly-local interpolation between flow_improve and mqi.
 
     ``delta`` >= 0 sets the leave-R penalty epsilon = vol(R)/vol(R^c) +
-    delta. delta=0 reproduces flow_improve's output exactly; very large
-    delta reproduces mqi's. The output volume obeys
+    delta, that is kappa = 1 + delta/ratio. delta=0 is flow_improve;
+    very large delta reproduces mqi's output. The output volume obeys
     vol(S) <= vol(R) * (1 + 2/epsilon) + cut(R).
     """
     if delta < 0:
         raise ParameterError(f"delta must be >= 0 (got {delta})")
-    r_arr = _as_node_array(g, r)
-    vol_r = volume(g, r_arr)
-    vol_rc = g.total_volume - vol_r
-    if vol_rc <= 0.0:
-        raise SeedTooLargeError("seed set covers the whole graph")
-    ratio = vol_r / vol_rc
-    kappa = 1.0 + delta / ratio
-    return local_flow_improve_scaled(g, r_arr, kappa, max_iters=max_iters)
+    r_arr, ratio = _seed_ratio(g, r)
+    return refine_by_flow(g, r_arr, 1.0 + delta / ratio, max_iters)
 
 
 def local_flow_improve_scaled(
@@ -215,26 +181,4 @@ def local_flow_improve_scaled(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> ClusterResult:
     """local_flow_improve parametrized directly by the penalty scale kappa >= 1."""
-    if not kappa >= 1.0:
-        raise ParameterError(f"kappa must be >= 1 (got {kappa})")
-    r_arr = _as_node_array(g, r)
-    vol_r = volume(g, r_arr)
-    vol_rc = g.total_volume - vol_r
-    if vol_rc <= 0.0:
-        raise SeedTooLargeError("seed set covers the whole graph")
-    ratio = vol_r / vol_rc
-    eps = ratio * kappa
-
-    def params(w: frozenset[int]) -> tuple[float, float, float]:
-        a = relative_conductance(g, w, r_arr, kappa=kappa)
-        if math.isinf(a):
-            raise ParameterError("seed-relative conductance of the seed is not finite")
-        return a, a * eps, 1.0
-
-    def objective(s: frozenset[int]) -> float:
-        return relative_conductance(g, s, r_arr, kappa=kappa)
-
-    scheme = FlowScheme(
-        name="seed_relative_conductance", params=params, objective=objective, local=True
-    )
-    return refine_by_flow(g, r_arr, scheme, max_iters=max_iters)
+    return refine_by_flow(g, r, kappa, max_iters)

@@ -111,9 +111,18 @@ def solve_maxflow(net: FlowNetwork) -> CutSolution:
     """
     net.freeze()
     flow = _dinic(net)
-    reach = _residual_reachable(net)
-    s_side = frozenset(v for v in reach if v != net.source)
+    reach = _checked_min_cut(net, flow)
+    return CutSolution(flow_value=flow, s_side=frozenset(v for v in reach if v != net.source))
 
+
+def _checked_min_cut(net: FlowNetwork, flow: float) -> set[int]:
+    """Source side of the minimal min cut after a maximum ``flow`` on ``net``.
+
+    Returns the nodes reachable from the source in the residual network
+    (source included), after checking that the cut they induce crosses no
+    infinite arc and that its capacity equals ``flow`` (the duality check).
+    """
+    reach = _residual_reachable(net)
     cap_sent = 0.0
     crosses_infinite = False
     for u in reach:
@@ -128,7 +137,7 @@ def solve_maxflow(net: FlowNetwork) -> CutSolution:
         raise AssertionError(
             f"duality violated: flow {flow!r} vs cut capacity {cap_sent!r}"
         )
-    return CutSolution(flow_value=flow, s_side=s_side)
+    return reach
 
 
 def cut_capacity(net: FlowNetwork, s_nodes: Iterable[int], *, true_infinity: bool = True) -> float:

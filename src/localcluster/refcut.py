@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .flownet import CutSolution, FlowNetwork, _dinic, _residual_reachable, RESIDUAL_EPS
+from .flownet import RESIDUAL_EPS, CutSolution, FlowNetwork, _checked_min_cut, _dinic
 from .graph import Graph, _as_node_array
 
 __all__ = [
@@ -122,20 +122,40 @@ def augmented_cut_value(spec: AugmentedGraphSpec, g: Graph, s: object) -> float:
 def materialize(spec: AugmentedGraphSpec, g: Graph) -> FlowNetwork:
     """Build the explicit flow network: graph nodes 0..n-1, source n, sink n+1."""
     spec.validate_against(g)
-    net = FlowNetwork(g.n + 2, source=g.n, sink=g.n + 1)
-    for i, w in sorted(spec.source_weight.items()):
-        if spec.alpha * w > 0.0:
-            net.add_arc(net.source, i, spec.alpha * w)
-    for i in range(g.n):
-        z = spec.sink_weight(g, i)
-        if z > 0.0 and spec.beta > 0.0:
-            net.add_arc(i, net.sink, spec.beta * z)
-    for v in range(g.n):
+    return _subnetwork(spec, g, range(g.n))[0]
+
+
+def _subnetwork(
+    spec: AugmentedGraphSpec, g: Graph, members: Sequence[int]
+) -> tuple[FlowNetwork, list[tuple[int, int]]]:
+    """The augmented network on ``members`` (sorted), exterior contracted into the sink.
+
+    Member k of the list is network node k; the source is len(members) and
+    the sink len(members) + 1. An edge from a member to a non-member
+    becomes an arc into the sink; those arcs come back as (arc id, outside
+    endpoint) pairs.
+    """
+    local_id = {v: k for k, v in enumerate(members)}
+    m = len(members)
+    net = FlowNetwork(m + 2, source=m, sink=m + 1)
+    alpha, beta, gamma = spec.alpha, spec.beta, spec.gamma
+    tagged: list[tuple[int, int]] = []
+    for k, v in enumerate(members):
+        hv = spec.source_weight.get(v, 0.0)
+        if alpha * hv > 0.0:
+            net.add_arc(net.source, k, alpha * hv)
+        z = spec.sink_weight(g, v)
+        if z > 0.0 and beta > 0.0:
+            net.add_arc(k, net.sink, beta * z)
         ids, ws = g.neighbors(v)
-        for j, w in zip(ids, ws):
-            if v < j:
-                net.add_arc(v, int(j), spec.gamma * float(w), spec.gamma * float(w))
-    return net
+        for j, w in zip(ids.tolist(), ws.tolist()):
+            c = gamma * w
+            kj = local_id.get(j)
+            if kj is None:
+                tagged.append((net.add_arc(k, net.sink, c), j))
+            elif v < j:
+                net.add_arc(k, kj, c, c)
+    return net, tagged
 
 
 def solve_maxflow_local(
@@ -168,28 +188,7 @@ def solve_maxflow_local(
 
     while True:
         members = sorted(explored)
-        local_id = {v: k for k, v in enumerate(members)}
-        m = len(members)
-        net = FlowNetwork(m + 2, source=m, sink=m + 1)
-        # arcs to the contracted exterior, by (arc id, outside endpoint)
-        tagged: list[tuple[int, int]] = []
-        for v in members:
-            k = local_id[v]
-            hv = spec.source_weight.get(v, 0.0)
-            if spec.alpha * hv > 0.0:
-                net.add_arc(net.source, k, spec.alpha * hv)
-            z = spec.sink_weight(g, v)
-            if z > 0.0 and spec.beta > 0.0:
-                net.add_arc(k, net.sink, spec.beta * z)
-            ids, ws = g.neighbors(v)
-            for j, w in zip(ids, ws):
-                j = int(j)
-                if j in local_id:
-                    if v < j:
-                        net.add_arc(k, local_id[j], spec.gamma * float(w), spec.gamma * float(w))
-                else:
-                    tagged.append((net.add_arc(k, net.sink, spec.gamma * float(w)), j))
-
+        net, tagged = _subnetwork(spec, g, members)
         net.freeze()
         flow = _dinic(net)
 
@@ -211,13 +210,6 @@ def solve_maxflow_local(
             explored.update(violators)
             continue
 
-        reach = _residual_reachable(net)
-        s_side = frozenset(members[k] for k in reach if k < m)
-        cap = 0.0
-        for u in reach:
-            for a in net.adj[u]:
-                if net.head[a] not in reach:
-                    cap += net.cap_init[a]
-        if not math.isclose(flow, cap, rel_tol=1e-9, abs_tol=1e-9):
-            raise AssertionError(f"duality violated in local solve: {flow!r} vs {cap!r}")
+        reach = _checked_min_cut(net, flow)
+        s_side = frozenset(members[k] for k in reach if k != net.source)
         return CutSolution(flow_value=flow, s_side=s_side), frozenset(explored)

@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     UnattainableCorrelationError,
 )
-from .graph import Graph, _as_node_array, conductance, cut, laplacian_apply, volume
+from .graph import Graph, _as_node_array, laplacian_apply
 from .results import ClusterResult
 from .rounding import sweep_cut
 from .solvers import MatvecBudget, _BudgetExceeded, conjugate_gradient, smallest_eigenpair
@@ -246,7 +246,8 @@ def spectral_mqi_cluster(
     The sweep orders by degree-rescaled entries (values / sqrt(d)), which
     is the ordering the Dirichlet variant of the sweep-cut guarantee
     speaks about: the best prefix S satisfies
-    cut(S)/vol(S) <= sqrt(2 * lambda_R).
+    cut(S)/vol(S) <= sqrt(2 * lambda_R). The result's ``vector`` is the
+    eigenvector before rescaling, as ``spectral_mqi`` returns it.
     """
     t0 = time.perf_counter()
     lam, vec = spectral_mqi(g, r, tol=tol)
@@ -256,18 +257,9 @@ def spectral_mqi_cluster(
     rescaled = vals / np.sqrt(g.degrees[ids])
     sweep_vec = EmbeddingVector(n=g.n, values=rescaled, indices=ids, kind="dirichlet")
     node_set, value, _profile = sweep_cut(g, sweep_vec, objective=objective)
-    ids_out = node_set.ids
-    return ClusterResult(
-        set_ids=ids_out,
-        objective_name=objective,
-        objective=value,
-        conductance=conductance(g, ids_out),
-        cut=cut(g, ids_out),
-        volume=volume(g, ids_out),
-        touched_nodes=g.n,
-        iterations=1,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        history=(lam,),
+    return ClusterResult.of_set(
+        g, node_set.ids, objective, value, touched_nodes=g.n, iterations=1, t0=t0,
+        history=(lam,), vector=vec,
     )
 
 
@@ -324,7 +316,15 @@ def mov_solve(g: Graph, z: np.ndarray, rho: float, tol: float = 1e-10) -> Embedd
             raise ParameterError(
                 f"rho={rho} is out of range; need rho > -lambda2 = {-lam2:.6g}"
             )
+    return _mov_solve(g, z, rho, tol)
 
+
+def _mov_solve(g: Graph, z: np.ndarray, rho: float, tol: float) -> EmbeddingVector:
+    """The solve of mov_solve, without its checks.
+
+    Assumes ``g`` is connected, ``z`` is degree-orthogonal to constants,
+    rho > -lambda2 and tol > 0.
+    """
     rhs = (rho if rho != 0.0 else 1.0) * (g.degrees * z)
     budget = MatvecBudget()
     try:
@@ -364,6 +364,8 @@ def mov_correlate(
     z = _orthogonalize_seed(g, z)
     z = z / math.sqrt(float(z @ (g.degrees * z)))
 
+    # mov_solve orthogonalizes its seed before solving; do that once here.
+    z_solve = _orthogonalize_seed(g, z)
     lam2, _ = fiedler(g, tol=1e-8)
 
     def corr_at(rho: float) -> tuple[float, EmbeddingVector]:
@@ -371,8 +373,10 @@ def mov_correlate(
         # solves run at a looser tolerance than mov_solve's default. With
         # the bracket floor below, the operator gap at the low end is at
         # least 1e-8, which caps the CG-attainable relative residual near
-        # 4e-8 in double precision; 1e-7 clears that on every graph.
-        x = mov_solve(g, z, rho, tol=1e-7)
+        # 4e-8 in double precision; 1e-7 clears that on every graph. That
+        # floor also lies above mov_solve's rho limit, so the solves skip
+        # mov_solve's range check, which would recompute lambda2.
+        x = _mov_solve(g, z_solve, rho, 1e-7)
         v = x.values
         c = float(z @ (g.degrees * v)) ** 2 / float(v @ (g.degrees * v))
         return c, x
@@ -563,7 +567,11 @@ def kkt_residual(g: Graph, h: object, alpha: float, epsilon: float, x: Embedding
 
 
 def l1pr_cluster(g: Graph, h: object, alpha: float, epsilon: float) -> ClusterResult:
-    """Diffuse from the seed mass, then sweep the support for the best cut."""
+    """Diffuse from the seed mass, then sweep the support for the best cut.
+
+    The result's ``vector`` is the diffusion vector, as ``l1_pagerank``
+    returns it.
+    """
     t0 = time.perf_counter()
     seed = _as_seed_mass(g, h)
     vec, touched, pushes = _l1pr_push(g, seed, alpha, epsilon, 1e-10, "fifo")
@@ -572,15 +580,7 @@ def l1pr_cluster(g: Graph, h: object, alpha: float, epsilon: float) -> ClusterRe
             "diffusion collapsed to zero (epsilon too large for this seed)"
         )
     node_set, value, _profile = sweep_cut(g, vec, objective="conductance")
-    ids = node_set.ids
-    return ClusterResult(
-        set_ids=ids,
-        objective_name="conductance",
-        objective=value,
-        conductance=value,
-        cut=cut(g, ids),
-        volume=volume(g, ids),
-        touched_nodes=touched,
-        iterations=pushes,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
+    return ClusterResult.of_set(
+        g, node_set.ids, "conductance", value, touched_nodes=touched, iterations=pushes, t0=t0,
+        vector=vec,
     )

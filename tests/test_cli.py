@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from localcluster import cli
 from localcluster.cli import main
 
 DUMBBELL_EDGES = """\
@@ -223,6 +224,38 @@ class TestL1prCommand:
                      "--alpha", "0.15", "--epsilon", "10.0", "--sweep"])
         assert code == 4
         capsys.readouterr()
+
+
+class TestOneSolvePerCommand:
+    @pytest.mark.parametrize(
+        "flags, solvers",
+        [
+            (["l1pr", "--seed-node", "n0", "--alpha", "0.15", "--epsilon", "1e-3"],
+             ("l1pr_cluster", "l1_pagerank")),
+            (["spectral-mqi", "--seed-set", "SEED3", "--tol", "1e-8"],
+             ("spectral_mqi_cluster", "spectral_mqi")),
+        ],
+    )
+    def test_sweep_with_vector_out_solves_once(
+        self, capsys, monkeypatch, tmp_path, graph_file, seed3, flags, solvers
+    ):
+        plain_csv, swept_csv = tmp_path / "plain.csv", tmp_path / "swept.csv"
+        argv = [flags[0], "--graph", graph_file, *(seed3 if f == "SEED3" else f for f in flags[1:])]
+        assert main([*argv, "--vector-out", str(plain_csv)]) == 0
+
+        calls = []
+        for name in solvers:
+            original = getattr(cli, name)
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counting)
+        assert main([*argv, "--sweep", "--vector-out", str(swept_csv)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        assert swept_csv.read_bytes() == plain_csv.read_bytes()
 
 
 class TestBruteCommand:

@@ -1,11 +1,14 @@
 """Flow-based refinement entry points: fixed-point quality, confinement,
 the delta interpolation, and locality of the grow-on-demand variant."""
 
+import dataclasses
+import math
 import random
 
 import pytest
 
 from localcluster import (
+    Graph,
     ParameterError,
     SeedTooLargeError,
     conductance,
@@ -24,6 +27,12 @@ from localcluster.oracles import (
 from localcluster.synth import random_connected_graph
 
 SEED = (0, 1, 2, 3)
+
+
+def assert_same_result(a, b):
+    """Equal in every field but the run time, history included."""
+    assert dataclasses.replace(a, runtime_ms=0.0) == dataclasses.replace(b, runtime_ms=0.0)
+    assert a.history == b.history
 
 
 class TestDumbbell:
@@ -77,6 +86,19 @@ class TestValidation:
     def test_empty_seed_rejected(self, dumbbell):
         with pytest.raises(ParameterError):
             mqi(dumbbell, ())
+        with pytest.raises(ParameterError):
+            flow_improve(dumbbell, ())
+        with pytest.raises(ParameterError):
+            local_flow_improve(dumbbell, ())
+        with pytest.raises(ParameterError):
+            local_flow_improve_scaled(dumbbell, (), kappa=2.0)
+
+    def test_zero_volume_seed_rejected(self):
+        g = Graph.from_edges(4, [1, 2], [2, 3])  # node 0 is isolated
+        scaled = lambda g, r: local_flow_improve_scaled(g, r, kappa=2.0)  # noqa: E731
+        for method in (mqi, flow_improve, local_flow_improve, scaled):
+            with pytest.raises(ParameterError):
+                method(g, (0,))
 
     def test_max_iters_positive(self, dumbbell):
         with pytest.raises(ParameterError):
@@ -151,6 +173,31 @@ class TestDeltaInterpolation:
         a = local_flow_improve_scaled(dumbbell, SEED, kappa=1.0)
         b = flow_improve(dumbbell, SEED)
         assert a.set_ids == b.set_ids
+
+    @staticmethod
+    def endpoint_cases(dumbbell, ring20, rng_seed):
+        rng = random.Random(rng_seed)
+        cases = [(dumbbell, SEED), (ring20, tuple(range(10))), (ring20, (0, 1, 2, 10, 11))]
+        for _ in range(8):
+            g = random_connected_graph(rng.randint(5, 10), seed=rng.randint(0, 10**6))
+            cases.append((g, sorted(rng.sample(range(g.n), max(2, g.n // 3)))))
+        return cases
+
+    def test_kappa_one_endpoint_is_flow_improve_in_every_field(self, dumbbell, ring20):
+        for g, seed_ids in self.endpoint_cases(dumbbell, ring20, 557):
+            full = flow_improve(g, seed_ids)
+            assert full.touched_nodes == g.n
+            for res in (
+                local_flow_improve(g, seed_ids, delta=0.0),
+                local_flow_improve_scaled(g, seed_ids, kappa=1.0),
+            ):
+                assert_same_result(res, full)
+
+    def test_kappa_infinity_endpoint_is_mqi_in_every_field(self, dumbbell, ring20):
+        for g, seed_ids in self.endpoint_cases(dumbbell, ring20, 558):
+            res = local_flow_improve_scaled(g, seed_ids, kappa=math.inf)
+            assert res.objective_name == "cut_over_volume"
+            assert_same_result(res, mqi(g, seed_ids))
 
     def test_volume_bound(self):
         rng = random.Random(873)

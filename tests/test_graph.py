@@ -1,6 +1,7 @@
 """Graph container, set functionals, and the synthetic generators."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from localcluster import (
+    ClusterResult,
     Graph,
     GraphFormatError,
     InvalidSetError,
@@ -114,6 +116,16 @@ def test_nodeset_carries_stats(dumbbell):
     assert ns.volume == 7.0
     assert 1 in ns and 5 not in ns
     assert len(ns) == 3
+
+
+def test_result_builder_recomputes_fields(dumbbell):
+    res = ClusterResult.of_set(
+        dumbbell, (0, 1, 2), "x", 0.5, touched_nodes=6, iterations=1, t0=time.perf_counter()
+    )
+    assert (res.conductance, res.cut, res.volume) == (1.0 / 7.0, 1.0, 7.0)
+    assert res.runtime_ms >= 0.0
+    empty = ClusterResult.of_set(dumbbell, (), "x", 0.5, touched_nodes=0, iterations=1, t0=0.0)
+    assert (empty.set_ids, empty.conductance, empty.cut, empty.volume) == ((), math.inf, 0.0, 0.0)
 
 
 def test_from_edges_rejects_self_loops_and_duplicates():

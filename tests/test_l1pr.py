@@ -7,10 +7,13 @@ import pytest
 from localcluster import (
     DegenerateResultError,
     ParameterError,
+    conductance,
+    cut,
     kkt_residual,
     l1_pagerank,
     l1pr_cluster,
     seed_distribution,
+    volume,
 )
 from localcluster.oracles import dense_nnq_prox
 from localcluster.synth import random_connected_graph
@@ -129,6 +132,16 @@ def test_cluster_recovers_the_triangle(dumbbell):
     assert res.objective == pytest.approx(1.0 / 7.0)
     assert res.touched_nodes == 6
     assert res.iterations > 0
+
+
+def test_cluster_recomputes_fields_and_keeps_its_vector(ring20):
+    res = l1pr_cluster(ring20, {0: 1.0}, alpha=0.15, epsilon=1e-3)
+    assert res.conductance == conductance(ring20, res.set_ids)
+    assert res.cut == cut(ring20, res.set_ids)
+    assert res.volume == volume(ring20, res.set_ids)
+    vec, _ = l1_pagerank(ring20, {0: 1.0}, alpha=0.15, epsilon=1e-3)
+    assert np.array_equal(res.vector.indices, vec.indices)
+    assert np.array_equal(res.vector.values, vec.values)
 
 
 def test_support_stays_near_the_seed_clique(ring20):

@@ -21,6 +21,7 @@ from localcluster import (
     spectral_mqi_cluster,
     sweep_cut,
 )
+from localcluster import spectral
 from localcluster.graph import Graph
 from localcluster.oracles import (
     dense_eig_smallest,
@@ -272,6 +273,22 @@ class TestCorrelationTargeting:
         with pytest.raises(UnattainableCorrelationError) as exc:
             mov_correlate(dumbbell, z, kappa=0.5)
         assert 0.9 < exc.value.low_end < exc.value.high_end <= 1.0 + 1e-12
+
+    def test_one_fiedler_solve_per_call(self, dumbbell, monkeypatch):
+        calls = []
+        original = spectral.fiedler
+
+        def counting_fiedler(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "fiedler", counting_fiedler)
+        z = correlation_seed(dumbbell, (0, 1, 2))
+        mov_correlate(dumbbell, z, kappa=0.96)
+        assert len(calls) == 1
+        with pytest.raises(UnattainableCorrelationError):
+            mov_correlate(dumbbell, z, kappa=0.5)
+        assert len(calls) == 2
 
     def test_kappa_validation(self, dumbbell):
         z = correlation_seed(dumbbell, (0, 1, 2))
