@@ -142,6 +142,56 @@ def test_from_edges_rejects_nonpositive_weight():
         Graph.from_edges(2, np.array([0]), np.array([1]), np.array([-2.0]))
 
 
+class TestRawAdjacencyErrors:
+    """Graph(indptr, indices, weights) names the first fault it finds.
+
+    Rows are checked in vertex order, and within a row the self-loop check
+    comes before the sortedness check, so the lowest faulty id is reported.
+    """
+
+    @staticmethod
+    def rejects(indptr, indices, weights=None):
+        if weights is None:
+            weights = np.ones(len(indices))
+        with pytest.raises(GraphFormatError) as exc:
+            Graph(np.array(indptr), np.array(indices), np.array(weights, dtype=float))
+        return str(exc.value)
+
+    def test_malformed_offsets(self):
+        msg = "malformed adjacency offsets"
+        assert self.rejects([1, 2, 2], [1, 0]) == msg
+        assert self.rejects([0, 1, 3], [1, 0]) == msg
+        assert self.rejects([0, 2, 1, 2], [1, 2]) == msg
+
+    def test_self_loop_at_lowest_vertex(self):
+        # Vertices 1 and 2 both loop; 1 is reported.
+        assert self.rejects([0, 2, 4, 6], [1, 2, 0, 1, 0, 2]) == "self-loop at vertex 1"
+
+    def test_self_loop_checked_before_sortedness(self):
+        # Row 1 is [1, 0]: unsorted and looping; the loop is reported.
+        assert self.rejects([0, 1, 3], [1, 1, 0]) == "self-loop at vertex 1"
+
+    def test_lowest_vertex_wins_over_check_order(self):
+        # Row 0 is unsorted, row 1 loops: vertex 0 comes first.
+        msg = self.rejects([0, 2, 4, 6], [2, 1, 0, 1, 0, 1])
+        assert msg == "neighbor list of vertex 0 not strictly sorted"
+
+    def test_unsorted_row(self):
+        msg = self.rejects([0, 2, 4, 6], [1, 2, 0, 2, 1, 0])
+        assert msg == "neighbor list of vertex 2 not strictly sorted"
+
+    def test_repeated_neighbor(self):
+        msg = self.rejects([0, 2, 3, 4], [1, 1, 0, 0])
+        assert msg == "neighbor list of vertex 0 not strictly sorted"
+
+    def test_asymmetric_structure(self):
+        assert self.rejects([0, 1, 2, 3], [1, 2, 0]) == "adjacency is not symmetric"
+
+    def test_asymmetric_weights(self):
+        msg = self.rejects([0, 1, 2], [1, 0], [1.0, 2.0])
+        assert msg == "adjacency is not symmetric"
+
+
 def test_neighbors_sorted(dumbbell):
     nbr, ws = dumbbell.neighbors(2)
     assert nbr.tolist() == [0, 1, 3]
