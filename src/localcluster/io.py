@@ -10,8 +10,10 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import methodcaller
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -42,7 +44,7 @@ class LabelMap:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
+        object.__setattr__(self, "_index", dict(zip(self.labels, range(len(self.labels)))))
         if len(self._index) != len(self.labels):
             raise InputError("duplicate labels in label map")
 
@@ -74,72 +76,157 @@ def _open_text(source: str | Path | IO[str], mode: str = "r") -> Iterator[IO[str
         yield source
 
 
+# Bytes str.split() treats as whitespace, once the non-ASCII ones have
+# been translated to spaces; '\n' is among them.
+_ASCII_SPACE = np.zeros(256, dtype=bool)
+_ASCII_SPACE[[0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20]] = True
+_WIDE_SPACE = dict.fromkeys(
+    [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000], " "
+)
+# Edge lists are read in blocks of about this many characters, so the
+# per-byte and per-token temporaries stay small whatever the file size.
+_BLOCK_CHARS = 1 << 16
+_decode = methodcaller("decode", "utf-8", "surrogatepass")
+
+
+def _blocks(handle: IO[str]) -> Iterator[str]:
+    """The handle's text in runs of whole lines (the last may lack its newline)."""
+    pending: list[str] = []
+    for chunk in iter(lambda: handle.read(_BLOCK_CHARS), ""):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield "".join(pending)
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
+    tail = "".join(pending)
+    if tail:
+        yield tail
+
+
+def _tokenize(text: str) -> tuple[list[bytes], np.ndarray, int]:
+    """Whitespace-separated tokens of a block of lines, comments removed.
+
+    Returns the tokens in order, the block line of each, and the number
+    of lines. A comment runs from a line's first '#' to its end.
+    """
+    if not text.isascii():
+        text = text.translate(_WIDE_SPACE)
+    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    newlines = np.flatnonzero(buf == 0x0A)
+    is_token = ~_ASCII_SPACE[buf]
+    hashes = np.flatnonzero(buf == 0x23)
+    if hashes.size:
+        hash_line, first = np.unique(np.searchsorted(newlines, hashes), return_index=True)
+        toggles = np.zeros(buf.size + 1, dtype=bool)
+        toggles[hashes[first]] = True
+        toggles[np.append(newlines, buf.size)[hash_line]] = True
+        is_token &= ~np.logical_xor.accumulate(toggles)[:-1]
+    starts = np.flatnonzero(np.diff(is_token.view(np.int8), prepend=np.int8(0)) == 1)
+    tokens = np.where(is_token, buf, np.uint8(0x20)).tobytes().split()
+    n_lines = newlines.size + (not text.endswith("\n"))
+    return tokens, np.searchsorted(newlines, starts), n_lines
+
+
+def _line_error(lineno: int, raw: str) -> GraphFormatError | None:
+    """The error one line of an edge list raises on its own, if any."""
+    tokens = raw.split("#", 1)[0].split()
+    if not tokens:
+        return None
+    if len(tokens) not in (2, 3):
+        return GraphFormatError(f"line {lineno}: expected 'u v [w]', got {len(tokens)} fields")
+    if tokens[0] == tokens[1]:
+        return GraphFormatError(f"line {lineno}: self-loop on {tokens[0]!r}")
+    if len(tokens) == 3:
+        try:
+            weight = float(tokens[2])
+        except ValueError:
+            return GraphFormatError(f"line {lineno}: bad weight {tokens[2]!r}")
+        if not math.isfinite(weight) or weight <= 0:
+            return GraphFormatError(
+                f"line {lineno}: weight must be finite and positive, got {tokens[2]}"
+            )
+    return None
+
+
 def load_edge_list(source: str | Path | IO[str]) -> tuple[Graph, LabelMap]:
     """Parse a whitespace-delimited edge list into a connected Graph.
 
     Each data line is "u v" or "u v w"; text after '#' is comment. The
     weight defaults to 1.0 and must be a finite positive number.
     Duplicate vertex pairs are summed with a warning on stderr. Internal
-    ids follow first appearance order.
-    """
-    labels: list[str] = []
-    index: dict[str, int] = {}
-    pair_weight: dict[tuple[int, int], float] = {}
-    duplicates: list[tuple[str, str]] = []
+    ids follow first appearance order. An error names the first bad line.
 
-    def intern(label: str) -> int:
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
+    The text is read and tokenized in blocks of whole lines with array
+    operations, so working memory beyond the result is bounded by the
+    block size.
+    """
+    # A missing label gets the next id, so ids follow first appearance.
+    index: defaultdict[bytes, int] = defaultdict()
+    index.default_factory = index.__len__
+    endpoints = [np.zeros((0, 2), dtype=np.int64)]
+    weights = [np.zeros(0)]
+    line0 = 1
 
     with _open_text(source) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            data = raw.split("#", 1)[0].strip()
-            if not data:
-                continue
-            tokens = data.split()
-            if len(tokens) not in (2, 3):
-                raise GraphFormatError(
-                    f"line {lineno}: expected 'u v [w]', got {len(tokens)} fields"
-                )
-            if tokens[0] == tokens[1]:
-                raise GraphFormatError(f"line {lineno}: self-loop on {tokens[0]!r}")
-            if len(tokens) == 3:
-                try:
-                    weight = float(tokens[2])
-                except ValueError:
-                    raise GraphFormatError(
-                        f"line {lineno}: bad weight {tokens[2]!r}"
-                    ) from None
-                if not math.isfinite(weight) or weight <= 0:
-                    raise GraphFormatError(
-                        f"line {lineno}: weight must be finite and positive, got {tokens[2]}"
-                    )
-            else:
-                weight = 1.0
-            a, b = intern(tokens[0]), intern(tokens[1])
-            key = (a, b) if a < b else (b, a)
-            if key in pair_weight:
-                pair_weight[key] += weight
-                duplicates.append((tokens[0], tokens[1]))
-            else:
-                pair_weight[key] = weight
+        for text in _blocks(handle):
+            tokens, tok_line, n_lines = _tokenize(text)
+            fields = np.bincount(tok_line, minlength=n_lines)
+            data = np.flatnonzero(fields)
+            bad = (fields[data] < 2) | (fields[data] > 3)
+            good = np.flatnonzero(~bad)
+            first_tok = (np.cumsum(fields) - fields)[data[good]]
+            tok = np.array(tokens, dtype=object)
 
-    if not pair_weight:
+            pairs = tok[np.stack([first_tok, first_tok + 1], axis=1).ravel()]
+            uv = np.fromiter(map(index.__getitem__, pairs), np.int64, pairs.size).reshape(-1, 2)
+            bad[good] = uv[:, 0] == uv[:, 1]
+
+            weighted = fields[data[good]] == 3
+            w = np.ones(uv.shape[0])
+            try:
+                w[weighted] = np.fromiter(
+                    map(float, map(_decode, tok[first_tok[weighted] + 2])), np.float64
+                )
+            except ValueError:  # some weight is no number: flag every weighted line
+                bad[good[weighted]] = True
+            bad[good] |= ~np.isfinite(w) | (w <= 0)
+            if bad.any():
+                # Error path: the first flagged line that fails on its own.
+                lines = text.split("\n")
+                for line in data[bad].tolist():
+                    error = _line_error(line0 + line, lines[line])
+                    if error is not None:
+                        raise error
+
+            endpoints.append(uv)
+            weights.append(w)
+            line0 += n_lines
+    index.default_factory = None  # frees the dict on return: the factory referred to it
+
+    n = len(index)
+    uv = np.concatenate(endpoints)
+    codes = np.minimum(uv[:, 0], uv[:, 1]) * n + np.maximum(uv[:, 0], uv[:, 1])
+    keys, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    if not keys.size:
         raise GraphFormatError("empty input: no edges found")
-    for u_lab, v_lab in duplicates:
-        print(
-            f"warning: duplicate edge {u_lab} {v_lab}; weights summed",
-            file=sys.stderr,
+    # Tokens hold no spaces, so one decode of the joined labels splits back.
+    labels = tuple(_decode(b" ".join(index)).split(" "))
+    repeated = np.ones(codes.size, dtype=bool)
+    repeated[first] = False
+    if repeated.any():
+        sys.stderr.write(
+            "".join(
+                f"warning: duplicate edge {labels[a]} {labels[b]}; weights summed\n"
+                for a, b in uv[repeated].tolist()
+            )
         )
 
-    keys = sorted(pair_weight)
-    u = np.array([k[0] for k in keys], dtype=np.int64)
-    v = np.array([k[1] for k in keys], dtype=np.int64)
-    w = np.array([pair_weight[k] for k in keys])
-    g = Graph.from_edges(len(labels), u, v, w)
-    lm = LabelMap(labels=tuple(labels))
+    # bincount adds in file order, as summing duplicates one by one does.
+    w = np.bincount(inverse, weights=np.concatenate(weights), minlength=keys.size)
+    g = Graph.from_edges(n, keys // n, keys % n, w)
+    lm = LabelMap(labels=labels)
 
     if not g.is_connected():
         a, b = g.unreachable_witness()

@@ -1,8 +1,8 @@
 """Sweep-cut rounding: turn a vertex embedding into a set.
 
-Vertices are visited in decreasing embedding order and the running
-prefix's objective is tracked incrementally, so a full sweep costs
-O(vol(prefix range) + sorting).
+Vertices are visited in decreasing embedding order and every prefix's
+objective follows from running sums over the visit order, so a full
+sweep costs O(vol(prefix range) + sorting).
 """
 
 from __future__ import annotations
@@ -92,29 +92,27 @@ def sweep_cut(
     if limit == 0:
         raise ParameterError("sweep has no admissible prefix (pool is the whole graph)")
 
-    degrees = g.degrees
-    total = g.total_volume
-    in_s = np.zeros(g.n, dtype=bool)
-    values = np.empty(limit)
-    cut_val = 0.0
-    vol_s = 0.0
-    for k in range(limit):
-        v = int(order[k])
-        nbr, ws = g.neighbors(v)
-        w_inside = float(ws[in_s[nbr]].sum())
-        d_v = float(degrees[v])
-        cut_val += d_v - 2.0 * w_inside
-        vol_s += d_v
-        in_s[v] = True
-        vol_c = total - vol_s
-        if objective == "conductance":
-            denom = min(vol_s, vol_c)
-            values[k] = cut_val / denom if denom > 0 else float("inf")
-        elif objective == "expansion":
-            denom = vol_s * vol_c
-            values[k] = cut_val * total / denom if denom > 0 else float("inf")
-        else:
-            values[k] = cut_val / vol_s
+    # Vertex order[k] joins the prefix at step k; its arcs to vertices of
+    # earlier rank are the weight that moves from the cut to the inside.
+    swept = order[:limit]
+    rank = np.full(g.n, limit, dtype=np.int64)
+    rank[swept] = np.arange(limit)
+    arc = g.arcs_of(swept)
+    step = np.repeat(np.arange(limit), g.indptr[swept + 1] - g.indptr[swept])
+    earlier = rank[g.indices[arc]] < step
+    inside = np.bincount(step[earlier], weights=g.weights[arc[earlier]], minlength=limit)
+    d = g.degrees[swept]
+    cut_val = np.cumsum(d - 2.0 * inside)
+    vol_s = np.cumsum(d)
+    vol_c = g.total_volume - vol_s
+    if objective == "conductance":
+        num, denom = cut_val, np.minimum(vol_s, vol_c)
+    elif objective == "expansion":
+        num, denom = cut_val * g.total_volume, vol_s * vol_c
+    else:
+        num, denom = cut_val, vol_s
+    values = np.full(limit, np.inf)
+    np.divide(num, denom, out=values, where=denom > 0)
 
     best = int(np.argmin(values))
     best_set = NodeSet.of(g, order[: best + 1])

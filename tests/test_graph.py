@@ -192,6 +192,72 @@ class TestRawAdjacencyErrors:
         assert msg == "adjacency is not symmetric"
 
 
+def test_trailing_isolated_vertex():
+    g = Graph.from_edges(4, [0, 1], [1, 2])
+    assert g.degrees.tolist() == [1.0, 2.0, 1.0, 0.0]
+    assert g.unreachable_witness() == (0, 3)
+    assert laplacian_apply(g, np.array([1.0, 2.0, 4.0, 8.0])).tolist() == [-1.0, -1.0, 2.0, 0.0]
+
+
+def test_trailing_isolated_vertex_after_a_wide_row():
+    # The last non-empty row holds two arcs; its degree must cover both.
+    g = Graph.from_edges(4, [0, 1], [2, 2], [1.0, 2.0])
+    assert g.degrees.tolist() == [1.0, 2.0, 3.0, 0.0]
+    assert laplacian_apply(g, np.ones(4)).tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+def reference_witness(g: Graph):
+    """Breadth-first search from vertex 0, one vertex at a time."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        v = frontier.pop()
+        for u in g.neighbors(v)[0].tolist():
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    missing = [v for v in range(g.n) if v not in seen]
+    return (0, missing[0]) if missing else None
+
+
+@st.composite
+def graphs_with_components(draw):
+    """1-4 random connected pieces (some single vertices) under shuffled ids."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    seed = draw(st.integers(0, 10_000))
+    us, vs, base = [], [], 0
+    for k, size in enumerate(sizes):
+        if size > 1:
+            piece = random_connected_graph(size, seed=seed + k, weighted=False)
+            src = np.repeat(np.arange(size), np.diff(piece.indptr))
+            fwd = src < piece.indices
+            us.append(src[fwd] + base)
+            vs.append(piece.indices[fwd] + base)
+        base += size
+    ids = np.random.default_rng(seed).permutation(base)
+    u = ids[np.concatenate(us)] if us else np.zeros(0, dtype=np.int64)
+    v = ids[np.concatenate(vs)] if vs else np.zeros(0, dtype=np.int64)
+    return Graph.from_edges(base, u, v)
+
+
+@given(g=graphs_with_components())
+def test_witness_matches_reference_search(g):
+    want = reference_witness(g)
+    assert g.unreachable_witness() == want
+    assert g.unreachable_witness() == want
+    assert g.is_connected() == (want is None)
+
+
+def test_witness_is_computed_once(monkeypatch, dumbbell):
+    calls = []
+    roots = Graph._component_roots
+    monkeypatch.setattr(Graph, "_component_roots", lambda g: calls.append(1) or roots(g))
+    for _ in range(3):
+        assert dumbbell.is_connected()
+    assert dumbbell.unreachable_witness() is None
+    assert len(calls) == 1
+
+
 def test_neighbors_sorted(dumbbell):
     nbr, ws = dumbbell.neighbors(2)
     assert nbr.tolist() == [0, 1, 3]

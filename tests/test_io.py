@@ -1,15 +1,23 @@
 """Edge-list parsing, label mapping, result and vector serialization."""
 
+import contextlib
 import io
 import json
 import math
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localcluster import (
     ClusterResult,
     EmbeddingVector,
+    Graph,
     GraphFormatError,
     InputError,
     InvalidSetError,
@@ -21,6 +29,7 @@ from localcluster import (
     write_result,
     write_vector_csv,
 )
+from localcluster import io as lio
 
 
 def test_load_triangle_plain():
@@ -198,3 +207,140 @@ def test_read_vector_csv_validation():
         read_vector_csv(io.StringIO("node,value\na,1\na,2\n"), lm)
     with pytest.raises(InputError):
         read_vector_csv(io.StringIO("node,value\nzz,1\n"), lm)
+
+
+# -- the block tokenizer against the per-line loop it replaced -------------------
+
+
+def reference_load_edge_list(source):
+    """Parse one line at a time, summing duplicates in a dict."""
+    labels, index, pair_weight, duplicates = [], {}, {}, []
+
+    def intern(label):
+        if label not in index:
+            index[label] = len(labels)
+            labels.append(label)
+        return index[label]
+
+    with lio._open_text(source) as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            data = raw.split("#", 1)[0].strip()
+            if not data:
+                continue
+            tokens = data.split()
+            if len(tokens) not in (2, 3):
+                raise GraphFormatError(f"line {lineno}: expected 'u v [w]', got {len(tokens)} fields")
+            if tokens[0] == tokens[1]:
+                raise GraphFormatError(f"line {lineno}: self-loop on {tokens[0]!r}")
+            weight = 1.0
+            if len(tokens) == 3:
+                try:
+                    weight = float(tokens[2])
+                except ValueError:
+                    raise GraphFormatError(f"line {lineno}: bad weight {tokens[2]!r}") from None
+                if not math.isfinite(weight) or weight <= 0:
+                    raise GraphFormatError(
+                        f"line {lineno}: weight must be finite and positive, got {tokens[2]}"
+                    )
+            a, b = intern(tokens[0]), intern(tokens[1])
+            key = (a, b) if a < b else (b, a)
+            if key in pair_weight:
+                pair_weight[key] += weight
+                duplicates.append((tokens[0], tokens[1]))
+            else:
+                pair_weight[key] = weight
+
+    if not pair_weight:
+        raise GraphFormatError("empty input: no edges found")
+    for u_lab, v_lab in duplicates:
+        print(f"warning: duplicate edge {u_lab} {v_lab}; weights summed", file=sys.stderr)
+    keys = sorted(pair_weight)
+    g = Graph.from_edges(
+        len(labels),
+        [k[0] for k in keys],
+        [k[1] for k in keys],
+        [pair_weight[k] for k in keys],
+    )
+    lm = LabelMap(labels=tuple(labels))
+    if not g.is_connected():
+        a, b = g.unreachable_witness()
+        raise GraphFormatError(
+            f"graph is disconnected: no path between {lm.external(a)!r} and {lm.external(b)!r}"
+        )
+    return g, lm
+
+
+def _outcome(load, source):
+    """Everything a load shows its caller: result arrays or error, and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            g, lm = load(source)
+        except Exception as exc:  # the exception is the outcome being compared
+            return (type(exc), str(exc)), err.getvalue()
+    arrays = tuple(
+        (a.dtype.str, a.tobytes()) for a in (g.indptr, g.indices, g.weights, g.degrees)
+    )
+    return (lm.labels, arrays, g.total_volume), err.getvalue()
+
+
+LABELS = ["a", "b", "c", "d", "1", "10", "é", "日本", "ß"]
+GOOD_WEIGHTS = ["1", "2.5", "0.1", "1e-3", "3", "1_0", "٣", "1.", ".5", "1e300"]
+BAD_WEIGHTS = ["0", "-1", "-0", "inf", "nan", "1e400", "x", "1__0"]
+SPACES = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\u00a0", "\u2028", "\u3000", " \t "]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lists with odd spacing, comments and duplicates; few faulty lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["edge"] * 5 + ["weighted"] * 3 + ["blank", "comment", "fault"]))
+        sep = draw(st.sampled_from(SPACES))
+        u = draw(st.sampled_from(LABELS))
+        v = draw(st.sampled_from([lab for lab in LABELS if lab != u]))
+        if kind == "edge":
+            body = f"{u}{sep}{v}"
+        elif kind == "weighted":
+            body = f"{u}{sep}{v}{sep}{draw(st.sampled_from(GOOD_WEIGHTS))}"
+        elif kind == "blank":
+            body = draw(st.sampled_from(["", " ", "\t", "\u00a0"]))
+        elif kind == "comment":
+            body = f"# {u} {v}"
+        else:
+            fault = draw(st.sampled_from(["loop", "fields", "weight", "label as weight"]))
+            if fault == "loop":
+                body = f"{u}{sep}{u}{sep}{draw(st.sampled_from(BAD_WEIGHTS + ['']))}"
+            elif fault == "fields":
+                body = sep.join(draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=5).filter(
+                    lambda fields: len(fields) not in (2, 3))))
+            elif fault == "weight":
+                body = f"{u}{sep}{v}{sep}{draw(st.sampled_from(BAD_WEIGHTS))}"
+            else:
+                body = f"{u}{sep}{v}{sep}{draw(st.sampled_from(LABELS))}"
+        if draw(st.booleans()):
+            body = draw(st.sampled_from(SPACES)) + body
+        if draw(st.integers(0, 4)) == 0:
+            body += draw(st.sampled_from(["#", " # note", "#a b", "\t#\t1 2 3"]))
+        lines.append(body + draw(st.sampled_from(["\n", "\n", "\r\n", " \n"])))
+    text = "".join(lines)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+@settings(max_examples=300)
+@given(text=edge_list_texts(), block=st.sampled_from([1, 3, 8, 64, 1 << 20]))
+def test_loader_matches_the_per_line_loop(text, block):
+    with mock.patch.object(lio, "_BLOCK_CHARS", block):
+        assert _outcome(load_edge_list, io.StringIO(text)) == _outcome(
+            reference_load_edge_list, io.StringIO(text)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.el"
+            path.write_text(text, encoding="utf-8", newline="")
+            assert _outcome(load_edge_list, path) == _outcome(reference_load_edge_list, path)
+
+
+def test_loader_keeps_lone_surrogates_in_labels():
+    g, lm = load_edge_list(io.StringIO("\ud800 b\nb c\n"))
+    assert lm.labels == ("\ud800", "b", "c")
+    assert g.edge_count == 2

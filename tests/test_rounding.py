@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from localcluster import (
     EmbeddingVector,
+    Graph,
     ParameterError,
     conductance,
     expansion,
     sweep_cut,
 )
+from localcluster.synth import random_connected_graph
 
 
 def test_path_indicator_profile(p4):
@@ -136,3 +140,83 @@ def test_single_vertex_pool_rejected_on_tiny_graph():
     vec = EmbeddingVector(n=2, values=np.array([1.0, 0.5]), indices=np.array([0, 1]))
     _, _, profile = sweep_cut(g, vec)
     assert len(profile.values) == 1
+
+
+# -- the vectorized sweep against the per-vertex loop it replaced ----------------
+
+
+def reference_sweep(g, vals, idx, objective, restrict):
+    """Visit the pool one vertex at a time, updating cut and volume."""
+    if restrict:
+        keep = vals != 0.0
+        cand = np.flatnonzero(keep) if idx is None else idx[keep]
+        cand_vals = vals[keep]
+    else:
+        cand = np.arange(g.n)
+        cand_vals = vals
+        if idx is not None:
+            cand_vals = np.zeros(g.n)
+            cand_vals[idx] = vals
+    order = cand[np.argsort(-cand_vals, kind="stable")]
+    limit = order.size - 1 if order.size == g.n else order.size
+    in_s = np.zeros(g.n, dtype=bool)
+    values = []
+    cut_val = vol_s = 0.0
+    for v in order[:limit]:
+        nbr, ws = g.neighbors(v)
+        d_v = float(g.degrees[v])
+        cut_val += d_v - 2.0 * float(ws[in_s[nbr]].sum())
+        vol_s += d_v
+        in_s[v] = True
+        vol_c = g.total_volume - vol_s
+        if objective == "conductance":
+            denom = min(vol_s, vol_c)
+            values.append(cut_val / denom if denom > 0 else math.inf)
+        elif objective == "expansion":
+            denom = vol_s * vol_c
+            values.append(cut_val * g.total_volume / denom if denom > 0 else math.inf)
+        else:
+            values.append(cut_val / vol_s)
+    return order, np.array(values)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 24),
+    integer_weights=st.booleans(),
+    objective=st.sampled_from(["conductance", "expansion", "cut_over_volume"]),
+    pool=st.sampled_from(["dense", "restricted", "sparse", "sparse_densified"]),
+)
+def test_sweep_matches_the_per_vertex_loop(seed, n, integer_weights, objective, pool):
+    rng = np.random.default_rng(seed)
+    base = random_connected_graph(n, seed=seed, weighted=False)
+    w = rng.integers(1, 5, base.weights.size) if integer_weights else rng.uniform(0.1, 3.0, base.weights.size)
+    src = np.repeat(np.arange(n), np.diff(base.indptr))
+    fwd = src < base.indices
+    g = Graph.from_edges(n, src[fwd], base.indices[fwd], w[fwd])
+    # Few distinct values, so ties and zeros occur.
+    x = rng.integers(-2, 4, n).astype(float) * rng.choice([1.0, 0.5], n)
+    if not np.any(x):
+        x[0] = 1.0
+    if pool.startswith("sparse"):
+        idx = np.flatnonzero(rng.random(n) < 0.6)
+        vec, vals = EmbeddingVector(n=n, values=x[idx], indices=idx), x[idx]
+    else:
+        idx, vec, vals = None, x, x
+    restrict = pool in ("restricted", "sparse")
+
+    order, want = reference_sweep(g, vals, idx, objective, restrict)
+    if want.size == 0:
+        with pytest.raises(ParameterError):
+            sweep_cut(g, vec, objective)
+        return
+    best, value, profile = sweep_cut(g, vec, objective, restrict_to_support=restrict)
+    assert profile.order.tolist() == order.tolist()
+    if integer_weights:
+        assert np.array_equal(profile.values, want)
+        assert profile.best_index == int(np.argmin(want))
+        assert value == want.min()
+    else:
+        np.testing.assert_allclose(profile.values, want, rtol=1e-12)
+        assert value == pytest.approx(want.min(), rel=1e-12)
+    assert best.ids == tuple(sorted(order[: profile.best_index + 1].tolist()))
