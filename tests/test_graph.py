@@ -207,7 +207,7 @@ def test_trailing_isolated_vertex_after_a_wide_row():
 
 
 def reference_witness(g: Graph):
-    """Breadth-first search from vertex 0, one vertex at a time."""
+    """Search from vertex 0, one vertex at a time (depth first; any order finds the same set)."""
     seen = {0}
     frontier = [0]
     while frontier:
