@@ -340,6 +340,13 @@ def test_loader_matches_the_per_line_loop(text, block):
             assert _outcome(load_edge_list, path) == _outcome(reference_load_edge_list, path)
 
 
+def test_whitespace_tables_match_str_split():
+    ascii_space = {c for c in range(128) if chr(c).isspace()}
+    wide_space = {c for c in range(128, sys.maxunicode + 1) if chr(c).isspace()}
+    assert set(np.flatnonzero(lio._ASCII_SPACE).tolist()) == ascii_space
+    assert set(lio._WIDE_SPACE) == wide_space
+
+
 def test_loader_keeps_lone_surrogates_in_labels():
     g, lm = load_edge_list(io.StringIO("\ud800 b\nb c\n"))
     assert lm.labels == ("\ud800", "b", "c")
