@@ -128,7 +128,8 @@ class Graph:
         src = np.concatenate([u, v])
         dst = np.concatenate([v, u])
         ww = np.concatenate([w, w])
-        order = np.lexsort((dst, src))
+        # One stable sort by (src, dst); the key fits int64 while n < 3e9.
+        order = np.argsort(src * n + dst, kind="stable")
         src, dst, ww = src[order], dst[order], ww[order]
         if src.size > 1:
             dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])

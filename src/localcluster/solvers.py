@@ -16,19 +16,20 @@ from .errors import ConvergenceError, ParameterError
 
 __all__ = ["MatvecBudget", "conjugate_gradient", "smallest_eigenpair"]
 
-DEFAULT_MATVEC_CAP = 1_000_000
+MATVEC_CAP = 1_000_000
+EIGEN_CG_REL_TOL = 1e-12
+EIGEN_MAX_OUTER = 1000
 
 
 class MatvecBudget:
-    """Shared counter for matrix-vector products with a hard cap."""
+    """Shared counter for matrix-vector products, capped at ``MATVEC_CAP``."""
 
-    def __init__(self, cap: int = DEFAULT_MATVEC_CAP):
-        self.cap = cap
+    def __init__(self):
         self.used = 0
 
     def spend(self, k: int = 1) -> None:
         self.used += k
-        if self.used > self.cap:
+        if self.used > MATVEC_CAP:
             raise _BudgetExceeded()
 
 
@@ -85,27 +86,22 @@ def smallest_eigenpair(
     tol: float,
     residual_fn: Callable[[float, np.ndarray, np.ndarray], float] | None = None,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
-    budget: MatvecBudget | None = None,
-    cg_rel_tol: float = 1e-12,
-    max_outer: int = 1000,
-    seed: int = 0,
 ) -> tuple[float, np.ndarray, float]:
     """Smallest eigenpair of a symmetric PD operator by inverse iteration.
 
-    Each outer step solves A z = y by CG and renormalizes. Convergence is
-    judged by ``residual_fn(lam, y, a_y)`` (defaults to the plain
-    eigen-residual norm), compared against ``tol``. Returns
-    (eigenvalue, unit eigenvector, achieved residual).
+    Each outer step solves A z = y by CG and renormalizes, at most
+    ``EIGEN_MAX_OUTER`` times. Convergence is judged by
+    ``residual_fn(lam, y, a_y)`` (defaults to the plain eigen-residual
+    norm), compared against ``tol``. Returns (eigenvalue, unit
+    eigenvector, achieved residual).
 
     Deterministic: the start vector comes from a fixed-seed generator.
     """
-    if budget is None:
-        budget = MatvecBudget()
+    budget = MatvecBudget()
     if residual_fn is None:
         residual_fn = lambda lam, y, a_y: float(np.linalg.norm(a_y - lam * y))
 
-    rng = np.random.default_rng(seed)
-    y = rng.standard_normal(n)
+    y = np.random.default_rng(0).standard_normal(n)
     if project is not None:
         y = project(y)
     nrm = float(np.linalg.norm(y))
@@ -115,9 +111,9 @@ def smallest_eigenpair(
 
     res = float("inf")
     try:
-        for _ in range(max_outer):
+        for _ in range(EIGEN_MAX_OUTER):
             z = conjugate_gradient(
-                apply_a, y, rel_tol=cg_rel_tol, budget=budget, project=project
+                apply_a, y, rel_tol=EIGEN_CG_REL_TOL, budget=budget, project=project
             )
             nz = float(np.linalg.norm(z))
             if nz == 0.0:
@@ -134,9 +130,9 @@ def smallest_eigenpair(
                 return lam, y, res
     except _BudgetExceeded:
         raise ConvergenceError(
-            f"matvec budget exhausted ({budget.cap}); residual {res:.3e}", achieved=res
+            f"matvec budget exhausted ({MATVEC_CAP}); residual {res:.3e}", achieved=res
         ) from None
     raise ConvergenceError(
-        f"no convergence in {max_outer} inverse-iteration steps; residual {res:.3e}",
+        f"no convergence in {EIGEN_MAX_OUTER} inverse-iteration steps; residual {res:.3e}",
         achieved=res,
     )

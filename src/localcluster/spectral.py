@@ -13,7 +13,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     UnattainableCorrelationError,
 )
-from .graph import Graph, _as_node_array, laplacian_apply
+from .graph import Graph, _as_node_array, _row_reduce, laplacian_apply
 from .results import ClusterResult
 from .rounding import sweep_cut
 from .solvers import MatvecBudget, _BudgetExceeded, conjugate_gradient, smallest_eigenpair
@@ -129,6 +129,49 @@ def correlation_seed(g: Graph, r: object) -> np.ndarray:
     return z / scale
 
 
+# -- the degree-scaled Laplacian -----------------------------------------------
+
+
+def _scaled_laplacian(
+    g: Graph, normalized: bool = True, rows: np.ndarray | None = None
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """The operator y -> S^-1 L S^-1 y and S's diagonal, which spans its null space.
+
+    S = sqrt(D), or the identity when not normalized. Given sorted
+    ``rows``, the operator is its principal submatrix on them (S is
+    restricted too), whose products read only those rows' arcs: O(vol(rows))
+    work, with the arithmetic of the whole-graph product on a vector that
+    is zero outside ``rows``.
+    """
+    d = g.degrees if rows is None else g.degrees[rows]
+    s = np.sqrt(d) if normalized else np.ones(d.shape[0])
+    inv = 1.0 / s
+    if rows is None:
+        return lambda y: inv * laplacian_apply(g, inv * y), s
+
+    arcs = g.arcs_of(rows)
+    nbr, weights = g.indices[arcs], g.weights[arcs]
+    # Each arc's head as a position in rows; heads outside rows read the
+    # zero in the last slot of ``ext``.
+    slot = np.searchsorted(rows, nbr)
+    slot[rows[np.minimum(slot, rows.size - 1)] != nbr] = rows.size
+    indptr = np.concatenate(([0], np.cumsum(g.indptr[rows + 1] - g.indptr[rows])))
+    ext = np.zeros(rows.size + 1)
+
+    def apply(y: np.ndarray) -> np.ndarray:
+        x = inv * y
+        ext[:-1] = x
+        return inv * (d * x - _row_reduce(np.add, indptr, weights * ext[slot], 0.0))
+
+    return apply, s
+
+
+def _deflation(s: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The orthogonal projector onto the complement of ``s``."""
+    u = s / np.linalg.norm(s)
+    return lambda y: y - (u @ y) * u
+
+
 # -- Fiedler pair ------------------------------------------------------------
 
 
@@ -147,40 +190,15 @@ def fiedler(g: Graph, normalized: bool = True, tol: float = 1e-10) -> tuple[floa
     if not g.is_connected():
         raise ParameterError("graph must be connected")
 
-    budget = MatvecBudget()
-    if normalized:
-        sqrt_d = np.sqrt(g.degrees)
-        inv_sqrt_d = 1.0 / sqrt_d
-        u = sqrt_d / np.linalg.norm(sqrt_d)
+    apply_a, s = _scaled_laplacian(g, normalized)
 
-        def apply_a(y: np.ndarray) -> np.ndarray:
-            return inv_sqrt_d * laplacian_apply(g, inv_sqrt_d * y)
+    def residual_fn(lam: float, y: np.ndarray, a_y: np.ndarray) -> float:
+        return float(np.linalg.norm(s * (a_y - lam * y))) / float(np.linalg.norm(s * y))
 
-        def project(y: np.ndarray) -> np.ndarray:
-            return y - (u @ y) * u
-
-        def residual_fn(lam: float, y: np.ndarray, a_y: np.ndarray) -> float:
-            num = float(np.linalg.norm(sqrt_d * (a_y - lam * y)))
-            den = float(np.linalg.norm(sqrt_d * y))
-            return num / den
-
-        lam, y, _ = smallest_eigenpair(
-            apply_a, g.n, tol=tol, residual_fn=residual_fn, project=project, budget=budget
-        )
-        x = inv_sqrt_d * y
-    else:
-        u = np.full(g.n, 1.0 / math.sqrt(g.n))
-
-        def apply_a(y: np.ndarray) -> np.ndarray:
-            return laplacian_apply(g, y)
-
-        def project(y: np.ndarray) -> np.ndarray:
-            return y - (u @ y) * u
-
-        lam, x, _ = smallest_eigenpair(
-            apply_a, g.n, tol=tol, project=project, budget=budget
-        )
-
+    lam, y, _ = smallest_eigenpair(
+        apply_a, g.n, tol=tol, residual_fn=residual_fn, project=_deflation(s)
+    )
+    x = (1.0 / s) * y
     x = x / np.linalg.norm(x)
     if x[int(np.argmax(np.abs(x)))] < 0:
         x = -x
@@ -196,7 +214,8 @@ def spectral_mqi(g: Graph, r: object, tol: float = 1e-10) -> tuple[float, Embedd
     The eigenvector is reported in the submatrix's own coordinates
     (zero-padded outside R) with nonnegative entries; for R = V that is
     the square-root-degree direction with eigenvalue 0, for a singleton
-    it is e_v with eigenvalue 1.
+    it is e_v with eigenvalue 1. Strongly local: the solve reads only the
+    arcs of R's vertices.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
@@ -212,17 +231,7 @@ def spectral_mqi(g: Graph, r: object, tol: float = 1e-10) -> tuple[float, Embedd
             n=g.n, values=np.ones(1), indices=r_arr.copy(), kind="dirichlet"
         )
 
-    sqrt_d = np.sqrt(g.degrees)
-    inv_sqrt_d = 1.0 / sqrt_d
-    pad = np.zeros(g.n)
-
-    def apply_sub(y: np.ndarray) -> np.ndarray:
-        pad[r_arr] = y
-        full = inv_sqrt_d * laplacian_apply(g, inv_sqrt_d * pad)
-        out = full[r_arr]
-        pad[r_arr] = 0.0
-        return out
-
+    apply_sub, _ = _scaled_laplacian(g, rows=r_arr)
     lam, y, res = smallest_eigenpair(apply_sub, r_arr.size, tol=tol)
     y = np.abs(y)
     y /= np.linalg.norm(y)
@@ -247,10 +256,14 @@ def spectral_mqi_cluster(
     is the ordering the Dirichlet variant of the sweep-cut guarantee
     speaks about: the best prefix S satisfies
     cut(S)/vol(S) <= sqrt(2 * lambda_R). The result's ``vector`` is the
-    eigenvector before rescaling, as ``spectral_mqi`` returns it.
+    eigenvector before rescaling, as ``spectral_mqi`` returns it, and its
+    ``touched_nodes`` counts R and its neighbours, the vertices the
+    seed-confined operator reads.
     """
     t0 = time.perf_counter()
     lam, vec = spectral_mqi(g, r, tol=tol)
+    r_arr = _as_node_array(g, r)
+    touched = np.union1d(r_arr, g.indices[g.arcs_of(r_arr)]).size
     ids, vals = vec.nonzeros()
     if ids.size == 0:
         raise DegenerateResultError("eigenvector has empty support")
@@ -258,31 +271,12 @@ def spectral_mqi_cluster(
     sweep_vec = EmbeddingVector(n=g.n, values=rescaled, indices=ids, kind="dirichlet")
     node_set, value, _profile = sweep_cut(g, sweep_vec, objective=objective)
     return ClusterResult.of_set(
-        g, node_set.ids, objective, value, touched_nodes=g.n, iterations=1, t0=t0,
+        g, node_set.ids, objective, value, touched_nodes=touched, iterations=1, t0=t0,
         history=(lam,), vector=vec,
     )
 
 
 # -- seed-correlated resolvent solves ----------------------------------------
-
-
-def _deflated_resolvent_solve(
-    g: Graph, rhs_x: np.ndarray, rho: float, cg_rel_tol: float, budget: MatvecBudget
-) -> np.ndarray:
-    """Solve (L + rho*D) x = rhs on the degree-orthogonal complement of 1."""
-    sqrt_d = np.sqrt(g.degrees)
-    inv_sqrt_d = 1.0 / sqrt_d
-    u = sqrt_d / np.linalg.norm(sqrt_d)
-
-    def apply_a(y: np.ndarray) -> np.ndarray:
-        return inv_sqrt_d * laplacian_apply(g, inv_sqrt_d * y) + rho * y
-
-    def project(y: np.ndarray) -> np.ndarray:
-        return y - (u @ y) * u
-
-    rhs_y = inv_sqrt_d * rhs_x
-    y = conjugate_gradient(apply_a, rhs_y, rel_tol=cg_rel_tol, budget=budget, project=project)
-    return inv_sqrt_d * y
 
 
 def _orthogonalize_seed(g: Graph, z: np.ndarray) -> np.ndarray:
@@ -326,12 +320,19 @@ def _mov_solve(g: Graph, z: np.ndarray, rho: float, tol: float) -> EmbeddingVect
     rho > -lambda2 and tol > 0.
     """
     rhs = (rho if rho != 0.0 else 1.0) * (g.degrees * z)
-    budget = MatvecBudget()
+    # (L + rho*D) x = rhs on the degree-orthogonal complement of 1, solved
+    # as (S^-1 L S^-1 + rho) y = S^-1 rhs with x = S^-1 y.
+    apply_l, s = _scaled_laplacian(g)
+    inv = 1.0 / s
     try:
-        x_hat = _deflated_resolvent_solve(g, rhs, rho, max(1e-15, 0.01 * tol), budget)
+        y = conjugate_gradient(
+            lambda v: apply_l(v) + rho * v, inv * rhs, rel_tol=max(1e-15, 0.01 * tol),
+            budget=MatvecBudget(), project=_deflation(s),
+        )
     except _BudgetExceeded:
         raise ConvergenceError("matvec budget exhausted in resolvent solve") from None
 
+    x_hat = inv * y
     res = laplacian_apply(g, x_hat) + rho * (g.degrees * x_hat) - rhs
     rel = float(np.linalg.norm(res)) / float(np.linalg.norm(rhs))
     if rel > tol:

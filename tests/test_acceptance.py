@@ -29,6 +29,7 @@ from localcluster import (
     mov_solve,
     mqi,
     solve_maxflow,
+    spectral_mqi_cluster,
     sweep_cut,
     volume,
 )
@@ -228,11 +229,17 @@ def test_criterion_08_strong_locality_on_the_large_ring(big_ring, criterion_repo
     assert flow_s < 5.0
     assert flow_res.touched_nodes < 0.05 * big_ring.n
     assert flow_res.set_ids == tuple(range(10))
+
+    spec_res = spectral_mqi_cluster(big_ring, range(13))
+    assert spec_res.set_ids == tuple(range(10))
+    assert spec_res.conductance == pytest.approx(2.0 / 92.0, abs=1e-12)
+    assert spec_res.touched_nodes < 0.05 * big_ring.n
     criterion_report(
         f"criterion 08 PASS: on the 100k-node ring the diffusion touched "
-        f"{touched} nodes in {diffusion_s * 1e3:.0f}ms and the local flow "
-        f"refinement touched {flow_res.touched_nodes} in {flow_s * 1e3:.0f}ms, "
-        f"both recovering the planted clique exactly"
+        f"{touched} nodes in {diffusion_s * 1e3:.0f}ms, the local flow "
+        f"refinement touched {flow_res.touched_nodes} in {flow_s * 1e3:.0f}ms "
+        f"and the seed-confined eigenvector read {spec_res.touched_nodes}, "
+        f"all recovering the planted clique exactly"
     )
 
 

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from localcluster import (
     ConvergenceError,
@@ -14,6 +16,7 @@ from localcluster import (
     UnattainableCorrelationError,
     correlation_seed,
     fiedler,
+    laplacian_apply,
     mov_correlate,
     mov_solve,
     seed_distribution,
@@ -25,6 +28,7 @@ from localcluster import spectral
 from localcluster.graph import Graph
 from localcluster.oracles import (
     dense_eig_smallest,
+    dense_laplacian,
     dense_mov_solve,
     dense_normalized_laplacian,
 )
@@ -146,6 +150,17 @@ class TestFiedler:
             assert lam == pytest.approx(lam_ref, abs=1e-8)
             assert _cos(vec.values, y_ref / sqrt_d) == pytest.approx(1.0, abs=1e-7)
 
+    def test_unnormalized_matches_dense_oracle_on_random_graphs(self):
+        rng = random.Random(70702)
+        for _ in range(8):
+            g = random_connected_graph(
+                rng.randint(4, 12), seed=rng.randint(0, 10**6), weighted=rng.random() < 0.5
+            )
+            lam, vec = fiedler(g, normalized=False)
+            lam_ref, x_ref = dense_eig_smallest(dense_laplacian(g), deflate=np.ones(g.n))
+            assert lam == pytest.approx(lam_ref, abs=1e-8)
+            assert _cos(vec.values, x_ref) == pytest.approx(1.0, abs=1e-7)
+
     def test_validation(self, dumbbell):
         with pytest.raises(ParameterError):
             fiedler(dumbbell, tol=0.0)
@@ -198,9 +213,57 @@ class TestSeedConfined:
         assert res.history == (pytest.approx(DUMBBELL_LAMBDA_R),)
         assert res.iterations == 1
 
+    def test_cluster_counts_the_seed_and_its_neighbours(self, dumbbell):
+        # The triangle and vertex 3, the one neighbour outside it.
+        assert spectral_mqi_cluster(dumbbell, (0, 1, 2)).touched_nodes == 4
+
     def test_empty_seed_rejected(self, dumbbell):
         with pytest.raises(ParameterError):
             spectral_mqi(dumbbell, ())
+
+
+def reference_apply_sub(g, r, y):
+    """Zero-pad y to length n, apply the whole normalized Laplacian, read back R's rows."""
+    inv_sqrt_d = 1.0 / np.sqrt(g.degrees)
+    pad = np.zeros(g.n)
+    pad[r] = y
+    return (inv_sqrt_d * laplacian_apply(g, inv_sqrt_d * pad))[r]
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(3, 24),
+    weighted=st.booleans(),
+    shape=st.sampled_from(["random", "alternate", "lone_vertex", "all_but_one"]),
+)
+def test_restricted_product_matches_the_padded_product(seed, n, weighted, shape):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(n, seed=seed, weighted=weighted)
+    if shape == "random":
+        r = np.sort(rng.choice(n, int(rng.integers(1, n)), replace=False))
+    elif shape == "alternate":
+        r = np.arange(int(rng.integers(0, 2)), n, 2)
+    elif shape == "lone_vertex":
+        # A vertex of R whose neighbours all lie outside R.
+        v = int(rng.integers(0, n))
+        others = np.setdiff1d(np.arange(n), np.append(g.neighbors(v)[0], v))
+        r = np.union1d([v], others[rng.random(others.size) < 0.5])
+    else:
+        r = np.delete(np.arange(n), int(rng.integers(0, n)))
+    y = rng.standard_normal(r.size)
+
+    apply_sub, s = spectral._scaled_laplacian(g, rows=r)
+    got = apply_sub(y)
+    assert np.array_equal(got, reference_apply_sub(g, r, y))
+    assert np.array_equal(s, np.sqrt(g.degrees[r]))
+    # rtol 1e-12 against the size of the terms summed, so that a row
+    # whose terms cancel is not held to a relative bound it cannot meet.
+    sub = dense_normalized_laplacian(g)[np.ix_(r, r)]
+    assert np.all(np.abs(got - sub @ y) <= 1e-12 * (np.abs(sub) @ np.abs(y)))
+    # The product allocates its own output: a second call does not change the first.
+    again = apply_sub(-y)
+    assert np.array_equal(got, reference_apply_sub(g, r, y))
+    assert np.array_equal(again, reference_apply_sub(g, r, -y))
 
 
 class TestResolventSolve:
