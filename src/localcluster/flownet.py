@@ -1,6 +1,13 @@
 """Max-flow / min-cut engine on real-valued capacities.
 
-Dinic-style blocking flow over an arc-pair residual representation.
+A network is a set of arrays over paired arcs (arc 2k is the k-th arc's
+forward direction, arc 2k+1 its reverse), plus the stable CSR permutation
+that groups arc ids by tail. Dinic's blocking flow runs on flat Python
+lists taken from those arrays once per solve: each phase's level BFS stops
+once the sink is labeled, and after each augmentation the DFS resumes at
+the first arc the push saturated. The last, failing BFS is the residual
+reach, which gives the minimal min cut with no further traversal.
+
 Capacities are 64-bit floats; every solve finishes with a max-flow =
 min-cut duality check at 1e-9 relative tolerance, which substitutes for
 the exactness guarantees integer solvers get for free. Infinite
@@ -11,9 +18,10 @@ that no finite cut can reach.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ParameterError, UnboundedFlowError
 
@@ -30,6 +38,13 @@ class FlowNetwork:
     reverse, so the reverse of arc ``a`` is always ``a ^ 1`` and the tail of
     ``a`` is ``head[a ^ 1]``. Undirected graph edges are added with equal
     capacity in both directions.
+
+    A network is filled either one ``add_arc`` at a time or all at once
+    through ``from_arcs``; ``freeze`` then turns ``head`` and ``cap`` into
+    arrays and adds ``cap_init`` (the capacities before any flow), the
+    ``infinite`` arc mask, and ``order`` / ``first``: arc ids sorted stably
+    by tail, so node u's arcs are ``order[first[u]:first[u + 1]]`` in id
+    order.
     """
 
     def __init__(self, num_nodes: int, source: int, sink: int):
@@ -38,12 +53,16 @@ class FlowNetwork:
         self.num_nodes = num_nodes
         self.source = source
         self.sink = sink
-        self.head: list[int] = []
-        self.cap: list[float] = []
-        self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
-        self.cap_init: list[float] = []
-        self.infinite_arcs: set[int] = set()
+        self.head: list[int] | np.ndarray = []
+        self.cap: list[float] | np.ndarray = []
         self._frozen = False
+
+    @classmethod
+    def from_arcs(cls, num_nodes: int, source: int, sink: int, head: np.ndarray, cap: np.ndarray) -> "FlowNetwork":
+        """A network whose paired arcs are given whole: ``head[a]`` and ``cap[a]`` for every arc id."""
+        net = cls(num_nodes, source, sink)
+        net.head, net.cap = head, cap
+        return net
 
     def add_arc(self, u: int, v: int, cap_fwd: float, cap_rev: float = 0.0) -> int:
         """Add an arc pair u->v / v->u; returns the forward arc id."""
@@ -54,35 +73,40 @@ class FlowNetwork:
         if cap_fwd < 0 or cap_rev < 0 or math.isnan(cap_fwd) or math.isnan(cap_rev):
             raise ParameterError("capacities must be nonnegative")
         a = len(self.head)
-        self.head.append(v)
-        self.cap.append(float(cap_fwd))
-        self.adj[u].append(a)
-        self.head.append(u)
-        self.cap.append(float(cap_rev))
-        self.adj[v].append(a + 1)
+        self.head += (v, u)
+        self.cap += (float(cap_fwd), float(cap_rev))
         return a
 
     def freeze(self) -> None:
         """Replace infinite capacities by the sentinel and lock the arc set."""
         if self._frozen:
             return
-        finite_total = sum(c for c in self.cap if not math.isinf(c))
-        sentinel = 1.0 + finite_total
-        for a, c in enumerate(self.cap):
-            if math.isinf(c):
-                self.cap[a] = sentinel
-                self.infinite_arcs.add(a)
-        self.cap_init = list(self.cap)
+        head = np.asarray(self.head, dtype=np.int64)
+        cap = np.array(self.cap, dtype=np.float64)
+        self.infinite = np.isinf(cap)
+        if self.infinite.any():
+            # Python's float sum, left to right in arc id order.
+            cap[self.infinite] = 1.0 + sum(cap[~self.infinite].tolist())
+        tails = _tails(head)
+        self.order = np.argsort(tails, kind="stable")
+        self.first = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=self.num_nodes), out=self.first[1:])
+        self.head, self.cap, self.cap_init = head, cap, cap.copy()
         self._frozen = True
 
     def reset_flow(self) -> None:
         if not self._frozen:
             raise ParameterError("freeze the network before resetting")
-        self.cap = list(self.cap_init)
+        self.cap = self.cap_init.copy()
 
     def arc_flow(self, a: int) -> float:
         """Net flow routed along forward arc ``a`` since the last reset."""
-        return self.cap_init[a] - self.cap[a]
+        return float(self.cap_init[a] - self.cap[a])
+
+
+def _tails(head: np.ndarray) -> np.ndarray:
+    """Tail of every arc: the head of its twin."""
+    return head.reshape(-1, 2)[:, ::-1].reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -110,34 +134,26 @@ def solve_maxflow(net: FlowNetwork) -> CutSolution:
         duality check).
     """
     net.freeze()
-    flow = _dinic(net)
-    reach = _checked_min_cut(net, flow)
-    return CutSolution(flow_value=flow, s_side=frozenset(v for v in reach if v != net.source))
+    flow, reach = _dinic(net)
+    _checked_min_cut(net, flow, reach)
+    reach[net.source] = False
+    return CutSolution(flow_value=flow, s_side=frozenset(np.flatnonzero(reach).tolist()))
 
 
-def _checked_min_cut(net: FlowNetwork, flow: float) -> set[int]:
-    """Source side of the minimal min cut after a maximum ``flow`` on ``net``.
+def _checked_min_cut(net: FlowNetwork, flow: float, reach: np.ndarray) -> None:
+    """Check the cut whose source side is ``reach``, the residual reach after a maximum ``flow``.
 
-    Returns the nodes reachable from the source in the residual network
-    (source included), after checking that the cut they induce crosses no
-    infinite arc and that its capacity equals ``flow`` (the duality check).
+    The cut must cross no infinite arc, and its capacity must equal
+    ``flow`` (the duality check).
     """
-    reach = _residual_reachable(net)
-    cap_sent = 0.0
-    crosses_infinite = False
-    for u in reach:
-        for a in net.adj[u]:
-            if net.head[a] not in reach:
-                cap_sent += net.cap_init[a]
-                if a in net.infinite_arcs:
-                    crosses_infinite = True
-    if crosses_infinite:
+    crossing = reach[_tails(net.head)] & ~reach[net.head]
+    if (crossing & net.infinite).any():
         raise UnboundedFlowError("no finite source-sink cut exists")
+    cap_sent = float(net.cap_init[crossing].sum())
     if not math.isclose(flow, cap_sent, rel_tol=DUALITY_RTOL, abs_tol=1e-9):
         raise AssertionError(
             f"duality violated: flow {flow!r} vs cut capacity {cap_sent!r}"
         )
-    return reach
 
 
 def cut_capacity(net: FlowNetwork, s_nodes: Iterable[int], *, true_infinity: bool = True) -> float:
@@ -148,99 +164,107 @@ def cut_capacity(net: FlowNetwork, s_nodes: Iterable[int], *, true_infinity: boo
     reading for oracle comparisons.
     """
     net.freeze()
-    side = set(s_nodes)
-    side.add(net.source)
-    if net.sink in side:
+    ids = np.fromiter(s_nodes, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= net.num_nodes):
+        raise ParameterError("cut node out of range")
+    side = np.zeros(net.num_nodes, dtype=bool)
+    side[ids] = True
+    side[net.source] = True
+    if side[net.sink]:
         raise ParameterError("sink cannot be on the source side")
-    total = 0.0
-    for u in side:
-        for a in net.adj[u]:
-            if net.head[a] in side:
-                continue
-            if true_infinity and a in net.infinite_arcs:
-                return float("inf")
-            total += net.cap_init[a]
-    return total
+    crossing = side[_tails(net.head)] & ~side[net.head]
+    if true_infinity and (crossing & net.infinite).any():
+        return float("inf")
+    return float(net.cap_init[crossing].sum())
 
 
 # -- Dinic internals --------------------------------------------------------
 
 
-def _dinic(net: FlowNetwork) -> float:
+def _dinic(net: FlowNetwork) -> tuple[float, np.ndarray]:
+    """Maximum flow of the frozen ``net`` from its current residual capacities.
+
+    Returns the flow value and the residual reach of the source as a node
+    mask; the routed flow is left in ``net.cap``. Arcs are handled by their
+    position in ``net.order``, so each node's arcs are one contiguous run
+    and the scan order is the arc id order.
+    """
+    order = net.order
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    # Read once per arc of an augmenting path or a retreat, so a view of the
+    # array serves; a list would hold an int object per arc.
+    rev = memoryview(position[order ^ 1])
+    del position
+    # Heads as shared node-id objects: tolist() alone would make one int
+    # object per arc.
+    head = list(map(list(range(net.num_nodes)).__getitem__, net.head[order].tolist()))
+    cap = net.cap[order].tolist()
+    first = net.first.tolist()
+    end = first[1:]
+    source, sink = net.source, net.sink
+
+    eps = RESIDUAL_EPS
     total = 0.0
     while True:
-        level = _bfs_levels(net)
-        if level is None:
+        level = _bfs_levels(head, cap, first, net.num_nodes, source, sink)
+        if level[sink] < 0:
             break
-        ptr = [0] * net.num_nodes
+        ptr = first[:-1]
+        path: list[int] = []  # arc positions from the source to u
+        u = source
         while True:
-            pushed = _augment_once(net, level, ptr)
-            if pushed <= 0.0:
-                break
-            total += pushed
-    return total
+            if u == sink:
+                pushed = min(map(cap.__getitem__, path))
+                for p in path:
+                    cap[p] -= pushed
+                    cap[rev[p]] += pushed
+                total += pushed
+                # Resume at the tail of the first arc the push saturated:
+                # every arc before it still leads on in the level graph.
+                i = 0
+                while cap[path[i]] > eps:
+                    i += 1
+                u = head[rev[path[i]]]
+                del path[i:]
+            next_level = level[u] + 1
+            for p in range(ptr[u], end[u]):
+                if cap[p] > eps and level[head[p]] == next_level:
+                    break
+            else:
+                if u == source:
+                    break
+                level[u] = -1  # dead end for this phase
+                u = head[rev[path.pop()]]
+                ptr[u] += 1
+                continue
+            ptr[u] = p
+            path.append(p)
+            u = head[p]
+
+    net.cap = np.empty(order.size)
+    net.cap[order] = cap
+    return total, np.array(level) >= 0
 
 
-def _bfs_levels(net: FlowNetwork) -> list[int] | None:
-    """Level array of the residual network, or None if the sink is cut off."""
-    level = [-1] * net.num_nodes
-    level[net.source] = 0
-    q = deque([net.source])
-    head, cap, adj = net.head, net.cap, net.adj
-    while q:
-        u = q.popleft()
-        lu = level[u]
-        for a in adj[u]:
-            w = head[a]
-            if cap[a] > RESIDUAL_EPS and level[w] < 0:
-                level[w] = lu + 1
-                q.append(w)
-    return level if level[net.sink] >= 0 else None
+def _bfs_levels(head: list[int], cap: list[float], first: list[int], n: int, source: int, sink: int) -> list[int]:
+    """BFS level of every node over residual arcs, -1 where unreached.
 
-
-def _augment_once(net: FlowNetwork, level: list[int], ptr: list[int]) -> float:
-    """Find one augmenting path in the level graph and push its bottleneck."""
-    head, cap, adj = net.head, net.cap, net.adj
-    sink = net.sink
-    u = net.source
-    path: list[int] = []
-    while True:
-        if u == sink:
-            bottleneck = min(cap[a] for a in path)
-            for a in path:
-                cap[a] -= bottleneck
-                cap[a ^ 1] += bottleneck
-            return bottleneck
-        arcs = adj[u]
-        advanced = False
-        while ptr[u] < len(arcs):
-            a = arcs[ptr[u]]
-            w = head[a]
-            if cap[a] > RESIDUAL_EPS and level[w] == level[u] + 1:
-                path.append(a)
-                u = w
-                advanced = True
-                break
-            ptr[u] += 1
-        if advanced:
-            continue
-        if u == net.source:
-            return 0.0
-        level[u] = -1  # dead end for this phase
-        came_by = path.pop()
-        u = head[came_by ^ 1]
-        ptr[u] += 1
-
-
-def _residual_reachable(net: FlowNetwork) -> set[int]:
-    seen = {net.source}
-    q = deque([net.source])
-    head, cap, adj = net.head, net.cap, net.adj
-    while q:
-        u = q.popleft()
-        for a in adj[u]:
-            w = head[a]
-            if cap[a] > RESIDUAL_EPS and w not in seen:
-                seen.add(w)
-                q.append(w)
-    return seen
+    Stops as soon as the sink is labeled; a level list whose sink is -1
+    comes from a complete search and is the source's residual reach.
+    """
+    eps = RESIDUAL_EPS
+    level = [-1] * n
+    level[source] = 0
+    queue = [source]
+    for u in queue:
+        next_level = level[u] + 1
+        for p in range(first[u], first[u + 1]):
+            if cap[p] > eps:
+                w = head[p]
+                if level[w] < 0:
+                    level[w] = next_level
+                    if w == sink:
+                        return level
+                    queue.append(w)
+    return level

@@ -170,7 +170,8 @@ class Graph:
         """Positions in ``indices``/``weights`` of the arcs leaving ``rows``, row by row."""
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
-        return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+        ends = lengths.cumsum()
+        return (starts - ends + lengths).repeat(lengths) + np.arange(ends[-1] if ends.size else 0)
 
     def is_connected(self) -> bool:
         return self.unreachable_witness() is None

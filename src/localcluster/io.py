@@ -13,6 +13,7 @@ import sys
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from operator import methodcaller
 from pathlib import Path
 from typing import IO, Iterator
@@ -293,27 +294,52 @@ def write_vector_csv(vec: EmbeddingVector, lm: LabelMap, sink: str | Path | IO[s
                 handle.write(f"{lm.external(i)},{FLOAT_FMT % val}\n")
 
 
+def _raise_vector_line_error(lines: list[str], lm: LabelMap) -> None:
+    """Raise the error of the first bad line of a vector CSV body (line 2 on)."""
+    seen: set[int] = set()
+    for lineno, raw in enumerate(lines, start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise InputError(f"line {lineno}: expected 'node,value'")
+        i = lm.internal(parts[0])
+        if i in seen:
+            raise InputError(f"line {lineno}: duplicate node {parts[0]!r}")
+        seen.add(i)
+        try:
+            float(parts[1])
+        except ValueError:
+            raise InputError(f"line {lineno}: bad value {parts[1]!r}") from None
+
+
 def read_vector_csv(source: str | Path | IO[str], lm: LabelMap) -> EmbeddingVector:
-    """Read a "node,value" CSV back into a sparse vector over lm's ids."""
-    entries: dict[int, float] = {}
+    """Read a "node,value" CSV back into a sparse vector over lm's ids.
+
+    The body is parsed in one pass: lines stripped, blank ones dropped,
+    each split at its one comma, labels looked up in lm's index and values
+    parsed by one ``map(float, ...)``. If any of that fails, the lines are
+    checked again one at a time, so the error names the first bad line.
+    """
     with _open_text(source) as handle:
         header = handle.readline().strip()
         if header != "node,value":
             raise InputError(f"expected header 'node,value', got {header!r}")
-        for lineno, raw in enumerate(handle, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise InputError(f"line {lineno}: expected 'node,value'")
-            i = lm.internal(parts[0])
-            if i in entries:
-                raise InputError(f"line {lineno}: duplicate node {parts[0]!r}")
-            try:
-                entries[i] = float(parts[1])
-            except ValueError:
-                raise InputError(f"line {lineno}: bad value {parts[1]!r}") from None
-    ids = np.array(sorted(entries), dtype=np.int64)
-    vals = np.array([entries[i] for i in ids])
+        lines = handle.readlines()
+    rows = list(filter(None, map(str.strip, lines)))
+    try:
+        if not set(map(str.count, rows, repeat(","))) <= {1}:
+            raise ValueError("a line without exactly one comma")
+        fields = ",".join(rows).split(",") if rows else []
+        ids = list(map(lm._index.__getitem__, fields[0::2]))
+        if len(set(ids)) != len(ids):
+            raise ValueError("a repeated node")
+        values = list(map(float, fields[1::2]))
+    except (KeyError, ValueError):
+        _raise_vector_line_error(lines, lm)
+        raise
+    ids = np.array(ids, dtype=np.int64)
+    order = np.argsort(ids)
+    ids, vals = ids[order], np.array(values, dtype=np.float64)[order]
     return EmbeddingVector(n=len(lm), values=vals, indices=ids, kind="generic")

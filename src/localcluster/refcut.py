@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -68,27 +68,42 @@ class AugmentedGraphSpec:
         if not cleaned:
             raise ParameterError("source weight support is empty")
         object.__setattr__(self, "source_weight", cleaned)
+        # The support in id order, and its masses, for array lookups.
+        support = sorted(cleaned)
+        object.__setattr__(self, "_support", np.array(support, dtype=np.int64))
+        object.__setattr__(self, "_support_mass", np.array([cleaned[i] for i in support]))
         if self.total_weight is not None:
             tw = np.asarray(self.total_weight, dtype=np.float64)
             if np.any(tw < 0):
                 raise ParameterError("total weights must be nonnegative")
             object.__setattr__(self, "total_weight", tw)
 
-    def sink_weight(self, g: Graph, i: int) -> float:
-        """Sink mass of node i: total_i minus source mass, clipped at 0."""
-        total = float(g.degrees[i]) if self.total_weight is None else float(self.total_weight[i])
-        z = total - self.source_weight.get(i, 0.0)
-        if z < -1e-9 * max(1.0, total):
-            raise ParameterError(f"source weight exceeds total at node {i}")
-        return max(z, 0.0)
+    def sink_weights(self, g: Graph, nodes: np.ndarray, source_mass: object = None) -> np.ndarray:
+        """Sink mass of each of ``nodes``: total minus source mass, clipped at 0.
+
+        ``source_mass`` is the nodes' source mass when the caller already
+        has it (an array, or 0.0 for nodes outside the support). Raises
+        ParameterError naming the first of ``nodes``, in the order given,
+        whose source mass exceeds its total.
+        """
+        if source_mass is None:
+            pos = np.searchsorted(self._support, nodes)
+            found = self._support.take(pos, mode="clip") == nodes
+            source_mass = np.where(found, self._support_mass.take(pos, mode="clip"), 0.0)
+        total = (g.degrees if self.total_weight is None else self.total_weight)[nodes]
+        z = total - source_mass
+        bad = z < -1e-9 * np.maximum(1.0, total)
+        if bad.any():
+            raise ParameterError(f"source weight exceeds total at node {nodes[bad.argmax()]}")
+        return np.maximum(z, 0.0)
 
     def validate_against(self, g: Graph) -> None:
-        for i in self.source_weight:
-            if not (0 <= i < g.n):
-                raise ParameterError(f"source weight node {i} out of range")
-            self.sink_weight(g, i)
         if self.total_weight is not None and self.total_weight.shape != (g.n,):
             raise ParameterError("total weight vector length mismatch")
+        lo, hi = self._support[0], self._support[-1]
+        if lo < 0 or hi >= g.n:
+            raise ParameterError(f"source weight node {lo if lo < 0 else hi} out of range")
+        self.sink_weights(g, self._support, self._support_mass)
 
 
 def augmented_cut_value(spec: AugmentedGraphSpec, g: Graph, s: object) -> float:
@@ -102,60 +117,92 @@ def augmented_cut_value(spec: AugmentedGraphSpec, g: Graph, s: object) -> float:
 
     spec.validate_against(g)
     arr = _as_node_array(g, s)
-    in_s = np.zeros(g.n, dtype=bool)
-    in_s[arr] = True
-
-    source_term = sum(w for i, w in spec.source_weight.items() if not in_s[i])
-    sink_term = 0.0
-    for i in arr:
-        z = spec.sink_weight(g, int(i))
-        if z > 0.0:
-            if math.isinf(spec.beta):
-                return float("inf")
-            sink_term += z
-    # sink_term is only accumulated under a finite beta, but inf * 0.0
-    # would still poison the sum, so keep the zero term out of it.
-    sink_part = spec.beta * sink_term if sink_term > 0.0 else 0.0
-    return spec.gamma * graph_cut(g, arr) + spec.alpha * source_term + sink_part
+    outside = ~np.isin(np.fromiter(spec.source_weight, dtype=np.int64), arr)
+    source_term = sum(np.fromiter(spec.source_weight.values(), dtype=np.float64)[outside].tolist())
+    z = spec.sink_weights(g, arr)
+    z = z[z > 0.0]
+    if z.size and math.isinf(spec.beta):
+        return float("inf")
+    # Added one node at a time, in id order. Under an infinite beta there is
+    # no sink term, and inf * 0.0 would poison the sum, so keep it out.
+    sink_part = spec.beta * np.cumsum(z)[-1] if z.size else 0.0
+    return spec.gamma * graph_cut(g, arr) + spec.alpha * source_term + float(sink_part)
 
 
 def materialize(spec: AugmentedGraphSpec, g: Graph) -> FlowNetwork:
     """Build the explicit flow network: graph nodes 0..n-1, source n, sink n+1."""
     spec.validate_against(g)
-    return _subnetwork(spec, g, range(g.n))[0]
+    return _subnetwork(spec, g, np.arange(g.n))[0]
 
 
 def _subnetwork(
-    spec: AugmentedGraphSpec, g: Graph, members: Sequence[int]
-) -> tuple[FlowNetwork, list[tuple[int, int]]]:
+    spec: AugmentedGraphSpec, g: Graph, members: np.ndarray
+) -> tuple[FlowNetwork, np.ndarray, np.ndarray]:
     """The augmented network on ``members`` (sorted), exterior contracted into the sink.
 
-    Member k of the list is network node k; the source is len(members) and
-    the sink len(members) + 1. An edge from a member to a non-member
-    becomes an arc into the sink; those arcs come back as (arc id, outside
-    endpoint) pairs.
+    The members must include the source support. Member k of the array is
+    network node k; the source is len(members) and the sink
+    len(members) + 1. An edge from a member to a non-member
+    becomes an arc into the sink; those arcs come back as an array of arc
+    ids and an array of their outside endpoints.
+
+    Each member contributes, in this order, its source arc, its sink arc
+    and one arc per neighbour in CSR order: an arc into the sink for an
+    outside neighbour, an undirected edge for an inside neighbour with a
+    larger id (the edge is kept once, from its lower end). Arc ids follow
+    the members in order.
     """
-    local_id = {v: k for k, v in enumerate(members)}
-    m = len(members)
-    net = FlowNetwork(m + 2, source=m, sink=m + 1)
-    alpha, beta, gamma = spec.alpha, spec.beta, spec.gamma
-    tagged: list[tuple[int, int]] = []
-    for k, v in enumerate(members):
-        hv = spec.source_weight.get(v, 0.0)
-        if alpha * hv > 0.0:
-            net.add_arc(net.source, k, alpha * hv)
-        z = spec.sink_weight(g, v)
-        if z > 0.0 and beta > 0.0:
-            net.add_arc(k, net.sink, beta * z)
-        ids, ws = g.neighbors(v)
-        for j, w in zip(ids.tolist(), ws.tolist()):
-            c = gamma * w
-            kj = local_id.get(j)
-            if kj is None:
-                tagged.append((net.add_arc(k, net.sink, c), j))
-            elif v < j:
-                net.add_arc(k, kj, c, c)
-    return net, tagged
+    m = members.size
+    source, sink = m, m + 1
+    at = members.searchsorted(spec._support)
+    h = np.zeros(m)
+    h[at] = spec._support_mass
+    z = spec.sink_weights(g, members, h)
+    # Only nodes with mass are scaled: alpha * 0.0 and beta * 0.0 are nan
+    # at an infinite scale.
+    src_cap = spec.alpha * spec._support_mass
+    has_src = src_cap > 0.0
+    src_k, src_cap = at[has_src], src_cap[has_src]
+    has_snk = z > 0.0 if spec.beta > 0.0 else np.zeros(m, dtype=bool)
+    snk_k = has_snk.nonzero()[0]
+    snk_cap = spec.beta * z[snk_k]
+
+    arcs = g.arcs_of(members)
+    row = g.indptr[members + 1].searchsorted(arcs, side="right")
+    nbr = g.indices[arcs]
+    loc = members.searchsorted(nbr)
+    inside = members.take(loc, mode="clip") == nbr
+    keep = ~inside | (row < loc)
+    row, nbr, loc, inside = row[keep], nbr[keep], loc[keep], inside[keep]
+    c = spec.gamma * g.weights[arcs[keep]]
+
+    # Arc ids: member k's source and sink arcs (its lead arcs), then its
+    # neighbour arcs, after all arcs of the members before k.
+    lead = has_snk.astype(np.int64)
+    lead[src_k] += 1
+    lead_end = lead.cumsum()
+    per_nbr = np.bincount(row, minlength=m)
+    nbr_first = lead_end + per_nbr.cumsum() - per_nbr
+    nbr_ids = np.arange(row.size) + lead_end[row]
+    src_ids = (nbr_first - lead)[src_k]
+    snk_ids = nbr_first[snk_k] - 1
+
+    # Row a holds arc pair a: the forward arc 2a, then its reverse 2a + 1.
+    head = np.empty((nbr_first[-1] + per_nbr[-1], 2), dtype=np.int64)
+    cap = np.zeros(head.shape)
+    head[src_ids] = source
+    head[src_ids, 0] = src_k
+    cap[src_ids, 0] = src_cap
+    head[snk_ids] = sink
+    head[snk_ids, 1] = snk_k
+    cap[snk_ids, 0] = snk_cap
+    head[nbr_ids, 0] = np.where(inside, loc, sink)
+    head[nbr_ids, 1] = row
+    cap[nbr_ids, 0] = c
+    cap[nbr_ids, 1] = np.where(inside, c, 0.0)
+    net = FlowNetwork.from_arcs(m + 2, source, sink, head.reshape(-1), cap.reshape(-1))
+    outside = ~inside
+    return net, 2 * nbr_ids[outside], nbr[outside]
 
 
 def solve_maxflow_local(
@@ -181,35 +228,25 @@ def solve_maxflow_local(
     if math.isinf(spec.alpha):
         raise ParameterError("total source capacity must be finite")
 
-    explored = set(spec.source_weight.keys())
-    explored.update(int(v) for v in warm_start)
-    if not explored:
-        raise ParameterError("nothing to explore: empty source support")
+    explored = np.array(sorted(set(spec.source_weight).union(map(int, warm_start))), dtype=np.int64)
+    if explored[0] < 0 or explored[-1] >= g.n:
+        raise ParameterError("warm-start node out of range")
 
     while True:
-        members = sorted(explored)
-        net, tagged = _subnetwork(spec, g, members)
+        net, tag_arcs, tag_ends = _subnetwork(spec, g, explored)
         net.freeze()
-        flow = _dinic(net)
+        flow, reach = _dinic(net)
 
-        if math.isinf(spec.beta):
-            violators: list[int] = []
-        else:
-            inflow: dict[int, float] = {}
-            for a, j in tagged:
-                f = net.arc_flow(a)
-                if f > 0.0:
-                    inflow[j] = inflow.get(j, 0.0) + f
-            scale = max(1.0, flow)
-            violators = [
-                j
-                for j, f in inflow.items()
-                if f > spec.beta * spec.sink_weight(g, j) + RESIDUAL_EPS * scale
-            ]
-        if violators:
-            explored.update(violators)
-            continue
+        if tag_arcs.size and not math.isinf(spec.beta):
+            # The flow into each outside endpoint, added in arc order.
+            ends, which = np.unique(tag_ends, return_inverse=True)
+            inflow = np.bincount(which, weights=net.cap_init[tag_arcs] - net.cap[tag_arcs])
+            limit = spec.beta * spec.sink_weights(g, ends, 0.0) + RESIDUAL_EPS * max(1.0, flow)
+            violators = ends[inflow > limit]
+            if violators.size:
+                explored = np.union1d(explored, violators)
+                continue
 
-        reach = _checked_min_cut(net, flow)
-        s_side = frozenset(members[k] for k in reach if k != net.source)
-        return CutSolution(flow_value=flow, s_side=s_side), frozenset(explored)
+        _checked_min_cut(net, flow, reach)
+        s_side = frozenset(explored[reach[: explored.size]].tolist())
+        return CutSolution(flow_value=flow, s_side=s_side), frozenset(explored.tolist())

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from localcluster import (
+    AugmentedGraphSpec,
     Graph,
     ParameterError,
     SeedTooLargeError,
@@ -16,15 +17,18 @@ from localcluster import (
     flow_improve,
     local_flow_improve,
     local_flow_improve_scaled,
+    materialize,
     mqi,
     relative_conductance,
+    solve_maxflow,
+    solve_maxflow_local,
     volume,
 )
 from localcluster.oracles import (
     brute_min_relative_conductance,
     brute_min_subset_ratio,
 )
-from localcluster.synth import random_connected_graph
+from localcluster.synth import path_graph, random_connected_graph, ring_of_cliques
 
 SEED = (0, 1, 2, 3)
 
@@ -237,3 +241,63 @@ class TestLocality:
         seed_ids = tuple(range(10))
         res = mqi(ring20, seed_ids)
         assert res.touched_nodes <= len(seed_ids)
+
+
+def star_graph(n):
+    """Node 0 joined to each of 1..n-1."""
+    return Graph.from_edges(n, [0] * (n - 1), list(range(1, n)))
+
+
+def _shape_cases(max_n):
+    """Long paths, stars and small rings of cliques, with seeds on their hard spots."""
+    cases = []
+    for n in (6, 9, max_n):
+        cases += [(path_graph(n), range(n // 3, 2 * n // 3)), (path_graph(n), range(0, n // 2))]
+        cases += [(star_graph(n), range(0, n // 2)), (star_graph(n), range(1, n // 2 + 1))]
+    for k, c in ((3, 3), (4, 3), (3, 4)):
+        if k * c <= max_n:
+            cases += [(ring_of_cliques(k, c), range(c + 1)), (ring_of_cliques(k, c), range(c - 1, 2 * c - 1))]
+    return cases
+
+
+class TestAdversarialShapes:
+    @pytest.mark.parametrize("g, seed", _shape_cases(14))
+    def test_mqi_matches_exhaustive_subset_search(self, g, seed):
+        res = mqi(g, seed)
+        _, best = brute_min_subset_ratio(g, seed)
+        assert res.objective == pytest.approx(best, abs=1e-9)
+        assert set(res.set_ids) <= set(seed)
+
+    @pytest.mark.parametrize("g, seed", _shape_cases(12))
+    def test_flow_improve_matches_exhaustive_search(self, g, seed):
+        res = flow_improve(g, seed)
+        _, best = brute_min_relative_conductance(g, seed)
+        assert res.objective == pytest.approx(best, abs=1e-9)
+
+    @pytest.mark.parametrize("g, seed", _shape_cases(12))
+    @pytest.mark.parametrize("delta", [0.1, 1.0])
+    def test_local_flow_improve_matches_exhaustive_search(self, g, seed, delta):
+        res = local_flow_improve(g, seed, delta=delta)
+        vol_r = volume(g, seed)
+        kappa = 1.0 + delta / (vol_r / (g.total_volume - vol_r))
+        _, best = brute_min_relative_conductance(g, seed, kappa=kappa)
+        assert res.objective == pytest.approx(best, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_local_solve_equals_global_solve_on_long_paths(self, n):
+        # Growth on a path adds at most one node at each end per round; at
+        # alpha = 0.1, delta = 0 the n = 400 solve explores 208 nodes.
+        g = path_graph(n)
+        seed_ids = range(n // 2 - 10, n // 2 + 10)
+        vol_r = volume(g, seed_ids)
+        ratio = vol_r / (g.total_volume - vol_r)
+        for alpha, delta in ((0.02, 0.1), (0.1, 0.0), (0.1, 3.0), (0.5, 0.1)):
+            spec = AugmentedGraphSpec(
+                alpha=alpha, beta=alpha * (ratio + delta), gamma=1.0,
+                source_weight={v: float(g.degrees[v]) for v in seed_ids},
+            )
+            ref = solve_maxflow(materialize(spec, g))
+            sol, explored = solve_maxflow_local(spec, g)
+            assert sol.flow_value == pytest.approx(ref.flow_value, rel=1e-12)
+            assert sol.s_side == ref.s_side
+            assert sol.s_side <= explored

@@ -3,7 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localcluster import (
     FlowNetwork,
@@ -116,6 +119,9 @@ def test_cut_capacity_rejects_sink_on_source_side():
     net.freeze()
     with pytest.raises(ParameterError):
         cut_capacity(net, {2})
+    for bad in ({-1}, {3}):
+        with pytest.raises(ParameterError):
+            cut_capacity(net, bad)
 
 
 def test_arc_flows_conserve_mass():
@@ -174,3 +180,184 @@ def test_against_brute_min_cut_random():
         assert cut_capacity(net, sol.s_side) == pytest.approx(
             best_value, abs=1e-9
         )
+
+
+# -- the flat-list Dinic against the adjacency-list Dinic it replaced -------------
+
+
+def reference_dinic(net):
+    """Solve a frozen network with per-node arc lists and restarted path searches.
+
+    Returns (flow value, residual capacity of every arc, s-side), or raises
+    what the solver raises.
+    """
+    from collections import deque
+
+    eps = 1e-12
+    head, cap, infinite = net.head.tolist(), net.cap_init.tolist(), set(np.flatnonzero(net.infinite).tolist())
+    adj = [[] for _ in range(net.num_nodes)]
+    for a in range(len(head)):
+        adj[head[a ^ 1]].append(a)
+
+    def bfs_levels():
+        level = [-1] * net.num_nodes
+        level[net.source] = 0
+        q = deque([net.source])
+        while q:
+            u = q.popleft()
+            for a in adj[u]:
+                w = head[a]
+                if cap[a] > eps and level[w] < 0:
+                    level[w] = level[u] + 1
+                    q.append(w)
+        return level if level[net.sink] >= 0 else None
+
+    def augment_once(level, ptr):
+        u, path = net.source, []
+        while True:
+            if u == net.sink:
+                bottleneck = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= bottleneck
+                    cap[a ^ 1] += bottleneck
+                return bottleneck
+            arcs = adj[u]
+            advanced = False
+            while ptr[u] < len(arcs):
+                a = arcs[ptr[u]]
+                w = head[a]
+                if cap[a] > eps and level[w] == level[u] + 1:
+                    path.append(a)
+                    u = w
+                    advanced = True
+                    break
+                ptr[u] += 1
+            if advanced:
+                continue
+            if u == net.source:
+                return 0.0
+            level[u] = -1
+            came_by = path.pop()
+            u = head[came_by ^ 1]
+            ptr[u] += 1
+
+    total = 0.0
+    while True:
+        level = bfs_levels()
+        if level is None:
+            break
+        ptr = [0] * net.num_nodes
+        while True:
+            pushed = augment_once(level, ptr)
+            if pushed <= 0.0:
+                break
+            total += pushed
+
+    reach, q = {net.source}, deque([net.source])
+    while q:
+        u = q.popleft()
+        for a in adj[u]:
+            if cap[a] > eps and head[a] not in reach:
+                reach.add(head[a])
+                q.append(head[a])
+    crossing = [a for u in reach for a in adj[u] if head[a] not in reach]
+    if any(a in infinite for a in crossing):
+        raise UnboundedFlowError("no finite source-sink cut exists")
+    cap_sent = sum(net.cap_init[a] for a in crossing)
+    if not math.isclose(total, cap_sent, rel_tol=1e-9, abs_tol=1e-9):
+        raise AssertionError(f"duality violated: flow {total!r} vs cut capacity {cap_sent!r}")
+    return total, cap, frozenset(reach - {net.source})
+
+
+def _solve_outcome(solve, net):
+    try:
+        return solve(net)
+    except Exception as exc:  # the exception is the outcome being compared
+        return type(exc), str(exc)
+
+
+def assert_dinic_agrees(n, arcs, source=0, sink=None):
+    net = FlowNetwork(num_nodes=n, source=source, sink=n - 1 if sink is None else sink)
+    for u, v, fwd, rev in arcs:
+        net.add_arc(u, v, fwd, rev)
+    net.freeze()
+    want = _solve_outcome(reference_dinic, net)
+
+    def solve(net):
+        sol = solve_maxflow(net)
+        return sol.flow_value, net.cap.tolist(), sol.s_side
+
+    got = _solve_outcome(solve, net)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert got[0] == want[0]
+    assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+    assert [net.arc_flow(a) for a in range(0, len(net.head), 2)] == [
+        net.cap_init[a] - want[1][a] for a in range(0, len(net.head), 2)
+    ]
+    assert got[2] == want[2]
+
+
+# 1 + 5e-13 leaves a residual at or below RESIDUAL_EPS after a unit push.
+CAPACITIES = [0.0, 1e-13, 2e-12, 0.5, 1.0, 1.0, 1.0 + 5e-13, 2.5, 3.7, math.inf]
+
+
+@st.composite
+def arc_lists(draw):
+    n = draw(st.integers(2, 8))
+    node = st.integers(0, n - 1)
+    # Arcs out of the source and into the sink are drawn more often.
+    ends = st.one_of(
+        st.tuples(node, node), st.tuples(st.just(0), node), st.tuples(node, st.just(n - 1))
+    ).filter(lambda e: e[0] != e[1])
+    arcs = draw(
+        st.lists(
+            st.tuples(ends, st.sampled_from(CAPACITIES), st.sampled_from([0.0] * 4 + CAPACITIES)),
+            max_size=30,
+        )
+    )
+    return n, [(u, v, fwd, rev) for (u, v), fwd, rev in arcs]
+
+
+@settings(max_examples=300)
+@given(case=arc_lists())
+def test_dinic_matches_the_adjacency_list_dinic(case):
+    assert_dinic_agrees(*case)
+
+
+def test_dinic_matches_on_named_networks():
+    # Parallel arcs, in both directions.
+    assert_dinic_agrees(4, [(0, 1, 1.0, 0.0), (0, 1, 2.0, 0.0), (1, 3, 2.5, 0.0), (1, 3, 0.5, 1.0), (3, 1, 4.0, 0.0)])
+    # Zero-capacity arcs on every path but one.
+    assert_dinic_agrees(4, [(0, 1, 0.0, 0.0), (1, 3, 5.0, 0.0), (0, 2, 1.5, 0.0), (2, 3, 0.0, 2.0), (2, 1, 1.0, 0.0)])
+    # Infinite arcs behind a finite bottleneck.
+    assert_dinic_agrees(4, [(0, 1, math.inf, 0.0), (1, 2, 3.0, 0.0), (2, 3, math.inf, 0.0), (0, 2, 1.0, 0.0)])
+    # Unbounded: an all-infinite path.
+    assert_dinic_agrees(4, [(0, 1, math.inf, 0.0), (1, 3, math.inf, 0.0), (0, 2, 1.0, 0.0)])
+    with pytest.raises(UnboundedFlowError):
+        net = FlowNetwork(num_nodes=3, source=0, sink=2)
+        net.add_arc(0, 1, math.inf)
+        net.add_arc(1, 2, math.inf)
+        solve_maxflow(net)
+    # The sink unreachable, and no arcs at all.
+    assert_dinic_agrees(5, [(0, 1, 2.0, 0.0), (1, 2, 1.0, 0.0), (3, 4, 1.0, 0.0)])
+    assert_dinic_agrees(3, [])
+    # Terminals that are not the end nodes.
+    assert_dinic_agrees(5, [(2, 0, 3.0, 1.0), (0, 4, 1.0, 0.0), (2, 4, 0.5, 0.0), (4, 1, 2.0, 0.0)], source=2, sink=1)
+
+
+def test_sentinel_is_one_plus_the_finite_total_in_arc_order():
+    rng = random.Random(5)
+    net = FlowNetwork(num_nodes=6, source=0, sink=5)
+    total = 0.0
+    for _ in range(40):
+        u, v = rng.sample(range(6), 2)
+        fwd, rev = rng.uniform(0.1, 3.0), rng.choice([0.0, rng.uniform(0.1, 3.0)])
+        net.add_arc(u, v, fwd, rev)
+        total += fwd
+        total += rev
+    a = net.add_arc(1, 5, math.inf)
+    net.freeze()
+    assert net.infinite.tolist() == [False] * a + [True, False]
+    assert net.cap_init[a] == 1.0 + total

@@ -6,9 +6,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localcluster import (
     AugmentedGraphSpec,
+    FlowNetwork,
     ParameterError,
     augmented_cut_value,
     cut_capacity,
@@ -16,6 +19,7 @@ from localcluster import (
     solve_maxflow,
     solve_maxflow_local,
 )
+from localcluster.refcut import _subnetwork
 from localcluster.synth import random_connected_graph
 
 
@@ -74,6 +78,22 @@ class TestSpecValidation:
         )
         with pytest.raises(ParameterError):
             spec.validate_against(triangle)
+
+    def test_sink_weights_clip_and_name_the_first_bad_node(self):
+        g = random_connected_graph(8, seed=3)
+        deg = g.degrees
+        spec = AugmentedGraphSpec(
+            alpha=1.0, beta=1.0, gamma=1.0,
+            source_weight={2: float(deg[2]) * (1.0 + 1e-12), 5: 0.5 * float(deg[5])},
+        )
+        assert spec.sink_weights(g, np.array([2, 5, 6])).tolist() == [0.0, deg[5] - 0.5 * deg[5], deg[6]]
+        bad = AugmentedGraphSpec(
+            alpha=1.0, beta=1.0, gamma=1.0, source_weight={1: 2.0 * deg[1], 4: 3.0 * deg[4]}
+        )
+        with pytest.raises(ParameterError, match="at node 4"):
+            bad.sink_weights(g, np.array([4, 1]))
+        with pytest.raises(ParameterError, match="at node 1"):
+            bad.validate_against(g)
 
     def test_out_of_range_support(self, triangle):
         spec = AugmentedGraphSpec(
@@ -218,9 +238,115 @@ class TestLocalSolver:
         assert warm.s_side == cold.s_side
         assert explored == set(range(6))
 
+    def test_out_of_range_warm_start_rejected(self, dumbbell):
+        spec = _fi_spec(dumbbell, (0, 1, 2, 3))
+        for bad in ([-1], [dumbbell.n]):
+            with pytest.raises(ParameterError):
+                solve_maxflow_local(spec, dumbbell, warm_start=bad)
+
     def test_infinite_source_scale_rejected(self, dumbbell):
         spec = AugmentedGraphSpec(
             alpha=math.inf, beta=1.0, gamma=1.0, source_weight={0: 1.0}
         )
         with pytest.raises(ParameterError):
             solve_maxflow_local(spec, dumbbell)
+
+
+# -- the array builder against the per-arc loop it replaced ---------------------
+
+
+def reference_subnetwork(spec, g, members):
+    """Add the arcs one member at a time: source arc, sink arc, then neighbours."""
+    members = [int(v) for v in members]
+    local_id = {v: k for k, v in enumerate(members)}
+    m = len(members)
+    net = FlowNetwork(m + 2, source=m, sink=m + 1)
+    tagged = []
+    for k, v in enumerate(members):
+        hv = spec.source_weight.get(v, 0.0)
+        if spec.alpha * hv > 0.0:
+            net.add_arc(net.source, k, spec.alpha * hv)
+        total = float(g.degrees[v]) if spec.total_weight is None else float(spec.total_weight[v])
+        z = max(total - hv, 0.0)
+        if z > 0.0 and spec.beta > 0.0:
+            net.add_arc(k, net.sink, spec.beta * z)
+        ids, ws = g.neighbors(v)
+        for j, w in zip(ids.tolist(), ws.tolist()):
+            c = spec.gamma * w
+            kj = local_id.get(j)
+            if kj is None:
+                tagged.append((net.add_arc(k, net.sink, c), j))
+            elif v < j:
+                net.add_arc(k, kj, c, c)
+    return net, tagged
+
+
+def _bits(values, dtype):
+    return np.asarray(values, dtype=dtype).tobytes()
+
+
+def assert_builders_agree(spec, g, members):
+    members = np.asarray(sorted(members), dtype=np.int64)
+    net, tag_arcs, tag_ends = _subnetwork(spec, g, members)
+    ref, tagged = reference_subnetwork(spec, g, members)
+    assert (net.num_nodes, net.source, net.sink) == (ref.num_nodes, ref.source, ref.sink)
+    assert _bits(net.head, np.int64) == _bits(ref.head, np.int64)
+    assert _bits(net.cap, np.float64) == _bits(ref.cap, np.float64)
+    assert list(zip(tag_arcs.tolist(), tag_ends.tolist())) == tagged
+    net.freeze()
+    ref.freeze()
+    for name in ("head", "cap", "cap_init", "infinite", "order", "first"):
+        assert getattr(net, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+@st.composite
+def builder_cases(draw):
+    """A graph, a spec on it and a member set that holds the source support."""
+    n = draw(st.integers(2, 14))
+    g = random_connected_graph(n, seed=draw(st.integers(0, 10**6)), weighted=draw(st.booleans()))
+    support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    # Full degree leaves no sink mass; a zero entry is dropped from the support.
+    masses = {
+        v: draw(st.sampled_from([1.0, 0.5, 0.25, 0.0])) * float(g.degrees[v]) for v in support
+    }
+    if not any(masses.values()):
+        masses[support[0]] = float(g.degrees[support[0]])
+    confined = draw(st.booleans())
+    spec = AugmentedGraphSpec(
+        alpha=draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])),
+        beta=math.inf if confined else draw(st.sampled_from([0.0, 0.7, 3.0])),
+        gamma=draw(st.sampled_from([1.0, 0.9])),
+        source_weight=masses,
+        total_weight=g.degrees.copy() if confined and draw(st.booleans()) else None,
+    )
+    extra = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    return spec, g, set(spec.source_weight) | set(extra)
+
+
+@settings(max_examples=200)
+@given(case=builder_cases())
+def test_array_builder_matches_the_per_arc_loop(case):
+    assert_builders_agree(*case)
+
+
+def test_array_builder_matches_on_named_cases():
+    g = random_connected_graph(10, seed=5, weighted=True)
+    spec = _fi_spec(g, (0, 3, 4), alpha=0.8)
+    # Every node (materialize).
+    assert_builders_agree(spec, g, range(g.n))
+    # A member whose neighbours all lie outside.
+    far = next(v for v in range(g.n) if not set(g.neighbors(v)[0].tolist()) & {0, 3, 4, v})
+    assert_builders_agree(spec, g, {0, 3, 4, far})
+    # beta = inf with explicit totals.
+    assert_builders_agree(_mqi_spec(g, (0, 3, 4), alpha=0.4), g, {0, 3, 4, 7})
+    # A zero source mass is dropped; full-degree masses omit the sink arcs.
+    zero = AugmentedGraphSpec(
+        alpha=1.0, beta=0.5, gamma=1.0,
+        source_weight={0: float(g.degrees[0]), 3: 0.0, 4: float(g.degrees[4])},
+    )
+    assert zero.source_weight.keys() == {0, 4}
+    assert_builders_agree(zero, g, {0, 3, 4})
+    net, tag_arcs, _ = _subnetwork(zero, g, np.array([0, 3, 4]))
+    into_sink = 2 * np.flatnonzero(net.head[0::2] == net.sink)
+    attached = sorted(set(into_sink.tolist()) - set(tag_arcs.tolist()))
+    assert [int(net.head[a ^ 1]) for a in attached] == [1]  # node 3 alone keeps sink mass
