@@ -78,7 +78,9 @@ class AugmentedGraphSpec:
                 raise ParameterError("total weights must be nonnegative")
             object.__setattr__(self, "total_weight", tw)
 
-    def sink_weights(self, g: Graph, nodes: np.ndarray, source_mass: object = None) -> np.ndarray:
+    def sink_weights(
+        self, g: Graph, nodes: np.ndarray, source_mass: np.ndarray | float | None = None
+    ) -> np.ndarray:
         """Sink mass of each of ``nodes``: total minus source mass, clipped at 0.
 
         ``source_mass`` is the nodes' source mass when the caller already
@@ -117,16 +119,13 @@ def augmented_cut_value(spec: AugmentedGraphSpec, g: Graph, s: object) -> float:
 
     spec.validate_against(g)
     arr = _as_node_array(g, s)
-    outside = ~np.isin(np.fromiter(spec.source_weight, dtype=np.int64), arr)
-    source_term = sum(np.fromiter(spec.source_weight.values(), dtype=np.float64)[outside].tolist())
-    z = spec.sink_weights(g, arr)
-    z = z[z > 0.0]
-    if z.size and math.isinf(spec.beta):
+    source_term = float(spec._support_mass[~np.isin(spec._support, arr)].sum())
+    sink_term = float(spec.sink_weights(g, arr).sum())
+    if sink_term > 0.0 and math.isinf(spec.beta):
         return float("inf")
-    # Added one node at a time, in id order. Under an infinite beta there is
-    # no sink term, and inf * 0.0 would poison the sum, so keep it out.
-    sink_part = spec.beta * np.cumsum(z)[-1] if z.size else 0.0
-    return spec.gamma * graph_cut(g, arr) + spec.alpha * source_term + float(sink_part)
+    # An infinite beta with no sink mass adds nothing; inf * 0.0 would be nan.
+    sink_part = spec.beta * sink_term if sink_term > 0.0 else 0.0
+    return spec.gamma * graph_cut(g, arr) + spec.alpha * source_term + sink_part
 
 
 def materialize(spec: AugmentedGraphSpec, g: Graph) -> FlowNetwork:
