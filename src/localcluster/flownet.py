@@ -3,10 +3,15 @@
 A network is a set of arrays over paired arcs (arc 2k is the k-th arc's
 forward direction, arc 2k+1 its reverse), plus the stable CSR permutation
 that groups arc ids by tail. Dinic's blocking flow runs on flat Python
-lists taken from those arrays once per solve: each phase's level BFS stops
-once the sink is labeled, and after each augmentation the DFS resumes at
-the first arc the push saturated. The last, failing BFS is the residual
-reach, which gives the minimal min cut with no further traversal.
+lists (``_Residual``) taken from those arrays once per solve: each
+phase's level BFS stops once the sink is labeled, and after each
+augmentation the DFS resumes at the first arc the push saturated. The
+last, failing BFS is the residual reach, which gives the minimal min cut
+with no further traversal. ``_dinic`` takes its terminals as arguments:
+besides the max flow from the network's source, it can push from several
+start nodes, each holding a bounded supply, to any target node. The
+strongly-local solver uses that to clear the surplus its grown networks
+start with (``refcut``).
 
 Capacities are 64-bit floats; every solve finishes with a max-flow =
 min-cut duality check at 1e-9 relative tolerance, which substitutes for
@@ -134,7 +139,9 @@ def solve_maxflow(net: FlowNetwork) -> CutSolution:
         duality check).
     """
     net.freeze()
-    flow, reach = _dinic(net)
+    res = _Residual(net)
+    flow, reach = _dinic(res, [net.source], net.sink)
+    res.store(net)
     _checked_min_cut(net, flow, reach)
     reach[net.source] = False
     return CutSolution(flow_value=flow, s_side=frozenset(np.flatnonzero(reach).tolist()))
@@ -181,82 +188,113 @@ def cut_capacity(net: FlowNetwork, s_nodes: Iterable[int], *, true_infinity: boo
 # -- Dinic internals --------------------------------------------------------
 
 
-def _dinic(net: FlowNetwork) -> tuple[float, np.ndarray]:
-    """Maximum flow of the frozen ``net`` from its current residual capacities.
+class _Residual:
+    """A frozen network's residual arcs as flat lists, ordered by position in ``net.order``.
 
-    Returns the flow value and the residual reach of the source as a node
-    mask; the routed flow is left in ``net.cap``. Arcs are handled by their
-    position in ``net.order``, so each node's arcs are one contiguous run
-    and the scan order is the arc id order.
+    Each node's arcs are one contiguous run, ``first[u]:end[u]``, and the
+    scan order is the arc id order. The lists are taken once and may serve
+    several ``_dinic`` calls; ``store`` writes the capacities back.
     """
-    order = net.order
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    # Read once per arc of an augmenting path or a retreat, so a view of the
-    # array serves; a list would hold an int object per arc.
-    rev = memoryview(position[order ^ 1])
-    del position
-    # Heads as shared node-id objects: tolist() alone would make one int
-    # object per arc.
-    head = list(map(list(range(net.num_nodes)).__getitem__, net.head[order].tolist()))
-    cap = net.cap[order].tolist()
-    first = net.first.tolist()
-    end = first[1:]
-    source, sink = net.source, net.sink
 
+    __slots__ = ("order", "head", "cap", "rev", "first", "end", "num_nodes")
+
+    def __init__(self, net: FlowNetwork):
+        order = net.order
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        self.order = order
+        # Read once per arc of an augmenting path or a retreat, so a view of
+        # the array serves; a list would hold an int object per arc.
+        self.rev = memoryview(position[order ^ 1])
+        # Heads as shared node-id objects: tolist() alone would make one int
+        # object per arc.
+        self.head = list(map(list(range(net.num_nodes)).__getitem__, net.head[order].tolist()))
+        self.cap = net.cap[order].tolist()
+        self.first = net.first.tolist()
+        self.end = self.first[1:]
+        self.num_nodes = net.num_nodes
+
+    def store(self, net: FlowNetwork) -> None:
+        """Write the residual capacities back into ``net.cap``."""
+        net.cap = np.empty(self.order.size)
+        net.cap[self.order] = self.cap
+
+
+def _dinic(
+    res: _Residual, sources: list[int], sink: int, supply: list[float] | None = None
+) -> tuple[float, np.ndarray]:
+    """Push flow from ``sources`` to ``sink`` until no augmenting path is left.
+
+    Without ``supply`` the sources are unbounded: one source gives the
+    maximum flow. With it, source k sends at most ``supply[k]``, and the
+    list is left holding what each could not send. Returns the amount
+    pushed and the residual reach of the sources as a node mask; the flow
+    is left in ``res.cap``.
+    """
+    head, cap, rev, first, end = res.head, res.cap, res.rev, res.first, res.end
+    left = [math.inf] * len(sources) if supply is None else supply
     eps = RESIDUAL_EPS
     total = 0.0
     while True:
-        level = _bfs_levels(head, cap, first, net.num_nodes, source, sink)
+        starts = [s for s, amount in zip(sources, left) if amount > eps]
+        level = _bfs_levels(head, cap, first, res.num_nodes, starts, sink)
         if level[sink] < 0:
             break
         ptr = first[:-1]
-        path: list[int] = []  # arc positions from the source to u
-        u = source
-        while True:
-            if u == sink:
-                pushed = min(map(cap.__getitem__, path))
-                for p in path:
-                    cap[p] -= pushed
-                    cap[rev[p]] += pushed
-                total += pushed
-                # Resume at the tail of the first arc the push saturated:
-                # every arc before it still leads on in the level graph.
-                i = 0
-                while cap[path[i]] > eps:
-                    i += 1
-                u = head[rev[path[i]]]
-                del path[i:]
-            next_level = level[u] + 1
-            for p in range(ptr[u], end[u]):
-                if cap[p] > eps and level[head[p]] == next_level:
-                    break
-            else:
-                if u == source:
-                    break
-                level[u] = -1  # dead end for this phase
-                u = head[rev[path.pop()]]
-                ptr[u] += 1
+        for k, start in enumerate(sources):
+            budget = left[k]
+            if budget <= eps:
                 continue
-            ptr[u] = p
-            path.append(p)
-            u = head[p]
-
-    net.cap = np.empty(order.size)
-    net.cap[order] = cap
+            path: list[int] = []  # arc positions from the start to u
+            u = start
+            while True:
+                if u == sink:
+                    pushed = min(map(cap.__getitem__, path))
+                    if pushed > budget:
+                        pushed = budget
+                    for p in path:
+                        cap[p] -= pushed
+                        cap[rev[p]] += pushed
+                    total += pushed
+                    budget -= pushed
+                    if budget <= eps:
+                        break
+                    # Resume at the tail of the first arc the push saturated:
+                    # every arc before it still leads on in the level graph.
+                    i = 0
+                    while cap[path[i]] > eps:
+                        i += 1
+                    u = head[rev[path[i]]]
+                    del path[i:]
+                next_level = level[u] + 1
+                for p in range(ptr[u], end[u]):
+                    if cap[p] > eps and level[head[p]] == next_level:
+                        break
+                else:
+                    if u == start:
+                        break
+                    level[u] = -1  # dead end for this phase
+                    u = head[rev[path.pop()]]
+                    ptr[u] += 1
+                    continue
+                ptr[u] = p
+                path.append(p)
+                u = head[p]
+            left[k] = budget
     return total, np.array(level) >= 0
 
 
-def _bfs_levels(head: list[int], cap: list[float], first: list[int], n: int, source: int, sink: int) -> list[int]:
-    """BFS level of every node over residual arcs, -1 where unreached.
+def _bfs_levels(head: list[int], cap: list[float], first: list[int], n: int, sources: list[int], sink: int) -> list[int]:
+    """BFS level of every node over residual arcs from ``sources``, -1 where unreached.
 
     Stops as soon as the sink is labeled; a level list whose sink is -1
-    comes from a complete search and is the source's residual reach.
+    comes from a complete search and is the sources' residual reach.
     """
     eps = RESIDUAL_EPS
     level = [-1] * n
-    level[source] = 0
-    queue = [source]
+    for s in sources:
+        level[s] = 0
+    queue = list(sources)
     for u in queue:
         next_level = level[u] + 1
         for p in range(first[u], first[u + 1]):

@@ -154,9 +154,10 @@ def brute_min_relative_conductance(
 ) -> tuple[NodeSet, float]:
     """Exact minimum seed-relative conductance over all nonempty sets.
 
-    Unlike the conductance oracle the whole-graph set is admissible here
-    (its score is +inf whenever the denominator degenerates, so it never
-    wins on sane inputs).
+    The whole vertex set scores +inf and is skipped: its denominator is
+    vol(R) * (1 - kappa) <= 0 exactly, although the running volume sums
+    can leave it a rounding error above zero when R holds almost all the
+    volume.
     """
     if g.n > MAX_REL_COND_NODES:
         raise OracleCapError(f"relative-conductance oracle capped at {MAX_REL_COND_NODES} nodes")
@@ -183,7 +184,7 @@ def brute_min_relative_conductance(
         if in_r[flipped]:
             vol_in += walk.volume - before
         vol_out = walk.volume - vol_in
-        if walk.size == 0:
+        if walk.size in (0, g.n):
             continue
         if math.isinf(kappa):
             denom = vol_in if vol_out <= SET_FUNCTIONAL_TOL else -1.0

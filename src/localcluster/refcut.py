@@ -5,18 +5,36 @@ node/edge list): scale every graph edge by gamma, attach the source to
 node i with weight alpha*h_i, attach node i to the sink with weight
 beta*(g_i - h_i). Zero-weight attachments are omitted, which is what
 makes strongly-local solving possible.
+
+``solve_maxflow_local`` solves on a grown subset of the nodes, the
+members, with everything else contracted into the sink: each member has
+one sink arc holding its own attachment and its edges to non-members.
+When a round's flow does not extend to the full graph, the offending
+outside nodes join and the flow is carried into the grown network
+(``_Carry``): every arc keeps its flow, an outside edge that comes inside
+takes its share of the sink arc's flow, and a new member's inflow beyond
+its own sink arc is surplus, sent on to the sink or back to the source
+before the round augments from the source.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
-from .flownet import RESIDUAL_EPS, CutSolution, FlowNetwork, _checked_min_cut, _dinic
+from .flownet import (
+    DUALITY_RTOL,
+    RESIDUAL_EPS,
+    CutSolution,
+    FlowNetwork,
+    _checked_min_cut,
+    _dinic,
+    _Residual,
+)
 from .graph import Graph, _as_node_array
 
 __all__ = [
@@ -134,22 +152,38 @@ def materialize(spec: AugmentedGraphSpec, g: Graph) -> FlowNetwork:
     return _subnetwork(spec, g, np.arange(g.n))[0]
 
 
-def _subnetwork(
-    spec: AugmentedGraphSpec, g: Graph, members: np.ndarray
-) -> tuple[FlowNetwork, np.ndarray, np.ndarray]:
+class _Layout(NamedTuple):
+    """Where ``_subnetwork`` put each kind of arc, by arc pair (forward arc 2a).
+
+    The outside edges ("tags") are listed member by member, each member's
+    in CSR order: the member's index, the outside endpoint's graph id and
+    the edge's capacity.
+    """
+
+    src: np.ndarray  # source arcs, in support order
+    snk: np.ndarray  # sink arcs
+    snk_member: np.ndarray  # the member index of each sink arc
+    own: np.ndarray  # the member's own attachment within each sink arc
+    tag_member: np.ndarray
+    tag_end: np.ndarray
+    tag_cap: np.ndarray
+    edges: np.ndarray  # inside edges
+    edge_key: np.ndarray  # lo * n + hi for each inside edge, in graph ids
+
+
+def _subnetwork(spec: AugmentedGraphSpec, g: Graph, members: np.ndarray) -> tuple[FlowNetwork, _Layout]:
     """The augmented network on ``members`` (sorted), exterior contracted into the sink.
 
     The members must include the source support. Member k of the array is
     network node k; the source is len(members) and the sink
-    len(members) + 1. An edge from a member to a non-member
-    becomes an arc into the sink; those arcs come back as an array of arc
-    ids and an array of their outside endpoints.
+    len(members) + 1. A member's edges to non-members are merged into its
+    sink arc, whose capacity is the member's own attachment beta*z plus
+    the capacities of those outside edges, added in CSR order.
 
     Each member contributes, in this order, its source arc, its sink arc
-    and one arc per neighbour in CSR order: an arc into the sink for an
-    outside neighbour, an undirected edge for an inside neighbour with a
-    larger id (the edge is kept once, from its lower end). Arc ids follow
-    the members in order.
+    and one undirected edge per inside neighbour with a larger id, in CSR
+    order (the edge is kept once, from its lower end). Arc ids follow the
+    members in order.
     """
     m = members.size
     source, sink = m, m + 1
@@ -162,21 +196,28 @@ def _subnetwork(
     src_cap = spec.alpha * spec._support_mass
     has_src = src_cap > 0.0
     src_k, src_cap = at[has_src], src_cap[has_src]
-    has_snk = z > 0.0 if spec.beta > 0.0 else np.zeros(m, dtype=bool)
-    snk_k = has_snk.nonzero()[0]
-    snk_cap = spec.beta * z[snk_k]
+    attached = z > 0.0 if spec.beta > 0.0 else np.zeros(m, dtype=bool)
+    own = np.zeros(m)
+    own[attached] = spec.beta * z[attached]
 
     arcs = g.arcs_of(members)
-    row = g.indptr[members + 1].searchsorted(arcs, side="right")
+    row = np.arange(m).repeat(g.indptr[members + 1] - g.indptr[members])
     nbr = g.indices[arcs]
     loc = members.searchsorted(nbr)
     inside = members.take(loc, mode="clip") == nbr
-    keep = ~inside | (row < loc)
-    row, nbr, loc, inside = row[keep], nbr[keep], loc[keep], inside[keep]
-    c = spec.gamma * g.weights[arcs[keep]]
+    c = spec.gamma * g.weights[arcs]
+    outside = ~inside
+    tag_row, tag_end, tag_cap = row[outside], nbr[outside], c[outside]
+    edge = inside & (row < loc)
+    row, loc, c = row[edge], loc[edge], c[edge]
+
+    has_snk = attached | (np.bincount(tag_row, minlength=m) > 0)
+    snk_k = has_snk.nonzero()[0]
+    snk_own = own[snk_k]
+    snk_cap = snk_own + np.bincount(tag_row, weights=tag_cap, minlength=m)[snk_k]
 
     # Arc ids: member k's source and sink arcs (its lead arcs), then its
-    # neighbour arcs, after all arcs of the members before k.
+    # edges, after all arcs of the members before k.
     lead = has_snk.astype(np.int64)
     lead[src_k] += 1
     lead_end = lead.cumsum()
@@ -195,13 +236,12 @@ def _subnetwork(
     head[snk_ids] = sink
     head[snk_ids, 1] = snk_k
     cap[snk_ids, 0] = snk_cap
-    head[nbr_ids, 0] = np.where(inside, loc, sink)
+    head[nbr_ids, 0] = loc
     head[nbr_ids, 1] = row
-    cap[nbr_ids, 0] = c
-    cap[nbr_ids, 1] = np.where(inside, c, 0.0)
+    cap[nbr_ids] = c[:, None]
     net = FlowNetwork.from_arcs(m + 2, source, sink, head.reshape(-1), cap.reshape(-1))
-    outside = ~inside
-    return net, 2 * nbr_ids[outside], nbr[outside]
+    key = members[row] * g.n + members[loc]
+    return net, _Layout(src_ids, snk_ids, snk_k, snk_own, tag_row, tag_end, tag_cap, nbr_ids, key)
 
 
 def solve_maxflow_local(
@@ -212,11 +252,14 @@ def solve_maxflow_local(
     """Max-flow on the augmented graph touching only a grown subgraph.
 
     Starts from the source support plus the warm-start set, contracts
-    everything else into the sink (per-edge arcs tagged with their outside
-    endpoint), and solves exactly on the subnetwork. The solution extends
-    to the full network when the flow entering each outside endpoint fits
+    everything else into the sink (one sink arc per member, holding its
+    outside edges), and solves exactly on the subnetwork. The flow on each
+    sink arc is split greedily: the member's own attachment first, then
+    its outside edges in CSR order. The solution extends to the full
+    network when the flow that split sends into each outside endpoint fits
     under that node's sink attachment; endpoints where it does not are
-    pulled into the subgraph and the solve repeats. On return both the
+    pulled into the subgraph, and the flow is carried into the grown
+    network (see ``_Carry``) and augmented from there. On return both the
     flow value and the minimal s-side equal solve_maxflow on the fully
     materialized network.
 
@@ -231,21 +274,129 @@ def solve_maxflow_local(
     if explored[0] < 0 or explored[-1] >= g.n:
         raise ParameterError("warm-start node out of range")
 
+    flow = 0.0
+    carry = None
     while True:
-        net, tag_arcs, tag_ends = _subnetwork(spec, g, explored)
+        net, lay = _subnetwork(spec, g, explored)
         net.freeze()
-        flow, reach = _dinic(net)
+        starts, surplus = ([], []) if carry is None else carry.load(net, lay)
+        res = _Residual(net)
+        if starts:
+            flow -= _route_surplus(res, net, starts, surplus)
+        pushed, reach = _dinic(res, [net.source], net.sink)
+        flow += pushed
+        res.store(net)
 
-        if tag_arcs.size and not math.isinf(spec.beta):
-            # The flow into each outside endpoint, added in arc order.
-            ends, which = np.unique(tag_ends, return_inverse=True)
-            inflow = np.bincount(which, weights=net.cap_init[tag_arcs] - net.cap[tag_arcs])
-            limit = spec.beta * spec.sink_weights(g, ends, 0.0) + RESIDUAL_EPS * max(1.0, flow)
-            violators = ends[inflow > limit]
-            if violators.size:
-                explored = np.union1d(explored, violators)
+        if lay.tag_end.size and not math.isinf(spec.beta):
+            carry = _Carry.split(spec, g, net, lay, explored, flow)
+            if carry is not None:
+                explored = carry.grown
                 continue
 
         _checked_min_cut(net, flow, reach)
         s_side = frozenset(explored[reach[: explored.size]].tolist())
         return CutSolution(flow_value=flow, s_side=s_side), frozenset(explored.tolist())
+
+
+class _Carry(NamedTuple):
+    """A grow round's flow, kept in graph terms so the next round's network can take it over.
+
+    ``split`` reads the flow off a solved network and picks the violators;
+    ``load`` writes it into the network grown by them. Every arc keeps its
+    flow; an outside edge that comes inside takes its share of the sink
+    arc's flow; what the grown members cannot pass to their sink arcs is
+    their surplus.
+    """
+
+    members: np.ndarray  # the members of the solved network
+    grown: np.ndarray  # the members with the violators added
+    src: np.ndarray  # residual pair of each source arc, in support order
+    sink_flow: np.ndarray  # flow left on each member's sink arc
+    edge_key: np.ndarray  # sorted lo * n + hi of each edge that may carry flow ...
+    edge_res: np.ndarray  # ... and its residual pair (lo -> hi, hi -> lo)
+    violators: np.ndarray
+    inflow: np.ndarray  # the flow each violator receives
+
+    @classmethod
+    def split(
+        cls, spec: AugmentedGraphSpec, g: Graph, net: FlowNetwork, lay: _Layout, members: np.ndarray, flow: float
+    ) -> "_Carry | None":
+        """Split the sink arcs' flow over their outside edges; None when no endpoint is a violator."""
+        res, init = net.cap.reshape(-1, 2), net.cap_init.reshape(-1, 2)
+        snk_flow = init[lay.snk, 0] - res[lay.snk, 0]
+        beyond_own = np.zeros(members.size)
+        beyond_own[lay.snk_member] = np.maximum(snk_flow - lay.own, 0.0)
+        # Each outside edge takes what its member's flow beyond the own
+        # attachment leaves after the member's earlier outside edges.
+        before = lay.tag_cap.cumsum() - lay.tag_cap
+        before -= before[lay.tag_member.searchsorted(lay.tag_member)]
+        share = np.clip(beyond_own[lay.tag_member] - before, 0.0, lay.tag_cap)
+        # An endpoint that receives nothing is never a violator.
+        fed = (share > 0.0).nonzero()[0]
+        if not fed.size:
+            return None
+        ends, which = np.unique(lay.tag_end[fed], return_inverse=True)
+        inflow = np.bincount(which, weights=share[fed])
+        limit = spec.beta * spec.sink_weights(g, ends, 0.0) + RESIDUAL_EPS * max(1.0, flow)
+        hot = inflow > limit
+        if not hot.any():
+            return None
+
+        moved = fed[hot[which]]
+        sink_flow = np.zeros(members.size)
+        sink_flow[lay.snk_member] = snk_flow
+        sink_flow -= np.bincount(lay.tag_member[moved], weights=share[moved], minlength=members.size)
+        u, j = members[lay.tag_member[moved]], lay.tag_end[moved]
+        c, s = lay.tag_cap[moved], share[moved]
+        up = u < j
+        lo_hi = np.where(up, s, -s)  # flow from the lower id to the higher
+        keys = np.concatenate((lay.edge_key, np.where(up, u * g.n + j, j * g.n + u)))
+        pairs = np.concatenate((res[lay.edges], np.column_stack((c - lo_hi, c + lo_hi))))
+        order = keys.argsort()
+        violators = ends[hot]
+        return cls(
+            members, np.union1d(members, violators), res[lay.src], sink_flow,
+            keys[order], pairs[order], violators, inflow[hot],
+        )
+
+    def load(self, net: FlowNetwork, lay: _Layout) -> tuple[list[int], list[float]]:
+        """Set ``net.cap`` (``net`` built on ``grown``) to the carried flow.
+
+        Each violator's inflow goes to its sink arc as far as that arc's
+        capacity allows. Returns the network nodes left with a surplus, and
+        their surpluses.
+        """
+        res, init = net.cap.reshape(-1, 2), net.cap_init.reshape(-1, 2)
+        res[lay.src] = self.src
+        at = self.edge_key.searchsorted(lay.edge_key)
+        found = self.edge_key.take(at, mode="clip") == lay.edge_key
+        res[lay.edges[found]] = self.edge_res[at[found]]
+
+        m = self.grown.size
+        snk_cap = np.zeros(m)
+        snk_cap[lay.snk_member] = init[lay.snk, 0]
+        snk_flow = np.zeros(m)
+        snk_flow[self.grown.searchsorted(self.members)] = self.sink_flow
+        at = self.grown.searchsorted(self.violators)
+        snk_flow[at] = np.minimum(self.inflow, snk_cap[at])
+        res[lay.snk, 0] = init[lay.snk, 0] - snk_flow[lay.snk_member]
+        res[lay.snk, 1] = snk_flow[lay.snk_member]
+        surplus = self.inflow - snk_flow[at]
+        left = surplus > 0.0
+        return at[left].tolist(), surplus[left].tolist()
+
+
+def _route_surplus(res: _Residual, net: FlowNetwork, starts: list[int], surplus: list[float]) -> float:
+    """Send each node's surplus on to the sink, then what is left back to the source.
+
+    The flow that brought the surplus in leaves a residual path back to the
+    source, so all of it is routed; returns the amount returned to the
+    source. Raises AssertionError (never expected) when the routed amount
+    misses the surplus at the duality check's tolerance.
+    """
+    total = sum(surplus)
+    forwarded, _ = _dinic(res, starts, net.sink, surplus)
+    returned, _ = _dinic(res, starts, net.source, surplus)
+    if not math.isclose(forwarded + returned, total, rel_tol=DUALITY_RTOL, abs_tol=1e-9):
+        raise AssertionError(f"surplus {total!r} routed only {forwarded + returned!r}")
+    return returned

@@ -15,6 +15,7 @@ __all__ = [
     "dumbbell_graph",
     "cycle_graph",
     "path_graph",
+    "star_graph",
     "complete_graph",
     "ring_of_cliques",
     "random_connected_graph",
@@ -40,6 +41,13 @@ def path_graph(n: int) -> Graph:
         raise ParameterError("path needs n >= 2")
     u = np.arange(n - 1)
     return Graph.from_edges(n, u, u + 1)
+
+
+def star_graph(n: int) -> Graph:
+    """Node 0 joined to each of 1..n-1."""
+    if n < 2:
+        raise ParameterError("star needs n >= 2")
+    return Graph.from_edges(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
 
 
 def complete_graph(n: int) -> Graph:

@@ -28,7 +28,7 @@ from localcluster.oracles import (
     brute_min_relative_conductance,
     brute_min_subset_ratio,
 )
-from localcluster.synth import path_graph, random_connected_graph, ring_of_cliques
+from localcluster.synth import path_graph, random_connected_graph, ring_of_cliques, star_graph
 
 SEED = (0, 1, 2, 3)
 
@@ -243,11 +243,6 @@ class TestLocality:
         assert res.touched_nodes <= len(seed_ids)
 
 
-def star_graph(n):
-    """Node 0 joined to each of 1..n-1."""
-    return Graph.from_edges(n, [0] * (n - 1), list(range(1, n)))
-
-
 def _shape_cases(max_n):
     """Long paths, stars and small rings of cliques, with seeds on their hard spots."""
     cases = []
@@ -257,7 +252,17 @@ def _shape_cases(max_n):
     for k, c in ((3, 3), (4, 3), (3, 4)):
         if k * c <= max_n:
             cases += [(ring_of_cliques(k, c), range(c + 1)), (ring_of_cliques(k, c), range(c - 1, 2 * c - 1))]
-    return cases
+    return cases + _almost_all_cases()
+
+
+def _almost_all_cases():
+    """Seeds holding every vertex but one: the local solver then runs at a kappa close to 1."""
+    graphs = [path_graph(n) for n in (6, 9, 12)] + [star_graph(n) for n in (6, 9, 12)]
+    graphs += [random_connected_graph(n, seed=n, weighted=n % 2 == 0) for n in (7, 9, 10, 12)]
+    graphs.append(ring_of_cliques(3, 4))
+    # Left out: vertex 0 (a path's end, a star's hub, a ring endpoint of a
+    # clique) and a middle vertex (inside a clique for the ring).
+    return [(g, [v for v in range(g.n) if v != left]) for g in graphs for left in (0, g.n // 2)]
 
 
 class TestAdversarialShapes:

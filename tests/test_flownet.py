@@ -15,6 +15,7 @@ from localcluster import (
     cut_capacity,
     solve_maxflow,
 )
+from localcluster.flownet import _dinic, _Residual
 from localcluster.oracles import brute_min_cut
 
 
@@ -361,3 +362,35 @@ def test_sentinel_is_one_plus_the_finite_total_in_arc_order():
     net.freeze()
     assert net.infinite.tolist() == [False] * a + [True, False]
     assert net.cap_init[a] == 1.0 + total
+
+
+def test_bounded_sources_send_at_most_their_supply():
+    # Starts 0 and 1 share the bottleneck 2 -> 3.
+    net = FlowNetwork(4, source=0, sink=3)
+    for u, v, c in ((0, 2, 5.0), (1, 2, 5.0), (2, 3, 4.0)):
+        net.add_arc(u, v, c)
+    net.freeze()
+    res = _Residual(net)
+    supply = [3.0, 2.0]
+    pushed, reach = _dinic(res, [0, 1], net.sink, supply)
+    res.store(net)
+    assert pushed == 4.0
+    assert supply == [0.0, 1.0]  # start 0 went first and sent all it had
+    assert [net.arc_flow(a) for a in (0, 2, 4)] == [3.0, 1.0, 4.0]
+    assert reach.tolist() == [True, True, True, False]  # from start 1, the one with supply left
+
+
+def test_a_bounded_start_sends_flow_back_along_residual_arcs():
+    net = FlowNetwork(4, source=0, sink=3)
+    for u, v, c in ((0, 1, 2.0), (1, 2, 2.0), (2, 3, 1.0)):
+        net.add_arc(u, v, c)
+    net.freeze()
+    res = _Residual(net)
+    assert _dinic(res, [0], net.sink)[0] == 1.0
+    # Node 2 holds 1.5 more than it can pass on; only the 1.0 that came
+    # in along 0 -> 1 -> 2 can go back.
+    left = [1.5]
+    back, _ = _dinic(res, [2], net.source, left)
+    res.store(net)
+    assert (back, left) == (1.0, [0.5])
+    assert [net.arc_flow(a) for a in (0, 2, 4)] == [0.0, 0.0, 1.0]

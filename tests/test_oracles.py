@@ -95,6 +95,16 @@ class TestBruteSetSearch:
             _, value = brute_min_relative_conductance(g, r)
             assert value == pytest.approx(naive, abs=1e-12)
 
+    def test_relative_conductance_never_picks_the_whole_vertex_set(self):
+        # The seed holds all vertices but one, so V's denominator vol(R) -
+        # ratio * vol(V - R) is 0; summed up vertex by vertex it lands a
+        # rounding error above the tolerance, and V's cut is 0.
+        g = random_connected_graph(12, seed=12, weighted=True)
+        r = range(1, 12)
+        best, value = brute_min_relative_conductance(g, r)
+        assert len(best.ids) < g.n
+        assert value == relative_conductance(g, best.ids, r) < math.inf
+
     def test_relative_conductance_full_seed_rejected(self, dumbbell):
         with pytest.raises(SeedTooLargeError):
             brute_min_relative_conductance(dumbbell, range(6))

@@ -20,7 +20,7 @@ from localcluster import (
     solve_maxflow_local,
 )
 from localcluster.refcut import _subnetwork
-from localcluster.synth import random_connected_graph
+from localcluster.synth import path_graph, random_connected_graph, star_graph
 
 
 def _fi_spec(g, seed_ids, alpha=1.0):
@@ -256,29 +256,41 @@ class TestLocalSolver:
 
 
 def reference_subnetwork(spec, g, members):
-    """Add the arcs one member at a time: source arc, sink arc, then neighbours."""
+    """Add the arcs one member at a time: source arc, sink arc, then inside edges.
+
+    A member's sink arc holds its own attachment plus its outside edges,
+    added in CSR order. Returns the network and, per kind of arc, what the
+    builder's layout lists: (arc pair, member) for source arcs, (arc pair,
+    member, own attachment) for sink arcs, (member, endpoint, capacity) for
+    outside edges and (arc pair, lo * n + hi) for inside edges.
+    """
     members = [int(v) for v in members]
     local_id = {v: k for k, v in enumerate(members)}
     m = len(members)
     net = FlowNetwork(m + 2, source=m, sink=m + 1)
-    tagged = []
+    src, snk, tagged, edges = [], [], [], []
     for k, v in enumerate(members):
         hv = spec.source_weight.get(v, 0.0)
         if spec.alpha * hv > 0.0:
-            net.add_arc(net.source, k, spec.alpha * hv)
+            src.append((net.add_arc(net.source, k, spec.alpha * hv) // 2, k))
         total = float(g.degrees[v]) if spec.total_weight is None else float(spec.total_weight[v])
         z = max(total - hv, 0.0)
-        if z > 0.0 and spec.beta > 0.0:
-            net.add_arc(k, net.sink, spec.beta * z)
+        attached = z > 0.0 and spec.beta > 0.0
+        own = spec.beta * z if attached else 0.0
         ids, ws = g.neighbors(v)
+        outside = [(j, spec.gamma * w) for j, w in zip(ids.tolist(), ws.tolist()) if j not in local_id]
+        if attached or outside:
+            out_cap = 0.0
+            for j, c in outside:
+                out_cap += c
+                tagged.append((k, j, c))
+            snk.append((net.add_arc(k, net.sink, own + out_cap) // 2, k, own))
         for j, w in zip(ids.tolist(), ws.tolist()):
-            c = spec.gamma * w
             kj = local_id.get(j)
-            if kj is None:
-                tagged.append((net.add_arc(k, net.sink, c), j))
-            elif v < j:
-                net.add_arc(k, kj, c, c)
-    return net, tagged
+            if kj is not None and v < j:
+                c = spec.gamma * w
+                edges.append((net.add_arc(k, kj, c, c) // 2, v * g.n + j))
+    return net, (src, snk, tagged, edges)
 
 
 def _bits(values, dtype):
@@ -287,12 +299,17 @@ def _bits(values, dtype):
 
 def assert_builders_agree(spec, g, members):
     members = np.asarray(sorted(members), dtype=np.int64)
-    net, tag_arcs, tag_ends = _subnetwork(spec, g, members)
-    ref, tagged = reference_subnetwork(spec, g, members)
+    net, lay = _subnetwork(spec, g, members)
+    ref, (src, snk, tagged, edges) = reference_subnetwork(spec, g, members)
     assert (net.num_nodes, net.source, net.sink) == (ref.num_nodes, ref.source, ref.sink)
     assert _bits(net.head, np.int64) == _bits(ref.head, np.int64)
     assert _bits(net.cap, np.float64) == _bits(ref.cap, np.float64)
-    assert list(zip(tag_arcs.tolist(), tag_ends.tolist())) == tagged
+    assert list(zip(lay.src.tolist(), net.head[2 * lay.src].tolist())) == src
+    assert list(zip(lay.snk.tolist(), lay.snk_member.tolist())) == [(a, k) for a, k, _ in snk]
+    assert _bits(lay.own, np.float64) == _bits([own for *_, own in snk], np.float64)
+    assert list(zip(lay.tag_member.tolist(), lay.tag_end.tolist())) == [(k, j) for k, j, _ in tagged]
+    assert _bits(lay.tag_cap, np.float64) == _bits([c for *_, c in tagged], np.float64)
+    assert list(zip(lay.edges.tolist(), lay.edge_key.tolist())) == edges
     net.freeze()
     ref.freeze()
     for name in ("head", "cap", "cap_init", "infinite", "order", "first"):
@@ -346,7 +363,151 @@ def test_array_builder_matches_on_named_cases():
     )
     assert zero.source_weight.keys() == {0, 4}
     assert_builders_agree(zero, g, {0, 3, 4})
-    net, tag_arcs, _ = _subnetwork(zero, g, np.array([0, 3, 4]))
-    into_sink = 2 * np.flatnonzero(net.head[0::2] == net.sink)
-    attached = sorted(set(into_sink.tolist()) - set(tag_arcs.tolist()))
-    assert [int(net.head[a ^ 1]) for a in attached] == [1]  # node 3 alone keeps sink mass
+    _, lay = _subnetwork(zero, g, np.array([0, 3, 4]))
+    assert lay.snk_member[lay.own > 0.0].tolist() == [1]  # node 3 alone keeps sink mass
+
+
+# -- the carried-flow local solver against the whole-network solve ---------------
+
+
+def _kappa_spec(g, seed_ids, alpha, kappa):
+    """refine_by_flow's spec: source mass = degrees on the seeds, beta = alpha*kappa*ratio."""
+    vol_r = float(g.degrees[list(seed_ids)].sum())
+    ratio = vol_r / (g.total_volume - vol_r)
+    return AugmentedGraphSpec(
+        alpha=alpha,
+        beta=math.inf if math.isinf(kappa) else alpha * kappa * ratio,
+        gamma=1.0,
+        source_weight={int(v): float(g.degrees[v]) for v in seed_ids},
+    )
+
+
+def assert_local_equals_global(spec, g, warm_start=()):
+    ref = solve_maxflow(materialize(spec, g))
+    sol, explored = solve_maxflow_local(spec, g, warm_start=warm_start)
+    assert sol.flow_value == pytest.approx(ref.flow_value, rel=1e-12)
+    assert sol.s_side == ref.s_side
+    assert sol.s_side <= explored
+
+
+@st.composite
+def local_cases(draw, alphas=(0.02, 0.1, 0.5, 1.0, 3.0), kappas=(1.0 + 1e-6, 1.5, 10.0, math.inf)):
+    """A graph, a seed of one node up to all nodes but one, a spec at one of ``kappas``, and a warm start."""
+    n = draw(st.integers(2, 12))
+    g = random_connected_graph(n, seed=draw(st.integers(0, 10**6)), weighted=draw(st.booleans()))
+    k = draw(st.integers(1, n - 1))
+    seed_ids = sorted(draw(st.permutations(range(n)))[:k])
+    spec = _kappa_spec(
+        g,
+        seed_ids,
+        alpha=draw(st.sampled_from(alphas)),
+        kappa=draw(st.sampled_from(kappas)),
+    )
+    warm = draw(st.lists(st.integers(0, n - 1), max_size=n // 2, unique=True))
+    return spec, g, warm
+
+
+@settings(max_examples=300)
+@given(case=local_cases())
+def test_local_solver_matches_the_whole_network_solve(case):
+    assert_local_equals_global(*case)
+
+
+def _return_spy(monkeypatch):
+    """Record the amount each surplus-routing call sends back to the source."""
+    from localcluster import refcut
+
+    returned = []
+    dinic = refcut._dinic
+
+    def spy(res, sources, sink, supply=None):
+        out = dinic(res, sources, sink, supply)
+        if supply is not None and sink == res.num_nodes - 2:  # the source
+            returned.append(out[0])
+        return out
+
+    monkeypatch.setattr(refcut, "_dinic", spy)
+    return returned
+
+
+@pytest.mark.parametrize(
+    "name, g, seed_ids, alpha, beta",
+    [
+        # A hub pulled in from one leaf passes its inflow on to the other
+        # leaves; each grow round sends what a leaf cannot hold back.
+        ("star, seed at a leaf", star_graph(8), [1], 1.0, 1e-3),
+        ("star, seeds at three leaves", star_graph(8), [1, 2, 3], 1.0, 1e-2),
+        # Attachments far below the unit edges.
+        ("path, attachments below the edges", path_graph(12), [5, 6], 1.0, 1e-2),
+        # The one node left outside has every neighbour inside.
+        ("star, all but the hub", star_graph(8), range(1, 8), 1.0, 1e-3),
+        ("path, all but the middle", path_graph(9), [0, 1, 2, 3, 5, 6, 7, 8], 0.5, 0.1),
+    ],
+)
+def test_surplus_goes_back_to_the_source(monkeypatch, name, g, seed_ids, alpha, beta):
+    returned = _return_spy(monkeypatch)
+    spec = AugmentedGraphSpec(
+        alpha=alpha, beta=beta, gamma=1.0,
+        source_weight={v: float(g.degrees[v]) for v in seed_ids},
+    )
+    assert_local_equals_global(spec, g)
+    assert max(returned, default=0.0) > 0.1 * alpha, name
+
+
+def test_surplus_that_cannot_be_routed_raises(monkeypatch):
+    from localcluster import refcut
+
+    dinic = refcut._dinic
+
+    def drop_the_return(res, sources, sink, supply=None):
+        if supply is not None and sink == res.num_nodes - 2:
+            return 0.0, None
+        return dinic(res, sources, sink, supply)
+
+    monkeypatch.setattr(refcut, "_dinic", drop_the_return)
+    g = star_graph(8)
+    spec = AugmentedGraphSpec(
+        alpha=1.0, beta=1e-3, gamma=1.0, source_weight={v: float(g.degrees[v]) for v in range(1, 8)}
+    )
+    with pytest.raises(AssertionError, match="surplus"):
+        solve_maxflow_local(spec, g)
+
+
+@settings(max_examples=150)
+@given(case=local_cases(alphas=(0.5, 1.0, 3.0), kappas=(1.0 + 1e-6, 1.5)))
+def test_carried_flow_is_a_preflow_with_the_reported_surplus(case):
+    """One grow round by hand: the flow loaded into the grown network keeps every
+    arc pair's capacity, stays within it, and breaks conservation only by the
+    surplus ``load`` reports."""
+    from localcluster.flownet import _dinic, _Residual
+    from localcluster.refcut import _Carry
+
+    spec, g, warm = case
+    members = np.array(sorted(set(spec.source_weight) | set(warm)), dtype=np.int64)
+    net, lay = _subnetwork(spec, g, members)
+    net.freeze()
+    res = _Residual(net)
+    flow, _ = _dinic(res, [net.source], net.sink)
+    res.store(net)
+    if math.isinf(spec.beta) or not lay.tag_end.size:
+        return
+    carry = _Carry.split(spec, g, net, lay, members, flow)
+    if carry is None:
+        return
+    grown, lay = _subnetwork(spec, g, carry.grown)
+    grown.freeze()
+    starts, surplus = carry.load(grown, lay)
+
+    tol = 1e-12 * max(1.0, float(grown.cap_init.sum()))
+    pairs, init = grown.cap.reshape(-1, 2), grown.cap_init.reshape(-1, 2)
+    np.testing.assert_allclose(pairs.sum(axis=1), init.sum(axis=1), rtol=0, atol=tol)
+    assert (grown.cap >= -tol).all()
+    sent = init[:, 0] - pairs[:, 0]  # flow along each forward arc, tail to head
+    excess = np.zeros(grown.num_nodes)
+    np.add.at(excess, grown.head[0::2], sent)
+    np.add.at(excess, grown.head[1::2], -sent)
+    want = np.zeros(grown.num_nodes)
+    want[starts] = surplus
+    inner = slice(0, grown.num_nodes - 2)
+    np.testing.assert_allclose(excess[inner], want[inner], rtol=0, atol=tol)
+    assert -excess[grown.source] == pytest.approx(flow, rel=1e-12, abs=tol)
