@@ -1,11 +1,16 @@
 """Shrunken diffusion solver: frozen small-graph values, optimality
 residuals, order independence, locality, and the dense mirror."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localcluster import (
     DegenerateResultError,
+    EmbeddingVector,
     ParameterError,
     conductance,
     cut,
@@ -153,3 +158,81 @@ def test_support_stays_near_the_seed_clique(ring20):
     res = l1pr_cluster(ring20, {0: 1.0}, alpha=0.15, epsilon=1e-3)
     assert set(res.set_ids) == set(range(10))
     assert res.conductance == pytest.approx(2.0 / 92.0)
+
+
+# -- the vectorized KKT residual against the per-node loop it replaced ----------
+
+
+def reference_kkt_residual(g, h, alpha, epsilon, x):
+    """The per-node loop: each checked node's Laplacian term summed over its neighbour list."""
+    seed = dict(h)
+    ids, vals = x.nonzeros()
+    if np.any(vals < 0):
+        return float("inf")
+    gamma = (1.0 - alpha) / 2.0
+    xv = {int(i): float(v) for i, v in zip(ids, vals)}
+    check = set(seed)
+    check.update(xv)
+    for i in list(xv):
+        nbr, _ = g.neighbors(i)
+        check.update(int(j) for j in nbr)
+    worst = 0.0
+    for i in check:
+        d_i = float(g.degrees[i])
+        nbr, ws = g.neighbors(i)
+        lap = d_i * xv.get(i, 0.0) - sum(
+            float(w) * xv.get(int(j), 0.0) for j, w in zip(nbr, ws) if int(j) in xv
+        )
+        grad = gamma * lap + alpha * d_i * xv.get(i, 0.0) - alpha * seed.get(i, 0.0)
+        if xv.get(i, 0.0) > 0.0:
+            viol = abs(grad + epsilon * d_i)
+        else:
+            viol = max(0.0, -(grad + epsilon * d_i))
+        worst = max(worst, viol / d_i)
+    return worst
+
+
+@st.composite
+def kkt_cases(draw):
+    """A graph, a seed mass, alpha and epsilon, and a solved, perturbed or arbitrary vector."""
+    n = draw(st.integers(2, 14))
+    g = random_connected_graph(n, seed=draw(st.integers(0, 10**6)), weighted=draw(st.booleans()))
+    seeds = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    h = seed_distribution(g, seeds)
+    alpha = draw(st.sampled_from([0.01, 0.15, 0.5, 0.9]))
+    epsilon = draw(st.sampled_from([1e-6, 1e-4, 1e-3, 1e-2]))
+    kind = draw(st.sampled_from(["solved", "perturbed", "arbitrary"]))
+    if kind == "arbitrary":
+        support = sorted(draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)))
+        vals = [draw(st.floats(0.0, 1.0)) for _ in support]
+        x = EmbeddingVector(n=n, values=vals, indices=support)
+    else:
+        x, _ = l1_pagerank(g, h, alpha=alpha, epsilon=epsilon)
+        if kind == "perturbed":
+            x = EmbeddingVector(n=n, values=x.to_dense() * draw(st.sampled_from([0.9, 1.0 + 1e-9, 1.1])))
+    return g, h, alpha, epsilon, x
+
+
+@settings(max_examples=300)
+@given(case=kkt_cases())
+def test_kkt_residual_matches_the_per_node_loop(case):
+    assert kkt_residual(*case) == reference_kkt_residual(*case)
+
+
+def test_kkt_residual_named_cases():
+    g = random_connected_graph(9, seed=41, weighted=True)
+    h = {2: 1.0}
+    # A negative entry is never optimal.
+    neg = EmbeddingVector(n=g.n, values=[0.3, -1e-12], indices=[2, 5])
+    assert kkt_residual(g, h, 0.15, 1e-3, neg) == math.inf == reference_kkt_residual(g, h, 0.15, 1e-3, neg)
+    # The empty vector violates only at the seed: its gradient there is -alpha.
+    empty = EmbeddingVector(n=g.n, values=[], indices=[])
+    want = (0.15 - 1e-3 * g.degrees[2]) / g.degrees[2]
+    assert kkt_residual(g, h, 0.15, 1e-3, empty) == reference_kkt_residual(g, h, 0.15, 1e-3, empty)
+    assert kkt_residual(g, h, 0.15, 1e-3, empty) == pytest.approx(want, rel=1e-12)
+    # A seed outside the support is still checked.
+    far = next(v for v in range(g.n) if v != 2 and not g.has_edge(v, 2))
+    off = EmbeddingVector(n=g.n, values=[0.2], indices=[far])
+    got = kkt_residual(g, h, 0.15, 1e-3, off)
+    assert got == reference_kkt_residual(g, h, 0.15, 1e-3, off)
+    assert got >= (0.15 - 1e-3 * g.degrees[2]) / g.degrees[2]
