@@ -5,7 +5,10 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localcluster import (
     AugmentedGraphSpec,
@@ -19,6 +22,7 @@ from localcluster import (
     local_flow_improve_scaled,
     materialize,
     mqi,
+    refine_by_flow,
     relative_conductance,
     solve_maxflow,
     solve_maxflow_local,
@@ -306,3 +310,74 @@ class TestAdversarialShapes:
             assert sol.flow_value == pytest.approx(ref.flow_value, rel=1e-12)
             assert sol.s_side == ref.s_side
             assert sol.s_side <= explored
+
+
+class TestDeepShapes:
+    """Deep networks, where the whole-graph max-flow must not pay one search per augmenting path."""
+
+    def test_flow_improve_on_a_long_path(self):
+        res = flow_improve(path_graph(3000), range(1490, 1510))
+        assert res.set_ids == tuple(range(1490, 1510))
+        assert res.objective == 0.05
+
+    def test_flow_improve_on_a_ring_of_small_cliques(self):
+        res = flow_improve(ring_of_cliques(300, 5), range(8))
+        assert res.set_ids == tuple(range(10))
+        assert res.objective == 0.057221302187745134
+
+
+class TestCrossover:
+    @staticmethod
+    def crossover_kappa(g, seed):
+        """The kappa at which the volume bound vol(R)(1 + 2/epsilon) + cut(R) equals vol(V)."""
+        vol_r, cut_r = volume(g, seed), cut(g, seed)
+        ratio = vol_r / (g.total_volume - vol_r)
+        return 2.0 / (ratio * ((g.total_volume - cut_r) / vol_r - 1.0))
+
+    @pytest.mark.parametrize(
+        "g, seed", [(ring_of_cliques(4, 3), range(4)), (random_connected_graph(12, seed=3), range(4))]
+    )
+    def test_whole_graph_solve_from_the_bound_on(self, g, seed):
+        kappa = self.crossover_kappa(g, seed)
+        at = refine_by_flow(g, seed, kappa * (1.0 - 1e-9))
+        assert at.touched_nodes == g.n
+        best_set, best = brute_min_relative_conductance(g, seed, kappa=kappa * (1.0 - 1e-9))
+        assert at.set_ids == best_set.ids
+        assert at.objective == pytest.approx(best, abs=1e-9)
+        below = refine_by_flow(g, seed, kappa * (1.0 + 1e-9))
+        assert below.touched_nodes < g.n
+        assert below.set_ids == at.set_ids
+
+
+def relabel(g, perm):
+    """The graph with vertex v renamed perm[v]."""
+    tail = np.arange(g.n).repeat(np.diff(g.indptr))
+    once = tail < g.indices
+    return Graph.from_edges(g.n, perm[tail[once]], perm[g.indices[once]], g.weights[once])
+
+
+@st.composite
+def relabeled_cases(draw):
+    n = draw(st.integers(2, 12))
+    g = random_connected_graph(n, seed=draw(st.integers(0, 10**6)), weighted=draw(st.booleans()))
+    k = draw(st.integers(1, n - 1))
+    seed_ids = sorted(draw(st.permutations(range(n)))[:k])
+    return g, seed_ids, np.array(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=100)
+@given(case=relabeled_cases())
+def test_relabeling_the_vertices_relabels_the_answer(case):
+    g, seed_ids, perm = case
+    h = relabel(g, perm)
+    methods = {
+        "mqi": mqi,
+        "flow_improve": flow_improve,
+        "local_flow_improve(delta=0.1)": lambda g, r: local_flow_improve(g, r, delta=0.1),
+        "local_flow_improve(delta=1)": lambda g, r: local_flow_improve(g, r, delta=1.0),
+    }
+    for name, method in methods.items():
+        a, b = method(g, seed_ids), method(h, perm[seed_ids])
+        assert b.set_ids == tuple(sorted(perm[list(a.set_ids)].tolist())), name
+        assert b.iterations == a.iterations, name
+        assert b.objective == pytest.approx(a.objective, rel=1e-12), name

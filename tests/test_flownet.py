@@ -15,7 +15,7 @@ from localcluster import (
     cut_capacity,
     solve_maxflow,
 )
-from localcluster.flownet import _dinic, _Residual
+from localcluster.flownet import DUALITY_RTOL, _checked_min_cut, _dinic, _Residual
 from localcluster.oracles import brute_min_cut
 
 
@@ -183,7 +183,7 @@ def test_against_brute_min_cut_random():
         )
 
 
-# -- the flat-list Dinic against the adjacency-list Dinic it replaced -------------
+# -- the flat-list Dinic and the push-relabel solve against the adjacency-list Dinic --
 
 
 def reference_dinic(net):
@@ -277,18 +277,28 @@ def _solve_outcome(solve, net):
         return type(exc), str(exc)
 
 
-def assert_dinic_agrees(n, arcs, source=0, sink=None):
+def _network(n, arcs, source, sink):
     net = FlowNetwork(num_nodes=n, source=source, sink=n - 1 if sink is None else sink)
     for u, v, fwd, rev in arcs:
         net.add_arc(u, v, fwd, rev)
     net.freeze()
+    return net
+
+
+def dinic_solve(net):
+    """``_dinic`` from the network's source, as a grow round runs it, with the min-cut check."""
+    res = _Residual(net)
+    flow, reach = _dinic(res, [net.source], net.sink)
+    res.store(net)
+    _checked_min_cut(net, flow, reach)
+    reach[net.source] = False
+    return flow, net.cap.tolist(), frozenset(np.flatnonzero(reach).tolist())
+
+
+def assert_dinic_agrees(n, arcs, source=0, sink=None):
+    net = _network(n, arcs, source, sink)
     want = _solve_outcome(reference_dinic, net)
-
-    def solve(net):
-        sol = solve_maxflow(net)
-        return sol.flow_value, net.cap.tolist(), sol.s_side
-
-    got = _solve_outcome(solve, net)
+    got = _solve_outcome(dinic_solve, net)
     if isinstance(want[0], type):
         assert got == want
         return
@@ -298,6 +308,38 @@ def assert_dinic_agrees(n, arcs, source=0, sink=None):
         net.cap_init[a] - want[1][a] for a in range(0, len(net.head), 2)
     ]
     assert got[2] == want[2]
+
+
+def assert_maxflow_agrees(n, arcs, source=0, sink=None):
+    """``solve_maxflow`` finds a maximum flow and a minimum cut, the reference's s-side where the cut is strict.
+
+    The push-relabel flow may differ from Dinic's arc by arc, so the
+    residual is checked to be a flow, and the s-side may differ only where
+    both s-sides are minimum cuts at the duality check's tolerance.
+    """
+    net = _network(n, arcs, source, sink)
+    want = _solve_outcome(reference_dinic, net)
+    got = _solve_outcome(solve_maxflow, net)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    flow, _, s_side = want
+    assert math.isclose(got.flow_value, flow, rel_tol=DUALITY_RTOL, abs_tol=1e-9)
+
+    pairs, init = net.cap.reshape(-1, 2), net.cap_init.reshape(-1, 2)
+    np.testing.assert_allclose(pairs.sum(axis=1), init.sum(axis=1), rtol=1e-12, atol=0.0)
+    assert (net.cap >= 0.0).all()
+    sent = init[:, 0] - pairs[:, 0]  # flow along each forward arc, tail to head
+    inflow = np.zeros(n)
+    np.add.at(inflow, net.head[0::2], sent)
+    np.add.at(inflow, net.head[1::2], -sent)
+    inner = np.ones(n, dtype=bool)
+    inner[[net.source, net.sink]] = False
+    assert np.abs(inflow[inner]).max(initial=0.0) <= 1e-9 * max(1.0, flow)
+
+    if got.s_side != s_side:
+        for side in (got.s_side, s_side):
+            assert math.isclose(cut_capacity(net, side), flow, rel_tol=DUALITY_RTOL, abs_tol=1e-9)
 
 
 # 1 + 5e-13 leaves a residual at or below RESIDUAL_EPS after a unit push.
@@ -327,25 +369,70 @@ def test_dinic_matches_the_adjacency_list_dinic(case):
     assert_dinic_agrees(*case)
 
 
-def test_dinic_matches_on_named_networks():
+@settings(max_examples=300)
+@given(case=arc_lists())
+def test_maxflow_matches_the_adjacency_list_dinic(case):
+    assert_maxflow_agrees(*case)
+
+
+NAMED_NETWORKS = [
     # Parallel arcs, in both directions.
-    assert_dinic_agrees(4, [(0, 1, 1.0, 0.0), (0, 1, 2.0, 0.0), (1, 3, 2.5, 0.0), (1, 3, 0.5, 1.0), (3, 1, 4.0, 0.0)])
+    (4, [(0, 1, 1.0, 0.0), (0, 1, 2.0, 0.0), (1, 3, 2.5, 0.0), (1, 3, 0.5, 1.0), (3, 1, 4.0, 0.0)]),
     # Zero-capacity arcs on every path but one.
-    assert_dinic_agrees(4, [(0, 1, 0.0, 0.0), (1, 3, 5.0, 0.0), (0, 2, 1.5, 0.0), (2, 3, 0.0, 2.0), (2, 1, 1.0, 0.0)])
+    (4, [(0, 1, 0.0, 0.0), (1, 3, 5.0, 0.0), (0, 2, 1.5, 0.0), (2, 3, 0.0, 2.0), (2, 1, 1.0, 0.0)]),
     # Infinite arcs behind a finite bottleneck.
-    assert_dinic_agrees(4, [(0, 1, math.inf, 0.0), (1, 2, 3.0, 0.0), (2, 3, math.inf, 0.0), (0, 2, 1.0, 0.0)])
+    (4, [(0, 1, math.inf, 0.0), (1, 2, 3.0, 0.0), (2, 3, math.inf, 0.0), (0, 2, 1.0, 0.0)]),
     # Unbounded: an all-infinite path.
-    assert_dinic_agrees(4, [(0, 1, math.inf, 0.0), (1, 3, math.inf, 0.0), (0, 2, 1.0, 0.0)])
+    (4, [(0, 1, math.inf, 0.0), (1, 3, math.inf, 0.0), (0, 2, 1.0, 0.0)]),
+    # The sink unreachable, and no arcs at all.
+    (5, [(0, 1, 2.0, 0.0), (1, 2, 1.0, 0.0), (3, 4, 1.0, 0.0)]),
+    (3, []),
+    # Terminals that are not the end nodes.
+    (5, [(2, 0, 3.0, 1.0), (0, 4, 1.0, 0.0), (2, 4, 0.5, 0.0), (4, 1, 2.0, 0.0)], 2, 1),
+]
+
+
+def test_dinic_matches_on_named_networks():
+    for case in NAMED_NETWORKS:
+        assert_dinic_agrees(*case)
+
+
+def test_maxflow_matches_on_named_networks():
+    for case in NAMED_NETWORKS:
+        assert_maxflow_agrees(*case)
     with pytest.raises(UnboundedFlowError):
         net = FlowNetwork(num_nodes=3, source=0, sink=2)
         net.add_arc(0, 1, math.inf)
         net.add_arc(1, 2, math.inf)
         solve_maxflow(net)
-    # The sink unreachable, and no arcs at all.
-    assert_dinic_agrees(5, [(0, 1, 2.0, 0.0), (1, 2, 1.0, 0.0), (3, 4, 1.0, 0.0)])
-    assert_dinic_agrees(3, [])
-    # Terminals that are not the end nodes.
-    assert_dinic_agrees(5, [(2, 0, 3.0, 1.0), (0, 4, 1.0, 0.0), (2, 4, 0.5, 0.0), (4, 1, 2.0, 0.0)], source=2, sink=1)
+
+
+def test_push_relabel_finds_the_exact_minimum_cut_near_eps():
+    # Dinic leaves 5e-13 on each source arc, at or below RESIDUAL_EPS, and
+    # reports the s-side {} with cut 2 + 1e-12; the true minimum is {1} at 2.
+    arcs = [(0, 1, 1.0 + 5e-13, 0.0)] * 2 + [(1, 2, 0.5, 0.0), (1, 2, 0.5, 0.0), (1, 2, 1.0, 0.0)]
+    net = _network(3, arcs, 0, None)
+    assert reference_dinic(net)[2] == frozenset()
+    sol = solve_maxflow(net)
+    assert sol.s_side == frozenset({1})
+    assert cut_capacity(net, sol.s_side) == 2.0
+    assert_maxflow_agrees(3, arcs)
+
+
+def test_excess_the_return_phase_cannot_route_raises(monkeypatch):
+    from localcluster import flownet
+
+    # Node 1 takes 2 from the source and passes on only 1.
+    net = _network(3, [(0, 1, 2.0, 0.0), (1, 2, 1.0, 0.0)], 0, None)
+    discharge = flownet._discharge
+
+    def skip_the_return(res, excess, label, target, blocked, global_relabel):
+        if target != net.source:
+            discharge(res, excess, label, target, blocked, global_relabel)
+
+    monkeypatch.setattr(flownet, "_discharge", skip_the_return)
+    with pytest.raises(AssertionError, match="excess"):
+        solve_maxflow(net)
 
 
 def test_sentinel_is_one_plus_the_finite_total_in_arc_order():
