@@ -28,11 +28,11 @@ The solver follows from the output volume bound vol(S) <= vol(R)*(1 +
 2/epsilon) + cut(R). Below vol(V), the grow-on-demand local max-flow
 touches only a neighbourhood of R. Where the bound reaches vol(V), as it
 always does at kappa = 1, growing cannot save work and the network is
-built whole. Near that crossover the local solver measured far slower than
-the whole-graph solve: on a planted 2k-node graph at kappa = 1 + 1e-12 it
-touched all nodes but one, in about 31 grow rounds per solve, and took
-about 8 times as long; with the crossover, that graph's 8 seed sets at
-delta = 1e-3, 1e-4 and 1e-6 went from 4.8-7.6 s to under 0.8 s.
+built whole. Past the crossover the local solver measured far slower than
+the whole-graph solve: on a planted 2k-node graph's 8 seed sets at kappa =
+1 + 1e-12 it touched all nodes but one, in about 31 grow rounds per
+solve, and took 6.6 s against 0.62 s; at delta = 1e-3, 1e-4 and 1e-6 the
+crossover took those seed sets from 5.1-7.0 s to 0.67-0.79 s.
 """
 
 from __future__ import annotations
