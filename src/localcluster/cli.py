@@ -37,6 +37,7 @@ from .oracles import (
 )
 from .results import ClusterResult
 from .rounding import sweep_cut
+from .solvers import _dot
 from .spectral import (
     correlation_seed,
     fiedler,
@@ -305,7 +306,7 @@ def _cmd_mov(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
         gio.write_vector_csv(vec, lm, cfg.vector_out)
     if not cfg.sweep:
         v = vec.values
-        achieved = float(z @ (g.degrees * v)) ** 2 / float(v @ (g.degrees * v))
+        achieved = _dot(z, g.degrees * v) ** 2 / _dot(v, g.degrees * v)
         _emit_json({"rho": rho, "correlation": achieved}, cfg.out)
         return EXIT_OK
     node_set, value, _ = sweep_cut(g, vec, objective=cfg.objective)

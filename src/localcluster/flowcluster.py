@@ -18,10 +18,11 @@ penalty kappa in [1, inf]:
   locally.
 
 ``refine_by_flow`` runs the one loop they all call. Each round solves the
-augmented min-cut at alpha = the current set's objective, beta =
-alpha*epsilon with epsilon = kappa*ratio, and gamma = 1, and accepts the
-s-side only on strict objective decrease (relative tolerance 1e-12), which
-rules out floating-point cycling. The accepted objective is the next
+augmented min-cut of ``refcut`` (source to R at alpha*d_i, the rest to the
+sink at beta*d_i) at alpha = the current set's objective and beta =
+alpha*epsilon with epsilon = kappa*ratio, and accepts the s-side only on
+strict objective decrease (relative tolerance 1e-12), which rules out
+floating-point cycling. The accepted objective is the next
 alpha. An empty s-side ends the loop with the previous set.
 
 The solver follows from the output volume bound vol(S) <= vol(R)*(1 +
@@ -102,8 +103,7 @@ def refine_by_flow(
     r_arr, vol_r, ratio = _seed_ratio(g, r)
     eps = kappa * ratio
 
-    source = {int(v): float(g.degrees[v]) for v in r_arr}
-    current = frozenset(source)
+    current = frozenset(r_arr.tolist())
     obj = relative_conductance(g, r_arr, r_arr, kappa=kappa)
     if math.isinf(obj):
         raise ParameterError("seed-relative conductance of the seed is not finite")
@@ -117,7 +117,7 @@ def refine_by_flow(
     for _ in range(max_iters):
         # 0 * inf is nan, so at kappa = inf beta stays inf even where alpha is 0.
         beta = math.inf if math.isinf(eps) else obj * eps
-        spec = AugmentedGraphSpec(alpha=obj, beta=beta, gamma=1.0, source_weight=source)
+        spec = AugmentedGraphSpec(alpha=obj, beta=beta, seed=r_arr)
         if whole:
             sol = solve_maxflow(materialize(spec, g))
         else:

@@ -7,13 +7,14 @@ that groups arc ids by tail. Both engines run on flat Python lists
 
 ``solve_maxflow``, the whole-network solve, runs FIFO push-relabel with
 global relabeling (Goldberg & Tarjan 1988; Cherkassky & Goldberg 1997):
-it saturates the source's arcs, discharges the excess toward the sink,
-then sends what cannot arrive back to the source, so it ends with a flow
-whose residual reach from the source is the minimal min cut. Where a
-network's last, certifying round must saturate thousands of tiny sink
-arcs, Dinic pays a whole-network BFS per phase and a dead-end DFS per
-augmenting path, while push-relabel saturates them by local pushes; on
-deep networks (a 3000-node path) Dinic needs one phase per level.
+it saturates the source's arcs and discharges the excess toward the
+sink; ``_return_excess`` then sends what cannot arrive back to the
+source, so the solve ends with a flow whose residual reach from the
+source is the minimal min cut. Where a network's last, certifying round
+must saturate thousands of tiny sink arcs, Dinic pays a whole-network BFS
+per phase and a dead-end DFS per augmenting path, while push-relabel
+saturates them by local pushes; on deep networks (a 3000-node path)
+Dinic needs one phase per level.
 
 Dinic's blocking flow (``_dinic``) serves the strongly-local solver
 (``refcut``): each phase's level BFS stops once the sink is labeled, and
@@ -21,12 +22,15 @@ after each augmentation the DFS resumes at the first arc the push
 saturated. The last, failing BFS is the residual reach. It takes its
 terminals as arguments: besides the max flow from the network's source,
 it can push from several start nodes, each holding a bounded supply, to
-any target node, which clears the surplus a grown network starts with.
-Its grow rounds start from a carried flow and need only a few short
-augmenting paths, and push-relabel started from that carried preflow
-measured slower there: 1.1-1.2 times Dinic's time on planted 2k-node
-graphs at delta 0.1 and 1 and on a ring of 300 five-cliques at delta
-0.01, and no faster on a 3000-node path at delta 0.1.
+any target node. ``_return_excess`` runs it that way back to the source,
+both for the excess push-relabel could not deliver and for the surplus a
+grown network starts with; its early-exit BFS measured faster there than
+a second, source-ward discharge with its own global relabel. The grow
+rounds start from a carried flow and need only a few short augmenting
+paths, and push-relabel started from that carried preflow measured slower
+there: 1.1-1.2 times Dinic's time on planted 2k-node graphs at delta 0.1
+and 1 and on a ring of 300 five-cliques at delta 0.01, and no faster on a
+3000-node path at delta 0.1.
 
 Capacities are 64-bit floats; every solve finishes with a max-flow =
 min-cut duality check at 1e-9 relative tolerance, which substitutes for
@@ -114,13 +118,8 @@ class FlowNetwork:
         self.head, self.cap, self.cap_init = head, cap, cap.copy()
         self._frozen = True
 
-    def reset_flow(self) -> None:
-        if not self._frozen:
-            raise ParameterError("freeze the network before resetting")
-        self.cap = self.cap_init.copy()
-
     def arc_flow(self, a: int) -> float:
-        """Net flow routed along forward arc ``a`` since the last reset."""
+        """Net flow routed along forward arc ``a``."""
         return float(self.cap_init[a] - self.cap[a])
 
 
@@ -179,12 +178,12 @@ def _checked_min_cut(net: FlowNetwork, flow: float, reach: np.ndarray) -> None:
         )
 
 
-def cut_capacity(net: FlowNetwork, s_nodes: Iterable[int], *, true_infinity: bool = True) -> float:
+def cut_capacity(net: FlowNetwork, s_nodes: Iterable[int]) -> float:
     """Capacity of the cut whose source side is {source} | s_nodes.
 
-    Uses construction-time capacities (ignores any routed flow). With
-    ``true_infinity`` the sentinel arcs count as +inf, which is the right
-    reading for oracle comparisons.
+    Uses construction-time capacities (ignores any routed flow). The
+    sentinel arcs count as +inf, which is the right reading for oracle
+    comparisons.
     """
     net.freeze()
     ids = np.fromiter(s_nodes, dtype=np.int64)
@@ -196,7 +195,7 @@ def cut_capacity(net: FlowNetwork, s_nodes: Iterable[int], *, true_infinity: boo
     if side[net.sink]:
         raise ParameterError("sink cannot be on the source side")
     crossing = side[_tails(net.head)] & ~side[net.head]
-    if true_infinity and (crossing & net.infinite).any():
+    if (crossing & net.infinite).any():
         return float("inf")
     return float(net.cap_init[crossing].sum())
 
@@ -331,11 +330,10 @@ def _push_relabel(res: _Residual, source: int, sink: int) -> tuple[float, np.nda
     """Maximum flow from ``source`` to ``sink`` by FIFO push-relabel with global relabeling.
 
     The source's arcs are saturated, and ``_discharge`` moves the excess
-    to the sink while it can; then it moves what is left back to the
-    source, so ``res.cap`` ends holding a flow. Returns the flow value (the
-    source's net outflow) and the source's residual reach as a node mask.
-    Raises AssertionError (never expected) when the return phase leaves
-    excess above the duality check's tolerance.
+    to the sink while it can; then ``_return_excess`` moves what is left
+    back to the source, so ``res.cap`` ends holding a flow. Returns the
+    flow value (the source's net outflow) and the source's residual reach
+    as a node mask.
     """
     head, cap, rev, first, end = res.head, res.cap, res.rev, res.first, res.end
     n = res.num_nodes
@@ -352,13 +350,9 @@ def _push_relabel(res: _Residual, source: int, sink: int) -> tuple[float, np.nda
     label = [1] * n
     label[sink] = 0
     label[source] = n
-    _discharge(res, excess, label, sink, source, global_relabel=False)
-    _discharge(res, excess, label, source, sink, global_relabel=True)
-    flow = sent - excess[source]
-    excess[source] = excess[sink] = 0.0
-    left = math.fsum(excess)
-    if left > max(1e-9, DUALITY_RTOL * flow):
-        raise AssertionError(f"excess {left!r} left after returning it to the source")
+    _discharge(res, excess, label, sink, source)
+    starts = [u for u in range(n) if excess[u] > 0.0 and u != sink and u != source]
+    flow = sent - _return_excess(res, starts, [excess[u] for u in starts], source, excess[sink])
     level = _bfs_levels(head, cap, first, n, [source], sink)
     return flow, np.array(level) >= 0
 
@@ -386,30 +380,23 @@ def _global_labels(res: _Residual, target: int, blocked: int) -> list[int]:
     return [n if d < 0 else d for d in label]
 
 
-def _discharge(
-    res: _Residual, excess: list[float], label: list[int], target: int, blocked: int, global_relabel: bool
-) -> None:
-    """Push every excess above ``RESIDUAL_EPS`` to ``target`` as far as residual paths allow.
+def _discharge(res: _Residual, excess: list[float], label: list[int], sink: int, source: int) -> None:
+    """Push every excess above ``RESIDUAL_EPS`` to ``sink`` as far as residual paths allow.
 
     FIFO push-relabel over current-arc pointers. A node whose label
-    reaches ``num_nodes`` has no residual path to ``target`` and keeps its
-    excess; so does ``blocked``, held at that label. Labels are set by a
-    global relabel (``_global_labels``) first when ``global_relabel`` is
-    set, and again whenever the relabels have scanned 6n + m arcs since
-    the last one.
+    reaches ``num_nodes`` has no residual path to ``sink`` and keeps its
+    excess; so does ``source``, held at that label. Labels are set again
+    by a global relabel (``_global_labels``) whenever the relabels have
+    scanned 6n + m arcs since the last one.
     """
     head, cap, rev, first, end = res.head, res.cap, res.rev, res.first, res.end
     eps = RESIDUAL_EPS
     n = res.num_nodes
     budget = 6 * n + len(cap)
-    while True:
-        queue = [u for u in range(n) if excess[u] > eps and u != target and u != blocked]
-        if not queue:
-            return
-        if global_relabel:
-            label[:] = _global_labels(res, target, blocked)
-            queue = [u for u in queue if label[u] < n]
-        global_relabel = True
+    # The sink's label is 0 and the source's n; every other label is in
+    # between until the node is cut off from the sink.
+    queue = [u for u in range(n) if excess[u] > eps and 0 < label[u] < n]
+    while queue:
         ptr = first[:-1]
         work = 0
         for u in queue:
@@ -428,7 +415,7 @@ def _discharge(
                         cap[rev[p]] += delta
                         before = excess[v]
                         excess[v] = before + delta
-                        if before <= eps < before + delta and v != target:
+                        if before <= eps < before + delta and v != sink:
                             queue.append(v)
                         e -= delta
                         if e <= eps:
@@ -457,3 +444,19 @@ def _discharge(
                 break
         else:
             return
+        label[:] = _global_labels(res, sink, source)
+        queue = [u for u in range(n) if excess[u] > eps and 0 < label[u] < n]
+
+
+def _return_excess(res: _Residual, starts: list[int], amounts: list[float], source: int, scale: float) -> float:
+    """Send each start's amount back to ``source`` by the bounded ``_dinic``; returns the amount sent.
+
+    The flow that brought the excess in leaves a residual path back to the
+    source, so all of it can go. Raises AssertionError (never expected)
+    when more than max(1e-9, DUALITY_RTOL * ``scale``) is left.
+    """
+    returned, _ = _dinic(res, starts, source, amounts)
+    left = math.fsum(amounts)
+    if left > max(1e-9, DUALITY_RTOL * scale):
+        raise AssertionError(f"excess {left!r} left after returning it to the source")
+    return returned

@@ -1,10 +1,10 @@
 """Augmented source/sink graph shared by all flow-based refinement.
 
 The construction is held implicitly as parameters (never as an explicit
-node/edge list): scale every graph edge by gamma, attach the source to
-node i with weight alpha*h_i, attach node i to the sink with weight
-beta*(g_i - h_i). Zero-weight attachments are omitted, which is what
-makes strongly-local solving possible.
+node/edge list): every graph edge keeps its weight, the source attaches to
+each seed node i with capacity alpha*d_i, and every other node attaches
+to the sink with capacity beta*d_i. Zero-weight attachments are omitted,
+which is what makes strongly-local solving possible.
 
 ``solve_maxflow_local`` solves on a grown subset of the nodes, the
 members, with everything else contracted into the sink: each member has
@@ -21,19 +21,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
 from .flownet import (
-    DUALITY_RTOL,
     RESIDUAL_EPS,
     CutSolution,
     FlowNetwork,
     _checked_min_cut,
     _dinic,
     _Residual,
+    _return_excess,
 )
 from .graph import Graph, _as_node_array
 
@@ -45,105 +45,58 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentedGraphSpec:
-    """Parameters (alpha, beta, gamma, source weights, totals) of the cut graph.
+    """Parameters (alpha, beta, seed set R) of the cut graph.
 
     Parameters
     ----------
     alpha : float
-        Source attachment scale, >= 0.
+        Source scale, >= 0: seed node i is attached to the source with
+        capacity alpha*d_i.
     beta : float
-        Sink attachment scale, >= 0; +inf allowed (hard confinement).
-    gamma : float
-        Scale applied to every original edge, > 0.
-    source_weight : mapping node -> weight
-        Sparse nonnegative per-node source mass (entries with zero weight
-        are dropped); support must be nonempty.
-    total_weight : ndarray or None
-        Per-node totals whose excess over the source mass is the sink
-        mass. None means "use the weighted degrees", the common case;
-        keeping it implicit preserves locality.
+        Sink scale, >= 0; +inf allowed (hard confinement): node i outside
+        R is attached to the sink with capacity beta*d_i.
+    seed : iterable of node ids
+        The seed set R, nonempty; held as a sorted array of distinct ids.
     """
 
     alpha: float
     beta: float
-    gamma: float
-    source_weight: Mapping[int, float]
-    total_weight: np.ndarray | None = None
+    seed: np.ndarray
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
             raise ParameterError("alpha and beta must be nonnegative")
-        if not self.gamma > 0:
-            raise ParameterError("gamma must be positive")
-        cleaned = {}
-        for i, w in self.source_weight.items():
-            if w < 0:
-                raise ParameterError(f"negative source weight at node {i}")
-            if w > 0:
-                cleaned[int(i)] = float(w)
-        if not cleaned:
-            raise ParameterError("source weight support is empty")
-        object.__setattr__(self, "source_weight", cleaned)
-        # The support in id order, and its masses, for array lookups.
-        support = sorted(cleaned)
-        object.__setattr__(self, "_support", np.array(support, dtype=np.int64))
-        object.__setattr__(self, "_support_mass", np.array([cleaned[i] for i in support]))
-        if self.total_weight is not None:
-            tw = np.asarray(self.total_weight, dtype=np.float64)
-            if np.any(tw < 0):
-                raise ParameterError("total weights must be nonnegative")
-            object.__setattr__(self, "total_weight", tw)
-
-    def sink_weights(
-        self, g: Graph, nodes: np.ndarray, source_mass: np.ndarray | float | None = None
-    ) -> np.ndarray:
-        """Sink mass of each of ``nodes``: total minus source mass, clipped at 0.
-
-        ``source_mass`` is the nodes' source mass when the caller already
-        has it (an array, or 0.0 for nodes outside the support). Raises
-        ParameterError naming the first of ``nodes``, in the order given,
-        whose source mass exceeds its total.
-        """
-        if source_mass is None:
-            pos = np.searchsorted(self._support, nodes)
-            found = self._support.take(pos, mode="clip") == nodes
-            source_mass = np.where(found, self._support_mass.take(pos, mode="clip"), 0.0)
-        total = (g.degrees if self.total_weight is None else self.total_weight)[nodes]
-        z = total - source_mass
-        bad = z < -1e-9 * np.maximum(1.0, total)
-        if bad.any():
-            raise ParameterError(f"source weight exceeds total at node {nodes[bad.argmax()]}")
-        return np.maximum(z, 0.0)
+        seed = np.unique(np.fromiter(self.seed, dtype=np.int64))
+        if not seed.size:
+            raise ParameterError("seed set is empty")
+        object.__setattr__(self, "seed", seed)
 
     def validate_against(self, g: Graph) -> None:
-        if self.total_weight is not None and self.total_weight.shape != (g.n,):
-            raise ParameterError("total weight vector length mismatch")
-        lo, hi = self._support[0], self._support[-1]
+        lo, hi = self.seed[0], self.seed[-1]
         if lo < 0 or hi >= g.n:
-            raise ParameterError(f"source weight node {lo if lo < 0 else hi} out of range")
-        self.sink_weights(g, self._support, self._support_mass)
+            raise ParameterError(f"seed node {lo if lo < 0 else hi} out of range")
 
 
 def augmented_cut_value(spec: AugmentedGraphSpec, g: Graph, s: object) -> float:
     """Cut value of ({source} | S) in the augmented graph, computed directly.
 
-    Equals gamma*cut(S) + alpha*sum_{i not in S} h_i + beta*sum_{i in S}
-    (g_i - h_i) without materializing anything. Returns +inf when beta is
-    infinite and S touches the sink-attachment support.
+    Equals cut(S) + alpha*vol(R - S) + beta*vol(S - R) without
+    materializing anything. Returns +inf when beta is infinite and S - R
+    has volume.
     """
     from .graph import cut as graph_cut
 
     spec.validate_against(g)
     arr = _as_node_array(g, s)
-    source_term = float(spec._support_mass[~np.isin(spec._support, arr)].sum())
-    sink_term = float(spec.sink_weights(g, arr).sum())
+    source_term = float(g.degrees[np.setdiff1d(spec.seed, arr, assume_unique=True)].sum())
+    sink_term = float(g.degrees[np.setdiff1d(arr, spec.seed, assume_unique=True)].sum())
     if sink_term > 0.0 and math.isinf(spec.beta):
         return float("inf")
     # An infinite beta with no sink mass adds nothing; inf * 0.0 would be nan.
     sink_part = spec.beta * sink_term if sink_term > 0.0 else 0.0
-    return spec.gamma * graph_cut(g, arr) + spec.alpha * source_term + sink_part
+    return graph_cut(g, arr) + spec.alpha * source_term + sink_part
 
 
 def materialize(spec: AugmentedGraphSpec, g: Graph) -> FlowNetwork:
@@ -160,7 +113,7 @@ class _Layout(NamedTuple):
     the edge's capacity.
     """
 
-    src: np.ndarray  # source arcs, in support order
+    src: np.ndarray  # source arcs, in seed order
     snk: np.ndarray  # sink arcs
     snk_member: np.ndarray  # the member index of each sink arc
     own: np.ndarray  # the member's own attachment within each sink arc
@@ -174,10 +127,10 @@ class _Layout(NamedTuple):
 def _subnetwork(spec: AugmentedGraphSpec, g: Graph, members: np.ndarray) -> tuple[FlowNetwork, _Layout]:
     """The augmented network on ``members`` (sorted), exterior contracted into the sink.
 
-    The members must include the source support. Member k of the array is
+    The members must include the seed. Member k of the array is
     network node k; the source is len(members) and the sink
     len(members) + 1. A member's edges to non-members are merged into its
-    sink arc, whose capacity is the member's own attachment beta*z plus
+    sink arc, whose capacity is the member's own attachment beta*d plus
     the capacities of those outside edges, added in CSR order.
 
     Each member contributes, in this order, its source arc, its sink arc
@@ -187,25 +140,25 @@ def _subnetwork(spec: AugmentedGraphSpec, g: Graph, members: np.ndarray) -> tupl
     """
     m = members.size
     source, sink = m, m + 1
-    at = members.searchsorted(spec._support)
-    h = np.zeros(m)
-    h[at] = spec._support_mass
-    z = spec.sink_weights(g, members, h)
+    at = members.searchsorted(spec.seed)
+    d = g.degrees[members]
     # Only nodes with mass are scaled: alpha * 0.0 and beta * 0.0 are nan
     # at an infinite scale.
-    src_cap = spec.alpha * spec._support_mass
+    src_k = at[d[at] > 0.0]
+    src_cap = spec.alpha * d[src_k]
     has_src = src_cap > 0.0
-    src_k, src_cap = at[has_src], src_cap[has_src]
-    attached = z > 0.0 if spec.beta > 0.0 else np.zeros(m, dtype=bool)
+    src_k, src_cap = src_k[has_src], src_cap[has_src]
+    d[at] = 0.0  # the sink mass: the degree outside the seed
+    attached = d > 0.0 if spec.beta > 0.0 else np.zeros(m, dtype=bool)
     own = np.zeros(m)
-    own[attached] = spec.beta * z[attached]
+    own[attached] = spec.beta * d[attached]
 
     arcs = g.arcs_of(members)
     row = np.arange(m).repeat(g.indptr[members + 1] - g.indptr[members])
     nbr = g.indices[arcs]
     loc = members.searchsorted(nbr)
     inside = members.take(loc, mode="clip") == nbr
-    c = spec.gamma * g.weights[arcs]
+    c = g.weights[arcs]
     outside = ~inside
     tag_row, tag_end, tag_cap = row[outside], nbr[outside], c[outside]
     edge = inside & (row < loc)
@@ -251,7 +204,7 @@ def solve_maxflow_local(
 ) -> tuple[CutSolution, frozenset[int]]:
     """Max-flow on the augmented graph touching only a grown subgraph.
 
-    Starts from the source support plus the warm-start set, contracts
+    Starts from the seed plus the warm-start set, contracts
     everything else into the sink (one sink arc per member, holding its
     outside edges), and solves exactly on the subnetwork. The flow on each
     sink arc is split greedily: the member's own attachment first, then
@@ -270,7 +223,7 @@ def solve_maxflow_local(
     if math.isinf(spec.alpha):
         raise ParameterError("total source capacity must be finite")
 
-    explored = np.array(sorted(set(spec.source_weight).union(map(int, warm_start))), dtype=np.int64)
+    explored = np.union1d(spec.seed, np.fromiter(warm_start, dtype=np.int64))
     if explored[0] < 0 or explored[-1] >= g.n:
         raise ParameterError("warm-start node out of range")
 
@@ -282,7 +235,10 @@ def solve_maxflow_local(
         starts, surplus = ([], []) if carry is None else carry.load(net, lay)
         res = _Residual(net)
         if starts:
-            flow -= _route_surplus(res, net, starts, surplus)
+            # Measured against the surplus before it moves: _dinic spends the list.
+            total = sum(surplus)
+            _dinic(res, starts, net.sink, surplus)
+            flow -= _return_excess(res, starts, surplus, net.source, total)
         pushed, reach = _dinic(res, [net.source], net.sink)
         flow += pushed
         res.store(net)
@@ -310,7 +266,7 @@ class _Carry(NamedTuple):
 
     members: np.ndarray  # the members of the solved network
     grown: np.ndarray  # the members with the violators added
-    src: np.ndarray  # residual pair of each source arc, in support order
+    src: np.ndarray  # residual pair of each source arc, in seed order
     sink_flow: np.ndarray  # flow left on each member's sink arc
     edge_key: np.ndarray  # sorted lo * n + hi of each edge that may carry flow ...
     edge_res: np.ndarray  # ... and its residual pair (lo -> hi, hi -> lo)
@@ -337,7 +293,7 @@ class _Carry(NamedTuple):
             return None
         ends, which = np.unique(lay.tag_end[fed], return_inverse=True)
         inflow = np.bincount(which, weights=share[fed])
-        limit = spec.beta * spec.sink_weights(g, ends, 0.0) + RESIDUAL_EPS * max(1.0, flow)
+        limit = spec.beta * g.degrees[ends] + RESIDUAL_EPS * max(1.0, flow)
         hot = inflow > limit
         if not hot.any():
             return None
@@ -385,18 +341,3 @@ class _Carry(NamedTuple):
         left = surplus > 0.0
         return at[left].tolist(), surplus[left].tolist()
 
-
-def _route_surplus(res: _Residual, net: FlowNetwork, starts: list[int], surplus: list[float]) -> float:
-    """Send each node's surplus on to the sink, then what is left back to the source.
-
-    The flow that brought the surplus in leaves a residual path back to the
-    source, so all of it is routed; returns the amount returned to the
-    source. Raises AssertionError (never expected) when the routed amount
-    misses the surplus at the duality check's tolerance.
-    """
-    total = sum(surplus)
-    forwarded, _ = _dinic(res, starts, net.sink, surplus)
-    returned, _ = _dinic(res, starts, net.source, surplus)
-    if not math.isclose(forwarded + returned, total, rel_tol=DUALITY_RTOL, abs_tol=1e-9):
-        raise AssertionError(f"surplus {total!r} routed only {forwarded + returned!r}")
-    return returned

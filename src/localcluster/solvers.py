@@ -4,10 +4,16 @@ These are the only linear solvers in the package. They work on operator
 callbacks (no matrices are formed), count matrix-vector products against
 a shared budget, and raise ConvergenceError with the residual actually
 achieved when the budget runs out.
+
+Every inner product and norm of a length-n vector goes through ``_dot``
+and ``_norm``, numpy's own pairwise sum: a BLAS dot product splits the sum
+over threads, so its last bits, and every output downstream of it, would
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -19,6 +25,16 @@ __all__ = ["MatvecBudget", "conjugate_gradient", "smallest_eigenpair"]
 MATVEC_CAP = 1_000_000
 EIGEN_CG_REL_TOL = 1e-12
 EIGEN_MAX_OUTER = 1000
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two vectors, summed the same way at any BLAS thread count."""
+    return float(np.add.reduce(a * b))
+
+
+def _norm(a: np.ndarray) -> float:
+    """Euclidean norm of a vector, summed the same way at any BLAS thread count."""
+    return math.sqrt(_dot(a, a))
 
 
 class MatvecBudget:
@@ -56,23 +72,23 @@ def conjugate_gradient(
     if project is not None:
         r = project(r)
     x = np.zeros_like(r)
-    b_norm = float(np.linalg.norm(r))
+    b_norm = _norm(r)
     if b_norm == 0.0:
         return x
     p = r.copy()
-    rs = float(r @ r)
+    rs = _dot(r, r)
     while True:
         ap = apply_a(p)
         budget.spend()
         if project is not None:
             ap = project(ap)
-        p_ap = float(p @ ap)
+        p_ap = _dot(p, ap)
         if p_ap <= 0.0:
             raise ParameterError("operator is not positive definite on the search space")
         step = rs / p_ap
         x += step * p
         r -= step * ap
-        rs_new = float(r @ r)
+        rs_new = _dot(r, r)
         if np.sqrt(rs_new) <= rel_tol * b_norm:
             return x
         p = r + (rs_new / rs) * p
@@ -99,12 +115,12 @@ def smallest_eigenpair(
     """
     budget = MatvecBudget()
     if residual_fn is None:
-        residual_fn = lambda lam, y, a_y: float(np.linalg.norm(a_y - lam * y))
+        residual_fn = lambda lam, y, a_y: _norm(a_y - lam * y)
 
     y = np.random.default_rng(0).standard_normal(n)
     if project is not None:
         y = project(y)
-    nrm = float(np.linalg.norm(y))
+    nrm = _norm(y)
     if nrm == 0.0:
         raise ParameterError("projector annihilated the start vector")
     y /= nrm
@@ -115,16 +131,16 @@ def smallest_eigenpair(
             z = conjugate_gradient(
                 apply_a, y, rel_tol=EIGEN_CG_REL_TOL, budget=budget, project=project
             )
-            nz = float(np.linalg.norm(z))
+            nz = _norm(z)
             if nz == 0.0:
                 raise ConvergenceError("inverse iteration collapsed to zero", achieved=res)
             y = z / nz
             if project is not None:
                 y = project(y)
-                y /= float(np.linalg.norm(y))
+                y /= _norm(y)
             a_y = apply_a(y)
             budget.spend()
-            lam = float(y @ a_y)
+            lam = _dot(y, a_y)
             res = residual_fn(lam, y, a_y)
             if res <= tol:
                 return lam, y, res

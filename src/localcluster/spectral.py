@@ -26,7 +26,7 @@ from .errors import (
 from .graph import Graph, _as_node_array, _row_reduce, laplacian_apply
 from .results import ClusterResult
 from .rounding import sweep_cut
-from .solvers import MatvecBudget, _BudgetExceeded, conjugate_gradient, smallest_eigenpair
+from .solvers import MatvecBudget, _BudgetExceeded, _dot, _norm, conjugate_gradient, smallest_eigenpair
 
 __all__ = [
     "EmbeddingVector",
@@ -125,7 +125,7 @@ def correlation_seed(g: Graph, r: object) -> np.ndarray:
     z = np.zeros(g.n)
     z[arr] = 1.0
     z -= float(g.degrees[arr].sum()) / g.total_volume
-    scale = math.sqrt(float(z @ (g.degrees * z)))
+    scale = math.sqrt(_dot(z, g.degrees * z))
     return z / scale
 
 
@@ -168,8 +168,8 @@ def _scaled_laplacian(
 
 def _deflation(s: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The orthogonal projector onto the complement of ``s``."""
-    u = s / np.linalg.norm(s)
-    return lambda y: y - (u @ y) * u
+    u = s / _norm(s)
+    return lambda y: y - _dot(u, y) * u
 
 
 # -- Fiedler pair ------------------------------------------------------------
@@ -193,13 +193,13 @@ def fiedler(g: Graph, normalized: bool = True, tol: float = 1e-10) -> tuple[floa
     apply_a, s = _scaled_laplacian(g, normalized)
 
     def residual_fn(lam: float, y: np.ndarray, a_y: np.ndarray) -> float:
-        return float(np.linalg.norm(s * (a_y - lam * y))) / float(np.linalg.norm(s * y))
+        return _norm(s * (a_y - lam * y)) / _norm(s * y)
 
     lam, y, _ = smallest_eigenpair(
         apply_a, g.n, tol=tol, residual_fn=residual_fn, project=_deflation(s)
     )
     x = (1.0 / s) * y
-    x = x / np.linalg.norm(x)
+    x = x / _norm(x)
     if x[int(np.argmax(np.abs(x)))] < 0:
         x = -x
     return lam, EmbeddingVector(n=g.n, values=x, kind="fiedler")
@@ -225,7 +225,7 @@ def spectral_mqi(g: Graph, r: object, tol: float = 1e-10) -> tuple[float, Embedd
 
     if r_arr.size == g.n:
         sqrt_d = np.sqrt(g.degrees)
-        return 0.0, EmbeddingVector(n=g.n, values=sqrt_d / np.linalg.norm(sqrt_d), kind="dirichlet")
+        return 0.0, EmbeddingVector(n=g.n, values=sqrt_d / _norm(sqrt_d), kind="dirichlet")
     if r_arr.size == 1:
         return 1.0, EmbeddingVector(
             n=g.n, values=np.ones(1), indices=r_arr.copy(), kind="dirichlet"
@@ -234,13 +234,11 @@ def spectral_mqi(g: Graph, r: object, tol: float = 1e-10) -> tuple[float, Embedd
     apply_sub, _ = _scaled_laplacian(g, rows=r_arr)
     lam, y, res = smallest_eigenpair(apply_sub, r_arr.size, tol=tol)
     y = np.abs(y)
-    y /= np.linalg.norm(y)
+    y /= _norm(y)
     a_y = apply_sub(y)
-    lam = float(y @ a_y)
-    if float(np.linalg.norm(a_y - lam * y)) > 10 * tol:
-        raise ConvergenceError(
-            "sign-fixed eigenvector lost accuracy", achieved=float(np.linalg.norm(a_y - lam * y))
-        )
+    lam = _dot(y, a_y)
+    if _norm(a_y - lam * y) > 10 * tol:
+        raise ConvergenceError("sign-fixed eigenvector lost accuracy", achieved=_norm(a_y - lam * y))
     return lam, EmbeddingVector(n=g.n, values=y, indices=r_arr.copy(), kind="dirichlet")
 
 
@@ -283,7 +281,7 @@ def _orthogonalize_seed(g: Graph, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (g.n,):
         raise ParameterError("seed vector length mismatch")
-    z = z - float(g.degrees @ z) / g.total_volume
+    z = z - _dot(g.degrees, z) / g.total_volume
     if float(np.abs(z).max(initial=0.0)) == 0.0:
         raise ParameterError("seed vector is constant; no direction left after orthogonalization")
     return z
@@ -334,11 +332,11 @@ def _mov_solve(g: Graph, z: np.ndarray, rho: float, tol: float) -> EmbeddingVect
 
     x_hat = inv * y
     res = laplacian_apply(g, x_hat) + rho * (g.degrees * x_hat) - rhs
-    rel = float(np.linalg.norm(res)) / float(np.linalg.norm(rhs))
+    rel = _norm(res) / _norm(rhs)
     if rel > tol:
         raise ConvergenceError(f"resolvent residual {rel:.3e} above tol", achieved=rel)
 
-    nrm = float(np.linalg.norm(x_hat))
+    nrm = _norm(x_hat)
     if nrm == 0.0:
         raise DegenerateResultError("resolvent solve returned the zero vector")
     return EmbeddingVector(n=g.n, values=x_hat / nrm, kind="mov")
@@ -363,7 +361,7 @@ def mov_correlate(
     if tol <= 0:
         raise ParameterError("tol must be positive")
     z = _orthogonalize_seed(g, z)
-    z = z / math.sqrt(float(z @ (g.degrees * z)))
+    z = z / math.sqrt(_dot(z, g.degrees * z))
 
     # mov_solve orthogonalizes its seed before solving; do that once here.
     z_solve = _orthogonalize_seed(g, z)
@@ -379,7 +377,7 @@ def mov_correlate(
         # mov_solve's range check, which would recompute lambda2.
         x = _mov_solve(g, z_solve, rho, 1e-7)
         v = x.values
-        c = float(z @ (g.degrees * v)) ** 2 / float(v @ (g.degrees * v))
+        c = _dot(z, g.degrees * v) ** 2 / _dot(v, g.degrees * v)
         return c, x
 
     # The absolute floor keeps the shifted operator solvable when lambda2

@@ -301,10 +301,7 @@ class TestAdversarialShapes:
         vol_r = volume(g, seed_ids)
         ratio = vol_r / (g.total_volume - vol_r)
         for alpha, delta in ((0.02, 0.1), (0.1, 0.0), (0.1, 3.0), (0.5, 0.1)):
-            spec = AugmentedGraphSpec(
-                alpha=alpha, beta=alpha * (ratio + delta), gamma=1.0,
-                source_weight={v: float(g.degrees[v]) for v in seed_ids},
-            )
+            spec = AugmentedGraphSpec(alpha=alpha, beta=alpha * (ratio + delta), seed=seed_ids)
             ref = solve_maxflow(materialize(spec, g))
             sol, explored = solve_maxflow_local(spec, g)
             assert sol.flow_value == pytest.approx(ref.flow_value, rel=1e-12)

@@ -148,19 +148,6 @@ def test_arc_flows_conserve_mass():
     assert balance[4] == pytest.approx(sol.flow_value)
 
 
-def test_reset_flow_reproduces_solution():
-    net = FlowNetwork(num_nodes=4, source=0, sink=3)
-    net.add_arc(0, 1, 1.0)
-    net.add_arc(1, 2, 1.0)
-    net.add_arc(2, 3, 1.0)
-    net.freeze()
-    first = solve_maxflow(net)
-    net.reset_flow()
-    second = solve_maxflow(net)
-    assert first.flow_value == second.flow_value
-    assert first.s_side == second.s_side
-
-
 def test_against_brute_min_cut_random():
     rng = random.Random(20240915)
     for _ in range(40):
@@ -424,15 +411,41 @@ def test_excess_the_return_phase_cannot_route_raises(monkeypatch):
 
     # Node 1 takes 2 from the source and passes on only 1.
     net = _network(3, [(0, 1, 2.0, 0.0), (1, 2, 1.0, 0.0)], 0, None)
-    discharge = flownet._discharge
+    dinic = flownet._dinic
 
-    def skip_the_return(res, excess, label, target, blocked, global_relabel):
-        if target != net.source:
-            discharge(res, excess, label, target, blocked, global_relabel)
+    def drop_the_return(res, sources, sink, supply=None):
+        if sink == net.source:
+            return 0.0, None
+        return dinic(res, sources, sink, supply)
 
-    monkeypatch.setattr(flownet, "_discharge", skip_the_return)
+    monkeypatch.setattr(flownet, "_dinic", drop_the_return)
     with pytest.raises(AssertionError, match="excess"):
         solve_maxflow(net)
+
+
+def test_leftover_excess_returns_to_the_source_over_many_hops(monkeypatch):
+    from localcluster import flownet
+
+    # A path 0 -> 1 -> ... -> 12 at capacity 5 ends in a unit arc to the
+    # sink 13: the discharge strands 4 at the far end, 12 hops from the
+    # source, and the return must carry it all the way back.
+    arcs = [(u, u + 1, 5.0, 0.0) for u in range(12)] + [(12, 13, 1.0, 0.0)]
+    net = _network(14, arcs, 0, None)
+    calls = []
+    return_excess = flownet._return_excess
+
+    def spy(res, starts, amounts, source, scale):
+        calls.append((list(starts), list(amounts)))
+        return return_excess(res, starts, amounts, source, scale)
+
+    monkeypatch.setattr(flownet, "_return_excess", spy)
+    sol = solve_maxflow(net)
+    assert calls == [([12], [4.0])]
+    flow, _, s_side = reference_dinic(net)
+    assert sol.flow_value == flow == 1.0
+    assert sol.s_side == s_side == frozenset(range(1, 13))
+    assert [net.arc_flow(a) for a in range(0, len(net.head), 2)] == [1.0] * 13
+    assert_maxflow_agrees(14, arcs)
 
 
 def test_sentinel_is_one_plus_the_finite_total_in_arc_order():

@@ -24,91 +24,45 @@ from localcluster.synth import path_graph, random_connected_graph, star_graph
 
 
 def _fi_spec(g, seed_ids, alpha=1.0):
-    """Source mass = degrees on the seed set, sink scale = alpha * volume ratio."""
+    """Sink scale = alpha * volume ratio."""
     vol_r = float(sum(g.degrees[i] for i in seed_ids))
     ratio = vol_r / (g.total_volume - vol_r)
-    return AugmentedGraphSpec(
-        alpha=alpha,
-        beta=alpha * ratio,
-        gamma=1.0,
-        source_weight={int(i): float(g.degrees[i]) for i in seed_ids},
-    )
+    return AugmentedGraphSpec(alpha=alpha, beta=alpha * ratio, seed=seed_ids)
 
 
 def _mqi_spec(g, seed_ids, alpha):
     """Confined variant: infinite sink scale outside the seed set."""
-    totals = np.zeros(g.n)
-    for i in seed_ids:
-        totals[i] = g.degrees[i]
-    # Outside the seed set the total equals the degree, all of it sink mass.
-    outside = np.ones(g.n, dtype=bool)
-    outside[list(seed_ids)] = False
-    totals[outside] = g.degrees[outside]
-    return AugmentedGraphSpec(
-        alpha=alpha,
-        beta=math.inf,
-        gamma=1.0,
-        source_weight={int(i): float(g.degrees[i]) for i in seed_ids},
-        total_weight=totals,
-    )
+    return AugmentedGraphSpec(alpha=alpha, beta=math.inf, seed=seed_ids)
 
 
 class TestSpecValidation:
     def test_negative_scales_rejected(self):
         with pytest.raises(ParameterError):
-            AugmentedGraphSpec(alpha=-1.0, beta=1.0, gamma=1.0, source_weight={0: 1.0})
+            AugmentedGraphSpec(alpha=-1.0, beta=1.0, seed=[0])
         with pytest.raises(ParameterError):
-            AugmentedGraphSpec(alpha=1.0, beta=-1.0, gamma=1.0, source_weight={0: 1.0})
-        with pytest.raises(ParameterError):
-            AugmentedGraphSpec(alpha=1.0, beta=1.0, gamma=0.0, source_weight={0: 1.0})
+            AugmentedGraphSpec(alpha=1.0, beta=-1.0, seed=[0])
 
-    def test_source_weights_cleaned(self):
-        spec = AugmentedGraphSpec(
-            alpha=1.0, beta=1.0, gamma=1.0, source_weight={0: 1.0, 1: 0.0}
-        )
-        assert spec.source_weight == {0: 1.0}
-        with pytest.raises(ParameterError):
-            AugmentedGraphSpec(alpha=1.0, beta=1.0, gamma=1.0, source_weight={0: -1.0})
-        with pytest.raises(ParameterError):
-            AugmentedGraphSpec(alpha=1.0, beta=1.0, gamma=1.0, source_weight={0: 0.0})
+    def test_empty_seed_rejected(self):
+        with pytest.raises(ParameterError, match="empty"):
+            AugmentedGraphSpec(alpha=1.0, beta=1.0, seed=[])
 
-    def test_source_mass_may_not_exceed_total(self, triangle):
-        spec = AugmentedGraphSpec(
-            alpha=1.0, beta=1.0, gamma=1.0, source_weight={0: 5.0}
-        )
-        with pytest.raises(ParameterError):
-            spec.validate_against(triangle)
-
-    def test_sink_weights_clip_and_name_the_first_bad_node(self):
-        g = random_connected_graph(8, seed=3)
-        deg = g.degrees
-        spec = AugmentedGraphSpec(
-            alpha=1.0, beta=1.0, gamma=1.0,
-            source_weight={2: float(deg[2]) * (1.0 + 1e-12), 5: 0.5 * float(deg[5])},
-        )
-        assert spec.sink_weights(g, np.array([2, 5, 6])).tolist() == [0.0, deg[5] - 0.5 * deg[5], deg[6]]
-        bad = AugmentedGraphSpec(
-            alpha=1.0, beta=1.0, gamma=1.0, source_weight={1: 2.0 * deg[1], 4: 3.0 * deg[4]}
-        )
-        with pytest.raises(ParameterError, match="at node 4"):
-            bad.sink_weights(g, np.array([4, 1]))
-        with pytest.raises(ParameterError, match="at node 1"):
-            bad.validate_against(g)
+    def test_seed_held_sorted_and_distinct(self):
+        spec = AugmentedGraphSpec(alpha=1.0, beta=1.0, seed=(4, 1, 4, 0))
+        assert spec.seed.tolist() == [0, 1, 4]
 
     def test_out_of_range_support(self, triangle):
-        spec = AugmentedGraphSpec(
-            alpha=1.0, beta=1.0, gamma=1.0, source_weight={9: 1.0}
-        )
-        with pytest.raises(ParameterError):
-            spec.validate_against(triangle)
+        for bad in (9, -1):
+            spec = AugmentedGraphSpec(alpha=1.0, beta=1.0, seed=[0, bad])
+            with pytest.raises(ParameterError, match=f"seed node {bad} out of range"):
+                spec.validate_against(triangle)
 
 
 class TestCutValue:
     def test_empty_set_pays_all_source_mass(self, dumbbell):
         spec = _fi_spec(dumbbell, (0, 1, 2, 3), alpha=2.0)
-        total_h = sum(spec.source_weight.values())
+        vol_r = float(dumbbell.degrees[:4].sum())
         assert augmented_cut_value(spec, dumbbell, ()) == pytest.approx(
-            2.0 * total_h
+            2.0 * vol_r
         )
 
     def test_full_set_pays_all_sink_mass(self, dumbbell):
@@ -136,30 +90,24 @@ class TestCutValue:
 
 class TestMaterialize:
     def test_triangle_attachment_arcs(self, triangle):
-        spec = AugmentedGraphSpec(
-            alpha=1.0, beta=1.0, gamma=1.0, source_weight={0: 1.0}
-        )
+        spec = AugmentedGraphSpec(alpha=1.0, beta=1.0, seed=[0])
         net = materialize(spec, triangle)
         assert net.num_nodes == 5
-        # One source arc (node 0), three sink arcs (every node keeps sink
-        # mass: 2-1 for node 0, full degree for the others), three edges.
-        assert len(net.head) == 2 * (1 + 3 + 3)
+        # One source arc (node 0), two sink arcs (the seed node carries no
+        # sink mass), three edges.
+        assert len(net.head) == 2 * (1 + 2 + 3)
+        assert sorted(net.cap[0::2].tolist()) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
 
     def test_zero_weight_attachments_omitted(self, triangle):
-        spec = AugmentedGraphSpec(
-            alpha=1.0, beta=1.0, gamma=1.0, source_weight={0: 2.0}
-        )
-        net = materialize(spec, triangle)
-        # Node 0 carries no sink mass now: 1 source + 2 sink + 3 edges.
-        assert len(net.head) == 2 * (1 + 2 + 3)
+        # beta = 0: no sink arcs, 1 source + 3 edges; alpha = 0: no source arc.
+        net = materialize(AugmentedGraphSpec(alpha=1.0, beta=0.0, seed=[0]), triangle)
+        assert len(net.head) == 2 * (1 + 3)
+        net = materialize(AugmentedGraphSpec(alpha=0.0, beta=1.0, seed=[0]), triangle)
+        assert len(net.head) == 2 * (2 + 3)
 
     def test_cut_capacity_matches_formula_exhaustively(self):
         g = random_connected_graph(8, seed=71, weighted=True)
-        rng = random.Random(71)
-        support = {i: rng.uniform(0.5, 2.0) for i in range(4)}
-        spec = AugmentedGraphSpec(
-            alpha=0.7, beta=1.3, gamma=0.9, source_weight=support
-        )
+        spec = AugmentedGraphSpec(alpha=0.7, beta=1.3, seed=range(4))
         net = materialize(spec, g)
         net.freeze()
         for mask in range(1 << g.n):
@@ -224,9 +172,7 @@ class TestLocalSolver:
             for alpha in (0.05, 0.2, 0.5, 1.0, 2.0, 5.0):
                 spec = _fi_spec(g, seed_ids, alpha=alpha)
                 sol, _ = solve_maxflow_local(spec, g)
-                kept = sum(
-                    g.degrees[i] for i in sol.s_side if i in spec.source_weight
-                )
+                kept = sum(g.degrees[i] for i in sol.s_side if i in seed_ids)
                 assert kept >= prev - 1e-12
                 prev = kept
 
@@ -245,9 +191,7 @@ class TestLocalSolver:
                 solve_maxflow_local(spec, dumbbell, warm_start=bad)
 
     def test_infinite_source_scale_rejected(self, dumbbell):
-        spec = AugmentedGraphSpec(
-            alpha=math.inf, beta=1.0, gamma=1.0, source_weight={0: 1.0}
-        )
+        spec = AugmentedGraphSpec(alpha=math.inf, beta=1.0, seed=[0])
         with pytest.raises(ParameterError):
             solve_maxflow_local(spec, dumbbell)
 
@@ -266,19 +210,19 @@ def reference_subnetwork(spec, g, members):
     """
     members = [int(v) for v in members]
     local_id = {v: k for k, v in enumerate(members)}
+    seed = set(spec.seed.tolist())
     m = len(members)
     net = FlowNetwork(m + 2, source=m, sink=m + 1)
     src, snk, tagged, edges = [], [], [], []
     for k, v in enumerate(members):
-        hv = spec.source_weight.get(v, 0.0)
-        if spec.alpha * hv > 0.0:
-            src.append((net.add_arc(net.source, k, spec.alpha * hv) // 2, k))
-        total = float(g.degrees[v]) if spec.total_weight is None else float(spec.total_weight[v])
-        z = max(total - hv, 0.0)
+        dv = float(g.degrees[v])
+        if v in seed and spec.alpha * dv > 0.0:
+            src.append((net.add_arc(net.source, k, spec.alpha * dv) // 2, k))
+        z = 0.0 if v in seed else dv
         attached = z > 0.0 and spec.beta > 0.0
         own = spec.beta * z if attached else 0.0
         ids, ws = g.neighbors(v)
-        outside = [(j, spec.gamma * w) for j, w in zip(ids.tolist(), ws.tolist()) if j not in local_id]
+        outside = [(j, w) for j, w in zip(ids.tolist(), ws.tolist()) if j not in local_id]
         if attached or outside:
             out_cap = 0.0
             for j, c in outside:
@@ -288,8 +232,7 @@ def reference_subnetwork(spec, g, members):
         for j, w in zip(ids.tolist(), ws.tolist()):
             kj = local_id.get(j)
             if kj is not None and v < j:
-                c = spec.gamma * w
-                edges.append((net.add_arc(k, kj, c, c) // 2, v * g.n + j))
+                edges.append((net.add_arc(k, kj, w, w) // 2, v * g.n + j))
     return net, (src, snk, tagged, edges)
 
 
@@ -318,26 +261,18 @@ def assert_builders_agree(spec, g, members):
 
 @st.composite
 def builder_cases(draw):
-    """A graph, a spec on it and a member set that holds the source support."""
+    """A graph, a spec on it and a member set that holds the seed."""
     n = draw(st.integers(2, 14))
     g = random_connected_graph(n, seed=draw(st.integers(0, 10**6)), weighted=draw(st.booleans()))
-    support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-    # Full degree leaves no sink mass; a zero entry is dropped from the support.
-    masses = {
-        v: draw(st.sampled_from([1.0, 0.5, 0.25, 0.0])) * float(g.degrees[v]) for v in support
-    }
-    if not any(masses.values()):
-        masses[support[0]] = float(g.degrees[support[0]])
+    seed = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     confined = draw(st.booleans())
     spec = AugmentedGraphSpec(
         alpha=draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])),
         beta=math.inf if confined else draw(st.sampled_from([0.0, 0.7, 3.0])),
-        gamma=draw(st.sampled_from([1.0, 0.9])),
-        source_weight=masses,
-        total_weight=g.degrees.copy() if confined and draw(st.booleans()) else None,
+        seed=seed,
     )
     extra = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
-    return spec, g, set(spec.source_weight) | set(extra)
+    return spec, g, set(seed) | set(extra)
 
 
 @settings(max_examples=200)
@@ -354,16 +289,12 @@ def test_array_builder_matches_on_named_cases():
     # A member whose neighbours all lie outside.
     far = next(v for v in range(g.n) if not set(g.neighbors(v)[0].tolist()) & {0, 3, 4, v})
     assert_builders_agree(spec, g, {0, 3, 4, far})
-    # beta = inf with explicit totals.
+    # beta = inf.
     assert_builders_agree(_mqi_spec(g, (0, 3, 4), alpha=0.4), g, {0, 3, 4, 7})
-    # A zero source mass is dropped; full-degree masses omit the sink arcs.
-    zero = AugmentedGraphSpec(
-        alpha=1.0, beta=0.5, gamma=1.0,
-        source_weight={0: float(g.degrees[0]), 3: 0.0, 4: float(g.degrees[4])},
-    )
-    assert zero.source_weight.keys() == {0, 4}
-    assert_builders_agree(zero, g, {0, 3, 4})
-    _, lay = _subnetwork(zero, g, np.array([0, 3, 4]))
+    # Seed members carry no sink mass of their own.
+    spec = AugmentedGraphSpec(alpha=1.0, beta=0.5, seed=(0, 4))
+    assert_builders_agree(spec, g, {0, 3, 4})
+    _, lay = _subnetwork(spec, g, np.array([0, 3, 4]))
     assert lay.snk_member[lay.own > 0.0].tolist() == [1]  # node 3 alone keeps sink mass
 
 
@@ -371,14 +302,11 @@ def test_array_builder_matches_on_named_cases():
 
 
 def _kappa_spec(g, seed_ids, alpha, kappa):
-    """refine_by_flow's spec: source mass = degrees on the seeds, beta = alpha*kappa*ratio."""
+    """refine_by_flow's spec: beta = alpha*kappa*ratio."""
     vol_r = float(g.degrees[list(seed_ids)].sum())
     ratio = vol_r / (g.total_volume - vol_r)
     return AugmentedGraphSpec(
-        alpha=alpha,
-        beta=math.inf if math.isinf(kappa) else alpha * kappa * ratio,
-        gamma=1.0,
-        source_weight={int(v): float(g.degrees[v]) for v in seed_ids},
+        alpha=alpha, beta=math.inf if math.isinf(kappa) else alpha * kappa * ratio, seed=seed_ids
     )
 
 
@@ -414,19 +342,18 @@ def test_local_solver_matches_the_whole_network_solve(case):
 
 
 def _return_spy(monkeypatch):
-    """Record the amount each surplus-routing call sends back to the source."""
+    """Record the amount each surplus return of the local solver sends back to the source."""
     from localcluster import refcut
 
     returned = []
-    dinic = refcut._dinic
+    return_excess = refcut._return_excess
 
-    def spy(res, sources, sink, supply=None):
-        out = dinic(res, sources, sink, supply)
-        if supply is not None and sink == res.num_nodes - 2:  # the source
-            returned.append(out[0])
+    def spy(res, starts, amounts, source, scale):
+        out = return_excess(res, starts, amounts, source, scale)
+        returned.append(out)
         return out
 
-    monkeypatch.setattr(refcut, "_dinic", spy)
+    monkeypatch.setattr(refcut, "_return_excess", spy)
     return returned
 
 
@@ -446,30 +373,25 @@ def _return_spy(monkeypatch):
 )
 def test_surplus_goes_back_to_the_source(monkeypatch, name, g, seed_ids, alpha, beta):
     returned = _return_spy(monkeypatch)
-    spec = AugmentedGraphSpec(
-        alpha=alpha, beta=beta, gamma=1.0,
-        source_weight={v: float(g.degrees[v]) for v in seed_ids},
-    )
+    spec = AugmentedGraphSpec(alpha=alpha, beta=beta, seed=seed_ids)
     assert_local_equals_global(spec, g)
     assert max(returned, default=0.0) > 0.1 * alpha, name
 
 
 def test_surplus_that_cannot_be_routed_raises(monkeypatch):
-    from localcluster import refcut
+    from localcluster import flownet
 
-    dinic = refcut._dinic
+    dinic = flownet._dinic
 
     def drop_the_return(res, sources, sink, supply=None):
-        if supply is not None and sink == res.num_nodes - 2:
+        if supply is not None and sink == res.num_nodes - 2:  # the source
             return 0.0, None
         return dinic(res, sources, sink, supply)
 
-    monkeypatch.setattr(refcut, "_dinic", drop_the_return)
+    monkeypatch.setattr(flownet, "_dinic", drop_the_return)
     g = star_graph(8)
-    spec = AugmentedGraphSpec(
-        alpha=1.0, beta=1e-3, gamma=1.0, source_weight={v: float(g.degrees[v]) for v in range(1, 8)}
-    )
-    with pytest.raises(AssertionError, match="surplus"):
+    spec = AugmentedGraphSpec(alpha=1.0, beta=1e-3, seed=range(1, 8))
+    with pytest.raises(AssertionError, match="left after returning it to the source"):
         solve_maxflow_local(spec, g)
 
 
@@ -483,7 +405,7 @@ def test_carried_flow_is_a_preflow_with_the_reported_surplus(case):
     from localcluster.refcut import _Carry
 
     spec, g, warm = case
-    members = np.array(sorted(set(spec.source_weight) | set(warm)), dtype=np.int64)
+    members = np.union1d(spec.seed, np.array(warm, dtype=np.int64))
     net, lay = _subnetwork(spec, g, members)
     net.freeze()
     res = _Residual(net)

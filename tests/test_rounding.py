@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from localcluster import (
@@ -16,6 +16,7 @@ from localcluster import (
     sweep_cut,
 )
 from localcluster.synth import random_connected_graph
+from test_flowcluster import relabel
 
 
 def test_path_indicator_profile(p4):
@@ -220,3 +221,43 @@ def test_sweep_matches_the_per_vertex_loop(seed, n, integer_weights, objective, 
         np.testing.assert_allclose(profile.values, want, rtol=1e-12)
         assert value == pytest.approx(want.min(), rel=1e-12)
     assert best.ids == tuple(sorted(order[: profile.best_index + 1].tolist()))
+
+
+@st.composite
+def relabeled_sweeps(draw):
+    """A graph, distinct nonzero values dense or on a random support, an objective and a permutation."""
+    n = draw(st.integers(2, 12))
+    g = random_connected_graph(n, seed=draw(st.integers(0, 10**6)), weighted=draw(st.booleans()))
+    values = draw(st.lists(st.floats(-1e3, 1e3).filter(bool), min_size=n, max_size=n, unique=True))
+    support = None
+    if draw(st.booleans()):
+        support = np.sort(draw(st.permutations(range(n)))[: draw(st.integers(1, n))])
+    objective = draw(st.sampled_from(["conductance", "expansion", "cut_over_volume"]))
+    return g, np.array(values), support, objective, np.array(draw(st.permutations(range(n))))
+
+
+def _embedding(n, values, support, perm):
+    """The vector with vertex v's value moved to perm[v]: dense, or sparse on perm[support]."""
+    if support is None:
+        moved = np.empty(n)
+        moved[perm] = values
+        return moved
+    ids = perm[support]
+    order = np.argsort(ids)
+    return EmbeddingVector(n=n, values=values[support][order], indices=ids[order])
+
+
+@settings(max_examples=200)
+@given(case=relabeled_sweeps())
+def test_relabeling_the_vertices_relabels_the_sweep(case):
+    g, values, support, objective, perm = case
+    best, value, profile = sweep_cut(g, _embedding(g.n, values, support, np.arange(g.n)), objective)
+    # A near-tie between the best prefix and the runner-up may flip with
+    # the summation order, which relabeling changes.
+    ranked = np.sort(profile.values)
+    assume(ranked.size < 2 or not ranked[1] - ranked[0] < 1e-9 * ranked[1])
+    moved, moved_value, moved_profile = sweep_cut(relabel(g, perm), _embedding(g.n, values, support, perm), objective)
+    assert moved_profile.order.tolist() == perm[profile.order].tolist()
+    np.testing.assert_allclose(moved_profile.values, profile.values, rtol=1e-12)
+    assert moved.ids == tuple(sorted(perm[list(best.ids)].tolist()))
+    assert moved_value == pytest.approx(value, rel=1e-12)

@@ -2,7 +2,11 @@
 resolvent family, all cross-checked against the dense oracles."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +309,38 @@ class TestResolventSolve:
         g = Graph.from_edges(4, [0, 2], [1, 3])
         with pytest.raises(ParameterError):
             mov_solve(g, np.array([1.0, -1.0, 0.0, 0.0]), 0.5)
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        """mov_solve on 20,000 nodes returns the same bytes at one and at two BLAS threads.
+
+        Each solve runs in a fresh interpreter, since BLAS reads its thread
+        count when numpy loads. On a machine with one CPU, BLAS runs one
+        thread either way, and this test passes without checking anything.
+        """
+        code = (
+            "import hashlib, sys\n"
+            "from localcluster.spectral import correlation_seed, mov_solve\n"
+            "from localcluster.synth import ring_of_cliques\n"
+            "g = ring_of_cliques(2000, 10)\n"
+            "x = mov_solve(g, correlation_seed(g, range(10)), 0.05).values\n"
+            "sys.stdout.write(hashlib.sha256(x.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            )
+            run = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestCorrelationTargeting:
