@@ -29,10 +29,13 @@ The solver follows from the output volume bound vol(S) <= vol(R)*(1 +
 2/epsilon) + cut(R). Below vol(V), the grow-on-demand local max-flow
 touches only a neighbourhood of R. Where the bound reaches vol(V), as it
 always does at kappa = 1, growing cannot save work and the network is
-built whole. Past the crossover the local solver measured far slower than
-the whole-graph solve: on a planted 2k-node graph's 8 seed sets at kappa =
-1 + 1e-12 it touched all nodes but one, in about 31 grow rounds per
-solve, and took 6.6 s against 0.62 s; at delta = 1e-3, 1e-4 and 1e-6 the
+built whole, once per call: between rounds only alpha and beta change,
+so each later round re-scales the source and sink arcs of the same
+network (``refcut.rescale``) and solves it again from zero flow. Past
+the crossover the local solver measured far slower than the whole-graph
+solve: on a planted 2k-node graph's 8 seed sets at kappa = 1 + 1e-12 it
+touched all nodes but one, in about 31 grow rounds per solve, and took
+6.6 s against 0.62 s; at delta = 1e-3, 1e-4 and 1e-6 the
 crossover took those seed sets from 5.1-7.0 s to 0.67-0.79 s.
 """
 
@@ -46,7 +49,7 @@ import numpy as np
 from .errors import ParameterError, SeedTooLargeError
 from .flownet import solve_maxflow
 from .graph import Graph, _as_node_array, relative_conductance
-from .refcut import AugmentedGraphSpec, materialize, solve_maxflow_local
+from .refcut import AugmentedGraphSpec, materialize, rescale, solve_maxflow_local
 from .results import ClusterResult
 
 __all__ = [
@@ -88,10 +91,12 @@ def refine_by_flow(
     terminates: at a rejection, at an empty s-side, or at ``max_iters``.
     Where the output volume bound vol(R)*(1 + 2/epsilon) + cut(R), with
     epsilon = kappa*ratio, reaches vol(V), which it always does at kappa =
-    1, every round solves the fully materialized network and
-    ``touched_nodes`` is n. Below it the rounds solve strongly locally,
-    warm-started from the current set: the solver grows its subgraph on
-    demand and carries its flow from one grow round to the next. The
+    1, every round solves the fully materialized network, built in the
+    first round and re-scaled in place (source and sink arcs only) in each
+    later one, and ``touched_nodes`` is n. Below it the rounds solve
+    strongly locally, warm-started from the current set: the solver grows
+    its subgraph on demand and carries its flow from one grow round to the
+    next. The
     objective is named ``"cut_over_volume"`` at kappa = inf and
     ``"seed_relative_conductance"`` otherwise.
     """
@@ -113,13 +118,18 @@ def refine_by_flow(
     history = [obj]
     touched: set[int] = set(current)
     iterations = 0
+    net = None
 
     for _ in range(max_iters):
         # 0 * inf is nan, so at kappa = inf beta stays inf even where alpha is 0.
         beta = math.inf if math.isinf(eps) else obj * eps
         spec = AugmentedGraphSpec(alpha=obj, beta=beta, seed=r_arr)
         if whole:
-            sol = solve_maxflow(materialize(spec, g))
+            if net is None:
+                net = materialize(spec, g)
+            else:
+                rescale(net, spec, g)
+            sol = solve_maxflow(net)
         else:
             sol, explored = solve_maxflow_local(spec, g, warm_start=current)
             touched.update(explored)

@@ -3,7 +3,15 @@
 A network is a set of arrays over paired arcs (arc 2k is the k-th arc's
 forward direction, arc 2k+1 its reverse), plus the stable CSR permutation
 that groups arc ids by tail. Both engines run on flat Python lists
-(``_Residual``) taken from those arrays once per solve.
+(``_Residual``). The lists of the arc structure (heads, reverse arcs,
+each node's run) are taken once per network and kept with it; each
+solve takes only a capacity list. A solved network's ``cap`` array of
+residuals is written back from that list when it is first read, so a
+caller that reads only the cut pays nothing for it.
+``FlowNetwork.set_capacities`` changes some arcs' capacities in place,
+so a network whose arcs stay can be solved again at new capacities
+without being built again: ``solve_maxflow`` always starts from zero
+flow, at ``cap_init``.
 
 ``solve_maxflow``, the whole-network solve, runs FIFO push-relabel with
 global relabeling (Goldberg & Tarjan 1988; Cherkassky & Goldberg 1997):
@@ -35,8 +43,9 @@ and 1 and on a ring of 300 five-cliques at delta 0.01, and no faster on a
 Capacities are 64-bit floats; every solve finishes with a max-flow =
 min-cut duality check at 1e-9 relative tolerance, which substitutes for
 the exactness guarantees integer solvers get for free. Infinite
-capacities are materialized as a sentinel (1 + total finite capacity)
-that no finite cut can reach.
+capacities are materialized as a sentinel, 2 * (total finite capacity)
++ 1, that no finite cut can reach; 1 + total, the rule before it, ties
+with a finite cut once the total reaches 2**53 and absorbs the 1.
 """
 
 from __future__ import annotations
@@ -68,7 +77,7 @@ class FlowNetwork:
     arrays and adds ``cap_init`` (the capacities before any flow), the
     ``infinite`` arc mask, and ``order`` / ``first``: arc ids sorted stably
     by tail, so node u's arcs are ``order[first[u]:first[u + 1]]`` in id
-    order.
+    order. After a solve ``cap`` holds the residual capacities.
     """
 
     def __init__(self, num_nodes: int, source: int, sink: int):
@@ -78,8 +87,9 @@ class FlowNetwork:
         self.source = source
         self.sink = sink
         self.head: list[int] | np.ndarray = []
-        self.cap: list[float] | np.ndarray = []
+        self.cap = []
         self._frozen = False
+        self._lists: tuple | None = None  # the residual arc lists, taken once (``_Residual``)
 
     @classmethod
     def from_arcs(cls, num_nodes: int, source: int, sink: int, head: np.ndarray, cap: np.ndarray) -> "FlowNetwork":
@@ -101,22 +111,55 @@ class FlowNetwork:
         self.cap += (float(cap_fwd), float(cap_rev))
         return a
 
+    @property
+    def cap(self) -> list[float] | np.ndarray:
+        """Residual capacity of every arc: ``cap_init`` until a solve, then the solve's residuals."""
+        if self._solved is not None:
+            res, self._solved = self._solved, None
+            self._cap = np.empty(res.order.size)
+            self._cap[res.order] = res.cap
+        return self._cap
+
+    @cap.setter
+    def cap(self, cap: list[float] | np.ndarray) -> None:
+        self._cap, self._solved = cap, None
+
     def freeze(self) -> None:
         """Replace infinite capacities by the sentinel and lock the arc set."""
         if self._frozen:
             return
         head = np.asarray(self.head, dtype=np.int64)
-        cap = np.array(self.cap, dtype=np.float64)
-        self.infinite = np.isinf(cap)
-        if self.infinite.any():
-            # Python's float sum, left to right in arc id order.
-            cap[self.infinite] = 1.0 + sum(cap[~self.infinite].tolist())
         tails = _tails(head)
-        self.order = np.argsort(tails, kind="stable")
+        # numpy sorts keys of 16 bits or fewer by radix sort, several times
+        # faster than its stable sort of 64-bit keys.
+        self.order = np.argsort(tails.astype(np.uint16) if self.num_nodes <= 1 << 16 else tails, kind="stable")
         self.first = np.zeros(self.num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(tails, minlength=self.num_nodes), out=self.first[1:])
-        self.head, self.cap, self.cap_init = head, cap, cap.copy()
+        self.head = head
+        self._set_initial(np.array(self.cap, dtype=np.float64))
         self._frozen = True
+
+    def set_capacities(self, arcs: np.ndarray, caps: np.ndarray) -> None:
+        """Give the frozen network's arcs ``arcs`` the capacities ``caps`` (+inf allowed), with no flow.
+
+        The other arcs keep their capacities before any flow, and the
+        sentinel is set again by ``freeze``'s rule over the new finite
+        capacities.
+        """
+        if not self._frozen:
+            raise ParameterError("network not frozen")
+        cap = self.cap_init
+        cap[self.infinite] = math.inf
+        cap[arcs] = caps
+        self._set_initial(cap)
+
+    def _set_initial(self, cap: np.ndarray) -> None:
+        """Take ``cap`` as the capacities before any flow, each infinite one replaced by the sentinel."""
+        self.infinite = np.isinf(cap)
+        if self.infinite.any():
+            cap[self.infinite] = _sentinel(cap[~self.infinite])
+        self.cap_init = cap
+        self.cap = cap.copy()
 
     def arc_flow(self, a: int) -> float:
         """Net flow routed along forward arc ``a``."""
@@ -128,6 +171,15 @@ def _tails(head: np.ndarray) -> np.ndarray:
     return head.reshape(-1, 2)[:, ::-1].reshape(-1)
 
 
+def _sentinel(finite: np.ndarray) -> float:
+    """The capacity standing for +inf: 2 * total + 1, the total summed left to right.
+
+    It stays above every finite cut even where the total absorbs a
+    unit (from 2**53 on), as 1 + total does not.
+    """
+    return 2.0 * sum(finite.tolist()) + 1.0
+
+
 @dataclass(frozen=True)
 class CutSolution:
     """Max-flow value plus the minimal source side (terminals excluded)."""
@@ -137,7 +189,7 @@ class CutSolution:
 
 
 def solve_maxflow(net: FlowNetwork) -> CutSolution:
-    """Run push-relabel to completion and return flow value and minimal s-side.
+    """Run push-relabel from zero flow to completion and return flow value and minimal s-side.
 
     The s-side is the set of non-terminal nodes reachable from the source
     in the residual network, which is the inclusion-minimal minimum cut
@@ -153,8 +205,10 @@ def solve_maxflow(net: FlowNetwork) -> CutSolution:
         duality check), or if excess above that tolerance is left that
         could not be sent back to the source (never expected either).
     """
-    net.freeze()
-    res = _Residual(net)
+    # A network solved before is frozen already; only a new one is frozen here.
+    if not net._frozen:
+        net.freeze()
+    res = _Residual(net, net.cap_init)
     flow, reach = _push_relabel(res, net.source, net.sink)
     res.store(net)
     _checked_min_cut(net, flow, reach)
@@ -207,32 +261,45 @@ class _Residual:
     """A frozen network's residual arcs as flat lists, ordered by position in ``net.order``.
 
     Each node's arcs are one contiguous run, ``first[u]:end[u]``, and the
-    scan order is the arc id order. The lists are taken once and may serve
-    several solver calls; ``store`` writes the capacities back.
+    scan order is the arc id order. ``head``, ``rev``, ``first`` and
+    ``end`` depend only on the arcs, so they are taken once per network
+    and shared by all its residuals; each residual takes its own capacity
+    list, from ``cap`` (by arc id; ``net.cap`` by default). The lists may
+    serve several solver calls; ``store`` makes them the network's
+    residuals.
     """
 
     __slots__ = ("order", "head", "cap", "rev", "first", "end", "num_nodes")
 
-    def __init__(self, net: FlowNetwork):
-        order = net.order
-        position = np.empty_like(order)
-        position[order] = np.arange(order.size)
-        self.order = order
-        # Read once per arc of an augmenting path or a retreat, so a view of
-        # the array serves; a list would hold an int object per arc.
-        self.rev = memoryview(position[order ^ 1])
-        # Heads as shared node-id objects: tolist() alone would make one int
-        # object per arc.
-        self.head = list(map(list(range(net.num_nodes)).__getitem__, net.head[order].tolist()))
-        self.cap = net.cap[order].tolist()
-        self.first = net.first.tolist()
-        self.end = self.first[1:]
+    def __init__(self, net: FlowNetwork, cap: np.ndarray | None = None):
+        if net._lists is None:
+            net._lists = _arc_lists(net)
+        self.order, self.head, self.rev, self.first, self.end = net._lists
+        self.cap = (net.cap if cap is None else cap)[self.order].tolist()
         self.num_nodes = net.num_nodes
 
     def store(self, net: FlowNetwork) -> None:
-        """Write the residual capacities back into ``net.cap``."""
-        net.cap = np.empty(self.order.size)
-        net.cap[self.order] = self.cap
+        """Make these capacities ``net.cap``.
+
+        The array is built when ``net.cap`` is first read, so the lists
+        must not change after this call.
+        """
+        net._solved = self
+
+
+def _arc_lists(net: FlowNetwork) -> tuple:
+    """``_Residual``'s arc lists of a frozen network: order, head, rev, first and end."""
+    order = net.order
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    # Heads as shared node-id objects: tolist() alone would make one int
+    # object per arc.
+    head = list(map(list(range(net.num_nodes)).__getitem__, net.head[order].tolist()))
+    # Read once per arc of an augmenting path or a retreat, so a view of
+    # the array serves; a list would hold an int object per arc.
+    rev = memoryview(position[order ^ 1])
+    first = net.first.tolist()
+    return order, head, rev, first, first[1:]
 
 
 def _dinic(

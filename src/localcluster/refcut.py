@@ -4,7 +4,10 @@ The construction is held implicitly as parameters (never as an explicit
 node/edge list): every graph edge keeps its weight, the source attaches to
 each seed node i with capacity alpha*d_i, and every other node attaches
 to the sink with capacity beta*d_i. Zero-weight attachments are omitted,
-which is what makes strongly-local solving possible.
+which is what makes strongly-local solving possible. ``materialize``
+builds the whole network; ``rescale`` gives a built one new source and
+sink scales in place, leaving its edge arcs and its arc structure as
+they are.
 
 ``solve_maxflow_local`` solves on a grown subset of the nodes, the
 members, with everything else contracted into the sink: each member has
@@ -41,6 +44,7 @@ __all__ = [
     "AugmentedGraphSpec",
     "augmented_cut_value",
     "materialize",
+    "rescale",
     "solve_maxflow_local",
 ]
 
@@ -105,6 +109,42 @@ def materialize(spec: AugmentedGraphSpec, g: Graph) -> FlowNetwork:
     return _subnetwork(spec, g, np.arange(g.n))[0]
 
 
+def rescale(net: FlowNetwork, spec: AugmentedGraphSpec, g: Graph) -> None:
+    """Give a network from ``materialize`` the terminal capacities of ``spec``, with no flow.
+
+    Source arcs get alpha*d_i and sink arcs beta*d_i; the edge arcs are
+    left alone, and so is the arc set. Every attachment that ``spec``
+    makes positive must have its arc already, as each does when the
+    network was materialized on the same graph and seed at positive alpha
+    and beta; otherwise ParameterError. Where every attachment is
+    positive the network then equals a fresh ``materialize(spec, g)`` bit
+    for bit. An attachment that is zero keeps its arc, at capacity 0,
+    where the fresh network omits it: the minimal min cut is the same,
+    but a solve may sum its flow in another order. ``net`` must be frozen
+    (any solve freezes it).
+    """
+    spec.validate_against(g)
+    if net.num_nodes != g.n + 2:
+        raise ParameterError("network was not materialized on this graph")
+    pairs = net.head.reshape(-1, 2)
+    src = (pairs[:, 1] == net.source).nonzero()[0]
+    snk = (pairs[:, 0] == net.sink).nonzero()[0]
+    src_node, snk_node = pairs[src, 0], pairs[snk, 1]
+    in_seed = np.zeros(g.n, dtype=bool)
+    in_seed[spec.seed] = True
+    # Each node's attachment, as _subnetwork scales it: only nodes with
+    # mass, since alpha * 0.0 and beta * 0.0 are nan at an infinite scale.
+    d = g.degrees
+    mass = d > 0.0
+    attachment = np.zeros(g.n)
+    attachment[mass] = np.where(in_seed[mass], spec.alpha, spec.beta) * d[mass]
+    has = np.zeros(g.n, dtype=bool)
+    has[src_node] = has[snk_node] = True
+    if not in_seed[src_node].all() or in_seed[snk_node].any() or (~has & (attachment > 0.0)).any():
+        raise ParameterError("network lacks an attachment of this spec, or has one off its seed")
+    net.set_capacities(np.concatenate((2 * src, 2 * snk)), attachment[np.concatenate((src_node, snk_node))])
+
+
 class _Layout(NamedTuple):
     """Where ``_subnetwork`` put each kind of arc, by arc pair (forward arc 2a).
 
@@ -156,8 +196,12 @@ def _subnetwork(spec: AugmentedGraphSpec, g: Graph, members: np.ndarray) -> tupl
     arcs = g.arcs_of(members)
     row = np.arange(m).repeat(g.indptr[members + 1] - g.indptr[members])
     nbr = g.indices[arcs]
-    loc = members.searchsorted(nbr)
-    inside = members.take(loc, mode="clip") == nbr
+    if m == g.n:
+        # Every node is a member, and member k is node k.
+        loc, inside = nbr, np.ones(nbr.size, dtype=bool)
+    else:
+        loc = members.searchsorted(nbr)
+        inside = members.take(loc, mode="clip") == nbr
     c = g.weights[arcs]
     outside = ~inside
     tag_row, tag_end, tag_cap = row[outside], nbr[outside], c[outside]

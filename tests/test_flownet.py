@@ -448,7 +448,7 @@ def test_leftover_excess_returns_to_the_source_over_many_hops(monkeypatch):
     assert_maxflow_agrees(14, arcs)
 
 
-def test_sentinel_is_one_plus_the_finite_total_in_arc_order():
+def test_sentinel_is_twice_the_finite_total_in_arc_order_plus_one():
     rng = random.Random(5)
     net = FlowNetwork(num_nodes=6, source=0, sink=5)
     total = 0.0
@@ -461,7 +461,17 @@ def test_sentinel_is_one_plus_the_finite_total_in_arc_order():
     a = net.add_arc(1, 5, math.inf)
     net.freeze()
     assert net.infinite.tolist() == [False] * a + [True, False]
-    assert net.cap_init[a] == 1.0 + total
+    assert net.cap_init[a] == 2.0 * total + 1.0
+
+
+def test_the_sentinel_dominates_a_finite_total_that_absorbs_a_unit():
+    # {source, 1} is a finite cut of 2**53; a sentinel of 1 + 2**53 rounds
+    # to 2**53 and ties with it.
+    net = FlowNetwork(3, source=0, sink=2)
+    net.add_arc(0, 1, math.inf)
+    net.add_arc(1, 2, 2.0**53)
+    sol = solve_maxflow(net)
+    assert (sol.flow_value, sol.s_side) == (2.0**53, frozenset({1}))
 
 
 def test_bounded_sources_send_at_most_their_supply():

@@ -19,7 +19,7 @@ from localcluster import (
     solve_maxflow,
     solve_maxflow_local,
 )
-from localcluster.refcut import _subnetwork
+from localcluster.refcut import _subnetwork, rescale
 from localcluster.synth import path_graph, random_connected_graph, star_graph
 
 
@@ -433,3 +433,103 @@ def test_carried_flow_is_a_preflow_with_the_reported_surplus(case):
     inner = slice(0, grown.num_nodes - 2)
     np.testing.assert_allclose(excess[inner], want[inner], rtol=0, atol=tol)
     assert -excess[grown.source] == pytest.approx(flow, rel=1e-12, abs=tol)
+
+
+# -- one materialized network, re-scaled between solves -------------------------------
+
+
+def _engine_lists(monkeypatch):
+    """Record the residual lists (head, rev, first, cap) each push-relabel solve starts from."""
+    from localcluster import flownet
+
+    seen = []
+    push_relabel = flownet._push_relabel
+
+    def spy(res, source, sink):
+        seen.append((list(res.head), list(res.rev), list(res.first), _bits(res.cap, np.float64)))
+        return push_relabel(res, source, sink)
+
+    monkeypatch.setattr(flownet, "_push_relabel", spy)
+    return seen
+
+
+SCALES = [0.02, 0.1, 0.5, 1.0, 3.0]
+
+
+@st.composite
+def rescale_runs(draw):
+    """A graph, a seed of 1 to n-1 nodes, and 2-4 (alpha, beta) rounds, the first at positive scales.
+
+    As in refine_by_flow, beta is 0 only where alpha is.
+    """
+    n = draw(st.integers(2, 14))
+    g = random_connected_graph(n, seed=draw(st.integers(0, 10**6)), weighted=draw(st.booleans()))
+    seed_ids = sorted(draw(st.permutations(range(n)))[: draw(st.integers(1, n - 1))])
+    first = st.tuples(st.sampled_from(SCALES), st.sampled_from(SCALES + [math.inf]))
+    later = st.tuples(st.sampled_from([0.0] + SCALES), st.sampled_from(SCALES + [math.inf])) | st.just((0.0, 0.0))
+    rounds = [draw(first)] + draw(st.lists(later, min_size=1, max_size=3))
+    return g, seed_ids, rounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rescale_runs())
+def test_a_rescaled_network_solves_as_a_fresh_one(case):
+    g, seed_ids, rounds = case
+    with pytest.MonkeyPatch.context() as mp:
+        assert_rescaled_solves_match(g, seed_ids, rounds, _engine_lists(mp))
+
+
+def assert_rescaled_solves_match(g, seed_ids, rounds, seen):
+    net = None
+    for alpha, beta in rounds:
+        spec = AugmentedGraphSpec(alpha=alpha, beta=beta, seed=seed_ids)
+        if net is None:
+            net = materialize(spec, g)
+        else:
+            rescale(net, spec, g)
+        got = solve_maxflow(net)
+        fresh = materialize(spec, g)
+        want = solve_maxflow(fresh)
+        assert got.flow_value == want.flow_value
+        assert got.s_side == want.s_side
+        # net.cap holds the solve's residuals: the flow leaves the source.
+        from_source = net.head[1::2] == net.source
+        sent = net.cap_init[0::2][from_source] - net.cap[0::2][from_source]
+        assert sent.sum() == pytest.approx(got.flow_value, rel=1e-12, abs=1e-12)
+        if alpha > 0.0 and beta > 0.0:  # every terminal arc has positive capacity
+            assert seen[-2] == seen[-1]
+            assert _bits(net.cap, np.float64) == _bits(fresh.cap, np.float64)
+            assert _bits(net.cap_init, np.float64) == _bits(fresh.cap_init, np.float64)
+            assert net.infinite.tobytes() == fresh.infinite.tobytes()
+
+
+def test_solving_a_network_again_starts_from_zero_flow():
+    g = random_connected_graph(10, seed=3)
+    net = materialize(_fi_spec(g, range(4), alpha=0.5), g)
+    first = solve_maxflow(net)
+    residual = net.cap.copy()
+    assert solve_maxflow(net) == first
+    assert net.cap.tobytes() == residual.tobytes()
+
+
+def test_rescale_sets_the_sentinel_by_the_rule_of_freeze():
+    g = random_connected_graph(9, seed=12)
+    net = materialize(AugmentedGraphSpec(alpha=0.5, beta=0.2, seed=range(3)), g)
+    solve_maxflow(net)
+    rescale(net, AugmentedGraphSpec(alpha=0.25, beta=math.inf, seed=range(3)), g)
+    finite = net.cap_init[~net.infinite].tolist()
+    assert net.infinite[0::2].sum() == 6  # one sink arc per node outside the seed
+    assert (net.cap_init[net.infinite] == 2.0 * sum(finite) + 1.0).all()
+    assert (net.cap == net.cap_init).all()
+
+
+def test_rescale_rejects_a_network_that_lacks_an_attachment():
+    g = random_connected_graph(6, seed=4)
+    net = materialize(AugmentedGraphSpec(alpha=0.0, beta=1.0, seed=[0, 1]), g)
+    net.freeze()
+    with pytest.raises(ParameterError):
+        rescale(net, AugmentedGraphSpec(alpha=1.0, beta=1.0, seed=[0, 1]), g)
+    with pytest.raises(ParameterError):
+        rescale(net, AugmentedGraphSpec(alpha=0.0, beta=1.0, seed=[0, 2]), g)
+    with pytest.raises(ParameterError):
+        rescale(net, AugmentedGraphSpec(alpha=0.0, beta=1.0, seed=[0, 1]), random_connected_graph(7, seed=4))
