@@ -148,16 +148,24 @@ class FlowNetwork:
         """
         if not self._frozen:
             raise ParameterError("network not frozen")
+        if not (np.asarray(caps) >= 0.0).all():
+            raise ParameterError("capacities must be nonnegative")
         cap = self.cap_init
         cap[self.infinite] = math.inf
         cap[arcs] = caps
         self._set_initial(cap)
 
     def _set_initial(self, cap: np.ndarray) -> None:
-        """Take ``cap`` as the capacities before any flow, each infinite one replaced by the sentinel."""
+        """Take ``cap`` as the capacities before any flow, each infinite one replaced by the sentinel.
+
+        The sentinel is 2 * total + 1, the total of the finite capacities
+        summed left to right in arc id order. It stays above every finite
+        cut even where the total absorbs a unit (from 2**53 on), as
+        1 + total does not.
+        """
         self.infinite = np.isinf(cap)
         if self.infinite.any():
-            cap[self.infinite] = _sentinel(cap[~self.infinite])
+            cap[self.infinite] = 2.0 * sum(cap[~self.infinite].tolist()) + 1.0
         self.cap_init = cap
         self.cap = cap.copy()
 
@@ -169,15 +177,6 @@ class FlowNetwork:
 def _tails(head: np.ndarray) -> np.ndarray:
     """Tail of every arc: the head of its twin."""
     return head.reshape(-1, 2)[:, ::-1].reshape(-1)
-
-
-def _sentinel(finite: np.ndarray) -> float:
-    """The capacity standing for +inf: 2 * total + 1, the total summed left to right.
-
-    It stays above every finite cut even where the total absorbs a
-    unit (from 2**53 on), as 1 + total does not.
-    """
-    return 2.0 * sum(finite.tolist()) + 1.0
 
 
 @dataclass(frozen=True)

@@ -504,3 +504,20 @@ def test_a_bounded_start_sends_flow_back_along_residual_arcs():
     res.store(net)
     assert (back, left) == (1.0, [0.5])
     assert [net.arc_flow(a) for a in (0, 2, 4)] == [0.0, 0.0, 1.0]
+
+
+def test_set_capacities_clears_the_flow_and_checks_its_input():
+    net = FlowNetwork(3, source=0, sink=2)
+    net.add_arc(0, 1, 2.0)
+    with pytest.raises(ParameterError):
+        net.set_capacities(np.array([0]), np.array([1.0]))  # not frozen yet
+    net.add_arc(1, 2, 1.0)
+    assert solve_maxflow(net).flow_value == 1.0
+    net.set_capacities(np.array([2]), np.array([math.inf]))
+    assert net.cap_init.tolist() == [2.0, 0.0, 5.0, 0.0] and net.infinite.tolist() == [False, False, True, False]
+    assert net.cap.tolist() == net.cap_init.tolist()
+    sol = solve_maxflow(net)
+    assert (sol.flow_value, sol.s_side) == (2.0, frozenset())
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ParameterError):
+            net.set_capacities(np.array([0]), np.array([bad]))
