@@ -415,7 +415,7 @@ def test_relabeling_the_vertices_relabels_the_spectral_answers(case):
         lam, moved_lam = fiedler(g)[0], fiedler(h)[0]
     except ConvergenceError:
         # Inverse iteration stalls where lambda_2 / lambda_3 is near 1
-        # (0.98-0.99 on 16 of 4,800 small random graphs), a defect of the
+        # (0.982-0.992 on 16 of 4,800 small random graphs), a defect of the
         # eigensolver, not of relabeling (ROADMAP item 3).
         assume(False)
     assert moved_lam == pytest.approx(lam, rel=1e-8)
