@@ -108,7 +108,7 @@ class Graph:
         v: Sequence[int] | np.ndarray,
         w: Sequence[float] | np.ndarray | None = None,
     ) -> "Graph":
-        """Build a graph from one row per undirected edge.
+        """Build a graph from one row per undirected edge, in any order and orientation.
 
         Duplicate (u, v) pairs are rejected here; summing duplicates is an
         ingest policy and lives in the loader.
@@ -124,21 +124,7 @@ class Graph:
             raise GraphFormatError("edge endpoint out of range")
         if np.any(u == v):
             raise GraphFormatError("self-loops are not allowed")
-
-        src = np.concatenate([u, v])
-        dst = np.concatenate([v, u])
-        ww = np.concatenate([w, w])
-        # One stable sort by (src, dst); the key fits int64 while n < 3e9.
-        order = np.argsort(src * n + dst, kind="stable")
-        src, dst, ww = src[order], dst[order], ww[order]
-        if src.size > 1:
-            dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-            if np.any(dup):
-                k = int(np.argmax(dup))
-                raise GraphFormatError(f"duplicate edge ({src[k]}, {dst[k]})")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(indptr, dst, ww)
+        return cls(*_place_arcs(n, np.minimum(u, v), np.maximum(u, v), w))
 
     # -- accessors ---------------------------------------------------------
 
@@ -211,6 +197,43 @@ class Graph:
             if np.array_equal(hooked, parent):
                 return parent
             parent = hooked
+
+
+def _place_arcs(
+    n: int, lo: np.ndarray, hi: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays of the undirected edges (lo[e], hi[e], w[e]), lo[e] < hi[e].
+
+    Each row is written in place as its smaller neighbours, then its larger
+    ones. One sort of the edges by (lo, hi), cheap when they come sorted as
+    the loader gives them, lists every vertex's larger neighbours in order;
+    a stable sort of that by hi lists every vertex's smaller ones in order.
+    """
+    order = np.argsort(lo * n + hi, kind="stable")  # the key fits int64 while n < 3e9
+    lo, hi, w = lo[order], hi[order], w[order]
+    dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    if np.any(dup):
+        k = int(np.argmax(dup))
+        raise GraphFormatError(f"duplicate edge ({lo[k]}, {hi[k]})")
+
+    up = np.bincount(lo, minlength=n)  # larger neighbours per vertex
+    down = np.bincount(hi, minlength=n)  # smaller neighbours per vertex
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(up + down, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    weights = np.empty(indptr[-1])
+    # Row v starts after the edges with lo < v or hi < v. In (lo, hi) order,
+    # edge e follows the edges with lo < lo[e] and the larger neighbours of
+    # lo[e] listed before it, so it lands at #(hi <= lo[e]) + e; in hi
+    # order, the t-th edge lands at #(lo < hi) + t.
+    at = np.cumsum(down)[lo] + np.arange(lo.size)
+    indices[at] = hi
+    weights[at] = w
+    order = np.argsort(hi, kind="stable")
+    at = (np.cumsum(up) - up)[hi[order]] + np.arange(hi.size)
+    indices[at] = lo[order]
+    weights[at] = w[order]
+    return indptr, indices, weights
 
 
 def _row_reduce(op: np.ufunc, indptr: np.ndarray, arc_values: np.ndarray, empty: float) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
@@ -106,15 +105,17 @@ def _blocks(handle: IO[str]) -> Iterator[str]:
         yield tail
 
 
-def _tokenize(text: str) -> tuple[list[bytes], np.ndarray, int]:
+def _tokenize(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray, int]:
     """Whitespace-separated tokens of a block of lines, comments removed.
 
-    Returns the tokens in order, the block line of each, and the number
-    of lines. A comment runs from a line's first '#' to its end.
+    Returns the block's UTF-8 bytes, the start and end offset of each token
+    in them, the block line of each token, and the number of lines. A
+    comment runs from a line's first '#' to its end.
     """
     if not text.isascii():
         text = text.translate(_WIDE_SPACE)
-    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    raw = text.encode("utf-8", "surrogatepass")
+    buf = np.frombuffer(raw, dtype=np.uint8)
     newlines = np.flatnonzero(buf == 0x0A)
     is_token = ~_ASCII_SPACE[buf]
     hashes = np.flatnonzero(buf == 0x23)
@@ -124,10 +125,65 @@ def _tokenize(text: str) -> tuple[list[bytes], np.ndarray, int]:
         toggles[hashes[first]] = True
         toggles[np.append(newlines, buf.size)[hash_line]] = True
         is_token &= ~np.logical_xor.accumulate(toggles)[:-1]
-    starts = np.flatnonzero(np.diff(is_token.view(np.int8), prepend=np.int8(0)) == 1)
-    tokens = np.where(is_token, buf, np.uint8(0x20)).tobytes().split()
+    steps = np.diff(is_token.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts = np.flatnonzero(steps == 1)
+    ends = np.flatnonzero(steps == -1)
     n_lines = newlines.size + (not text.endswith("\n"))
-    return tokens, np.searchsorted(newlines, starts), n_lines
+    return raw, starts, ends, np.searchsorted(newlines, starts), n_lines
+
+
+def _only_tokens(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> bytes:
+    """``raw`` with every byte outside the tokens ``raw[starts[k]:ends[k]]`` made a space."""
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    inside = np.zeros(buf.size + 1, dtype=np.int8)
+    inside[starts] = 1
+    inside[ends] = -1
+    return np.where(inside.cumsum(dtype=np.int8)[:-1].view(bool), buf, np.uint8(0x20)).tobytes()
+
+
+def _intern(raw: bytes, starts: np.ndarray, ends: np.ndarray, index: dict[bytes, int]) -> np.ndarray:
+    """Ids of the tokens ``raw[starts[k]:ends[k]]`` in ``index``, which gives
+    each label it lacks the next id, in order of first appearance.
+
+    Only the first occurrence of each distinct token becomes a ``bytes``
+    and is looked up. Tokens are told apart by fixed-width keys: a token's
+    bytes padded with 0xFF, which UTF-8 never contains, to a multiple of 8,
+    so tokens of different lengths never share a key. Tokens are keyed in
+    groups of one key width, so one long token does not widen them all.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    lengths = ends - starts
+    words = (lengths + 7) >> 3
+    inverse = np.empty(starts.size, dtype=np.int64)
+    firsts = [np.zeros(0, dtype=np.int64)]
+    names: list[bytes] = []
+    for width in np.flatnonzero(np.bincount(words)).tolist():
+        group = np.flatnonzero(words == width)
+        first_byte, glen = starts[group], lengths[group]
+        keys = np.empty((group.size, 8 * width), dtype=np.uint8)
+        for j in range(8 * width):
+            keys[:, j] = np.where(glen > j, buf.take(first_byte + j, mode="clip"), np.uint8(0xFF))
+        # Big-endian words order as their bytes do, so labels listed in
+        # order stay runs for unique's stable sort.
+        view = keys.view(">u8" if width == 1 else np.dtype((np.void, 8 * width))).ravel()
+        _, first, inv = np.unique(view, return_index=True, return_inverse=True)
+        inverse[group] = inv + len(names)
+        firsts.append(group[first])
+        # The distinct keys back to bytes: padding to spaces, a space after each.
+        rows = np.full((first.size, 8 * width + 1), 0x20, dtype=np.uint8)
+        rows[:, :-1] = keys[first]
+        rows[rows == 0xFF] = 0x20
+        names += rows.tobytes().split()
+
+    order = np.argsort(np.concatenate(firsts))
+    names = list(map(names.__getitem__, order.tolist()))
+    ids = np.fromiter(map(index.get, names, repeat(-1)), np.int64, len(names))
+    new = np.flatnonzero(ids < 0)
+    ids[new] = np.arange(len(index), len(index) + new.size)
+    index.update(zip(map(names.__getitem__, new.tolist()), ids[new].tolist()))
+    distinct_ids = np.empty_like(ids)
+    distinct_ids[order] = ids
+    return distinct_ids[inverse]
 
 
 def _line_error(lineno: int, raw: str) -> GraphFormatError | None:
@@ -160,61 +216,76 @@ def load_edge_list(source: str | Path | IO[str]) -> tuple[Graph, LabelMap]:
     ids follow first appearance order. An error names the first bad line.
 
     The text is read and tokenized in blocks of whole lines with array
-    operations, so working memory beyond the result is bounded by the
-    block size.
+    operations, and only each block's distinct labels become Python
+    objects, so working memory beyond the result is bounded by the block
+    size. The parse's per-edge arrays are freed before the graph is built.
     """
-    # A missing label gets the next id, so ids follow first appearance.
-    index: defaultdict[bytes, int] = defaultdict()
-    index.default_factory = index.__len__
+    with _open_text(source) as handle:
+        labels, lo, hi, w = _read_edges(handle)
+    g = Graph.from_edges(len(labels), lo, hi, w)
+    lm = LabelMap(labels=labels)
+
+    if not g.is_connected():
+        a, b = g.unreachable_witness()
+        raise GraphFormatError(
+            f"graph is disconnected: no path between {lm.external(a)!r} and {lm.external(b)!r}"
+        )
+    return g, lm
+
+
+def _read_edges(handle: IO[str]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The labels of an edge list and its distinct edges as (lo, hi) id pairs in
+    increasing order with their summed weights; duplicates are warned about."""
+    index: dict[bytes, int] = {}
     endpoints = [np.zeros((0, 2), dtype=np.int64)]
     weights = [np.zeros(0)]
     line0 = 1
 
-    with _open_text(source) as handle:
-        for text in _blocks(handle):
-            tokens, tok_line, n_lines = _tokenize(text)
-            fields = np.bincount(tok_line, minlength=n_lines)
-            data = np.flatnonzero(fields)
-            bad = (fields[data] < 2) | (fields[data] > 3)
-            good = np.flatnonzero(~bad)
-            first_tok = (np.cumsum(fields) - fields)[data[good]]
-            tok = np.array(tokens, dtype=object)
+    for text in _blocks(handle):
+        raw, starts, ends, tok_line, n_lines = _tokenize(text)
+        fields = np.bincount(tok_line, minlength=n_lines)
+        data = np.flatnonzero(fields)
+        bad = (fields[data] < 2) | (fields[data] > 3)
+        good = np.flatnonzero(~bad)
+        first_tok = (np.cumsum(fields) - fields)[data[good]]
 
-            pairs = tok[np.stack([first_tok, first_tok + 1], axis=1).ravel()]
-            uv = np.fromiter(map(index.__getitem__, pairs), np.int64, pairs.size).reshape(-1, 2)
-            bad[good] = uv[:, 0] == uv[:, 1]
+        pairs = np.stack([first_tok, first_tok + 1], axis=1).ravel()
+        uv = _intern(raw, starts[pairs], ends[pairs], index).reshape(-1, 2)
+        bad[good] = uv[:, 0] == uv[:, 1]
 
-            weighted = fields[data[good]] == 3
-            w = np.ones(uv.shape[0])
+        weighted = fields[data[good]] == 3
+        w = np.ones(uv.shape[0])
+        if weighted.any():
+            at = first_tok[weighted] + 2
             try:
                 w[weighted] = np.fromiter(
-                    map(float, map(_decode, tok[first_tok[weighted] + 2])), np.float64
+                    map(float, _decode(_only_tokens(raw, starts[at], ends[at])).split()), np.float64
                 )
             except ValueError:  # some weight is no number: flag every weighted line
                 bad[good[weighted]] = True
-            bad[good] |= ~np.isfinite(w) | (w <= 0)
-            if bad.any():
-                # Error path: the first flagged line that fails on its own.
-                lines = text.split("\n")
-                for line in data[bad].tolist():
-                    error = _line_error(line0 + line, lines[line])
-                    if error is not None:
-                        raise error
+        bad[good] |= ~np.isfinite(w) | (w <= 0)
+        if bad.any():
+            # Error path: the first flagged line that fails on its own.
+            lines = text.split("\n")
+            for line in data[bad].tolist():
+                error = _line_error(line0 + line, lines[line])
+                if error is not None:
+                    raise error
 
-            endpoints.append(uv)
-            weights.append(w)
-            line0 += n_lines
-    index.default_factory = None  # frees the dict on return: the factory referred to it
+        endpoints.append(uv)
+        weights.append(w)
+        line0 += n_lines
 
     n = len(index)
     uv = np.concatenate(endpoints)
+    del endpoints
     codes = np.minimum(uv[:, 0], uv[:, 1]) * n + np.maximum(uv[:, 0], uv[:, 1])
     keys, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     if not keys.size:
         raise GraphFormatError("empty input: no edges found")
     # Tokens hold no spaces, so one decode of the joined labels splits back.
     labels = tuple(_decode(b" ".join(index)).split(" "))
-    repeated = np.ones(codes.size, dtype=bool)
+    repeated = np.ones(uv.shape[0], dtype=bool)
     repeated[first] = False
     if repeated.any():
         sys.stderr.write(
@@ -226,15 +297,8 @@ def load_edge_list(source: str | Path | IO[str]) -> tuple[Graph, LabelMap]:
 
     # bincount adds in file order, as summing duplicates one by one does.
     w = np.bincount(inverse, weights=np.concatenate(weights), minlength=keys.size)
-    g = Graph.from_edges(n, keys // n, keys % n, w)
-    lm = LabelMap(labels=labels)
-
-    if not g.is_connected():
-        a, b = g.unreachable_witness()
-        raise GraphFormatError(
-            f"graph is disconnected: no path between {lm.external(a)!r} and {lm.external(b)!r}"
-        )
-    return g, lm
+    lo, hi = np.divmod(keys, n)
+    return labels, lo, hi, w
 
 
 def load_seed_set(source: str | Path | IO[str], lm: LabelMap, g: Graph) -> NodeSet:

@@ -70,7 +70,7 @@ class AugmentedGraphSpec:
     seed: np.ndarray
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):  # NaN fails both comparisons
             raise ParameterError("alpha and beta must be nonnegative")
         seed = np.unique(np.fromiter(self.seed, dtype=np.int64))
         if not seed.size:

@@ -142,6 +142,57 @@ def test_from_edges_rejects_nonpositive_weight():
         Graph.from_edges(2, np.array([0]), np.array([1]), np.array([-2.0]))
 
 
+@st.composite
+def edge_rows(draw):
+    """Distinct undirected edges of a small graph, rows shuffled, endpoints swapped at random."""
+    n = draw(st.integers(1, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    rows = [(b, a) if draw(st.booleans()) else (a, b) for a, b in draw(st.permutations(chosen))]
+    weight = st.sampled_from([0.5, 1.0, 2.0, 3.25, 1e-3, 7e5])
+    weights = draw(st.lists(weight, min_size=len(rows), max_size=len(rows)))
+    return n, rows, weights
+
+
+def neighbour_list_oracle(n, rows, weights):
+    """CSR arrays from a dict of sorted neighbour lists."""
+    nbrs = {v: [] for v in range(n)}
+    for (a, b), w in zip(rows, weights):
+        nbrs[a].append((b, w))
+        nbrs[b].append((a, w))
+    arcs = [sorted(nbrs[v]) for v in range(n)]
+    indptr = np.cumsum([0] + [len(row) for row in arcs])
+    indices = [j for row in arcs for j, _ in row]
+    ws = [w for row in arcs for _, w in row]
+    return indptr, np.array(indices, dtype=np.int64), np.array(ws, dtype=np.float64)
+
+
+@given(case=edge_rows())
+def test_from_edges_matches_neighbour_list_oracle(case):
+    n, rows, weights = case
+    u = [a for a, _ in rows]
+    v = [b for _, b in rows]
+    g = Graph.from_edges(n, u, v, weights)
+    indptr, indices, ws = neighbour_list_oracle(n, rows, weights)
+    assert g.indptr.tolist() == indptr.tolist()
+    assert g.indices.tobytes() == indices.tobytes()
+    assert g.weights.tobytes() == ws.tobytes()
+
+
+@given(case=edge_rows(), data=st.data())
+def test_from_edges_names_the_first_duplicate(case, data):
+    n, rows, weights = case
+    if not rows:
+        return
+    repeats = data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+    extra = [(b, a) if data.draw(st.booleans()) else (a, b) for a, b in repeats]
+    all_rows = data.draw(st.permutations(rows + extra))
+    a, b = min((min(p), max(p)) for p in repeats)
+    with pytest.raises(GraphFormatError) as exc:
+        Graph.from_edges(n, [p[0] for p in all_rows], [p[1] for p in all_rows])
+    assert str(exc.value) == f"duplicate edge ({a}, {b})"
+
+
 class TestRawAdjacencyErrors:
     """Graph(indptr, indices, weights) names the first fault it finds.
 

@@ -42,6 +42,16 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             AugmentedGraphSpec(alpha=1.0, beta=-1.0, seed=[0])
 
+    def test_nan_scales_rejected(self):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            AugmentedGraphSpec(alpha=math.nan, beta=1.0, seed=[0])
+        with pytest.raises(ParameterError, match="nonnegative"):
+            AugmentedGraphSpec(alpha=1.0, beta=math.nan, seed=[0])
+
+    def test_infinite_beta_accepted(self):
+        spec = AugmentedGraphSpec(alpha=1.0, beta=math.inf, seed=[0])
+        assert spec.beta == math.inf
+
     def test_empty_seed_rejected(self):
         with pytest.raises(ParameterError, match="empty"):
             AugmentedGraphSpec(alpha=1.0, beta=1.0, seed=[])
