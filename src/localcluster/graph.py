@@ -110,8 +110,10 @@ class Graph:
     ) -> "Graph":
         """Build a graph from one row per undirected edge, in any order and orientation.
 
-        Duplicate (u, v) pairs are rejected here; summing duplicates is an
-        ingest policy and lives in the loader.
+        Duplicate (u, v) pairs are rejected here, naming the smallest
+        (min, max) pair; summing duplicates is an ingest policy and lives
+        in the loader. The m edges are sorted once and every row is
+        written in place from them; the 2m arcs are never sorted.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)

@@ -85,7 +85,10 @@ _WIDE_SPACE = dict.fromkeys(
 )
 # Edge lists are read in blocks of about this many characters, so the
 # per-byte and per-token temporaries stay small whatever the file size.
-_BLOCK_CHARS = 1 << 16
+_BLOCK_CHARS = 1 << 18
+# _PAD[r] sets the 8 - r low bytes of a big-endian word: the bytes past a
+# token that holds r of the word's bytes.
+_PAD = np.array([(1 << 8 * (8 - r)) - 1 for r in range(9)], dtype=np.uint64)
 _decode = methodcaller("decode", "utf-8", "surrogatepass")
 
 
@@ -151,39 +154,38 @@ def _intern(raw: bytes, starts: np.ndarray, ends: np.ndarray, index: dict[bytes,
     so tokens of different lengths never share a key. Tokens are keyed in
     groups of one key width, so one long token does not widen them all.
     """
-    buf = np.frombuffer(raw, dtype=np.uint8)
     lengths = ends - starts
     words = (lengths + 7) >> 3
+    # Element i is the 8 bytes from offset i of the block, as a big-endian
+    # number, so a key's words order as its bytes do.
+    padded = raw + bytes(8 * int(words.max(initial=1)))
+    word_at = np.ndarray((len(raw),), dtype=">u8", buffer=padded, strides=(1,))
     inverse = np.empty(starts.size, dtype=np.int64)
     firsts = [np.zeros(0, dtype=np.int64)]
     names: list[bytes] = []
     for width in np.flatnonzero(np.bincount(words)).tolist():
         group = np.flatnonzero(words == width)
-        first_byte, glen = starts[group], lengths[group]
-        keys = np.empty((group.size, 8 * width), dtype=np.uint8)
-        for j in range(8 * width):
-            keys[:, j] = np.where(glen > j, buf.take(first_byte + j, mode="clip"), np.uint8(0xFF))
-        # Big-endian words order as their bytes do, so labels listed in
-        # order stay runs for unique's stable sort.
-        view = keys.view(">u8" if width == 1 else np.dtype((np.void, 8 * width))).ravel()
+        keys = np.empty((group.size, width), dtype=np.uint64)
+        for j in range(width):
+            rest = np.minimum(lengths[group] - 8 * j, 8)
+            keys[:, j] = word_at[starts[group] + 8 * j] | _PAD[rest]
+        view = keys.ravel() if width == 1 else keys.view(np.dtype((np.void, 8 * width))).ravel()
         _, first, inv = np.unique(view, return_index=True, return_inverse=True)
         inverse[group] = inv + len(names)
         firsts.append(group[first])
         # The distinct keys back to bytes: padding to spaces, a space after each.
         rows = np.full((first.size, 8 * width + 1), 0x20, dtype=np.uint8)
-        rows[:, :-1] = keys[first]
+        rows[:, :-1] = keys[first].astype(">u8").view(np.uint8).reshape(first.size, 8 * width)
         rows[rows == 0xFF] = 0x20
         names += rows.tobytes().split()
 
-    order = np.argsort(np.concatenate(firsts))
-    names = list(map(names.__getitem__, order.tolist()))
+    first = np.concatenate(firsts)
     ids = np.fromiter(map(index.get, names, repeat(-1)), np.int64, len(names))
     new = np.flatnonzero(ids < 0)
+    new = new[np.argsort(first[new])]  # new labels get ids in order of first appearance
     ids[new] = np.arange(len(index), len(index) + new.size)
     index.update(zip(map(names.__getitem__, new.tolist()), ids[new].tolist()))
-    distinct_ids = np.empty_like(ids)
-    distinct_ids[order] = ids
-    return distinct_ids[inverse]
+    return ids[inverse]
 
 
 def _line_error(lineno: int, raw: str) -> GraphFormatError | None:

@@ -127,7 +127,7 @@ def test_edge_list_roundtrip(tmp_path):
 
 
 # Traced peak of one load over the bytes it returns (graph arrays and label
-# strings), on the 20k-node ring of cliques: 2.81 measured; 5.47 when every
+# strings), on the 20k-node ring of cliques: 2.83 measured; 5.47 when every
 # token was a bytes object and the arcs were sorted as 2m (src, dst) keys.
 LOAD_PEAK_OVER_RESULT = 4.0
 
