@@ -165,17 +165,21 @@ def _intern(raw: bytes, starts: np.ndarray, ends: np.ndarray, index: dict[bytes,
     names: list[bytes] = []
     for width in np.flatnonzero(np.bincount(words)).tolist():
         group = np.flatnonzero(words == width)
-        keys = np.empty((group.size, width), dtype=np.uint64)
+        keys = np.empty((width, group.size), dtype=np.uint64)
         for j in range(width):
             rest = np.minimum(lengths[group] - 8 * j, 8)
-            keys[:, j] = word_at[starts[group] + 8 * j] | _PAD[rest]
-        view = keys.ravel() if width == 1 else keys.view(np.dtype((np.void, 8 * width))).ravel()
-        _, first, inv = np.unique(view, return_index=True, return_inverse=True)
-        inverse[group] = inv + len(names)
+            keys[j] = word_at[starts[group] + 8 * j] | _PAD[rest]
+        # A stable sort by key lists equal tokens together, each run headed
+        # by its first occurrence.
+        order = np.lexsort(keys[::-1])
+        head = np.ones(group.size, dtype=bool)
+        head[1:] = (np.diff(keys[:, order]) != 0).any(axis=0)
+        inverse[group[order]] = np.cumsum(head) + (len(names) - 1)
+        first = order[head]
         firsts.append(group[first])
         # The distinct keys back to bytes: padding to spaces, a space after each.
         rows = np.full((first.size, 8 * width + 1), 0x20, dtype=np.uint8)
-        rows[:, :-1] = keys[first].astype(">u8").view(np.uint8).reshape(first.size, 8 * width)
+        rows[:, :-1] = keys[:, first].T.astype(">u8").view(np.uint8)
         rows[rows == 0xFF] = 0x20
         names += rows.tobytes().split()
 
