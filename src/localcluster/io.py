@@ -152,7 +152,8 @@ def _intern(raw: bytes, starts: np.ndarray, ends: np.ndarray, index: dict[bytes,
     and is looked up. Tokens are told apart by fixed-width keys: a token's
     bytes padded with 0xFF, which UTF-8 never contains, to a multiple of 8,
     so tokens of different lengths never share a key. Tokens are keyed in
-    groups of one key width, so one long token does not widen them all.
+    groups of one key width, so one long token does not widen them all,
+    and each group is deduplicated by one stable sort of its keys.
     """
     lengths = ends - starts
     words = (lengths + 7) >> 3
