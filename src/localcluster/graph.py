@@ -33,15 +33,16 @@ SET_FUNCTIONAL_TOL = 1e-12
 class Graph:
     """Undirected weighted graph in compressed sparse adjacency form.
 
-    Neighbor lists are sorted by vertex id, weights are strictly positive
-    64-bit floats, and the structure is immutable after construction.
-    Instances are safe to share across threads.
+    Neighbor lists are sorted by vertex id, weights are finite, strictly
+    positive 64-bit floats, and the structure is immutable after
+    construction. Instances are safe to share across threads.
 
     Parameters
     ----------
     indptr, indices, weights : ndarray
         Standard CSR-style arrays. Every undirected edge (i, j, w) must
-        appear as both (i -> j, w) and (j -> i, w).
+        appear as both (i -> j, w) and (j -> i, w). All of this is checked;
+        :meth:`from_edges` checks only its rows.
     """
 
     __slots__ = ("n", "indptr", "indices", "weights", "degrees", "total_volume", "_unreached")
@@ -59,10 +60,13 @@ class Graph:
             raise GraphFormatError("malformed adjacency offsets")
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise GraphFormatError("neighbor id out of range")
-        if np.any(weights <= 0):
-            raise GraphFormatError("edge weights must be strictly positive")
+        _check_weights(weights)
+        self._fill(indptr, indices, weights)
+        self._check_symmetry()
 
-        self.n = int(n)
+    def _fill(self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> None:
+        """Set every field from CSR arrays already known to be valid; they become read-only."""
+        self.n = indptr.shape[0] - 1
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
@@ -74,7 +78,6 @@ class Graph:
 
         for arr in (self.indptr, self.indices, self.weights, self.degrees):
             arr.setflags(write=False)
-        self._check_symmetry()
 
     def _check_symmetry(self) -> None:
         src = np.repeat(np.arange(self.n), np.diff(self.indptr))
@@ -110,10 +113,11 @@ class Graph:
     ) -> "Graph":
         """Build a graph from one row per undirected edge, in any order and orientation.
 
-        Duplicate (u, v) pairs are rejected here, naming the smallest
-        (min, max) pair; summing duplicates is an ingest policy and lives
-        in the loader. The m edges are sorted once and every row is
-        written in place from them; the 2m arcs are never sorted.
+        Only the rows are checked: ids in range, no self-loops, finite
+        positive weights, and no duplicate (u, v) pair, naming the smallest
+        (min, max) one; summing duplicates is an ingest policy and lives in
+        the loader. The m edges are sorted once and every row is written in
+        place from them, symmetric and sorted by construction.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -124,9 +128,14 @@ class Graph:
             raise GraphFormatError("edge arrays disagree in length")
         if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
             raise GraphFormatError("edge endpoint out of range")
+        if n < 1:
+            raise GraphFormatError("graph needs at least one vertex")
         if np.any(u == v):
             raise GraphFormatError("self-loops are not allowed")
-        return cls(*_place_arcs(n, np.minimum(u, v), np.maximum(u, v), w))
+        _check_weights(w)
+        g = cls.__new__(cls)
+        g._fill(*_place_arcs(n, np.minimum(u, v), np.maximum(u, v), w))
+        return g
 
     # -- accessors ---------------------------------------------------------
 
@@ -199,6 +208,12 @@ class Graph:
             if np.array_equal(hooked, parent):
                 return parent
             parent = hooked
+
+
+def _check_weights(w: np.ndarray) -> None:
+    # NaN fails both comparisons.
+    if not np.all((w > 0) & (w < np.inf)):
+        raise GraphFormatError("edge weights must be finite and strictly positive")
 
 
 def _place_arcs(
@@ -281,9 +296,6 @@ class NodeSet:
 
     def __contains__(self, v: object) -> bool:
         return v in set(self.ids)
-
-    def to_frozenset(self) -> frozenset[int]:
-        return frozenset(self.ids)
 
 
 def _as_node_array(g: Graph, s: object) -> np.ndarray:

@@ -12,7 +12,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import methodcaller
 from pathlib import Path
 from typing import IO, Iterator
@@ -372,26 +372,28 @@ def _raise_vector_line_error(lines: list[str], lm: LabelMap) -> None:
         line = raw.strip()
         if not line:
             continue
-        parts = line.split(",")
-        if len(parts) != 2:
+        label, comma, value = line.rpartition(",")
+        if not comma or ("," in label and label not in lm._index):
             raise InputError(f"line {lineno}: expected 'node,value'")
-        i = lm.internal(parts[0])
+        i = lm.internal(label)
         if i in seen:
-            raise InputError(f"line {lineno}: duplicate node {parts[0]!r}")
+            raise InputError(f"line {lineno}: duplicate node {label!r}")
         seen.add(i)
         try:
-            float(parts[1])
+            float(value)
         except ValueError:
-            raise InputError(f"line {lineno}: bad value {parts[1]!r}") from None
+            raise InputError(f"line {lineno}: bad value {value!r}") from None
 
 
 def read_vector_csv(source: str | Path | IO[str], lm: LabelMap) -> EmbeddingVector:
     """Read a "node,value" CSV back into a sparse vector over lm's ids.
 
     The body is parsed in one pass: lines stripped, blank ones dropped,
-    each split at its one comma, labels looked up in lm's index and values
-    parsed by one ``map(float, ...)``. If any of that fails, the lines are
-    checked again one at a time, so the error names the first bad line.
+    each split at its last comma (values hold none, labels may), labels
+    looked up in lm's index and values parsed by one ``map(float, ...)``.
+    If any of that fails, the lines are checked again one at a time, so
+    the error names the first bad line. A line with several commas whose
+    part before the last one is no label gets "expected 'node,value'".
     """
     with _open_text(source) as handle:
         header = handle.readline().strip()
@@ -400,13 +402,15 @@ def read_vector_csv(source: str | Path | IO[str], lm: LabelMap) -> EmbeddingVect
         lines = handle.readlines()
     rows = list(filter(None, map(str.strip, lines)))
     try:
-        if not set(map(str.count, rows, repeat(","))) <= {1}:
-            raise ValueError("a line without exactly one comma")
-        fields = ",".join(rows).split(",") if rows else []
-        ids = list(map(lm._index.__getitem__, fields[0::2]))
+        # Each row as label, comma, value, flattened: no row's tuple outlives
+        # its row, so the cyclic collector never runs over 100k of them.
+        fields = list(chain.from_iterable(map(str.rpartition, rows, repeat(","))))
+        if "" in fields[1::3]:
+            raise ValueError("a line without a comma")
+        ids = list(map(lm._index.__getitem__, fields[0::3]))
         if len(set(ids)) != len(ids):
             raise ValueError("a repeated node")
-        values = list(map(float, fields[1::2]))
+        values = list(map(float, fields[2::3]))
     except (KeyError, ValueError):
         _raise_vector_line_error(lines, lm)
         raise

@@ -166,6 +166,22 @@ class TestSpectralCommands:
         assert payload["conductance"] == pytest.approx(1.0 / 7.0)
 
 
+    def test_sweep_command_roundtrip_with_commas_in_labels(self, capsys, tmp_path):
+        graph = tmp_path / "commas.el"
+        graph.write_text(DUMBBELL_EDGES.replace("n0", "n,0").replace("n5", "n5,"))
+        csv = tmp_path / "vec.csv"
+        assert main(["l1pr", "--graph", str(graph), "--seed-node", "n,0",
+                     "--alpha", "0.15", "--epsilon", "1e-3",
+                     "--vector-out", str(csv)]) == 0
+        capsys.readouterr()
+        assert csv.read_text().splitlines()[1].startswith("n,0,")
+        payload = run_json(
+            capsys, ["sweep", "--graph", str(graph), "--vector-in", str(csv)]
+        )
+        assert payload["set"] == ["n,0", "n1", "n2"]
+        assert payload["conductance"] == pytest.approx(1.0 / 7.0)
+
+
 class TestMovCommand:
     def test_fixed_rho(self, capsys, graph_file, seed3):
         payload = run_json(

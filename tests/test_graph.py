@@ -1,11 +1,14 @@
 """Graph container, set functionals, and the synthetic generators."""
 
+import contextlib
+import io
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localcluster import (
@@ -22,7 +25,9 @@ from localcluster import (
     relative_conductance,
     volume,
 )
+from localcluster import synth
 from localcluster.errors import SeedTooLargeError
+from localcluster.io import load_edge_list
 from localcluster.synth import (
     complete_graph,
     cycle_graph,
@@ -30,7 +35,9 @@ from localcluster.synth import (
     path_graph,
     random_connected_graph,
     ring_of_cliques,
+    star_graph,
 )
+from test_io import edge_list_texts
 
 
 def test_dumbbell_shape(dumbbell):
@@ -133,6 +140,11 @@ def test_from_edges_rejects_self_loops_and_duplicates():
         Graph.from_edges(2, np.array([0]), np.array([0]))
     with pytest.raises(GraphFormatError):
         Graph.from_edges(3, np.array([0, 1]), np.array([1, 0]))
+
+
+def test_from_edges_needs_a_vertex():
+    with pytest.raises(GraphFormatError, match="at least one vertex"):
+        Graph.from_edges(0, [], [])
 
 
 def test_from_edges_rejects_nonpositive_weight():
@@ -241,6 +253,74 @@ class TestRawAdjacencyErrors:
     def test_asymmetric_weights(self):
         msg = self.rejects([0, 1, 2], [1, 0], [1.0, 2.0])
         assert msg == "adjacency is not symmetric"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+@pytest.mark.parametrize("entry", ["from_edges", "raw arrays"])
+def test_weights_must_be_finite_and_positive_at_both_entries(entry, bad):
+    with pytest.raises(GraphFormatError) as exc:
+        if entry == "from_edges":
+            Graph.from_edges(3, [0, 1], [1, 2], [1.0, bad])
+        else:
+            Graph(np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]), np.array([1.0, 1.0, bad, bad]))
+    assert str(exc.value) == "edge weights must be finite and strictly positive"
+
+
+# -- from_edges skips Graph(...)'s checks; they must pass on what it builds -----
+
+
+def assert_raw_entry_agrees(g: Graph):
+    """Graph(...) with every check accepts the arrays g holds and derives the same fields."""
+    raw = Graph(g.indptr, g.indices, g.weights)
+    for name in ("indptr", "indices", "weights", "degrees"):
+        a, b = getattr(g, name), getattr(raw, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert raw.total_volume == g.total_volume
+
+
+@given(case=edge_rows(), weighted=st.booleans())
+def test_raw_entry_accepts_what_from_edges_builds(case, weighted):
+    n, rows, weights = case
+    u = [a for a, _ in rows]
+    v = [b for _, b in rows]
+    assert_raw_entry_agrees(Graph.from_edges(n, u, v, weights if weighted else None))
+
+
+SYNTH_GRAPHS = {
+    "dumbbell_graph": st.builds(dumbbell_graph),
+    "cycle_graph": st.builds(cycle_graph, st.integers(3, 40)),
+    "path_graph": st.builds(path_graph, st.integers(2, 40)),
+    "star_graph": st.builds(star_graph, st.integers(2, 40)),
+    "complete_graph": st.builds(complete_graph, st.integers(2, 12)),
+    "ring_of_cliques": st.builds(ring_of_cliques, st.integers(3, 9), st.integers(2, 6)),
+    "random_connected_graph": st.builds(
+        random_connected_graph,
+        st.integers(2, 25),
+        st.integers(0, 2**32),
+        weighted=st.booleans(),
+        extra_edge_prob=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("generator", synth.__all__)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_raw_entry_accepts_every_synth_graph(generator, data):
+    assert_raw_entry_agrees(data.draw(SYNTH_GRAPHS[generator]))
+
+
+@given(text=edge_list_texts())
+def test_raw_entry_accepts_what_the_loader_builds(text):
+    # Disconnected inputs count too: the loader's connectivity check is
+    # made to pass, so every text that parses yields its graph.
+    with mock.patch.object(Graph, "is_connected", return_value=True):
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                g, _ = load_edge_list(io.StringIO(text))
+            except GraphFormatError:
+                return
+    assert_raw_entry_agrees(g)
 
 
 def test_trailing_isolated_vertex():

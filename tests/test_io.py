@@ -223,6 +223,24 @@ def test_vector_csv_dense_has_all_rows():
     assert len(buf.getvalue().splitlines()) == 4
 
 
+def test_vector_csv_roundtrip_with_commas_in_labels():
+    # Edge-list labels may hold commas; values never do, so rows split at
+    # their last comma.
+    g, lm = load_edge_list(io.StringIO("a,b c\nc d,e,\n,f a,b\n"))
+    assert lm.labels == ("a,b", "c", "d,e,", ",f")
+    vec = EmbeddingVector(n=g.n, values=np.array([0.5, -1.0, 1e-17, 2.0]))
+    buf = io.StringIO()
+    write_vector_csv(vec, lm, buf)
+    assert buf.getvalue().splitlines()[1] == "a,b,0.5"
+    back = read_vector_csv(io.StringIO(buf.getvalue()), lm)
+    assert back.indices.tolist() == [0, 1, 2, 3]
+    assert back.values.tobytes() == vec.values.tobytes()
+    with pytest.raises(InputError, match="line 2: expected 'node,value'"):
+        read_vector_csv(io.StringIO("node,value\na,x,0.5\n"), lm)
+    with pytest.raises(InputError, match="line 3: bad value 'x'"):
+        read_vector_csv(io.StringIO("node,value\nc,1\nd,e,,x\n"), lm)
+
+
 def test_read_vector_csv_validation():
     lm = LabelMap(labels=("a", "b"))
     with pytest.raises(InputError, match="header"):
