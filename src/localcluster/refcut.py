@@ -38,7 +38,7 @@ from .flownet import (
     _Residual,
     _return_excess,
 )
-from .graph import Graph, _as_node_array
+from .graph import Graph, _as_node_array, _locate
 
 __all__ = [
     "AugmentedGraphSpec",
@@ -196,12 +196,8 @@ def _subnetwork(spec: AugmentedGraphSpec, g: Graph, members: np.ndarray) -> tupl
     arcs = g.arcs_of(members)
     row = np.arange(m).repeat(g.indptr[members + 1] - g.indptr[members])
     nbr = g.indices[arcs]
-    if m == g.n:
-        # Every node is a member, and member k is node k.
-        loc, inside = nbr, np.ones(nbr.size, dtype=bool)
-    else:
-        loc = members.searchsorted(nbr)
-        inside = members.take(loc, mode="clip") == nbr
+    loc = _locate(nbr, members, g.n)
+    inside = loc < m
     c = g.weights[arcs]
     outside = ~inside
     tag_row, tag_end, tag_cap = row[outside], nbr[outside], c[outside]
@@ -276,7 +272,7 @@ def solve_maxflow_local(
     while True:
         net, lay = _subnetwork(spec, g, explored)
         net.freeze()
-        starts, surplus = ([], []) if carry is None else carry.load(net, lay)
+        starts, surplus = ([], []) if carry is None else carry.load(net, lay, g.n)
         res = _Residual(net)
         if starts:
             # Measured against the surplus before it moves: _dinic spends the list.
@@ -359,8 +355,8 @@ class _Carry(NamedTuple):
             keys[order], pairs[order], violators, inflow[hot],
         )
 
-    def load(self, net: FlowNetwork, lay: _Layout) -> tuple[list[int], list[float]]:
-        """Set ``net.cap`` (``net`` built on ``grown``) to the carried flow.
+    def load(self, net: FlowNetwork, lay: _Layout, n: int) -> tuple[list[int], list[float]]:
+        """Set ``net.cap`` (``net`` built on ``grown`` of an n-node graph) to the carried flow.
 
         Each violator's inflow goes to its sink arc as far as that arc's
         capacity allows. Returns the network nodes left with a surplus, and
@@ -368,8 +364,8 @@ class _Carry(NamedTuple):
         """
         res, init = net.cap.reshape(-1, 2), net.cap_init.reshape(-1, 2)
         res[lay.src] = self.src
-        at = self.edge_key.searchsorted(lay.edge_key)
-        found = self.edge_key.take(at, mode="clip") == lay.edge_key
+        at = _locate(lay.edge_key, self.edge_key, n * n)
+        found = at < self.edge_key.size
         res[lay.edges[found]] = self.edge_res[at[found]]
 
         m = self.grown.size

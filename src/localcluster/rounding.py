@@ -1,8 +1,9 @@
 """Sweep-cut rounding: turn a vertex embedding into a set.
 
 Vertices are visited in decreasing embedding order and every prefix's
-objective follows from running sums over the visit order, so a full
-sweep costs O(vol(prefix range) + sorting).
+objective follows from running sums over the visit order. A sparse
+vector sweeps its nonzero support, ranked over that pool alone, in memory
+O(vol(pool)) whatever the graph size; a dense vector sweeps every vertex.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .graph import Graph, NodeSet
+from .graph import Graph, NodeSet, _locate
 
 __all__ = ["SweepProfile", "sweep_cut"]
 
@@ -41,19 +42,16 @@ def _vector_parts(g: Graph, x: object) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def sweep_cut(
-    g: Graph,
-    x: object,
-    objective: str = "conductance",
-    restrict_to_support: bool | None = None,
+    g: Graph, x: object, objective: str = "conductance"
 ) -> tuple[NodeSet, float, SweepProfile]:
     """Best prefix of the decreasing-order sweep of ``x``.
 
     Ties in value are broken toward the smaller vertex id. Prefixes run
-    over the candidate pool (the nonzero support when
-    ``restrict_to_support``, all vertices otherwise; sparse embeddings
-    default to their support, dense ones to everything) except that the
-    prefix equal to the whole vertex set is never a candidate, since its
-    cut is empty and every ratio objective degenerates there.
+    over the pool: a sparse embedding's nonzero support (pass its
+    ``to_dense()`` to sweep every vertex), every vertex of a dense one or
+    of a plain array. The prefix equal to the whole vertex set is never a
+    candidate, since its cut is empty and every ratio objective
+    degenerates there.
 
     Returns the winning set, its objective value, and the full profile.
     """
@@ -63,30 +61,17 @@ def sweep_cut(
     if vals.size and not np.all(np.isfinite(vals)):
         raise ParameterError("embedding entries must all be finite")
 
-    if restrict_to_support is None:
-        restrict_to_support = idx is not None
-    if restrict_to_support:
-        if idx is None:
-            cand = np.flatnonzero(vals != 0.0)
-            cand_vals = vals[cand]
-        else:
-            keep = vals != 0.0
-            cand = idx[keep]
-            cand_vals = vals[keep]
+    if idx is None:
+        cand, cand_vals = np.arange(g.n, dtype=np.int64), vals
     else:
-        if idx is None:
-            cand = np.arange(g.n, dtype=np.int64)
-            cand_vals = vals
-        else:
-            cand = np.arange(g.n, dtype=np.int64)
-            dense = np.zeros(g.n)
-            dense[idx] = vals
-            cand_vals = dense
+        keep = vals != 0.0
+        cand, cand_vals = idx[keep], vals[keep]
 
     if cand.size == 0:
         raise ParameterError("nothing to sweep: candidate pool is empty")
 
-    order = cand[np.argsort(-cand_vals, kind="stable")]
+    by_value = np.argsort(-cand_vals, kind="stable")
+    order = cand[by_value]
     m = order.size
     limit = m - 1 if m == g.n else m
     if limit == 0:
@@ -94,12 +79,15 @@ def sweep_cut(
 
     # Vertex order[k] joins the prefix at step k; its arcs to vertices of
     # earlier rank are the weight that moves from the cut to the inside.
+    # Ranks are kept by pool position; the extra last slot, and the vertex
+    # left out when the pool is the whole graph, rank at or after every step.
+    rank = np.empty(m + 1, dtype=np.int64)
+    rank[by_value] = np.arange(m)
+    rank[m] = m
     swept = order[:limit]
-    rank = np.full(g.n, limit, dtype=np.int64)
-    rank[swept] = np.arange(limit)
     arc = g.arcs_of(swept)
     step = np.repeat(np.arange(limit), g.indptr[swept + 1] - g.indptr[swept])
-    earlier = rank[g.indices[arc]] < step
+    earlier = rank[_locate(g.indices[arc], cand, g.n)] < step
     inside = np.bincount(step[earlier], weights=g.weights[arc[earlier]], minlength=limit)
     d = g.degrees[swept]
     cut_val = np.cumsum(d - 2.0 * inside)

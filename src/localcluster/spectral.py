@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     UnattainableCorrelationError,
 )
-from .graph import Graph, _as_node_array, _row_reduce, laplacian_apply
+from .graph import Graph, _as_node_array, _locate, _row_reduce, laplacian_apply
 from .results import ClusterResult
 from .rounding import sweep_cut
 from .solvers import MatvecBudget, _BudgetExceeded, _dot, _norm, conjugate_gradient, smallest_eigenpair
@@ -153,8 +153,7 @@ def _scaled_laplacian(
     nbr, weights = g.indices[arcs], g.weights[arcs]
     # Each arc's head as a position in rows; heads outside rows read the
     # zero in the last slot of ``ext``.
-    slot = np.searchsorted(rows, nbr)
-    slot[rows[np.minimum(slot, rows.size - 1)] != nbr] = rows.size
+    slot = _locate(nbr, rows, g.n)
     indptr = np.concatenate(([0], np.cumsum(g.indptr[rows + 1] - g.indptr[rows])))
     ext = np.zeros(rows.size + 1)
 

@@ -428,7 +428,7 @@ def test_carried_flow_is_a_preflow_with_the_reported_surplus(case):
         return
     grown, lay = _subnetwork(spec, g, carry.grown)
     grown.freeze()
-    starts, surplus = carry.load(grown, lay)
+    starts, surplus = carry.load(grown, lay, g.n)
 
     tol = 1e-12 * max(1.0, float(grown.cap_init.sum()))
     pairs, init = grown.cap.reshape(-1, 2), grown.cap_init.reshape(-1, 2)

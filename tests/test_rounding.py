@@ -59,14 +59,15 @@ def test_sparse_densified_on_request(dumbbell):
     vec = EmbeddingVector(
         n=6, values=np.array([0.5, 0.4, 0.3]), indices=np.array([0, 1, 2])
     )
-    _, _, profile = sweep_cut(dumbbell, vec, restrict_to_support=False)
+    _, _, profile = sweep_cut(dumbbell, vec.to_dense())
     assert len(profile.order) == 6
     assert len(profile.values) == 5
 
 
 def test_dense_restricted_on_request(dumbbell):
     x = np.array([0.5, 0.4, 0.3, 0.0, 0.0, 0.0])
-    _, _, profile = sweep_cut(dumbbell, x, restrict_to_support=True)
+    support = np.flatnonzero(x)
+    _, _, profile = sweep_cut(dumbbell, EmbeddingVector(n=6, values=x[support], indices=support))
     assert profile.order.tolist() == [0, 1, 2]
 
 
@@ -133,8 +134,8 @@ def test_single_vertex_pool_rejected_on_tiny_graph():
     from localcluster.synth import path_graph
 
     g = path_graph(2)
-    # Densifying makes the pool the whole graph; only {first} is admissible.
-    _, value, profile = sweep_cut(g, np.array([1.0, 0.0]), restrict_to_support=False)
+    # A dense vector's pool is the whole graph; only {first} is admissible.
+    _, value, profile = sweep_cut(g, np.array([1.0, 0.0]))
     assert len(profile.values) == 1
     assert value == pytest.approx(1.0)
     # Restricting to support of an all-vertices support behaves the same.
@@ -205,13 +206,20 @@ def test_sweep_matches_the_per_vertex_loop(seed, n, integer_weights, objective, 
     else:
         idx, vec, vals = None, x, x
     restrict = pool in ("restricted", "sparse")
+    # The pool follows the representation: dense vectors sweep every
+    # vertex, sparse ones their nonzero support.
+    if pool == "restricted":
+        support = np.flatnonzero(x)
+        vec = EmbeddingVector(n=n, values=x[support], indices=support)
+    elif pool == "sparse_densified":
+        vec = vec.to_dense()
 
     order, want = reference_sweep(g, vals, idx, objective, restrict)
     if want.size == 0:
         with pytest.raises(ParameterError):
             sweep_cut(g, vec, objective)
         return
-    best, value, profile = sweep_cut(g, vec, objective, restrict_to_support=restrict)
+    best, value, profile = sweep_cut(g, vec, objective)
     assert profile.order.tolist() == order.tolist()
     if integer_weights:
         assert np.array_equal(profile.values, want)
