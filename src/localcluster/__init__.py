@@ -2,7 +2,7 @@
 sweep-cut rounding, and exhaustive desk-scale reference oracles.
 
 The central objects are :class:`Graph` (immutable CSR adjacency),
-:class:`NodeSet` (a vertex set with its cut and volume), and
+:class:`NodeSet` (a sorted tuple of distinct vertex ids), and
 :class:`ClusterResult` (what every clustering entry point returns).
 Algorithms come in two families: flow refinement of a seed set (`mqi`,
 `flow_improve`, `local_flow_improve`) and spectral embeddings rounded

@@ -7,7 +7,8 @@ with sorted neighbor lists, weighted degrees, and pure set functionals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -271,24 +272,13 @@ def _row_reduce(op: np.ufunc, indptr: np.ndarray, arc_values: np.ndarray, empty:
 
 @dataclass(frozen=True)
 class NodeSet:
-    """A set of vertex ids with cached cut and volume statistics.
-
-    Build with :meth:`of` to fill the cache; the raw constructor leaves the
-    statistics unset for callers that only need membership.
-    """
+    """Sorted, distinct vertex ids; :meth:`of` validates them against a graph."""
 
     ids: tuple[int, ...]
-    cut_value: float | None = field(default=None, compare=False)
-    volume: float | None = field(default=None, compare=False)
 
     @classmethod
     def of(cls, g: Graph, members: Iterable[int]) -> "NodeSet":
-        arr = _as_node_array(g, members)
-        return cls(
-            ids=tuple(arr.tolist()),
-            cut_value=cut(g, arr),
-            volume=volume(g, arr),
-        )
+        return cls(tuple(_as_node_array(g, members).tolist()))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -301,13 +291,20 @@ class NodeSet:
 
 
 def _as_node_array(g: Graph, s: object) -> np.ndarray:
-    """Normalize a set-like argument to a sorted, validated id array."""
-    if isinstance(s, NodeSet):
-        arr = np.asarray(s.ids, dtype=np.int64)
-    elif isinstance(s, np.ndarray):
+    """Normalize a set-like argument to a sorted, validated id array.
+
+    Ids that are not integers raise InvalidSetError; an empty input of any
+    dtype is the empty set.
+    """
+    if isinstance(s, np.ndarray):
+        if s.size and not np.issubdtype(s.dtype, np.integer):
+            raise InvalidSetError(f"vertex ids must be integers (got an array of {s.dtype})")
         arr = s.astype(np.int64, copy=False)
     else:
-        arr = np.fromiter((int(v) for v in s), dtype=np.int64)
+        try:
+            arr = np.fromiter(map(operator.index, s), np.int64)
+        except TypeError as exc:
+            raise InvalidSetError(f"vertex ids must be integers ({exc})") from None
     # Sort, then drop repeats: np.unique's hash table (numpy >= 2.3) is up to
     # 15 times slower on id arrays of a few hundred or more.
     arr = np.sort(arr, axis=None)
@@ -350,7 +347,11 @@ def cut(g: Graph, s: object) -> float:
 
     Work is O(vol(S) log |S|) and memory O(vol(S)), whatever the graph size.
     """
-    arr = _as_node_array(g, s)
+    return _cut(g, _as_node_array(g, s))
+
+
+def _cut(g: Graph, arr: np.ndarray) -> float:
+    """``cut`` of a set that ``_as_node_array`` has already normalized."""
     if arr.size == 0 or arr.size == g.n:
         return 0.0
     arc = g.arcs_of(arr)
@@ -360,12 +361,15 @@ def cut(g: Graph, s: object) -> float:
 def conductance(g: Graph, s: object) -> float:
     """cut(S) / min(vol(S), vol(S^c)); +inf on an empty side."""
     arr = _as_node_array(g, s)
-    vol_s = float(g.degrees[arr].sum())
-    vol_c = g.total_volume - vol_s
-    denom = min(vol_s, vol_c)
+    return _conductance(g, _cut(g, arr), float(g.degrees[arr].sum()))
+
+
+def _conductance(g: Graph, cut_s: float, vol_s: float) -> float:
+    """Conductance of a set from its cut and volume."""
+    denom = min(vol_s, g.total_volume - vol_s)
     if denom <= 0.0:
         return float("inf")
-    return cut(g, arr) / denom
+    return cut_s / denom
 
 
 def expansion(g: Graph, s: object) -> float:
@@ -375,7 +379,7 @@ def expansion(g: Graph, s: object) -> float:
     vol_c = g.total_volume - vol_s
     if vol_s <= 0.0 or vol_c <= 0.0:
         return float("inf")
-    return cut(g, arr) * g.total_volume / (vol_s * vol_c)
+    return _cut(g, arr) * g.total_volume / (vol_s * vol_c)
 
 
 def relative_conductance(g: Graph, s: object, r: object, kappa: float = 1.0) -> float:
@@ -417,7 +421,7 @@ def relative_conductance(g: Graph, s: object, r: object, kappa: float = 1.0) -> 
         denom = vol_s_in - ratio * kappa * vol_s_out
     if denom <= SET_FUNCTIONAL_TOL:
         return float("inf")
-    return cut(g, s_arr) / denom
+    return _cut(g, s_arr) / denom
 
 
 def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:

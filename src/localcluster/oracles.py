@@ -27,8 +27,10 @@ from .graph import (
     NodeSet,
     _as_node_array,
     conductance,
+    cut,
     expansion,
     relative_conductance,
+    volume,
 )
 
 __all__ = [
@@ -130,7 +132,7 @@ def brute_min_conductance(g: Graph) -> tuple[NodeSet, float]:
         return w.cut_value / denom if denom > 0 else math.inf
 
     _, ids = _enumerate_nontrivial(g, score)
-    return NodeSet.of(g, ids), conductance(g, np.array(ids, dtype=np.int64))
+    return NodeSet.of(g, ids), conductance(g, ids)
 
 
 def brute_min_expansion(g: Graph) -> tuple[NodeSet, float]:
@@ -146,7 +148,7 @@ def brute_min_expansion(g: Graph) -> tuple[NodeSet, float]:
         return w.cut_value * total / denom if denom > 0 else math.inf
 
     _, ids = _enumerate_nontrivial(g, score)
-    return NodeSet.of(g, ids), expansion(g, np.array(ids, dtype=np.int64))
+    return NodeSet.of(g, ids), expansion(g, ids)
 
 
 def brute_min_relative_conductance(
@@ -193,9 +195,7 @@ def brute_min_relative_conductance(
         value = walk.cut_value / denom if denom > SET_FUNCTIONAL_TOL else math.inf
         best = _take_if_better(value, walk, best)
     assert best[1] is not None
-    ids = best[1]
-    exact = relative_conductance(g, np.array(ids, dtype=np.int64), r_arr, kappa=kappa)
-    return NodeSet.of(g, ids), exact
+    return NodeSet.of(g, best[1]), relative_conductance(g, best[1], r_arr, kappa=kappa)
 
 
 def brute_min_subset_ratio(g: Graph, r: object) -> tuple[NodeSet, float]:
@@ -213,8 +213,7 @@ def brute_min_subset_ratio(g: Graph, r: object) -> tuple[NodeSet, float]:
         if walk.size > 0:
             best = _take_if_better(walk.cut_value / walk.volume, walk, best)
     assert best[1] is not None
-    node_set = NodeSet.of(g, best[1])
-    return node_set, node_set.cut_value / node_set.volume
+    return NodeSet.of(g, best[1]), cut(g, best[1]) / volume(g, best[1])
 
 
 def brute_min_cut(net: FlowNetwork) -> tuple[float, frozenset[int]]:

@@ -38,7 +38,7 @@ from .flownet import (
     _Residual,
     _return_excess,
 )
-from .graph import Graph, _as_node_array, _locate
+from .graph import Graph, _as_node_array, _cut, _locate
 
 __all__ = [
     "AugmentedGraphSpec",
@@ -90,8 +90,6 @@ def augmented_cut_value(spec: AugmentedGraphSpec, g: Graph, s: object) -> float:
     materializing anything. Returns +inf when beta is infinite and S - R
     has volume.
     """
-    from .graph import cut as graph_cut
-
     spec.validate_against(g)
     arr = _as_node_array(g, s)
     source_term = float(g.degrees[np.setdiff1d(spec.seed, arr, assume_unique=True)].sum())
@@ -100,7 +98,7 @@ def augmented_cut_value(spec: AugmentedGraphSpec, g: Graph, s: object) -> float:
         return float("inf")
     # An infinite beta with no sink mass adds nothing; inf * 0.0 would be nan.
     sink_part = spec.beta * sink_term if sink_term > 0.0 else 0.0
-    return graph_cut(g, arr) + spec.alpha * source_term + sink_part
+    return _cut(g, arr) + spec.alpha * source_term + sink_part
 
 
 def materialize(spec: AugmentedGraphSpec, g: Graph) -> FlowNetwork:

@@ -6,9 +6,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from .graph import Graph, conductance, cut, volume
+from .graph import Graph, _as_node_array, _conductance, _cut
 
 if TYPE_CHECKING:
     from .spectral import EmbeddingVector
@@ -57,17 +55,18 @@ class ClusterResult:
         """Build a result for ``set_ids`` on ``g``, timed from ``time.perf_counter() == t0``.
 
         Recomputes conductance, cut and volume from the graph; an empty set
-        gets inf, 0 and 0.
+        gets inf, 0 and 0. ``set_ids`` is stored sorted and without repeats.
         """
-        ids = tuple(set_ids)
-        arr = np.array(ids, dtype=np.int64)
+        arr = _as_node_array(g, set_ids)
+        cut_s = _cut(g, arr)
+        vol_s = float(g.degrees[arr].sum())
         return cls(
-            set_ids=ids,
+            set_ids=tuple(arr.tolist()),
             objective_name=objective_name,
             objective=objective,
-            conductance=conductance(g, arr),
-            cut=cut(g, arr),
-            volume=volume(g, arr),
+            conductance=_conductance(g, cut_s, vol_s),
+            cut=cut_s,
+            volume=vol_s,
             touched_nodes=touched_nodes,
             iterations=iterations,
             runtime_ms=(time.perf_counter() - t0) * 1e3,

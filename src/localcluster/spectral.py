@@ -259,8 +259,9 @@ def spectral_mqi_cluster(
     """
     t0 = time.perf_counter()
     lam, vec = spectral_mqi(g, r, tol=tol)
-    r_arr = _as_node_array(g, r)
-    touched = np.union1d(r_arr, g.indices[g.arcs_of(r_arr)]).size
+    # The eigenvector is indexed by R itself, and is dense only when R = V.
+    r_arr = vec.indices
+    touched = g.n if r_arr is None else np.union1d(r_arr, g.indices[g.arcs_of(r_arr)]).size
     ids, vals = vec.nonzeros()
     if ids.size == 0:
         raise DegenerateResultError("eigenvector has empty support")
@@ -462,27 +463,28 @@ def l1_pagerank(
     Returns the sparse solution vector and the touched-node count (nodes
     whose residual entry was ever created).
     """
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must be in (0, 1) (got {alpha})")
-    if epsilon <= 0:
-        raise ParameterError("epsilon must be positive")
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    if order not in ("fifo", "lifo"):
-        raise ParameterError("order must be 'fifo' or 'lifo'")
-    seed = _as_seed_mass(g, h)
-    vec, touched, _pushes = _l1pr_push(g, seed, alpha, epsilon, tol, order)
+    vec, touched, _pushes = _l1pr_push(g, h, alpha, epsilon, tol, order)
     return vec, touched
 
 
 def _l1pr_push(
     g: Graph,
-    seed: dict[int, float],
+    h: object,
     alpha: float,
     epsilon: float,
     tol: float,
     order: str,
 ) -> tuple[EmbeddingVector, int, int]:
+    """Push solve of ``l1_pagerank`` and ``l1pr_cluster``: vector, touched nodes, pushes."""
+    if not (0.0 < alpha < 1.0):
+        raise ParameterError(f"alpha must be in (0, 1) (got {alpha})")
+    if not epsilon > 0:
+        raise ParameterError("epsilon must be positive")
+    if not tol > 0:
+        raise ParameterError("tol must be positive")
+    if order not in ("fifo", "lifo"):
+        raise ParameterError("order must be 'fifo' or 'lifo'")
+    seed = _as_seed_mass(g, h)
     gamma = (1.0 - alpha) / 2.0
     coeff = gamma + alpha
     degrees = g.degrees
@@ -570,8 +572,7 @@ def l1pr_cluster(g: Graph, h: object, alpha: float, epsilon: float) -> ClusterRe
     returns it.
     """
     t0 = time.perf_counter()
-    seed = _as_seed_mass(g, h)
-    vec, touched, pushes = _l1pr_push(g, seed, alpha, epsilon, 1e-10, "fifo")
+    vec, touched, pushes = _l1pr_push(g, h, alpha, epsilon, 1e-10, "fifo")
     if vec.support().size == 0:
         raise DegenerateResultError(
             "diffusion collapsed to zero (epsilon too large for this seed)"

@@ -30,7 +30,7 @@ from localcluster import (
     spectral_mqi_cluster,
     volume,
 )
-from localcluster import synth
+from localcluster import flowcluster, graph, oracles, refcut, results, rounding, spectral, synth
 from localcluster.errors import SeedTooLargeError
 from localcluster.graph import _locate
 from localcluster.io import load_edge_list
@@ -121,15 +121,55 @@ def test_set_validation(dumbbell):
         cut(dumbbell, [0, 99])
     with pytest.raises(InvalidSetError):
         volume(dumbbell, [-1])
+    # Ids that are not integers are rejected, not truncated.
+    for bad in ([2.7], [np.float64(2.0)], ["1"], np.array([0.5, 1.0]), np.array(["1"])):
+        with pytest.raises(InvalidSetError):
+            volume(dumbbell, bad)
+        with pytest.raises(InvalidSetError):
+            NodeSet.of(dumbbell, bad)
+    assert volume(dumbbell, [np.int32(0), np.int64(1)]) == volume(dumbbell, np.array([0, 1], np.uint8))
+    # The empty set, whatever the dtype.
+    for empty in ([], (), np.array([]), np.array([], dtype=str)):
+        assert volume(dumbbell, empty) == 0.0
+        assert NodeSet.of(dumbbell, empty).ids == ()
 
 
 def test_nodeset_carries_stats(dumbbell):
     ns = NodeSet.of(dumbbell, [2, 0, 1])
     assert ns.ids == (0, 1, 2)
-    assert ns.cut_value == 1.0
-    assert ns.volume == 7.0
     assert 1 in ns and 5 not in ns
     assert len(ns) == 3
+
+
+@contextlib.contextmanager
+def _counting(name):
+    """Count the calls of ``graph.<name>`` from every module that imports it."""
+    original = getattr(graph, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    with contextlib.ExitStack() as stack:
+        for mod in (graph, results, rounding, spectral, flowcluster, refcut, oracles):
+            if getattr(mod, name, None) is original:
+                stack.enter_context(mock.patch.object(mod, name, counted))
+        yield calls
+
+
+def test_each_set_is_normalized_and_cut_once():
+    ids = tuple(range(6, 26))
+    g = ring_of_cliques(20, 5)
+    with _counting("_as_node_array") as normalized, _counting("_cut") as cuts:
+        ClusterResult.of_set(g, ids, "x", 0.5, touched_nodes=6, iterations=1, t0=0.0)
+    assert (len(normalized), len(cuts)) == (1, 1)
+    with _counting("_as_node_array") as normalized, _counting("_cut") as cuts:
+        NodeSet.of(g, ids)
+    assert (len(normalized), len(cuts)) == (1, 0)
+    with _counting("_cut") as cuts:
+        l1pr_cluster(g, {0: 1.0}, alpha=0.15, epsilon=1e-3)
+    assert len(cuts) == 1
 
 
 def test_result_builder_recomputes_fields(dumbbell):

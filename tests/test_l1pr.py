@@ -109,15 +109,18 @@ def test_seed_forms_are_equivalent(dumbbell):
     assert np.allclose(from_dict.to_dense(), from_dist.to_dense(), atol=1e-12)
 
 
-def test_parameter_validation(dumbbell):
+@pytest.mark.parametrize("solve", [l1_pagerank, l1pr_cluster])
+def test_parameter_validation(dumbbell, solve):
     seed = {0: 1.0}
-    for bad_alpha in (0.0, 1.0, -0.1, 1.5):
+    for bad_alpha in (0.0, 1.0, -0.1, 1.5, math.nan):
         with pytest.raises(ParameterError):
-            l1_pagerank(dumbbell, seed, alpha=bad_alpha, epsilon=1e-3)
-    with pytest.raises(ParameterError):
-        l1_pagerank(dumbbell, seed, alpha=0.15, epsilon=0.0)
-    with pytest.raises(ParameterError):
-        l1_pagerank(dumbbell, seed, alpha=0.15, epsilon=1e-3, order="random")
+            solve(dumbbell, seed, alpha=bad_alpha, epsilon=1e-3)
+    for bad_epsilon in (0.0, -1e-3, math.nan):
+        with pytest.raises(ParameterError):
+            solve(dumbbell, seed, alpha=0.15, epsilon=bad_epsilon)
+    if solve is l1_pagerank:
+        with pytest.raises(ParameterError):
+            solve(dumbbell, seed, alpha=0.15, epsilon=1e-3, order="random")
 
 
 def test_seed_mass_validation(dumbbell):
