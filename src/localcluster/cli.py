@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
+from typing import Callable
 
 from . import io as gio
 from .errors import (
@@ -39,6 +40,7 @@ from .results import ClusterResult
 from .rounding import sweep_cut
 from .solvers import _dot
 from .spectral import (
+    EmbeddingVector,
     correlation_seed,
     fiedler,
     l1_pagerank,
@@ -50,7 +52,7 @@ from .spectral import (
     spectral_mqi_cluster,
 )
 
-__all__ = ["JobConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,32 +60,22 @@ EXIT_INPUT = 2
 EXIT_CONVERGENCE = 3
 EXIT_INFEASIBLE = 4
 
-_BRUTE_TARGETS = ("conductance", "expansion", "relative-conductance", "subset-ratio")
+# Each error class the CLI reports, and its exit code.
+_EXIT_CODES = {
+    ParameterError: EXIT_USAGE,
+    InputError: EXIT_INPUT,
+    OSError: EXIT_INPUT,
+    ConvergenceError: EXIT_CONVERGENCE,
+    InfeasibleError: EXIT_INFEASIBLE,
+}
 
-
-@dataclass
-class JobConfig:
-    """Validated invocation: which algorithm, on what, with what knobs."""
-
-    subcommand: str
-    graph: str
-    seed_set: str | None = None
-    seed_node: str | None = None
-    alpha: float | None = None
-    epsilon: float | None = None
-    rho: float | None = None
-    corr: float | None = None
-    delta: float | None = None
-    kappa: float | None = None
-    tol: float | None = None
-    max_iters: int = 50
-    objective: str = "conductance"
-    unnormalized: bool = False
-    sweep: bool = False
-    out: str | None = None
-    vector_out: str | None = None
-    vector_in: str | None = None
-    target: str | None = None
+# brute --target, and the objective name its result carries.
+_BRUTE_TARGETS = {
+    "conductance": "conductance",
+    "expansion": "expansion",
+    "relative-conductance": "seed_relative_conductance",
+    "subset-ratio": "cut_over_volume",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,125 +85,113 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+def _number(kind: type, ok: Callable[[float], bool], rule: str) -> Callable[[str], float]:
+    """An argparse ``type``: parse with ``kind``, then accept only values where ``ok`` holds.
+
+    Each ``ok`` is a comparison that must hold, so NaN fails every rule.
+    """
+
+    def parse(text: str):
+        x = kind(text)
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return x
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="localcluster", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name: str, **kwargs) -> argparse.ArgumentParser:
+    def add(name: str, run: Callable, seed: bool | None, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand running ``run``; ``seed`` says whether its seed flags
+        are required (True), optional (False) or absent (None)."""
         p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
         p.add_argument("--graph", required=True, help="edge-list file")
         p.add_argument("--out", help="write result JSON here instead of stdout")
+        if seed is not None:
+            group = p.add_mutually_exclusive_group(required=seed)
+            group.add_argument("--seed-set", help="file of seed labels, one per line")
+            group.add_argument("--seed-node", help="single seed label")
         return p
 
-    def add_seed_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed-set", help="file of seed labels, one per line")
-        p.add_argument("--seed-node", help="single seed label")
+    positive = _number(float, lambda x: x > 0, "positive")
+    kappa = _number(float, lambda x: x >= 1, "at least 1")
+    max_iters = dict(type=_number(int, lambda k: k >= 1, "at least 1"), default=50)
+    objective = dict(choices=("conductance", "expansion"), default="conductance")
 
-    p = add("spectral", help="global eigenvector embedding, optionally swept")
+    p = add("spectral", _cmd_spectral, None, help="global eigenvector embedding, optionally swept")
     p.add_argument("--unnormalized", action="store_true")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=positive)
     p.add_argument("--sweep", action="store_true")
-    p.add_argument("--objective", choices=("conductance", "expansion"), default="conductance")
+    p.add_argument("--objective", **objective)
     p.add_argument("--vector-out")
 
-    p = add("sweep", help="round a stored vector by threshold sweep")
+    p = add("sweep", _cmd_sweep, None, help="round a stored vector by threshold sweep")
     p.add_argument("--vector-in", required=True, help="node,value CSV to sweep")
-    p.add_argument("--objective", choices=("conductance", "expansion"), default="conductance")
+    p.add_argument("--objective", **objective)
 
-    p = add("mqi", help="flow refinement strictly inside the seed set")
-    add_seed_flags(p)
-    p.add_argument("--max-iters", type=int, default=50)
+    p = add("mqi", _cmd_mqi, True, help="flow refinement strictly inside the seed set")
+    p.add_argument("--max-iters", **max_iters)
 
-    p = add("flow-improve", help="global seed-relative flow refinement")
-    add_seed_flags(p)
-    p.add_argument("--max-iters", type=int, default=50)
+    p = add("flow-improve", _cmd_flow_improve, True, help="global seed-relative flow refinement")
+    p.add_argument("--max-iters", **max_iters)
 
-    p = add("local-flow-improve", help="strongly-local seed-relative refinement")
-    add_seed_flags(p)
-    p.add_argument("--delta", type=float, help="locality strength >= 0 (default 1.0)")
-    p.add_argument("--kappa", type=float, help="direct exterior penalty >= 1 (overrides --delta)")
-    p.add_argument("--max-iters", type=int, default=50)
+    p = add(
+        "local-flow-improve", _cmd_local_flow_improve, True,
+        help="strongly-local seed-relative refinement",
+    )
+    group = p.add_mutually_exclusive_group()
+    group.add_argument(
+        "--delta", type=_number(float, lambda x: x >= 0, "nonnegative"), default=1.0,
+        help="locality strength >= 0 (default 1.0)",
+    )
+    group.add_argument("--kappa", type=kappa, help="direct exterior penalty >= 1")
+    p.add_argument("--max-iters", **max_iters)
 
-    p = add("spectral-mqi", help="seed-confined eigenvector, optionally swept")
-    add_seed_flags(p)
-    p.add_argument("--tol", type=float)
+    p = add(
+        "spectral-mqi", _cmd_spectral_mqi, True, help="seed-confined eigenvector, optionally swept"
+    )
+    p.add_argument("--tol", type=positive)
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--vector-out")
 
-    p = add("mov", help="seed-correlated resolvent embedding")
-    add_seed_flags(p)
-    p.add_argument("--rho", type=float, help="resolvent shift (> -lambda2)")
-    p.add_argument("--corr", type=float, help="target squared seed correlation in (0, 1]")
-    p.add_argument("--tol", type=float)
+    p = add("mov", _cmd_mov, True, help="seed-correlated resolvent embedding")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument(
+        "--rho", type=_number(float, math.isfinite, "finite"), help="resolvent shift (> -lambda2)"
+    )
+    group.add_argument(
+        "--corr", type=_number(float, lambda x: 0 < x <= 1, "in (0, 1]"),
+        help="target squared seed correlation in (0, 1]",
+    )
+    p.add_argument("--tol", type=positive)
     p.add_argument("--sweep", action="store_true")
-    p.add_argument("--objective", choices=("conductance", "expansion"), default="conductance")
+    p.add_argument("--objective", **objective)
     p.add_argument("--vector-out")
 
-    p = add("l1pr", help="strongly-local l1-regularized diffusion")
-    add_seed_flags(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p = add("l1pr", _cmd_l1pr, True, help="strongly-local l1-regularized diffusion")
+    p.add_argument("--alpha", type=_number(float, lambda x: 0 < x < 1, "in (0, 1)"), required=True)
+    p.add_argument("--epsilon", type=positive, required=True)
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--vector-out")
 
-    p = add("brute", help="exhaustive reference optimizers (tiny graphs only)")
-    add_seed_flags(p)
+    p = add("brute", _cmd_brute, False, help="exhaustive reference optimizers (tiny graphs only)")
     p.add_argument("--target", choices=_BRUTE_TARGETS, required=True)
-    p.add_argument("--kappa", type=float, help="exterior penalty for relative-conductance")
+    p.add_argument(
+        "--kappa", type=kappa, default=1.0, help="exterior penalty for relative-conductance"
+    )
 
-    p = add("eval", help="recompute objectives for a stored set")
-    add_seed_flags(p)
-    p.add_argument("--objective", choices=("conductance", "expansion"), default="conductance")
+    p = add("eval", _cmd_eval, True, help="recompute objectives for a stored set")
+    p.add_argument("--objective", **objective)
 
     return parser
 
 
-def _validate(cfg: JobConfig) -> None:
-    """Range-check every parameter before any file is opened."""
-    if cfg.seed_set is not None and cfg.seed_node is not None:
-        raise ParameterError("--seed-set and --seed-node are mutually exclusive")
-    needs_seed = cfg.subcommand in (
-        "mqi",
-        "flow-improve",
-        "local-flow-improve",
-        "spectral-mqi",
-        "mov",
-        "l1pr",
-        "eval",
-    )
-    if needs_seed and cfg.seed_set is None and cfg.seed_node is None:
-        raise ParameterError(f"{cfg.subcommand} requires --seed-set or --seed-node")
-
-    if cfg.alpha is not None and not (0.0 < cfg.alpha < 1.0):
-        raise ParameterError(f"--alpha must be in (0, 1), got {cfg.alpha}")
-    if cfg.epsilon is not None and cfg.epsilon <= 0:
-        raise ParameterError(f"--epsilon must be positive, got {cfg.epsilon}")
-    if cfg.tol is not None and cfg.tol <= 0:
-        raise ParameterError(f"--tol must be positive, got {cfg.tol}")
-    if cfg.delta is not None and cfg.delta < 0:
-        raise ParameterError(f"--delta must be nonnegative, got {cfg.delta}")
-    if cfg.kappa is not None and not (cfg.kappa >= 1.0):
-        raise ParameterError(f"--kappa must be at least 1, got {cfg.kappa}")
-    if cfg.corr is not None and not (0.0 < cfg.corr <= 1.0):
-        raise ParameterError(f"--corr must be in (0, 1], got {cfg.corr}")
-    if cfg.max_iters < 1:
-        raise ParameterError(f"--max-iters must be at least 1, got {cfg.max_iters}")
-    if cfg.subcommand == "mov":
-        if (cfg.rho is None) == (cfg.corr is None):
-            raise ParameterError("mov needs exactly one of --rho or --corr")
-    if cfg.subcommand == "local-flow-improve":
-        if cfg.delta is not None and cfg.kappa is not None:
-            raise ParameterError("--delta and --kappa are mutually exclusive")
-    if cfg.subcommand == "brute":
-        if cfg.target in ("relative-conductance", "subset-ratio") and (
-            cfg.seed_set is None and cfg.seed_node is None
-        ):
-            raise ParameterError(f"brute --target {cfg.target} requires a seed")
-        if cfg.rho is not None or cfg.corr is not None:
-            raise ParameterError("brute takes no spectral flags")
-
-
-def _emit_json(payload: dict, out: str | None) -> None:
+def _write_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -220,173 +200,116 @@ def _emit_json(payload: dict, out: str | None) -> None:
             handle.write(text)
 
 
-def _emit_result(result: ClusterResult, lm: gio.LabelMap, out: str | None) -> None:
-    if out is None:
-        gio.write_result(result, lm, sys.stdout)
-    else:
-        gio.write_result(result, lm, out)
+def _write_vector(args: argparse.Namespace, lm: gio.LabelMap, vec: EmbeddingVector) -> None:
+    if args.vector_out:
+        gio.write_vector_csv(vec, lm, args.vector_out)
 
 
-def _load_seed(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> NodeSet:
-    if cfg.seed_node is not None:
-        return NodeSet.of(g, [lm.internal(cfg.seed_node)])
-    assert cfg.seed_set is not None
-    return gio.load_seed_set(cfg.seed_set, lm, g)
+def _load_seed(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> NodeSet:
+    if args.seed_node is not None:
+        return NodeSet.of(g, [lm.internal(args.seed_node)])
+    return gio.load_seed_set(args.seed_set, lm, g)
 
 
-def _cmd_spectral(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
-    t0 = time.perf_counter()
-    lam, vec = fiedler(g, normalized=not cfg.unnormalized, tol=cfg.tol or 1e-10)
-    if cfg.vector_out:
-        gio.write_vector_csv(vec, lm, cfg.vector_out)
-    if not cfg.sweep:
-        _emit_json({"lambda2": lam}, cfg.out)
-        return EXIT_OK
-    node_set, value, _ = sweep_cut(g, vec, objective=cfg.objective)
-    result = ClusterResult.of_set(
-        g, node_set.ids, cfg.objective, value, touched_nodes=g.n, iterations=1, t0=t0
-    )
-    _emit_result(result, lm, cfg.out)
-    return EXIT_OK
-
-
-def _cmd_sweep(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
-    t0 = time.perf_counter()
-    vec = gio.read_vector_csv(cfg.vector_in, lm)
-    node_set, value, profile = sweep_cut(g, vec, objective=cfg.objective)
-    result = ClusterResult.of_set(
-        g, node_set.ids, cfg.objective, value, touched_nodes=int(profile.order.size),
+def _swept(args: argparse.Namespace, g: Graph, vec: EmbeddingVector, t0: float) -> ClusterResult:
+    """The best prefix of ``vec``'s sweep under --objective."""
+    node_set, value, profile = sweep_cut(g, vec, objective=args.objective)
+    return ClusterResult.of_set(
+        g, node_set.ids, args.objective, value, touched_nodes=int(profile.order.size),
         iterations=1, t0=t0,
     )
-    _emit_result(result, lm, cfg.out)
-    return EXIT_OK
 
 
-def _cmd_flow(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
-    seed = _load_seed(cfg, g, lm)
-    if cfg.subcommand == "mqi":
-        result = mqi(g, seed, max_iters=cfg.max_iters)
-    elif cfg.subcommand == "flow-improve":
-        result = flow_improve(g, seed, max_iters=cfg.max_iters)
-    elif cfg.kappa is not None:
-        result = local_flow_improve_scaled(g, seed, kappa=cfg.kappa, max_iters=cfg.max_iters)
-    else:
-        delta = 1.0 if cfg.delta is None else cfg.delta
-        result = local_flow_improve(g, seed, delta=delta, max_iters=cfg.max_iters)
-    _emit_result(result, lm, cfg.out)
-    return EXIT_OK
+# Each handler returns what the command prints: a ClusterResult, or a
+# summary dict. Vector CSVs are written by the handler itself.
 
 
-def _cmd_spectral_mqi(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
-    seed = _load_seed(cfg, g, lm)
-    if cfg.sweep:
-        result = spectral_mqi_cluster(g, seed, tol=cfg.tol or 1e-8)
-        if cfg.vector_out:
-            gio.write_vector_csv(result.vector, lm, cfg.vector_out)
-        _emit_result(result, lm, cfg.out)
-        return EXIT_OK
-    lam, vec = spectral_mqi(g, seed, tol=cfg.tol or 1e-10)
-    if cfg.vector_out:
-        gio.write_vector_csv(vec, lm, cfg.vector_out)
-    _emit_json({"lambda_r": lam}, cfg.out)
-    return EXIT_OK
-
-
-def _cmd_mov(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
+def _cmd_spectral(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> ClusterResult | dict:
     t0 = time.perf_counter()
-    seed = _load_seed(cfg, g, lm)
-    z = correlation_seed(g, seed)
-    if cfg.rho is not None:
-        rho = cfg.rho
-        vec = mov_solve(g, z, rho, tol=cfg.tol or 1e-10)
-    else:
-        assert cfg.corr is not None
-        vec, rho = mov_correlate(g, z, cfg.corr, tol=cfg.tol or 1e-4)
-    if cfg.vector_out:
-        gio.write_vector_csv(vec, lm, cfg.vector_out)
-    if not cfg.sweep:
-        v = vec.values
-        achieved = _dot(z, g.degrees * v) ** 2 / _dot(v, g.degrees * v)
-        _emit_json({"rho": rho, "correlation": achieved}, cfg.out)
-        return EXIT_OK
-    node_set, value, _ = sweep_cut(g, vec, objective=cfg.objective)
-    result = ClusterResult.of_set(
-        g, node_set.ids, cfg.objective, value, touched_nodes=g.n, iterations=1, t0=t0
-    )
-    _emit_result(result, lm, cfg.out)
-    return EXIT_OK
+    lam, vec = fiedler(g, normalized=not args.unnormalized, tol=args.tol or 1e-10)
+    _write_vector(args, lm, vec)
+    return _swept(args, g, vec, t0) if args.sweep else {"lambda2": lam}
 
 
-def _cmd_l1pr(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
-    assert cfg.alpha is not None and cfg.epsilon is not None
-    if cfg.seed_node is not None:
-        h: dict[int, float] = {lm.internal(cfg.seed_node): 1.0}
-    else:
-        seed = _load_seed(cfg, g, lm)
-        h = seed_distribution(g, seed)
-    if cfg.sweep:
-        result = l1pr_cluster(g, h, cfg.alpha, cfg.epsilon)
-        if cfg.vector_out:
-            gio.write_vector_csv(result.vector, lm, cfg.vector_out)
-        _emit_result(result, lm, cfg.out)
-        return EXIT_OK
-    vec, touched = l1_pagerank(g, h, cfg.alpha, cfg.epsilon)
-    if cfg.vector_out:
-        gio.write_vector_csv(vec, lm, cfg.vector_out)
-    _emit_json(
-        {"touched_nodes": touched, "support_size": int(vec.support().size)}, cfg.out
-    )
-    return EXIT_OK
-
-
-def _cmd_brute(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
+def _cmd_sweep(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> ClusterResult:
     t0 = time.perf_counter()
-    if cfg.target == "conductance":
+    return _swept(args, g, gio.read_vector_csv(args.vector_in, lm), t0)
+
+
+def _cmd_mqi(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> ClusterResult:
+    return mqi(g, _load_seed(args, g, lm), max_iters=args.max_iters)
+
+
+def _cmd_flow_improve(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> ClusterResult:
+    return flow_improve(g, _load_seed(args, g, lm), max_iters=args.max_iters)
+
+
+def _cmd_local_flow_improve(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> ClusterResult:
+    seed = _load_seed(args, g, lm)
+    if args.kappa is not None:
+        return local_flow_improve_scaled(g, seed, kappa=args.kappa, max_iters=args.max_iters)
+    return local_flow_improve(g, seed, delta=args.delta, max_iters=args.max_iters)
+
+
+def _cmd_spectral_mqi(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> ClusterResult | dict:
+    seed = _load_seed(args, g, lm)
+    if args.sweep:
+        result = spectral_mqi_cluster(g, seed, tol=args.tol or 1e-8)
+        _write_vector(args, lm, result.vector)
+        return result
+    lam, vec = spectral_mqi(g, seed, tol=args.tol or 1e-10)
+    _write_vector(args, lm, vec)
+    return {"lambda_r": lam}
+
+
+def _cmd_mov(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> ClusterResult | dict:
+    t0 = time.perf_counter()
+    z = correlation_seed(g, _load_seed(args, g, lm))
+    if args.rho is not None:
+        rho, vec = args.rho, mov_solve(g, z, args.rho, tol=args.tol or 1e-10)
+    else:
+        vec, rho = mov_correlate(g, z, args.corr, tol=args.tol or 1e-4)
+    _write_vector(args, lm, vec)
+    if args.sweep:
+        return _swept(args, g, vec, t0)
+    v = vec.values
+    return {"rho": rho, "correlation": _dot(z, g.degrees * v) ** 2 / _dot(v, g.degrees * v)}
+
+
+def _cmd_l1pr(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> ClusterResult | dict:
+    h = seed_distribution(g, _load_seed(args, g, lm))
+    if args.sweep:
+        result = l1pr_cluster(g, h, args.alpha, args.epsilon)
+        _write_vector(args, lm, result.vector)
+        return result
+    vec, touched = l1_pagerank(g, h, args.alpha, args.epsilon)
+    _write_vector(args, lm, vec)
+    return {"touched_nodes": touched, "support_size": int(vec.support().size)}
+
+
+def _cmd_brute(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> ClusterResult:
+    t0 = time.perf_counter()
+    if args.target == "conductance":
         node_set, value = brute_min_conductance(g)
-        name = "conductance"
-    elif cfg.target == "expansion":
+    elif args.target == "expansion":
         node_set, value = brute_min_expansion(g)
-        name = "expansion"
-    elif cfg.target == "relative-conductance":
-        seed = _load_seed(cfg, g, lm)
-        node_set, value = brute_min_relative_conductance(g, seed, kappa=cfg.kappa or 1.0)
-        name = "seed_relative_conductance"
+    elif args.target == "relative-conductance":
+        seed = _load_seed(args, g, lm)
+        node_set, value = brute_min_relative_conductance(g, seed, kappa=args.kappa)
     else:
-        seed = _load_seed(cfg, g, lm)
-        node_set, value = brute_min_subset_ratio(g, seed)
-        name = "cut_over_volume"
-    result = ClusterResult.of_set(
-        g, node_set.ids, name, value, touched_nodes=g.n, iterations=1, t0=t0
+        node_set, value = brute_min_subset_ratio(g, _load_seed(args, g, lm))
+    return ClusterResult.of_set(
+        g, node_set.ids, _BRUTE_TARGETS[args.target], value, touched_nodes=g.n, iterations=1, t0=t0
     )
-    _emit_result(result, lm, cfg.out)
-    return EXIT_OK
 
 
-def _cmd_eval(cfg: JobConfig, g: Graph, lm: gio.LabelMap) -> int:
+def _cmd_eval(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> ClusterResult:
     t0 = time.perf_counter()
-    seed = _load_seed(cfg, g, lm)
-    value = (
-        conductance(g, seed) if cfg.objective == "conductance" else expansion(g, seed)
+    seed = _load_seed(args, g, lm)
+    value = conductance(g, seed) if args.objective == "conductance" else expansion(g, seed)
+    return ClusterResult.of_set(
+        g, seed.ids, args.objective, value, touched_nodes=len(seed), iterations=1, t0=t0
     )
-    result = ClusterResult.of_set(
-        g, seed.ids, cfg.objective, value, touched_nodes=len(seed), iterations=1, t0=t0
-    )
-    _emit_result(result, lm, cfg.out)
-    return EXIT_OK
-
-
-_HANDLERS = {
-    "spectral": _cmd_spectral,
-    "sweep": _cmd_sweep,
-    "mqi": _cmd_flow,
-    "flow-improve": _cmd_flow,
-    "local-flow-improve": _cmd_flow,
-    "spectral-mqi": _cmd_spectral_mqi,
-    "mov": _cmd_mov,
-    "l1pr": _cmd_l1pr,
-    "brute": _cmd_brute,
-    "eval": _cmd_eval,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -394,27 +317,22 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             args = _build_parser().parse_args(argv)
-        except SystemExit as exc:  # --help and version paths
+        except SystemExit as exc:  # --help
             return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-        cfg = JobConfig(**{k.replace("-", "_"): v for k, v in vars(args).items()})
-        _validate(cfg)
+        # The one rule that depends on another flag's value.
+        if args.subcommand == "brute" and args.target in ("relative-conductance", "subset-ratio"):
+            if args.seed_set is None and args.seed_node is None:
+                raise ParameterError(f"brute --target {args.target} requires a seed")
         try:
-            g, lm = gio.load_edge_list(cfg.graph)
+            g, lm = gio.load_edge_list(args.graph)
         except OSError as exc:
             raise InputError(f"cannot read graph file: {exc}") from exc
-        return _HANDLERS[cfg.subcommand](cfg, g, lm)
-    except ConvergenceError as exc:
+        output = args.run(args, g, lm)
+        if isinstance(output, ClusterResult):
+            gio.write_result(output, lm, sys.stdout if args.out is None else args.out)
+        else:
+            _write_json(output, args.out)
+        return EXIT_OK
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(_EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in _EXIT_CODES)

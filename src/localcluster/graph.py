@@ -293,6 +293,19 @@ class NodeSet:
 def _as_node_array(g: Graph, s: object) -> np.ndarray:
     """Normalize a set-like argument to a sorted, validated id array.
 
+    Ids that are not integers, or that lie outside [0, n), raise
+    InvalidSetError; an empty input of any dtype is the empty set.
+    """
+    arr = _sorted_ids(s)
+    if arr.size and (arr[0] < 0 or arr[-1] >= g.n):
+        bad = arr[0] if arr[0] < 0 else arr[-1]
+        raise InvalidSetError(f"vertex id {bad} out of range for n={g.n}")
+    return arr
+
+
+def _sorted_ids(s: object) -> np.ndarray:
+    """The distinct integer ids of a set-like argument, sorted; no range check.
+
     Ids that are not integers raise InvalidSetError; an empty input of any
     dtype is the empty set.
     """
@@ -310,9 +323,6 @@ def _as_node_array(g: Graph, s: object) -> np.ndarray:
     arr = np.sort(arr, axis=None)
     if arr.size:
         arr = arr[np.concatenate(([True], arr[1:] != arr[:-1]))]
-    if arr.size and (arr[0] < 0 or arr[-1] >= g.n):
-        bad = arr[0] if arr[0] < 0 else arr[-1]
-        raise InvalidSetError(f"vertex id {bad} out of range for n={g.n}")
     return arr
 
 

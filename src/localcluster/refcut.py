@@ -38,7 +38,7 @@ from .flownet import (
     _Residual,
     _return_excess,
 )
-from .graph import Graph, _as_node_array, _cut, _locate
+from .graph import Graph, _as_node_array, _cut, _locate, _sorted_ids
 
 __all__ = [
     "AugmentedGraphSpec",
@@ -61,8 +61,9 @@ class AugmentedGraphSpec:
     beta : float
         Sink scale, >= 0; +inf allowed (hard confinement): node i outside
         R is attached to the sink with capacity beta*d_i.
-    seed : iterable of node ids
+    seed : iterable of integer node ids
         The seed set R, nonempty; held as a sorted array of distinct ids.
+        Ids that are not integers raise InvalidSetError.
     """
 
     alpha: float
@@ -72,7 +73,7 @@ class AugmentedGraphSpec:
     def __post_init__(self):
         if not (self.alpha >= 0 and self.beta >= 0):  # NaN fails both comparisons
             raise ParameterError("alpha and beta must be nonnegative")
-        seed = np.unique(np.fromiter(self.seed, dtype=np.int64))
+        seed = _sorted_ids(self.seed)
         if not seed.size:
             raise ParameterError("seed set is empty")
         object.__setattr__(self, "seed", seed)
@@ -261,7 +262,7 @@ def solve_maxflow_local(
     if math.isinf(spec.alpha):
         raise ParameterError("total source capacity must be finite")
 
-    explored = np.union1d(spec.seed, np.fromiter(warm_start, dtype=np.int64))
+    explored = _sorted_ids(np.concatenate((spec.seed, _sorted_ids(warm_start))))
     if explored[0] < 0 or explored[-1] >= g.n:
         raise ParameterError("warm-start node out of range")
 

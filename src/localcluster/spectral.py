@@ -182,7 +182,7 @@ def fiedler(g: Graph, normalized: bool = True, tol: float = 1e-10) -> tuple[floa
     return; the unnormalized flag swaps D for the identity. The entry of
     largest magnitude is made positive.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ParameterError("tol must be positive")
     if g.n < 2:
         raise ParameterError("need at least two vertices")
@@ -216,7 +216,7 @@ def spectral_mqi(g: Graph, r: object, tol: float = 1e-10) -> tuple[float, Embedd
     it is e_v with eigenvalue 1. Strongly local: the solve reads only the
     arcs of R's vertices.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ParameterError("tol must be positive")
     r_arr = _as_node_array(g, r)
     if r_arr.size == 0:
@@ -241,12 +241,7 @@ def spectral_mqi(g: Graph, r: object, tol: float = 1e-10) -> tuple[float, Embedd
     return lam, EmbeddingVector(n=g.n, values=y, indices=r_arr.copy(), kind="dirichlet")
 
 
-def spectral_mqi_cluster(
-    g: Graph,
-    r: object,
-    tol: float = 1e-8,
-    objective: str = "cut_over_volume",
-) -> ClusterResult:
+def spectral_mqi_cluster(g: Graph, r: object, tol: float = 1e-8) -> ClusterResult:
     """Round the seed-confined eigenvector to a set inside R.
 
     The sweep orders by degree-rescaled entries (values / sqrt(d)), which
@@ -267,9 +262,9 @@ def spectral_mqi_cluster(
         raise DegenerateResultError("eigenvector has empty support")
     rescaled = vals / np.sqrt(g.degrees[ids])
     sweep_vec = EmbeddingVector(n=g.n, values=rescaled, indices=ids, kind="dirichlet")
-    node_set, value, _profile = sweep_cut(g, sweep_vec, objective=objective)
+    node_set, value, _profile = sweep_cut(g, sweep_vec, objective="cut_over_volume")
     return ClusterResult.of_set(
-        g, node_set.ids, objective, value, touched_nodes=touched, iterations=1, t0=t0,
+        g, node_set.ids, "cut_over_volume", value, touched_nodes=touched, iterations=1, t0=t0,
         history=(lam,), vector=vec,
     )
 
@@ -293,11 +288,13 @@ def mov_solve(g: Graph, z: np.ndarray, rho: float, tol: float = 1e-10) -> Embedd
     ``z`` is degree-orthogonalized against constants first. For rho != 0
     the prenormalization system is (L + rho*D) x = rho*D*z; at rho = 0 the
     pseudo-inverse on the deflated space is used, so the parameter passes
-    through zero continuously. Requires rho > -lambda2; below that the
-    operator loses definiteness and a parameter error is raised.
+    through zero continuously. Requires a finite rho > -lambda2; below
+    that the operator loses definiteness and a parameter error is raised.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ParameterError("tol must be positive")
+    if not math.isfinite(rho):
+        raise ParameterError(f"rho must be finite (got {rho})")
     if not g.is_connected():
         raise ParameterError("graph must be connected")
     z = _orthogonalize_seed(g, z)
@@ -358,7 +355,7 @@ def mov_correlate(
     """
     if not (0.0 < kappa <= 1.0):
         raise ParameterError(f"kappa must be in (0, 1] (got {kappa})")
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ParameterError("tol must be positive")
     z = _orthogonalize_seed(g, z)
     z = z / math.sqrt(_dot(z, g.degrees * z))

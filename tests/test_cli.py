@@ -307,13 +307,40 @@ class TestBruteCommand:
         capsys.readouterr()
 
 
+L1PR = ["l1pr", "--seed-node", "x"]
+LFI = ["local-flow-improve", "--seed-node", "x"]
+MOV = ["mov", "--seed-node", "x"]
+
+
 class TestExitCodes:
-    def test_parameter_error_beats_missing_file(self, capsys):
-        # Validation runs before any file is opened.
-        code = main(["l1pr", "--graph", "/nonexistent.el", "--seed-node", "x",
-                     "--alpha", "2.0", "--epsilon", "1e-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*L1PR, "--alpha", "2.0", "--epsilon", "1e-3"],
+            [*L1PR, "--alpha", "nan", "--epsilon", "1e-3"],
+            [*L1PR, "--alpha", "0.15", "--epsilon", "0"],
+            [*L1PR, "--alpha", "0.15", "--epsilon", "nan"],
+            ["spectral", "--tol", "nan"],
+            ["spectral-mqi", "--seed-node", "x", "--tol", "nan"],
+            [*MOV, "--rho", "0.1", "--tol", "nan"],
+            [*LFI, "--delta", "-1"],
+            [*LFI, "--delta", "nan"],
+            [*LFI, "--kappa", "0.5"],
+            [*MOV, "--corr", "1.5"],
+            ["mqi", "--seed-node", "x", "--max-iters", "0"],
+            [*MOV, "--rho", "nan"],
+            ["eval", "--seed-node", "x", "--seed-set", "seed.txt"],
+            [*LFI, "--delta", "1.0", "--kappa", "2.0"],
+            [*MOV, "--rho", "0.1", "--corr", "0.9"],
+            MOV,
+        ],
+        ids=" ".join,
+    )
+    def test_parameter_error_beats_missing_file(self, capsys, argv):
+        # Every range and exclusivity rule is checked before any file is opened.
+        code = main([argv[0], "--graph", "/nonexistent.el", *argv[1:]])
         assert code == 1
-        capsys.readouterr()
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_graph_file(self, capsys):
         code = main(["spectral", "--graph", "/nonexistent.el"])

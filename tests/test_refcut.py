@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from localcluster import (
     AugmentedGraphSpec,
     FlowNetwork,
+    InvalidSetError,
     ParameterError,
     augmented_cut_value,
     cut_capacity,
@@ -59,6 +60,12 @@ class TestSpecValidation:
     def test_seed_held_sorted_and_distinct(self):
         spec = AugmentedGraphSpec(alpha=1.0, beta=1.0, seed=(4, 1, 4, 0))
         assert spec.seed.tolist() == [0, 1, 4]
+
+    def test_non_integer_seed_rejected(self):
+        # Neither truncated to ints nor parsed as ints.
+        for bad in ([0.7, 2.2], ["1"], np.array([0.0, 1.0])):
+            with pytest.raises(InvalidSetError, match="integers"):
+                AugmentedGraphSpec(alpha=1.0, beta=1.0, seed=bad)
 
     def test_out_of_range_support(self, triangle):
         for bad in (9, -1):
@@ -199,6 +206,11 @@ class TestLocalSolver:
         for bad in ([-1], [dumbbell.n]):
             with pytest.raises(ParameterError):
                 solve_maxflow_local(spec, dumbbell, warm_start=bad)
+
+    def test_non_integer_warm_start_rejected(self, dumbbell):
+        spec = _fi_spec(dumbbell, (0, 1, 2, 3))
+        with pytest.raises(InvalidSetError, match="integers"):
+            solve_maxflow_local(spec, dumbbell, warm_start=[4.5])
 
     def test_infinite_source_scale_rejected(self, dumbbell):
         spec = AugmentedGraphSpec(alpha=math.inf, beta=1.0, seed=[0])

@@ -167,8 +167,9 @@ class TestFiedler:
             assert _cos(vec.values, x_ref) == pytest.approx(1.0, abs=1e-7)
 
     def test_validation(self, dumbbell):
-        with pytest.raises(ParameterError):
-            fiedler(dumbbell, tol=0.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ParameterError):
+                fiedler(dumbbell, tol=tol)
         two_parts = Graph.from_edges(4, [0, 2], [1, 3])
         with pytest.raises(ParameterError):
             fiedler(two_parts)
@@ -241,6 +242,13 @@ class TestSeedConfined:
     def test_empty_seed_rejected(self, dumbbell):
         with pytest.raises(ParameterError):
             spectral_mqi(dumbbell, ())
+
+    def test_tol_validation(self, dumbbell):
+        # NaN passes a `tol <= 0` check and then never converges.
+        for solve in (spectral_mqi, spectral_mqi_cluster):
+            for tol in (0.0, -1.0, math.nan):
+                with pytest.raises(ParameterError):
+                    solve(dumbbell, (0, 1, 2), tol=tol)
 
 
 def reference_apply_sub(g, r, y):
@@ -317,6 +325,20 @@ class TestResolventSolve:
             mov_solve(dumbbell, z, -DUMBBELL_LAMBDA2)
         with pytest.raises(ParameterError):
             mov_solve(dumbbell, z, -5.0)
+
+    def test_non_finite_rho_rejected(self, dumbbell):
+        # Either would run the whole matvec budget before failing.
+        z = correlation_seed(dumbbell, (0, 1, 2))
+        for rho in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="rho must be finite"):
+                mov_solve(dumbbell, z, rho)
+
+    def test_tol_validation(self, dumbbell):
+        # NaN would pass the residual check `rel > tol` unseen.
+        z = correlation_seed(dumbbell, (0, 1, 2))
+        for tol in (0.0, math.nan):
+            with pytest.raises(ParameterError):
+                mov_solve(dumbbell, z, 0.1, tol=tol)
 
     def test_constant_seed_rejected(self, dumbbell):
         with pytest.raises(ParameterError):
@@ -408,9 +430,16 @@ class TestCorrelationTargeting:
 
     def test_kappa_validation(self, dumbbell):
         z = correlation_seed(dumbbell, (0, 1, 2))
-        for bad in (0.0, -0.5, 1.01):
+        for bad in (0.0, -0.5, 1.01, math.nan):
             with pytest.raises(ParameterError):
                 mov_correlate(dumbbell, z, kappa=bad)
+
+    def test_tol_validation(self, dumbbell):
+        # NaN tolerance can never be met.
+        z = correlation_seed(dumbbell, (0, 1, 2))
+        for tol in (0.0, math.nan):
+            with pytest.raises(ParameterError):
+                mov_correlate(dumbbell, z, kappa=0.96, tol=tol)
 
 
 @st.composite
