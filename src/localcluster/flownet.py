@@ -451,9 +451,22 @@ def _discharge(res: _Residual, excess: list[float], label: list[int], sink: int,
 
     FIFO push-relabel over current-arc pointers. A node whose label
     reaches ``num_nodes`` has no residual path to ``sink`` and keeps its
-    excess; so does ``source``, held at that label. Labels are set again
-    by a global relabel (``_global_labels``) whenever the relabels have
-    scanned 6n + m arcs since the last one.
+    excess; so does ``source``, held at that label. The labels stay valid
+    (label[u] <= label[v] + 1 on every residual arc u -> v below
+    ``num_nodes``), which gives two shortcuts:
+
+    - a relabel of a node at label d finds no residual neighbour below d,
+      so its scan stops at the first one at d: the arc and the label a
+      full scan picks;
+    - when a relabel leaves no node at its old label, no node above that
+      label can reach ``sink`` (the gap heuristic), and all of them, the
+      relabeled node too, go to ``num_nodes`` at once instead of climbing
+      there one relabel at a time. A node cut off while it waits in the
+      queue is skipped.
+
+    Labels are set again by a global relabel (``_global_labels``) whenever
+    the relabels have charged 6n + m arcs since the last one; each relabel
+    charges its node's whole arc run, however early its scan stopped.
     """
     head, cap, rev, first, end = res.head, res.cap, res.rev, res.first, res.end
     eps = RESIDUAL_EPS
@@ -464,10 +477,15 @@ def _discharge(res: _Residual, excess: list[float], label: list[int], sink: int,
     queue = [u for u in range(n) if excess[u] > eps and 0 < label[u] < n]
     while queue:
         ptr = first[:-1]
+        count = [0] * (n + 1)  # nodes per label; count[n] is not kept up
+        for d in label:
+            count[d] += 1
         work = 0
         for u in queue:
-            e = excess[u]
             d = label[u]
+            if d == n:
+                continue  # cut off by a gap while it waited
+            e = excess[u]
             below = d - 1
             p = ptr[u]
             stop = end[u]
@@ -488,6 +506,8 @@ def _discharge(res: _Residual, excess: list[float], label: list[int], sink: int,
                             break
                 else:
                     # Relabel: one above the lowest residual neighbour.
+                    # The labels are valid, so none is below d, and the
+                    # first at d is the lowest.
                     start = first[u]
                     work += stop - start
                     low = n
@@ -497,7 +517,17 @@ def _discharge(res: _Residual, excess: list[float], label: list[int], sink: int,
                             if h < low:
                                 low = h
                                 p = q
+                                if h == d:
+                                    break
+                    count[d] -= 1
+                    if not count[d]:
+                        # A gap at d: u and every node above d are cut off.
+                        label[:] = [n if h > d else h for h in label]
+                        count[d + 1:n] = [0] * (n - d - 1)
+                        d = n
+                        break
                     d = low + 1 if low < n else n
+                    count[d] += 1
                     if d == n or work > budget:
                         break
                     below = low

@@ -9,14 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localcluster import (
+    AugmentedGraphSpec,
     FlowNetwork,
+    Graph,
     ParameterError,
     UnboundedFlowError,
     cut_capacity,
+    flow_improve,
+    materialize,
     solve_maxflow,
 )
 from localcluster.flownet import DUALITY_RTOL, _checked_min_cut, _dinic, _Residual
 from localcluster.oracles import brute_min_cut
+from localcluster.synth import random_connected_graph, ring_of_cliques
 
 
 def test_single_bottleneck_path():
@@ -446,6 +451,96 @@ def test_leftover_excess_returns_to_the_source_over_many_hops(monkeypatch):
     assert sol.s_side == s_side == frozenset(range(1, 13))
     assert [net.arc_flow(a) for a in range(0, len(net.head), 2)] == [1.0] * 13
     assert_maxflow_agrees(14, arcs)
+
+
+def assert_discharge_leaves_valid_labels(net):
+    """Solve ``net``, checking the labels and excesses each ``_discharge`` leaves.
+
+    Every residual arc u -> v out of a node below label n must have
+    label[u] <= label[v] + 1 (the premise of the early-exit relabel and of
+    the gap), and every non-terminal that keeps an excess must be at n.
+    """
+    from localcluster import flownet
+
+    discharge, checked = flownet._discharge, []
+
+    def discharge_and_check(res, excess, label, sink, source):
+        discharge(res, excess, label, sink, source)
+        n, eps = res.num_nodes, flownet.RESIDUAL_EPS
+        for u in range(n):
+            if label[u] < n:
+                for p in range(res.first[u], res.end[u]):
+                    if res.cap[p] > eps:
+                        assert label[u] <= label[res.head[p]] + 1, (u, res.head[p], label)
+            if u != sink and u != source and excess[u] > eps:
+                assert label[u] == n, (u, excess[u], label)
+        checked.append(net)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flownet, "_discharge", discharge_and_check)
+        try:
+            solve_maxflow(net)
+        except UnboundedFlowError:
+            pass
+    assert checked == [net]
+
+
+@settings(max_examples=300)
+@given(case=arc_lists())
+def test_discharge_leaves_valid_labels(case):
+    n, arcs = case
+    assert_discharge_leaves_valid_labels(_network(n, arcs, 0, None))
+
+
+@settings(max_examples=100)
+@given(
+    n=st.integers(3, 40),
+    graph_seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.1, 1.0, 3.0]),
+    beta=st.sampled_from([0.0, 0.05, 0.3, 1.0, math.inf]),
+    data=st.data(),
+)
+def test_discharge_leaves_valid_labels_on_cut_graphs(n, graph_seed, alpha, beta, data):
+    g = random_connected_graph(n, graph_seed)
+    seed = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    assert_discharge_leaves_valid_labels(materialize(AugmentedGraphSpec(alpha, beta, sorted(seed)), g))
+
+
+def count_global_relabels(monkeypatch):
+    """Spy on ``flownet._global_labels``; returns the list its calls are appended to."""
+    from localcluster import flownet
+
+    calls, global_labels = [], flownet._global_labels
+
+    def spy(*args):
+        calls.append(args)
+        return global_labels(*args)
+
+    monkeypatch.setattr(flownet, "_global_labels", spy)
+    return calls
+
+
+def test_a_gap_cuts_off_the_nodes_behind_the_cut_without_a_global_relabel(monkeypatch):
+    # Without the gap heuristic, the nodes behind the minimum cut climb one
+    # label at a time until the relabel budget is spent and a second global
+    # relabel cuts them off.
+    calls = count_global_relabels(monkeypatch)
+    res = flow_improve(ring_of_cliques(20, 10), range(13))
+    assert len(calls) == 1
+    assert res.set_ids == tuple(range(20))
+    assert res.history == pytest.approx((0.18333333333333332, 0.017310789049919485), rel=1e-12)
+
+
+def test_the_relabel_budget_still_runs_a_global_relabel(monkeypatch):
+    k = 10
+    cells = np.arange(k * k).reshape(k, k)
+    u = np.concatenate([cells[:, :-1].ravel(), cells[:-1, :].ravel()])
+    v = np.concatenate([cells[:, 1:].ravel(), cells[1:, :].ravel()])
+    calls = count_global_relabels(monkeypatch)
+    res = flow_improve(Graph.from_edges(k * k, u, v), range(20))
+    assert len(calls) == 1
+    assert res.set_ids == tuple(range(20))
+    assert res.objective == pytest.approx(10 / 66, rel=1e-12)  # cut 10, volume 66
 
 
 def test_sentinel_is_twice_the_finite_total_in_arc_order_plus_one():
