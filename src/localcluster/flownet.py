@@ -14,15 +14,20 @@ without being built again: ``solve_maxflow`` always starts from zero
 flow, at ``cap_init``.
 
 ``solve_maxflow``, the whole-network solve, runs FIFO push-relabel with
-global relabeling (Goldberg & Tarjan 1988; Cherkassky & Goldberg 1997):
-it saturates the source's arcs and discharges the excess toward the
-sink; ``_return_excess`` then sends what cannot arrive back to the
-source, so the solve ends with a flow whose residual reach from the
-source is the minimal min cut. Where a network's last, certifying round
-must saturate thousands of tiny sink arcs, Dinic pays a whole-network BFS
-per phase and a dead-end DFS per augmenting path, while push-relabel
-saturates them by local pushes; on deep networks (a 3000-node path)
-Dinic needs one phase per level.
+global relabeling and the gap heuristic (Goldberg & Tarjan 1988;
+Cherkassky & Goldberg 1997): it saturates the source's arcs and
+discharges the excess toward the sink; ``_return_excess`` then sends
+what cannot arrive back to the source, so the solve ends with a flow
+whose residual reach from the source is the minimal min cut. A relabel
+that empties its old label cuts off every node above it at once (the
+gap), where those nodes would otherwise climb one label at a time until
+the relabel budget ran out and a global relabel cut them off; and a
+relabel's scan stops at the first neighbour at the node's own label,
+the lowest any valid labeling allows. Where a network's last,
+certifying round must saturate thousands of tiny sink arcs, Dinic pays
+a whole-network BFS per phase and a dead-end DFS per augmenting path,
+while push-relabel saturates them by local pushes; on deep networks (a
+3000-node path) Dinic needs one phase per level.
 
 Dinic's blocking flow (``_dinic``) serves the strongly-local solver
 (``refcut``): each phase's level BFS stops once the sink is labeled, and
@@ -393,7 +398,7 @@ def _bfs_levels(head: list[int], cap: list[float], first: list[int], n: int, sou
 
 
 def _push_relabel(res: _Residual, source: int, sink: int) -> tuple[float, np.ndarray]:
-    """Maximum flow from ``source`` to ``sink`` by FIFO push-relabel with global relabeling.
+    """Maximum flow from ``source`` to ``sink`` by FIFO push-relabel with global and gap relabeling.
 
     The source's arcs are saturated, and ``_discharge`` moves the excess
     to the sink while it can; then ``_return_excess`` moves what is left
