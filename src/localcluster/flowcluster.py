@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ParameterError, SeedTooLargeError
 from .flownet import solve_maxflow
-from .graph import Graph, _as_node_array, relative_conductance
+from .graph import Graph, _as_node_array, _sorted_ids, relative_conductance
 from .refcut import AugmentedGraphSpec, materialize, rescale, solve_maxflow_local
 from .results import ClusterResult
 
@@ -96,9 +96,11 @@ def refine_by_flow(
     later one, and ``touched_nodes`` is n. Below it the rounds solve
     strongly locally, warm-started from the current set: the solver grows
     its subgraph on demand and carries its flow from one grow round to the
-    next. The
-    objective is named ``"cut_over_volume"`` at kappa = inf and
-    ``"seed_relative_conductance"`` otherwise.
+    next, and ``touched_nodes`` counts every node some round explored.
+    The current set, each round's s-side and the explored nodes are
+    sorted int64 arrays throughout, the form the set functionals and the
+    result builder take. The objective is named ``"cut_over_volume"`` at
+    kappa = inf and ``"seed_relative_conductance"`` otherwise.
     """
     if max_iters < 1:
         raise ParameterError("max_iters must be >= 1")
@@ -108,7 +110,7 @@ def refine_by_flow(
     r_arr, vol_r, ratio = _seed_ratio(g, r)
     eps = kappa * ratio
 
-    current = frozenset(r_arr.tolist())
+    current = r_arr
     obj = relative_conductance(g, r_arr, r_arr, kappa=kappa)
     if math.isinf(obj):
         raise ParameterError("seed-relative conductance of the seed is not finite")
@@ -116,7 +118,7 @@ def refine_by_flow(
     # bound vol(R)(1 + 2/eps) + cut(R) against vol(V).
     whole = vol_r * (1.0 + 2.0 / eps + obj) >= g.total_volume
     history = [obj]
-    touched: set[int] = set(current)
+    touched = r_arr
     iterations = 0
     net = None
 
@@ -132,10 +134,10 @@ def refine_by_flow(
             sol = solve_maxflow(net)
         else:
             sol, explored = solve_maxflow_local(spec, g, warm_start=current)
-            touched.update(explored)
+            touched = _sorted_ids(np.concatenate((touched, explored)))
         iterations += 1
         candidate = sol.s_side
-        if not candidate:
+        if not candidate.size:
             break
         cand_obj = relative_conductance(g, candidate, r_arr, kappa=kappa)
         if not cand_obj < obj * (1.0 - ACCEPT_RTOL):
@@ -145,10 +147,10 @@ def refine_by_flow(
 
     return ClusterResult.of_set(
         g,
-        sorted(current),
+        current,
         "cut_over_volume" if math.isinf(kappa) else "seed_relative_conductance",
         obj,
-        touched_nodes=g.n if whole else len(touched),
+        touched_nodes=g.n if whole else touched.size,
         iterations=iterations,
         t0=t0,
         history=tuple(history),

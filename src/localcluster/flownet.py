@@ -184,30 +184,34 @@ def _tails(head: np.ndarray) -> np.ndarray:
     return head.reshape(-1, 2)[:, ::-1].reshape(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutSolution:
-    """Max-flow value plus the minimal source side (terminals excluded)."""
+    """Max-flow value plus the minimal source side (terminals excluded).
+
+    ``s_side`` holds the source side's node ids as a sorted int64 array.
+    """
 
     flow_value: float
-    s_side: frozenset[int]
+    s_side: np.ndarray
 
 
 def solve_maxflow(net: FlowNetwork) -> CutSolution:
     """Run push-relabel from zero flow to completion and return flow value and minimal s-side.
 
-    The s-side is the set of non-terminal nodes reachable from the source
-    in the residual network, which is the inclusion-minimal minimum cut
-    regardless of which maximum flow was found.
+    The s-side is the sorted array of non-terminal nodes reachable from
+    the source in the residual network, which is the inclusion-minimal
+    minimum cut regardless of which maximum flow was found.
 
     Raises
     ------
     UnboundedFlowError
         If every source-sink cut crosses an infinite-capacity arc.
     AssertionError
-        If the flow value does not match the induced cut capacity at
-        1e-9 relative tolerance (never expected; this is the per-solve
-        duality check), or if excess above that tolerance is left that
-        could not be sent back to the source (never expected either).
+        If the sink is reachable or the flow value does not match the
+        induced cut capacity at 1e-9 relative tolerance (never expected;
+        this is the per-solve check), or if excess above that tolerance is
+        left that could not be sent back to the source (never expected
+        either).
     """
     # A network solved before is frozen already; only a new one is frozen here.
     if not net._frozen:
@@ -217,15 +221,18 @@ def solve_maxflow(net: FlowNetwork) -> CutSolution:
     res.store(net)
     _checked_min_cut(net, flow, reach)
     reach[net.source] = False
-    return CutSolution(flow_value=flow, s_side=frozenset(np.flatnonzero(reach).tolist()))
+    return CutSolution(flow_value=flow, s_side=np.flatnonzero(reach))
 
 
 def _checked_min_cut(net: FlowNetwork, flow: float, reach: np.ndarray) -> None:
     """Check the cut whose source side is ``reach``, the residual reach after a maximum ``flow``.
 
-    The cut must cross no infinite arc, and its capacity must equal
-    ``flow`` (the duality check).
+    The sink must lie outside the reach (a reachable sink means the flow
+    is not maximum), the cut must cross no infinite arc, and its capacity
+    must equal ``flow`` (the duality check).
     """
+    if reach[net.sink]:
+        raise AssertionError(f"the sink is reachable: flow {flow!r} is not a maximum flow")
     crossing = reach[_tails(net.head)] & ~reach[net.head]
     if (crossing & net.infinite).any():
         raise UnboundedFlowError("no finite source-sink cut exists")

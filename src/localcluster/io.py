@@ -309,17 +309,16 @@ def _read_edges(handle: IO[str]) -> tuple[tuple[str, ...], np.ndarray, np.ndarra
 
 
 def load_seed_set(source: str | Path | IO[str], lm: LabelMap, g: Graph) -> NodeSet:
-    """Read one external label per line into a deduplicated NodeSet."""
-    ids: set[int] = set()
+    """Read one external label per line into a NodeSet, which sorts and deduplicates the ids."""
+    ids: list[int] = []
     with _open_text(source) as handle:
         for raw in handle:
             label = raw.split("#", 1)[0].strip()
-            if not label:
-                continue
-            ids.add(lm.internal(label))
+            if label:
+                ids.append(lm.internal(label))
     if not ids:
         raise InvalidSetError("seed file contains no labels")
-    return NodeSet.of(g, sorted(ids))
+    return NodeSet.of(g, ids)
 
 
 def write_edge_list(g: Graph, lm: LabelMap, sink: str | Path | IO[str]) -> None:

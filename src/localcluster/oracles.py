@@ -216,12 +216,13 @@ def brute_min_subset_ratio(g: Graph, r: object) -> tuple[NodeSet, float]:
     return NodeSet.of(g, best[1]), cut(g, best[1]) / volume(g, best[1])
 
 
-def brute_min_cut(net: FlowNetwork) -> tuple[float, frozenset[int]]:
+def brute_min_cut(net: FlowNetwork) -> tuple[float, np.ndarray]:
     """Exact minimum source-sink cut by subset enumeration.
 
-    Returns (capacity, source side excluding the terminals), ties broken
-    toward the lexicographically smallest sorted node tuple. Raises
-    UnboundedFlowError when every cut crosses an infinite arc.
+    Returns (capacity, source side excluding the terminals as a sorted
+    int64 array), ties broken toward the lexicographically smallest sorted
+    node tuple. Raises UnboundedFlowError when every cut crosses an
+    infinite arc.
     """
     free = [v for v in range(net.num_nodes) if v not in (net.source, net.sink)]
     if len(free) > MAX_CUT_FREE_NODES:
@@ -240,7 +241,7 @@ def brute_min_cut(net: FlowNetwork) -> tuple[float, frozenset[int]]:
             best_value, best_ids = min(value, best_value), ids
     if best_ids is None:
         raise UnboundedFlowError("no finite source-sink cut exists")
-    return best_value, frozenset(best_ids)
+    return best_value, np.array(best_ids, dtype=np.int64)
 
 
 # -- dense linear algebra ------------------------------------------------------

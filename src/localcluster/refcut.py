@@ -240,7 +240,7 @@ def solve_maxflow_local(
     spec: AugmentedGraphSpec,
     g: Graph,
     warm_start: Iterable[int] = (),
-) -> tuple[CutSolution, frozenset[int]]:
+) -> tuple[CutSolution, np.ndarray]:
     """Max-flow on the augmented graph touching only a grown subgraph.
 
     Starts from the seed plus the warm-start set, contracts
@@ -255,8 +255,9 @@ def solve_maxflow_local(
     flow value and the minimal s-side equal solve_maxflow on the fully
     materialized network.
 
-    Returns the cut solution (graph node ids) and the set of graph nodes
-    ever materialized; its size is the touched-node count.
+    Returns the cut solution (graph node ids) and the graph nodes ever
+    materialized, both as sorted int64 arrays; the second one's size is
+    the touched-node count.
     """
     spec.validate_against(g)
     if math.isinf(spec.alpha):
@@ -289,8 +290,7 @@ def solve_maxflow_local(
                 continue
 
         _checked_min_cut(net, flow, reach)
-        s_side = frozenset(explored[reach[: explored.size]].tolist())
-        return CutSolution(flow_value=flow, s_side=s_side), frozenset(explored.tolist())
+        return CutSolution(flow_value=flow, s_side=explored[reach[: explored.size]]), explored
 
 
 class _Carry(NamedTuple):

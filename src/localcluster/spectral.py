@@ -416,6 +416,11 @@ def mov_correlate(
 
 # -- l1-regularized diffusion -------------------------------------------------
 
+# The push solver's stopping tolerance: at exit no node's residual exceeds
+# (epsilon + PUSH_TOL) * d, so the first-order conditions hold within
+# PUSH_TOL per unit degree.
+PUSH_TOL = 1e-10
+
 
 def _as_seed_mass(g: Graph, h: object) -> dict[int, float]:
     if isinstance(h, Mapping):
@@ -437,86 +442,64 @@ def _as_seed_mass(g: Graph, h: object) -> dict[int, float]:
     return items
 
 
-def l1_pagerank(
-    g: Graph,
-    h: object,
-    alpha: float,
-    epsilon: float,
-    tol: float = 1e-10,
-    order: str = "fifo",
-) -> tuple[EmbeddingVector, int]:
+def l1_pagerank(g: Graph, h: object, alpha: float, epsilon: float) -> tuple[EmbeddingVector, int]:
     """Strongly-local nonnegative diffusion with l1 shrinkage.
 
     Minimizes the seed-anchored quadratic
     (alpha/2) sum_i h_i (1 - x_i)^2 + (gamma/2) sum_{ij} c_ij (x_i - x_j)^2
     + (alpha/2) sum_i (d_i - h_i) x_i^2 + epsilon * sum_i d_i x_i over
     x >= 0, with gamma = (1 - alpha)/2. Solved by coordinate-exact pushes
-    on a queue of optimality violations: work stays proportional to the
-    volume the solution actually reaches. At exit the first-order
-    conditions hold within ``tol`` per unit degree, so any sweep or
-    thresholding downstream sees (up to tol) the unique minimizer no
-    matter the update order ('fifo' or 'lifo').
+    on a FIFO queue of optimality violations: work stays proportional to
+    the volume the solution actually reaches. At exit the first-order
+    conditions hold within ``PUSH_TOL`` per unit degree, so any sweep or
+    thresholding downstream sees (up to that tolerance) the unique
+    minimizer, whatever order the pushes ran in.
 
     Returns the sparse solution vector and the touched-node count (nodes
     whose residual entry was ever created).
     """
-    vec, touched, _pushes = _l1pr_push(g, h, alpha, epsilon, tol, order)
+    vec, touched, _pushes = _l1pr_push(g, h, alpha, epsilon)
     return vec, touched
 
 
-def _l1pr_push(
-    g: Graph,
-    h: object,
-    alpha: float,
-    epsilon: float,
-    tol: float,
-    order: str,
-) -> tuple[EmbeddingVector, int, int]:
-    """Push solve of ``l1_pagerank`` and ``l1pr_cluster``: vector, touched nodes, pushes."""
+def _l1pr_push(g: Graph, h: object, alpha: float, epsilon: float) -> tuple[EmbeddingVector, int, int]:
+    """Push solve of ``l1_pagerank`` and ``l1pr_cluster``: vector, touched nodes, pushes.
+
+    A node waits in the queue exactly while its residual exceeds
+    (epsilon + PUSH_TOL) * d: only its own push lowers it, to epsilon * d.
+    So a neighbour joins the queue when a push carries its residual across
+    that limit, and every node popped has a positive step.
+    """
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must be in (0, 1) (got {alpha})")
     if not epsilon > 0:
         raise ParameterError("epsilon must be positive")
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
-    if order not in ("fifo", "lifo"):
-        raise ParameterError("order must be 'fifo' or 'lifo'")
     seed = _as_seed_mass(g, h)
     gamma = (1.0 - alpha) / 2.0
     coeff = gamma + alpha
+    limit = epsilon + PUSH_TOL  # per unit degree
     degrees = g.degrees
     indptr, indices, weights = g.indptr, g.indices, g.weights
 
     x: dict[int, float] = {}
     resid: dict[int, float] = {i: alpha * w for i, w in seed.items()}
-    fifo = order == "fifo"
-    queue: deque[int] = deque()
-    queued: set[int] = set()
-    for i in resid:
-        if resid[i] > (epsilon + tol) * degrees[i]:
-            queue.append(i)
-            queued.add(i)
+    queue = deque(i for i, r_i in resid.items() if r_i > limit * degrees[i])
 
     pushes = 0
     while queue:
-        i = queue.popleft() if fifo else queue.pop()
-        queued.discard(i)
+        i = queue.popleft()
         d_i = degrees[i]
-        r_i = resid[i]
-        slack = r_i - epsilon * d_i
-        if slack <= tol * d_i:
-            continue
-        step = slack / (coeff * d_i)
+        step = (resid[i] - epsilon * d_i) / (coeff * d_i)
         x[i] = x.get(i, 0.0) + step
         resid[i] = epsilon * d_i
         pushes += 1
         for k in range(indptr[i], indptr[i + 1]):
             j = int(indices[k])
-            r_j = resid.get(j, 0.0) + gamma * float(weights[k]) * step
+            before = resid.get(j, 0.0)
+            r_j = before + gamma * float(weights[k]) * step
             resid[j] = r_j
-            if r_j > (epsilon + tol) * degrees[j] and j not in queued:
+            if before <= limit * degrees[j] < r_j:
                 queue.append(j)
-                queued.add(j)
 
     if x:
         ids = np.array(sorted(x), dtype=np.int64)
@@ -532,7 +515,7 @@ def kkt_residual(g: Graph, h: object, alpha: float, epsilon: float, x: Embedding
     """Worst per-unit-degree violation of the diffusion's optimality system.
 
     Zero belongs to the solution set iff this is 0; the push solver
-    guarantees it is below its ``tol`` on exit. Only the seed, the support
+    guarantees it is below ``PUSH_TOL`` on exit. Only the seed, the support
     and the support's neighbours can violate it, so only they are checked,
     reading the support's arcs once.
     """
@@ -569,7 +552,7 @@ def l1pr_cluster(g: Graph, h: object, alpha: float, epsilon: float) -> ClusterRe
     returns it.
     """
     t0 = time.perf_counter()
-    vec, touched, pushes = _l1pr_push(g, h, alpha, epsilon, 1e-10, "fifo")
+    vec, touched, pushes = _l1pr_push(g, h, alpha, epsilon)
     if vec.support().size == 0:
         raise DegenerateResultError(
             "diffusion collapsed to zero (epsilon too large for this seed)"

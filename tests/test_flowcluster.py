@@ -33,6 +33,7 @@ from localcluster.oracles import (
     brute_min_subset_ratio,
 )
 from localcluster.synth import path_graph, random_connected_graph, ring_of_cliques, star_graph
+from test_flownet import assert_ids
 
 SEED = (0, 1, 2, 3)
 
@@ -305,8 +306,8 @@ class TestAdversarialShapes:
             ref = solve_maxflow(materialize(spec, g))
             sol, explored = solve_maxflow_local(spec, g)
             assert sol.flow_value == pytest.approx(ref.flow_value, rel=1e-12)
-            assert sol.s_side == ref.s_side
-            assert sol.s_side <= explored
+            assert_ids(sol.s_side, ref.s_side)
+            assert np.isin(sol.s_side, explored).all()
 
 
 class TestDeepShapes:
@@ -378,3 +379,35 @@ def test_relabeling_the_vertices_relabels_the_answer(case):
         assert b.set_ids == tuple(sorted(perm[list(a.set_ids)].tolist())), name
         assert b.iterations == a.iterations, name
         assert b.objective == pytest.approx(a.objective, rel=1e-12), name
+
+
+def test_refine_by_flow_hands_on_sorted_id_arrays(ring20, monkeypatch):
+    # The seed is one clique and two nodes of the next, so each call
+    # accepts a candidate; kappa = 1 solves the whole network, the others
+    # solve locally.
+    from localcluster import flowcluster
+    from localcluster.results import ClusterResult
+
+    passed = {"relative_conductance": [], "of_set": []}
+    score = flowcluster.relative_conductance
+    build = ClusterResult.of_set.__func__
+
+    def spy_score(g, s, r, kappa=1.0):
+        passed["relative_conductance"] += [s, r]
+        return score(g, s, r, kappa=kappa)
+
+    def spy_build(cls, g, set_ids, *args, **kwargs):
+        passed["of_set"].append(set_ids)
+        return build(cls, g, set_ids, *args, **kwargs)
+
+    monkeypatch.setattr(flowcluster, "relative_conductance", spy_score)
+    monkeypatch.setattr(ClusterResult, "of_set", classmethod(spy_build))
+    for kappa in (1.0, 5.0, math.inf):
+        assert len(refine_by_flow(ring20, range(12), kappa).history) == 2
+    # Each call scores the seed and one candidate (two sets each), then
+    # builds one result.
+    assert len(passed["relative_conductance"]) == 12 and len(passed["of_set"]) == 3
+    for name, arrays in passed.items():
+        for ids in arrays:
+            assert isinstance(ids, np.ndarray) and ids.dtype == np.int64, name
+            assert (np.diff(ids) > 0).all(), name

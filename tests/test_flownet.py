@@ -19,9 +19,15 @@ from localcluster import (
     materialize,
     solve_maxflow,
 )
-from localcluster.flownet import DUALITY_RTOL, _checked_min_cut, _dinic, _Residual
+from localcluster.flownet import DUALITY_RTOL, _bfs_levels, _checked_min_cut, _dinic, _Residual
 from localcluster.oracles import brute_min_cut
 from localcluster.synth import random_connected_graph, ring_of_cliques
+
+
+def assert_ids(got, want):
+    """``got`` is a sorted int64 array of exactly the ids ``want``, in order."""
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    assert got.tolist() == list(want)
 
 
 def test_single_bottleneck_path():
@@ -32,7 +38,7 @@ def test_single_bottleneck_path():
     net.freeze()
     sol = solve_maxflow(net)
     assert sol.flow_value == pytest.approx(1.0)
-    assert sol.s_side == frozenset({1})
+    assert_ids(sol.s_side, [1])
 
 
 def test_two_disjoint_paths():
@@ -54,7 +60,7 @@ def test_minimal_source_side():
     net.add_arc(1, 2, 1.0)
     net.freeze()
     sol = solve_maxflow(net)
-    assert sol.s_side == frozenset()
+    assert_ids(sol.s_side, [])
 
 
 def test_flow_value_matches_cut_capacity():
@@ -80,7 +86,7 @@ def test_infinite_arc_keeps_endpoint_attached():
     net.freeze()
     sol = solve_maxflow(net)
     assert sol.flow_value == pytest.approx(7.0)
-    assert sol.s_side == frozenset()
+    assert_ids(sol.s_side, [])
 
 
 def test_unbounded_flow_detected():
@@ -99,7 +105,7 @@ def test_no_path_means_zero_flow():
     net.freeze()
     sol = solve_maxflow(net)
     assert sol.flow_value == 0.0
-    assert sol.s_side == frozenset({1})
+    assert_ids(sol.s_side, [1])
 
 
 def test_bad_capacities_rejected():
@@ -259,7 +265,7 @@ def reference_dinic(net):
     cap_sent = sum(net.cap_init[a] for a in crossing)
     if not math.isclose(total, cap_sent, rel_tol=1e-9, abs_tol=1e-9):
         raise AssertionError(f"duality violated: flow {total!r} vs cut capacity {cap_sent!r}")
-    return total, cap, frozenset(reach - {net.source})
+    return total, cap, np.array(sorted(reach - {net.source}), dtype=np.int64)
 
 
 def _solve_outcome(solve, net):
@@ -284,7 +290,7 @@ def dinic_solve(net):
     res.store(net)
     _checked_min_cut(net, flow, reach)
     reach[net.source] = False
-    return flow, net.cap.tolist(), frozenset(np.flatnonzero(reach).tolist())
+    return flow, net.cap.tolist(), np.flatnonzero(reach)
 
 
 def assert_dinic_agrees(n, arcs, source=0, sink=None):
@@ -299,7 +305,7 @@ def assert_dinic_agrees(n, arcs, source=0, sink=None):
     assert [net.arc_flow(a) for a in range(0, len(net.head), 2)] == [
         net.cap_init[a] - want[1][a] for a in range(0, len(net.head), 2)
     ]
-    assert got[2] == want[2]
+    assert_ids(got[2], want[2])
 
 
 def assert_maxflow_agrees(n, arcs, source=0, sink=None):
@@ -329,7 +335,7 @@ def assert_maxflow_agrees(n, arcs, source=0, sink=None):
     inner[[net.source, net.sink]] = False
     assert np.abs(inflow[inner]).max(initial=0.0) <= 1e-9 * max(1.0, flow)
 
-    if got.s_side != s_side:
+    if not np.array_equal(got.s_side, s_side):
         for side in (got.s_side, s_side):
             assert math.isclose(cut_capacity(net, side), flow, rel_tol=DUALITY_RTOL, abs_tol=1e-9)
 
@@ -404,9 +410,9 @@ def test_push_relabel_finds_the_exact_minimum_cut_near_eps():
     # reports the s-side {} with cut 2 + 1e-12; the true minimum is {1} at 2.
     arcs = [(0, 1, 1.0 + 5e-13, 0.0)] * 2 + [(1, 2, 0.5, 0.0), (1, 2, 0.5, 0.0), (1, 2, 1.0, 0.0)]
     net = _network(3, arcs, 0, None)
-    assert reference_dinic(net)[2] == frozenset()
+    assert_ids(reference_dinic(net)[2], [])
     sol = solve_maxflow(net)
-    assert sol.s_side == frozenset({1})
+    assert_ids(sol.s_side, [1])
     assert cut_capacity(net, sol.s_side) == 2.0
     assert_maxflow_agrees(3, arcs)
 
@@ -448,7 +454,8 @@ def test_leftover_excess_returns_to_the_source_over_many_hops(monkeypatch):
     assert calls == [([12], [4.0])]
     flow, _, s_side = reference_dinic(net)
     assert sol.flow_value == flow == 1.0
-    assert sol.s_side == s_side == frozenset(range(1, 13))
+    assert_ids(s_side, range(1, 13))
+    assert_ids(sol.s_side, s_side)
     assert [net.arc_flow(a) for a in range(0, len(net.head), 2)] == [1.0] * 13
     assert_maxflow_agrees(14, arcs)
 
@@ -566,7 +573,8 @@ def test_the_sentinel_dominates_a_finite_total_that_absorbs_a_unit():
     net.add_arc(0, 1, math.inf)
     net.add_arc(1, 2, 2.0**53)
     sol = solve_maxflow(net)
-    assert (sol.flow_value, sol.s_side) == (2.0**53, frozenset({1}))
+    assert sol.flow_value == 2.0**53
+    assert_ids(sol.s_side, [1])
 
 
 def test_bounded_sources_send_at_most_their_supply():
@@ -601,6 +609,22 @@ def test_a_bounded_start_sends_flow_back_along_residual_arcs():
     assert [net.arc_flow(a) for a in (0, 2, 4)] == [0.0, 0.0, 1.0]
 
 
+def test_the_per_solve_check_rejects_a_flow_that_is_not_maximum():
+    # The chain 0 -> 1 -> 2 -> 3 carries no flow yet, so the residual reach
+    # holds the sink. No arc leaves that reach, so the cut it names has
+    # capacity 0, equal to the flow: only the reachable sink shows that
+    # the flow is not maximum.
+    net = FlowNetwork(4, source=0, sink=3)
+    for u, v, c in ((0, 1, 3.0), (1, 2, 1.0), (2, 3, 1.0)):
+        net.add_arc(u, v, c)
+    net.freeze()
+    res = _Residual(net)
+    reach = np.array(_bfs_levels(res.head, res.cap, res.first, net.num_nodes, [net.source], net.sink)) >= 0
+    assert reach.all()
+    with pytest.raises(AssertionError, match="sink is reachable"):
+        _checked_min_cut(net, 0.0, reach)
+
+
 def test_set_capacities_clears_the_flow_and_checks_its_input():
     net = FlowNetwork(3, source=0, sink=2)
     net.add_arc(0, 1, 2.0)
@@ -612,7 +636,8 @@ def test_set_capacities_clears_the_flow_and_checks_its_input():
     assert net.cap_init.tolist() == [2.0, 0.0, 5.0, 0.0] and net.infinite.tolist() == [False, False, True, False]
     assert net.cap.tolist() == net.cap_init.tolist()
     sol = solve_maxflow(net)
-    assert (sol.flow_value, sol.s_side) == (2.0, frozenset())
+    assert sol.flow_value == 2.0
+    assert_ids(sol.s_side, [])
     for bad in (-1.0, math.nan):
         with pytest.raises(ParameterError):
             net.set_capacities(np.array([0]), np.array([bad]))

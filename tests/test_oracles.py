@@ -140,7 +140,7 @@ class TestBruteMinCut:
         net.freeze()
         value, side = brute_min_cut(net)
         assert value == pytest.approx(1.0)
-        assert side == frozenset({1})
+        assert side.dtype == np.int64 and side.tolist() == [1]
 
     def test_all_infinite_cuts_rejected(self):
         net = FlowNetwork(num_nodes=3, source=0, sink=2)
