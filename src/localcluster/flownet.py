@@ -2,16 +2,18 @@
 
 A network is a set of arrays over paired arcs (arc 2k is the k-th arc's
 forward direction, arc 2k+1 its reverse), plus the stable CSR permutation
-that groups arc ids by tail. Both engines run on flat Python lists
+that groups arc ids by tail. The one constructor checks the arrays and
+freezes them, so no solver checks or freezes a network again. Both
+engines run on flat Python lists
 (``_Residual``). The lists of the arc structure (heads, reverse arcs,
 each node's run) are taken once per network and kept with it; each
 solve takes only a capacity list. A solved network's ``cap`` array of
 residuals is written back from that list when it is first read, so a
 caller that reads only the cut pays nothing for it.
-``FlowNetwork.set_capacities`` changes some arcs' capacities in place,
-so a network whose arcs stay can be solved again at new capacities
-without being built again: ``solve_maxflow`` always starts from zero
-flow, at ``cap_init``.
+``FlowNetwork.set_capacities`` replaces ``cap_init`` with a checked
+copy that gives some arcs new capacities, so a network whose arcs stay
+can be solved again at new capacities without being built again:
+``solve_maxflow`` always starts from zero flow, at ``cap_init``.
 
 ``solve_maxflow``, the whole-network solve, runs FIFO push-relabel with
 global relabeling and the gap heuristic (Goldberg & Tarjan 1988;
@@ -62,6 +64,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ParameterError, UnboundedFlowError
+from .graph import _sorted_ids
 
 __all__ = ["FlowNetwork", "CutSolution", "solve_maxflow", "cut_capacity"]
 
@@ -70,54 +73,46 @@ DUALITY_RTOL = 1e-9
 
 
 class FlowNetwork:
-    """Directed flow network with paired arcs.
+    """Directed flow network with paired arcs, checked and frozen when built.
 
-    Arc 2k is the forward direction of the k-th added arc and arc 2k+1 its
-    reverse, so the reverse of arc ``a`` is always ``a ^ 1`` and the tail of
-    ``a`` is ``head[a ^ 1]``. Undirected graph edges are added with equal
-    capacity in both directions.
-
-    A network is filled either one ``add_arc`` at a time or all at once
-    through ``from_arcs``; ``freeze`` then turns ``head`` and ``cap`` into
-    arrays and adds ``cap_init`` (the capacities before any flow), the
-    ``infinite`` arc mask, and ``order`` / ``first``: arc ids sorted stably
-    by tail, so node u's arcs are ``order[first[u]:first[u + 1]]`` in id
-    order. After a solve ``cap`` holds the residual capacities.
+    ``head[a]`` and ``cap[a]`` (+inf allowed) are given for every arc id.
+    Arc 2k is the forward direction of the k-th pair and arc 2k+1 its
+    reverse, so the reverse of arc ``a`` is ``a ^ 1`` and its tail is
+    ``head[a ^ 1]``. Heads that are not integers in [0, num_nodes), arcs
+    without a twin or a capacity, self-arcs, and negative or NaN
+    capacities raise ParameterError before any work. The network holds
+    ``cap_init`` (the capacities before any flow, each infinite one
+    replaced by the sentinel), the ``infinite`` arc mask, and ``order`` /
+    ``first``: arc ids sorted stably by tail, so node u's arcs are
+    ``order[first[u]:first[u + 1]]`` in id order. All of these and
+    ``head`` are read-only; only ``set_capacities`` replaces ``cap_init``.
+    ``cap`` holds the residuals: ``cap_init`` until a solve.
     """
 
-    def __init__(self, num_nodes: int, source: int, sink: int):
+    def __init__(self, num_nodes: int, source: int, sink: int, head: np.ndarray, cap: np.ndarray):
         if not (0 <= source < num_nodes and 0 <= sink < num_nodes) or source == sink:
             raise ParameterError("source/sink out of range or equal")
+        head = np.asarray(head)
+        if head.size and not np.issubdtype(head.dtype, np.integer):
+            raise ParameterError(f"arc heads must be integers (got an array of {head.dtype})")
+        # Copies, so the network never shares an array with its caller.
+        head = head.astype(np.int64)
+        cap = np.array(cap, dtype=np.float64)
+        if head.ndim != 1 or head.size % 2 or cap.shape != head.shape:
+            raise ParameterError("arcs must come in pairs, each arc with a head and a capacity")
+        if head.size and (head.min() < 0 or head.max() >= num_nodes):
+            raise ParameterError("arc head out of range")
+        if (head[0::2] == head[1::2]).any():
+            raise ParameterError("self-arcs are not allowed")
         self.num_nodes = num_nodes
         self.source = source
         self.sink = sink
-        self.head: list[int] | np.ndarray = []
-        self.cap = []
-        self._frozen = False
+        self.head = head
         self._lists: tuple | None = None  # the residual arc lists, taken once (``_Residual``)
-
-    @classmethod
-    def from_arcs(cls, num_nodes: int, source: int, sink: int, head: np.ndarray, cap: np.ndarray) -> "FlowNetwork":
-        """A network whose paired arcs are given whole: ``head[a]`` and ``cap[a]`` for every arc id."""
-        net = cls(num_nodes, source, sink)
-        net.head, net.cap = head, cap
-        return net
-
-    def add_arc(self, u: int, v: int, cap_fwd: float, cap_rev: float = 0.0) -> int:
-        """Add an arc pair u->v / v->u; returns the forward arc id."""
-        if self._frozen:
-            raise ParameterError("network already frozen")
-        if u == v:
-            raise ParameterError("self-arcs are not allowed")
-        if cap_fwd < 0 or cap_rev < 0 or math.isnan(cap_fwd) or math.isnan(cap_rev):
-            raise ParameterError("capacities must be nonnegative")
-        a = len(self.head)
-        self.head += (v, u)
-        self.cap += (float(cap_fwd), float(cap_rev))
-        return a
+        self.freeze(cap)
 
     @property
-    def cap(self) -> list[float] | np.ndarray:
+    def cap(self) -> np.ndarray:
         """Residual capacity of every arc: ``cap_init`` until a solve, then the solve's residuals."""
         if self._solved is not None:
             res, self._solved = self._solved, None
@@ -126,52 +121,54 @@ class FlowNetwork:
         return self._cap
 
     @cap.setter
-    def cap(self, cap: list[float] | np.ndarray) -> None:
+    def cap(self, cap: np.ndarray) -> None:
         self._cap, self._solved = cap, None
 
-    def freeze(self) -> None:
-        """Replace infinite capacities by the sentinel and lock the arc set."""
-        if self._frozen:
-            return
-        head = np.asarray(self.head, dtype=np.int64)
-        tails = _tails(head)
+    def freeze(self, cap: np.ndarray) -> None:
+        """Group the arcs by tail, take ``cap`` as the capacities before any flow, and lock the arc arrays.
+
+        Runs once per network, from the constructor.
+        """
+        tails = _tails(self.head)
         # numpy sorts keys of 16 bits or fewer by radix sort, several times
         # faster than its stable sort of 64-bit keys.
         self.order = np.argsort(tails.astype(np.uint16) if self.num_nodes <= 1 << 16 else tails, kind="stable")
         self.first = np.zeros(self.num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(tails, minlength=self.num_nodes), out=self.first[1:])
-        self.head = head
-        self._set_initial(np.array(self.cap, dtype=np.float64))
-        self._frozen = True
+        for arr in (self.head, self.order, self.first):
+            arr.setflags(write=False)
+        self._set_initial(cap)
 
     def set_capacities(self, arcs: np.ndarray, caps: np.ndarray) -> None:
-        """Give the frozen network's arcs ``arcs`` the capacities ``caps`` (+inf allowed), with no flow.
+        """Give arcs ``arcs`` the capacities ``caps`` (+inf allowed), with no flow.
 
         The other arcs keep their capacities before any flow, and the
-        sentinel is set again by ``freeze``'s rule over the new finite
-        capacities.
+        sentinel is set again by the rule of ``_set_initial`` over the new
+        finite capacities. A capacity that ``_set_initial`` rejects leaves
+        the network as it was.
         """
-        if not self._frozen:
-            raise ParameterError("network not frozen")
-        if not (np.asarray(caps) >= 0.0).all():
-            raise ParameterError("capacities must be nonnegative")
-        cap = self.cap_init
-        cap[self.infinite] = math.inf
+        cap = np.where(self.infinite, math.inf, self.cap_init)
         cap[arcs] = caps
         self._set_initial(cap)
 
     def _set_initial(self, cap: np.ndarray) -> None:
         """Take ``cap`` as the capacities before any flow, each infinite one replaced by the sentinel.
 
-        The sentinel is 2 * total + 1, the total of the finite capacities
+        Every capacity a network holds enters here, so this is its one
+        capacity check: each must be nonnegative, and NaN is not. The
+        sentinel is 2 * total + 1, the total of the finite capacities
         summed left to right in arc id order. It stays above every finite
         cut even where the total absorbs a unit (from 2**53 on), as
         1 + total does not.
         """
-        self.infinite = np.isinf(cap)
-        if self.infinite.any():
-            cap[self.infinite] = 2.0 * sum(cap[~self.infinite].tolist()) + 1.0
-        self.cap_init = cap
+        if not (cap >= 0.0).all():
+            raise ParameterError("capacities must be nonnegative")
+        infinite = np.isinf(cap)
+        if infinite.any():
+            cap[infinite] = 2.0 * sum(cap[~infinite].tolist()) + 1.0
+        for arr in (cap, infinite):
+            arr.setflags(write=False)
+        self.infinite, self.cap_init = infinite, cap
         self.cap = cap.copy()
 
     def arc_flow(self, a: int) -> float:
@@ -200,7 +197,8 @@ def solve_maxflow(net: FlowNetwork) -> CutSolution:
 
     The s-side is the sorted array of non-terminal nodes reachable from
     the source in the residual network, which is the inclusion-minimal
-    minimum cut regardless of which maximum flow was found.
+    minimum cut regardless of which maximum flow was found. The solve
+    starts from ``net.cap_init`` and leaves its residuals in ``net.cap``.
 
     Raises
     ------
@@ -213,9 +211,6 @@ def solve_maxflow(net: FlowNetwork) -> CutSolution:
         left that could not be sent back to the source (never expected
         either).
     """
-    # A network solved before is frozen already; only a new one is frozen here.
-    if not net._frozen:
-        net.freeze()
     res = _Residual(net, net.cap_init)
     flow, reach = _push_relabel(res, net.source, net.sink)
     res.store(net)
@@ -233,10 +228,9 @@ def _checked_min_cut(net: FlowNetwork, flow: float, reach: np.ndarray) -> None:
     """
     if reach[net.sink]:
         raise AssertionError(f"the sink is reachable: flow {flow!r} is not a maximum flow")
-    crossing = reach[_tails(net.head)] & ~reach[net.head]
-    if (crossing & net.infinite).any():
+    cap_sent = _cut_of(net, reach)
+    if math.isinf(cap_sent):
         raise UnboundedFlowError("no finite source-sink cut exists")
-    cap_sent = float(net.cap_init[crossing].sum())
     if not math.isclose(flow, cap_sent, rel_tol=DUALITY_RTOL, abs_tol=1e-9):
         raise AssertionError(
             f"duality violated: flow {flow!r} vs cut capacity {cap_sent!r}"
@@ -246,12 +240,13 @@ def _checked_min_cut(net: FlowNetwork, flow: float, reach: np.ndarray) -> None:
 def cut_capacity(net: FlowNetwork, s_nodes: Iterable[int]) -> float:
     """Capacity of the cut whose source side is {source} | s_nodes.
 
-    Uses construction-time capacities (ignores any routed flow). The
-    sentinel arcs count as +inf, which is the right reading for oracle
-    comparisons.
+    Uses the capacities before any flow (``cap_init``), so a solve in
+    between changes nothing. A cut that crosses an infinite arc is +inf,
+    which is the right reading for oracle comparisons. Ids that are not
+    integers raise InvalidSetError, as on every other query path; ids out
+    of range, or the sink, raise ParameterError.
     """
-    net.freeze()
-    ids = np.fromiter(s_nodes, dtype=np.int64)
+    ids = _sorted_ids(s_nodes)
     if ids.size and (ids.min() < 0 or ids.max() >= net.num_nodes):
         raise ParameterError("cut node out of range")
     side = np.zeros(net.num_nodes, dtype=bool)
@@ -259,9 +254,14 @@ def cut_capacity(net: FlowNetwork, s_nodes: Iterable[int]) -> float:
     side[net.source] = True
     if side[net.sink]:
         raise ParameterError("sink cannot be on the source side")
+    return _cut_of(net, side)
+
+
+def _cut_of(net: FlowNetwork, side: np.ndarray) -> float:
+    """Capacity before any flow of the arcs leaving the node mask ``side``; +inf if one of them is infinite."""
     crossing = side[_tails(net.head)] & ~side[net.head]
     if (crossing & net.infinite).any():
-        return float("inf")
+        return math.inf
     return float(net.cap_init[crossing].sum())
 
 

@@ -122,9 +122,6 @@ class Graph:
         lo, hi = self.indptr[v], self.indptr[v + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
-    def degree(self, v: int) -> float:
-        return float(self.degrees[v])
-
     @property
     def edge_count(self) -> int:
         return self.indices.shape[0] // 2
@@ -285,9 +282,6 @@ class NodeSet:
 
     def __iter__(self):
         return iter(self.ids)
-
-    def __contains__(self, v: object) -> bool:
-        return v in set(self.ids)
 
 
 def _as_node_array(g: Graph, s: object) -> np.ndarray:

@@ -83,6 +83,16 @@ class AugmentedGraphSpec:
         if lo < 0 or hi >= g.n:
             raise ParameterError(f"seed node {lo if lo < 0 else hi} out of range")
 
+    def _attachment(self, d: np.ndarray, in_seed: np.ndarray) -> np.ndarray:
+        """Terminal capacities of nodes of degree ``d``: alpha*d on the seed, beta*d off it, 0 where d = 0.
+
+        alpha * 0.0 and beta * 0.0 are nan at an infinite scale. An attachment of 0 gets no arc.
+        """
+        out = np.zeros(d.size)
+        mass = d > 0.0
+        out[mass] = np.where(in_seed[mass], self.alpha, self.beta) * d[mass]
+        return out
+
 
 def augmented_cut_value(spec: AugmentedGraphSpec, g: Graph, s: object) -> float:
     """Cut value of ({source} | S) in the augmented graph, computed directly.
@@ -119,8 +129,7 @@ def rescale(net: FlowNetwork, spec: AugmentedGraphSpec, g: Graph) -> None:
     positive the network then equals a fresh ``materialize(spec, g)`` bit
     for bit. An attachment that is zero keeps its arc, at capacity 0,
     where the fresh network omits it: the minimal min cut is the same,
-    but a solve may sum its flow in another order. ``net`` must be frozen
-    (any solve freezes it).
+    but a solve may sum its flow in another order.
     """
     spec.validate_against(g)
     if net.num_nodes != g.n + 2:
@@ -131,12 +140,7 @@ def rescale(net: FlowNetwork, spec: AugmentedGraphSpec, g: Graph) -> None:
     src_node, snk_node = pairs[src, 0], pairs[snk, 1]
     in_seed = np.zeros(g.n, dtype=bool)
     in_seed[spec.seed] = True
-    # Each node's attachment, as _subnetwork scales it: only nodes with
-    # mass, since alpha * 0.0 and beta * 0.0 are nan at an infinite scale.
-    d = g.degrees
-    mass = d > 0.0
-    attachment = np.zeros(g.n)
-    attachment[mass] = np.where(in_seed[mass], spec.alpha, spec.beta) * d[mass]
+    attachment = spec._attachment(g.degrees, in_seed)
     has = np.zeros(g.n, dtype=bool)
     has[src_node] = has[snk_node] = True
     if not in_seed[src_node].all() or in_seed[snk_node].any() or (~has & (attachment > 0.0)).any():
@@ -180,17 +184,12 @@ def _subnetwork(spec: AugmentedGraphSpec, g: Graph, members: np.ndarray) -> tupl
     m = members.size
     source, sink = m, m + 1
     at = members.searchsorted(spec.seed)
-    d = g.degrees[members]
-    # Only nodes with mass are scaled: alpha * 0.0 and beta * 0.0 are nan
-    # at an infinite scale.
-    src_k = at[d[at] > 0.0]
-    src_cap = spec.alpha * d[src_k]
-    has_src = src_cap > 0.0
-    src_k, src_cap = src_k[has_src], src_cap[has_src]
-    d[at] = 0.0  # the sink mass: the degree outside the seed
-    attached = d > 0.0 if spec.beta > 0.0 else np.zeros(m, dtype=bool)
-    own = np.zeros(m)
-    own[attached] = spec.beta * d[attached]
+    in_seed = np.zeros(m, dtype=bool)
+    in_seed[at] = True
+    attachment = spec._attachment(g.degrees[members], in_seed)
+    src_k = at[attachment[at] > 0.0]
+    src_cap = attachment[src_k]
+    own = np.where(in_seed, 0.0, attachment)
 
     arcs = g.arcs_of(members)
     row = np.arange(m).repeat(g.indptr[members + 1] - g.indptr[members])
@@ -203,7 +202,7 @@ def _subnetwork(spec: AugmentedGraphSpec, g: Graph, members: np.ndarray) -> tupl
     edge = inside & (row < loc)
     row, loc, c = row[edge], loc[edge], c[edge]
 
-    has_snk = attached | (np.bincount(tag_row, minlength=m) > 0)
+    has_snk = (own > 0.0) | (np.bincount(tag_row, minlength=m) > 0)
     snk_k = has_snk.nonzero()[0]
     snk_own = own[snk_k]
     snk_cap = snk_own + np.bincount(tag_row, weights=tag_cap, minlength=m)[snk_k]
@@ -231,7 +230,7 @@ def _subnetwork(spec: AugmentedGraphSpec, g: Graph, members: np.ndarray) -> tupl
     head[nbr_ids, 0] = loc
     head[nbr_ids, 1] = row
     cap[nbr_ids] = c[:, None]
-    net = FlowNetwork.from_arcs(m + 2, source, sink, head.reshape(-1), cap.reshape(-1))
+    net = FlowNetwork(m + 2, source, sink, head.reshape(-1), cap.reshape(-1))
     key = members[row] * g.n + members[loc]
     return net, _Layout(src_ids, snk_ids, snk_k, snk_own, tag_row, tag_end, tag_cap, nbr_ids, key)
 
@@ -271,7 +270,6 @@ def solve_maxflow_local(
     carry = None
     while True:
         net, lay = _subnetwork(spec, g, explored)
-        net.freeze()
         starts, surplus = ([], []) if carry is None else carry.load(net, lay, g.n)
         res = _Residual(net)
         if starts:
@@ -350,7 +348,7 @@ class _Carry(NamedTuple):
         order = keys.argsort()
         violators = ends[hot]
         return cls(
-            members, np.union1d(members, violators), res[lay.src], sink_flow,
+            members, _sorted_ids(np.concatenate((members, violators))), res[lay.src], sink_flow,
             keys[order], pairs[order], violators, inflow[hot],
         )
 

@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     UnattainableCorrelationError,
 )
-from .graph import Graph, _as_node_array, _locate, _row_reduce, laplacian_apply
+from .graph import Graph, _as_node_array, _locate, _row_reduce, _sorted_ids, laplacian_apply
 from .results import ClusterResult
 from .rounding import sweep_cut
 from .solvers import MatvecBudget, _BudgetExceeded, _dot, _norm, conjugate_gradient, smallest_eigenpair
@@ -256,7 +256,7 @@ def spectral_mqi_cluster(g: Graph, r: object, tol: float = 1e-8) -> ClusterResul
     lam, vec = spectral_mqi(g, r, tol=tol)
     # The eigenvector is indexed by R itself, and is dense only when R = V.
     r_arr = vec.indices
-    touched = g.n if r_arr is None else np.union1d(r_arr, g.indices[g.arcs_of(r_arr)]).size
+    touched = g.n if r_arr is None else _sorted_ids(np.concatenate((r_arr, g.indices[g.arcs_of(r_arr)]))).size
     ids, vals = vec.nonzeros()
     if ids.size == 0:
         raise DegenerateResultError("eigenvector has empty support")
@@ -527,7 +527,7 @@ def kkt_residual(g: Graph, h: object, alpha: float, epsilon: float, x: Embedding
     arcs = g.arcs_of(ids)
     nbr = g.indices[arcs]
     seed_ids = np.fromiter(seed, dtype=np.int64, count=len(seed))
-    check = np.unique(np.concatenate((seed_ids, ids, nbr)))
+    check = _sorted_ids(np.concatenate((seed_ids, ids, nbr)))
     xc = np.zeros(check.size)
     xc[check.searchsorted(ids)] = vals
     sc = np.zeros(check.size)

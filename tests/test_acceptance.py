@@ -33,7 +33,6 @@ from localcluster import (
     sweep_cut,
     volume,
 )
-from localcluster import FlowNetwork
 from localcluster.oracles import (
     brute_min_conductance,
     brute_min_cut,
@@ -45,6 +44,7 @@ from localcluster.oracles import (
 )
 from localcluster.synth import random_connected_graph
 from test_flowcluster import relabel
+from test_flownet import ArcRows
 
 
 def _instances(count, n_lo, n_hi, master_seed, min_seed=1, margin=1):
@@ -97,17 +97,17 @@ def test_criterion_03_maxflow_duality_and_exhaustive_cuts(criterion_report):
     checked = 0
     for _ in range(60):
         n = rng.randint(4, 9)
-        net = FlowNetwork(num_nodes=n, source=0, sink=n - 1)
+        rows = ArcRows(num_nodes=n, source=0, sink=n - 1)
         arcs = 0
         for u in range(n):
             for v in range(n):
                 if u != v and rng.random() < 0.4:
                     cap = math.inf if rng.random() < 0.05 else rng.uniform(0.1, 4.0)
-                    net.add_arc(u, v, cap)
+                    rows.add(u, v, cap)
                     arcs += 1
         if arcs == 0:
-            net.add_arc(0, n - 1, 1.0)
-        net.freeze()
+            rows.add(0, n - 1, 1.0)
+        net = rows.build()
         try:
             best, _ = brute_min_cut(net)
         except Exception:

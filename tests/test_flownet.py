@@ -12,6 +12,7 @@ from localcluster import (
     AugmentedGraphSpec,
     FlowNetwork,
     Graph,
+    InvalidSetError,
     ParameterError,
     UnboundedFlowError,
     cut_capacity,
@@ -30,24 +31,41 @@ def assert_ids(got, want):
     assert got.tolist() == list(want)
 
 
+class ArcRows:
+    """A hand-made network's arc pairs, added one at a time; ``build()`` gives the ``FlowNetwork``."""
+
+    def __init__(self, num_nodes, source, sink):
+        self.num_nodes, self.source, self.sink = num_nodes, source, sink
+        self.head, self.cap = [], []
+
+    def add(self, u, v, cap_fwd, cap_rev=0.0):
+        """Add the arc pair u->v / v->u; returns the forward arc id."""
+        self.head += (v, u)
+        self.cap += (cap_fwd, cap_rev)
+        return len(self.head) - 2
+
+    def build(self):
+        return FlowNetwork(self.num_nodes, self.source, self.sink, self.head, self.cap)
+
+
 def test_single_bottleneck_path():
     # s -> a (cap 2) -> t (cap 1): flow 1, a stays on the source side.
-    net = FlowNetwork(num_nodes=3, source=0, sink=2)
-    net.add_arc(0, 1, 2.0)
-    net.add_arc(1, 2, 1.0)
-    net.freeze()
+    rows = ArcRows(num_nodes=3, source=0, sink=2)
+    rows.add(0, 1, 2.0)
+    rows.add(1, 2, 1.0)
+    net = rows.build()
     sol = solve_maxflow(net)
     assert sol.flow_value == pytest.approx(1.0)
     assert_ids(sol.s_side, [1])
 
 
 def test_two_disjoint_paths():
-    net = FlowNetwork(num_nodes=4, source=0, sink=3)
-    net.add_arc(0, 1, 1.0)
-    net.add_arc(1, 3, 1.0)
-    net.add_arc(0, 2, 3.0)
-    net.add_arc(2, 3, 3.0)
-    net.freeze()
+    rows = ArcRows(num_nodes=4, source=0, sink=3)
+    rows.add(0, 1, 1.0)
+    rows.add(1, 3, 1.0)
+    rows.add(0, 2, 3.0)
+    rows.add(2, 3, 3.0)
+    net = rows.build()
     sol = solve_maxflow(net)
     assert sol.flow_value == pytest.approx(4.0)
 
@@ -55,23 +73,23 @@ def test_two_disjoint_paths():
 def test_minimal_source_side():
     # Both cuts {a} and {} have capacity 1; the solver reports the one
     # reachable in the residual network, which is the smallest s-side.
-    net = FlowNetwork(num_nodes=3, source=0, sink=2)
-    net.add_arc(0, 1, 1.0)
-    net.add_arc(1, 2, 1.0)
-    net.freeze()
+    rows = ArcRows(num_nodes=3, source=0, sink=2)
+    rows.add(0, 1, 1.0)
+    rows.add(1, 2, 1.0)
+    net = rows.build()
     sol = solve_maxflow(net)
     assert_ids(sol.s_side, [])
 
 
 def test_flow_value_matches_cut_capacity():
-    net = FlowNetwork(num_nodes=5, source=0, sink=4)
-    net.add_arc(0, 1, 2.0)
-    net.add_arc(0, 2, 4.0)
-    net.add_arc(1, 3, 3.0)
-    net.add_arc(2, 3, 1.0)
-    net.add_arc(2, 4, 2.0)
-    net.add_arc(3, 4, 5.0)
-    net.freeze()
+    rows = ArcRows(num_nodes=5, source=0, sink=4)
+    rows.add(0, 1, 2.0)
+    rows.add(0, 2, 4.0)
+    rows.add(1, 3, 3.0)
+    rows.add(2, 3, 1.0)
+    rows.add(2, 4, 2.0)
+    rows.add(3, 4, 5.0)
+    net = rows.build()
     sol = solve_maxflow(net)
     assert sol.flow_value == pytest.approx(
         cut_capacity(net, sol.s_side), rel=1e-9
@@ -80,70 +98,99 @@ def test_flow_value_matches_cut_capacity():
 
 def test_infinite_arc_keeps_endpoint_attached():
     # An infinite arc into the sink forces the cut to pay the finite arc.
-    net = FlowNetwork(num_nodes=3, source=0, sink=2)
-    net.add_arc(0, 1, 7.0)
-    net.add_arc(1, 2, math.inf)
-    net.freeze()
+    rows = ArcRows(num_nodes=3, source=0, sink=2)
+    rows.add(0, 1, 7.0)
+    rows.add(1, 2, math.inf)
+    net = rows.build()
     sol = solve_maxflow(net)
     assert sol.flow_value == pytest.approx(7.0)
     assert_ids(sol.s_side, [])
 
 
 def test_unbounded_flow_detected():
-    net = FlowNetwork(num_nodes=3, source=0, sink=2)
-    net.add_arc(0, 1, math.inf)
-    net.add_arc(1, 2, math.inf)
-    net.freeze()
+    rows = ArcRows(num_nodes=3, source=0, sink=2)
+    rows.add(0, 1, math.inf)
+    rows.add(1, 2, math.inf)
+    net = rows.build()
     with pytest.raises(UnboundedFlowError):
         solve_maxflow(net)
 
 
 def test_no_path_means_zero_flow():
-    net = FlowNetwork(num_nodes=4, source=0, sink=3)
-    net.add_arc(0, 1, 5.0)
-    net.add_arc(2, 3, 5.0)
-    net.freeze()
+    rows = ArcRows(num_nodes=4, source=0, sink=3)
+    rows.add(0, 1, 5.0)
+    rows.add(2, 3, 5.0)
+    net = rows.build()
     sol = solve_maxflow(net)
     assert sol.flow_value == 0.0
     assert_ids(sol.s_side, [1])
 
 
-def test_bad_capacities_rejected():
-    net = FlowNetwork(num_nodes=3, source=0, sink=2)
-    with pytest.raises(ParameterError):
-        net.add_arc(0, 1, -1.0)
-    with pytest.raises(ParameterError):
-        net.add_arc(0, 1, -math.inf)
-    with pytest.raises(ParameterError):
-        net.add_arc(0, 1, math.nan)
+# Each is a network on 3 nodes, source 0 and sink 2; each bad array used to
+# reach the solver unchecked.
+MALFORMED = {
+    # Truncated to the heads 1, 0, 2, 1 and solved.
+    "float heads": ([1.7, 0.2, 2.9, 1.0], [2.0, 0.0, 1.0, 0.0], "integers"),
+    "an unpaired arc": ([1, 0, 2], [2.0, 0.0, 1.0], "pairs"),
+    "a capacity short": ([1, 0, 2, 1], [2.0, 0.0, 1.0], "pairs"),
+    "a head below 0": ([1, 0, -1, 1], [2.0, 0.0, 1.0, 0.0], "out of range"),
+    "a head at num_nodes": ([1, 0, 3, 1], [2.0, 0.0, 1.0, 0.0], "out of range"),
+    "a head above num_nodes": ([1, 0, 7, 1], [2.0, 0.0, 1.0, 0.0], "out of range"),
+    # Solved as if it were not there.
+    "a self-arc": ([1, 0, 1, 1], [2.0, 0.0, 1.0, 0.0], "self-arcs"),
+    "capacity -1": ([1, 0, 2, 1], [2.0, 0.0, -1.0, 0.0], "nonnegative"),
+    # Made the sentinel: the flow came out as 2.
+    "capacity -inf": ([1, 0, 2, 1], [2.0, 0.0, -math.inf, 0.0], "nonnegative"),
+    "capacity nan": ([1, 0, 2, 1], [2.0, 0.0, math.nan, 0.0], "nonnegative"),
+}
+
+
+@pytest.mark.parametrize("head, cap, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_the_constructor_rejects_malformed_arrays(head, cap, message):
+    with pytest.raises(ParameterError, match=message):
+        FlowNetwork(3, 0, 2, np.array(head), np.array(cap))
+
+
+def test_a_network_owns_and_locks_its_arrays():
+    head, cap = np.array([1, 0, 2, 1]), np.array([2.0, 0.0, math.inf, 0.0])
+    net = FlowNetwork(3, 0, 2, head, cap)
+    head[0], cap[0] = 2, 9.0
+    assert net.head.tolist() == [1, 0, 2, 1] and net.cap_init.tolist() == [2.0, 0.0, 5.0, 0.0]
+    for name in ("head", "order", "first", "cap_init", "infinite"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(net, name)[0] = 0
 
 
 def test_bad_terminals_rejected():
     with pytest.raises(ParameterError):
-        FlowNetwork(num_nodes=3, source=1, sink=1)
+        FlowNetwork(3, 1, 1, [], [])
     with pytest.raises(ParameterError):
-        FlowNetwork(num_nodes=3, source=0, sink=3)
+        FlowNetwork(3, 0, 3, [], [])
 
 
 def test_cut_capacity_rejects_sink_on_source_side():
-    net = FlowNetwork(num_nodes=3, source=0, sink=2)
-    net.add_arc(0, 1, 1.0)
-    net.freeze()
+    rows = ArcRows(num_nodes=3, source=0, sink=2)
+    rows.add(0, 1, 1.0)
+    net = rows.build()
     with pytest.raises(ParameterError):
         cut_capacity(net, {2})
     for bad in ({-1}, {3}):
         with pytest.raises(ParameterError):
             cut_capacity(net, bad)
+    # Ids that are not integers are rejected, not truncated to the cut of {1}.
+    for bad in ([1.7], np.array([1.7]), np.array([True])):
+        with pytest.raises(InvalidSetError):
+            cut_capacity(net, bad)
 
 
 def test_arc_flows_conserve_mass():
-    net = FlowNetwork(num_nodes=5, source=0, sink=4)
-    net.add_arc(0, 1, 2.0)
-    net.add_arc(0, 2, 2.0)
-    net.add_arc(1, 3, 1.0)
-    net.add_arc(2, 3, 1.0)
-    net.add_arc(3, 4, 3.0)
-    net.freeze()
+    rows = ArcRows(num_nodes=5, source=0, sink=4)
+    rows.add(0, 1, 2.0)
+    rows.add(0, 2, 2.0)
+    rows.add(1, 3, 1.0)
+    rows.add(2, 3, 1.0)
+    rows.add(3, 4, 3.0)
+    net = rows.build()
     sol = solve_maxflow(net)
     assert sol.flow_value == pytest.approx(2.0)
     # Net flow out of every interior node is zero.  Arcs are stored in
@@ -163,16 +210,16 @@ def test_against_brute_min_cut_random():
     rng = random.Random(20240915)
     for _ in range(40):
         n = rng.randint(4, 8)
-        net = FlowNetwork(num_nodes=n, source=0, sink=n - 1)
+        rows = ArcRows(num_nodes=n, source=0, sink=n - 1)
         arcs = 0
         for u in range(n):
             for v in range(n):
                 if u != v and rng.random() < 0.45:
-                    net.add_arc(u, v, rng.choice([0.5, 1.0, 2.0, 3.5]))
+                    rows.add(u, v, rng.choice([0.5, 1.0, 2.0, 3.5]))
                     arcs += 1
         if arcs == 0:
-            net.add_arc(0, n - 1, 1.0)
-        net.freeze()
+            rows.add(0, n - 1, 1.0)
+        net = rows.build()
         best_value, best_side = brute_min_cut(net)
         sol = solve_maxflow(net)
         assert sol.flow_value == pytest.approx(best_value, abs=1e-9)
@@ -276,11 +323,10 @@ def _solve_outcome(solve, net):
 
 
 def _network(n, arcs, source, sink):
-    net = FlowNetwork(num_nodes=n, source=source, sink=n - 1 if sink is None else sink)
+    rows = ArcRows(num_nodes=n, source=source, sink=n - 1 if sink is None else sink)
     for u, v, fwd, rev in arcs:
-        net.add_arc(u, v, fwd, rev)
-    net.freeze()
-    return net
+        rows.add(u, v, fwd, rev)
+    return rows.build()
 
 
 def dinic_solve(net):
@@ -398,11 +444,11 @@ def test_dinic_matches_on_named_networks():
 def test_maxflow_matches_on_named_networks():
     for case in NAMED_NETWORKS:
         assert_maxflow_agrees(*case)
+    rows = ArcRows(num_nodes=3, source=0, sink=2)
+    rows.add(0, 1, math.inf)
+    rows.add(1, 2, math.inf)
     with pytest.raises(UnboundedFlowError):
-        net = FlowNetwork(num_nodes=3, source=0, sink=2)
-        net.add_arc(0, 1, math.inf)
-        net.add_arc(1, 2, math.inf)
-        solve_maxflow(net)
+        solve_maxflow(rows.build())
 
 
 def test_push_relabel_finds_the_exact_minimum_cut_near_eps():
@@ -552,16 +598,16 @@ def test_the_relabel_budget_still_runs_a_global_relabel(monkeypatch):
 
 def test_sentinel_is_twice_the_finite_total_in_arc_order_plus_one():
     rng = random.Random(5)
-    net = FlowNetwork(num_nodes=6, source=0, sink=5)
+    rows = ArcRows(num_nodes=6, source=0, sink=5)
     total = 0.0
     for _ in range(40):
         u, v = rng.sample(range(6), 2)
         fwd, rev = rng.uniform(0.1, 3.0), rng.choice([0.0, rng.uniform(0.1, 3.0)])
-        net.add_arc(u, v, fwd, rev)
+        rows.add(u, v, fwd, rev)
         total += fwd
         total += rev
-    a = net.add_arc(1, 5, math.inf)
-    net.freeze()
+    a = rows.add(1, 5, math.inf)
+    net = rows.build()
     assert net.infinite.tolist() == [False] * a + [True, False]
     assert net.cap_init[a] == 2.0 * total + 1.0
 
@@ -569,20 +615,20 @@ def test_sentinel_is_twice_the_finite_total_in_arc_order_plus_one():
 def test_the_sentinel_dominates_a_finite_total_that_absorbs_a_unit():
     # {source, 1} is a finite cut of 2**53; a sentinel of 1 + 2**53 rounds
     # to 2**53 and ties with it.
-    net = FlowNetwork(3, source=0, sink=2)
-    net.add_arc(0, 1, math.inf)
-    net.add_arc(1, 2, 2.0**53)
-    sol = solve_maxflow(net)
+    rows = ArcRows(3, source=0, sink=2)
+    rows.add(0, 1, math.inf)
+    rows.add(1, 2, 2.0**53)
+    sol = solve_maxflow(rows.build())
     assert sol.flow_value == 2.0**53
     assert_ids(sol.s_side, [1])
 
 
 def test_bounded_sources_send_at_most_their_supply():
     # Starts 0 and 1 share the bottleneck 2 -> 3.
-    net = FlowNetwork(4, source=0, sink=3)
+    rows = ArcRows(4, source=0, sink=3)
     for u, v, c in ((0, 2, 5.0), (1, 2, 5.0), (2, 3, 4.0)):
-        net.add_arc(u, v, c)
-    net.freeze()
+        rows.add(u, v, c)
+    net = rows.build()
     res = _Residual(net)
     supply = [3.0, 2.0]
     pushed, reach = _dinic(res, [0, 1], net.sink, supply)
@@ -594,10 +640,10 @@ def test_bounded_sources_send_at_most_their_supply():
 
 
 def test_a_bounded_start_sends_flow_back_along_residual_arcs():
-    net = FlowNetwork(4, source=0, sink=3)
+    rows = ArcRows(4, source=0, sink=3)
     for u, v, c in ((0, 1, 2.0), (1, 2, 2.0), (2, 3, 1.0)):
-        net.add_arc(u, v, c)
-    net.freeze()
+        rows.add(u, v, c)
+    net = rows.build()
     res = _Residual(net)
     assert _dinic(res, [0], net.sink)[0] == 1.0
     # Node 2 holds 1.5 more than it can pass on; only the 1.0 that came
@@ -614,10 +660,10 @@ def test_the_per_solve_check_rejects_a_flow_that_is_not_maximum():
     # holds the sink. No arc leaves that reach, so the cut it names has
     # capacity 0, equal to the flow: only the reachable sink shows that
     # the flow is not maximum.
-    net = FlowNetwork(4, source=0, sink=3)
+    rows = ArcRows(4, source=0, sink=3)
     for u, v, c in ((0, 1, 3.0), (1, 2, 1.0), (2, 3, 1.0)):
-        net.add_arc(u, v, c)
-    net.freeze()
+        rows.add(u, v, c)
+    net = rows.build()
     res = _Residual(net)
     reach = np.array(_bfs_levels(res.head, res.cap, res.first, net.num_nodes, [net.source], net.sink)) >= 0
     assert reach.all()
@@ -626,11 +672,10 @@ def test_the_per_solve_check_rejects_a_flow_that_is_not_maximum():
 
 
 def test_set_capacities_clears_the_flow_and_checks_its_input():
-    net = FlowNetwork(3, source=0, sink=2)
-    net.add_arc(0, 1, 2.0)
-    with pytest.raises(ParameterError):
-        net.set_capacities(np.array([0]), np.array([1.0]))  # not frozen yet
-    net.add_arc(1, 2, 1.0)
+    rows = ArcRows(3, source=0, sink=2)
+    rows.add(0, 1, 2.0)
+    rows.add(1, 2, 1.0)
+    net = rows.build()
     assert solve_maxflow(net).flow_value == 1.0
     net.set_capacities(np.array([2]), np.array([math.inf]))
     assert net.cap_init.tolist() == [2.0, 0.0, 5.0, 0.0] and net.infinite.tolist() == [False, False, True, False]
@@ -638,6 +683,9 @@ def test_set_capacities_clears_the_flow_and_checks_its_input():
     sol = solve_maxflow(net)
     assert sol.flow_value == 2.0
     assert_ids(sol.s_side, [])
-    for bad in (-1.0, math.nan):
-        with pytest.raises(ParameterError):
-            net.set_capacities(np.array([0]), np.array([bad]))
+    # A rejected capacity leaves the network as it was, its residuals too.
+    before = [net.cap_init.tobytes(), net.infinite.tobytes(), net.cap.tobytes()]
+    for bad in (-1.0, -math.inf, math.nan):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            net.set_capacities(np.array([0, 2]), np.array([1.0, bad]))
+        assert [net.cap_init.tobytes(), net.infinite.tobytes(), net.cap.tobytes()] == before

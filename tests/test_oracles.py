@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from localcluster import (
-    FlowNetwork,
     OracleCapError,
     ParameterError,
     SeedTooLargeError,
@@ -32,6 +31,7 @@ from localcluster.oracles import (
 )
 from localcluster.graph import NodeSet
 from localcluster.synth import random_connected_graph, ring_of_cliques
+from test_flownet import ArcRows
 
 
 class TestBruteSetSearch:
@@ -134,28 +134,28 @@ class TestBruteSetSearch:
 
 class TestBruteMinCut:
     def test_simple_network(self):
-        net = FlowNetwork(num_nodes=3, source=0, sink=2)
-        net.add_arc(0, 1, 2.0)
-        net.add_arc(1, 2, 1.0)
-        net.freeze()
+        rows = ArcRows(num_nodes=3, source=0, sink=2)
+        rows.add(0, 1, 2.0)
+        rows.add(1, 2, 1.0)
+        net = rows.build()
         value, side = brute_min_cut(net)
         assert value == pytest.approx(1.0)
         assert side.dtype == np.int64 and side.tolist() == [1]
 
     def test_all_infinite_cuts_rejected(self):
-        net = FlowNetwork(num_nodes=3, source=0, sink=2)
-        net.add_arc(0, 1, math.inf)
-        net.add_arc(1, 2, math.inf)
-        net.freeze()
+        rows = ArcRows(num_nodes=3, source=0, sink=2)
+        rows.add(0, 1, math.inf)
+        rows.add(1, 2, math.inf)
+        net = rows.build()
         with pytest.raises(UnboundedFlowError):
             brute_min_cut(net)
 
     def test_cap(self):
-        net = FlowNetwork(num_nodes=20, source=0, sink=19)
+        rows = ArcRows(num_nodes=20, source=0, sink=19)
         for v in range(1, 19):
-            net.add_arc(0, v, 1.0)
-            net.add_arc(v, 19, 1.0)
-        net.freeze()
+            rows.add(0, v, 1.0)
+            rows.add(v, 19, 1.0)
+        net = rows.build()
         with pytest.raises(OracleCapError):
             brute_min_cut(net)
 

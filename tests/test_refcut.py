@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from localcluster import (
     AugmentedGraphSpec,
-    FlowNetwork,
     InvalidSetError,
     ParameterError,
     augmented_cut_value,
@@ -22,7 +21,7 @@ from localcluster import (
 )
 from localcluster.refcut import _subnetwork, rescale
 from localcluster.synth import path_graph, random_connected_graph, star_graph
-from test_flownet import assert_ids
+from test_flownet import ArcRows, assert_ids
 
 
 def _fi_spec(g, seed_ids, alpha=1.0):
@@ -127,7 +126,6 @@ class TestMaterialize:
         g = random_connected_graph(8, seed=71, weighted=True)
         spec = AugmentedGraphSpec(alpha=0.7, beta=1.3, seed=range(4))
         net = materialize(spec, g)
-        net.freeze()
         for mask in range(1 << g.n):
             s = [v for v in range(g.n) if mask >> v & 1]
             direct = augmented_cut_value(spec, g, s)
@@ -137,7 +135,6 @@ class TestMaterialize:
         g = random_connected_graph(8, seed=13, weighted=False)
         spec = _fi_spec(g, (0, 1, 2))
         net = materialize(spec, g)
-        net.freeze()
         sol = solve_maxflow(net)
         best = min(
             augmented_cut_value(spec, g, [v for v in range(g.n) if mask >> v & 1])
@@ -163,7 +160,6 @@ class TestLocalSolver:
                     continue
                 spec = _fi_spec(g, seed_ids, alpha=rng.uniform(0.1, 2.0))
             net = materialize(spec, g)
-            net.freeze()
             ref = solve_maxflow(net)
             local_sol, explored = solve_maxflow_local(spec, g)
             assert local_sol.flow_value == pytest.approx(ref.flow_value, rel=1e-9)
@@ -236,28 +232,27 @@ def reference_subnetwork(spec, g, members):
     local_id = {v: k for k, v in enumerate(members)}
     seed = set(spec.seed.tolist())
     m = len(members)
-    net = FlowNetwork(m + 2, source=m, sink=m + 1)
+    rows = ArcRows(m + 2, source=m, sink=m + 1)
     src, snk, tagged, edges = [], [], [], []
     for k, v in enumerate(members):
         dv = float(g.degrees[v])
         if v in seed and spec.alpha * dv > 0.0:
-            src.append((net.add_arc(net.source, k, spec.alpha * dv) // 2, k))
+            src.append((rows.add(rows.source, k, spec.alpha * dv) // 2, k))
         z = 0.0 if v in seed else dv
-        attached = z > 0.0 and spec.beta > 0.0
-        own = spec.beta * z if attached else 0.0
+        own = spec.beta * z if z > 0.0 else 0.0
         ids, ws = g.neighbors(v)
         outside = [(j, w) for j, w in zip(ids.tolist(), ws.tolist()) if j not in local_id]
-        if attached or outside:
+        if own > 0.0 or outside:
             out_cap = 0.0
             for j, c in outside:
                 out_cap += c
                 tagged.append((k, j, c))
-            snk.append((net.add_arc(k, net.sink, own + out_cap) // 2, k, own))
+            snk.append((rows.add(k, rows.sink, own + out_cap) // 2, k, own))
         for j, w in zip(ids.tolist(), ws.tolist()):
             kj = local_id.get(j)
             if kj is not None and v < j:
-                edges.append((net.add_arc(k, kj, w, w) // 2, v * g.n + j))
-    return net, (src, snk, tagged, edges)
+                edges.append((rows.add(k, kj, w, w) // 2, v * g.n + j))
+    return rows.build(), (src, snk, tagged, edges)
 
 
 def _bits(values, dtype):
@@ -277,8 +272,6 @@ def assert_builders_agree(spec, g, members):
     assert list(zip(lay.tag_member.tolist(), lay.tag_end.tolist())) == [(k, j) for k, j, _ in tagged]
     assert _bits(lay.tag_cap, np.float64) == _bits([c for *_, c in tagged], np.float64)
     assert list(zip(lay.edges.tolist(), lay.edge_key.tolist())) == edges
-    net.freeze()
-    ref.freeze()
     for name in ("head", "cap", "cap_init", "infinite", "order", "first"):
         assert getattr(net, name).tobytes() == getattr(ref, name).tobytes(), name
 
@@ -431,7 +424,6 @@ def test_carried_flow_is_a_preflow_with_the_reported_surplus(case):
     spec, g, warm = case
     members = np.union1d(spec.seed, np.array(warm, dtype=np.int64))
     net, lay = _subnetwork(spec, g, members)
-    net.freeze()
     res = _Residual(net)
     flow, _ = _dinic(res, [net.source], net.sink)
     res.store(net)
@@ -441,7 +433,6 @@ def test_carried_flow_is_a_preflow_with_the_reported_surplus(case):
     if carry is None:
         return
     grown, lay = _subnetwork(spec, g, carry.grown)
-    grown.freeze()
     starts, surplus = carry.load(grown, lay, g.n)
 
     tol = 1e-12 * max(1.0, float(grown.cap_init.sum()))
@@ -552,7 +543,6 @@ def test_rescale_sets_the_sentinel_by_the_rule_of_freeze():
 def test_rescale_rejects_a_network_that_lacks_an_attachment():
     g = random_connected_graph(6, seed=4)
     net = materialize(AugmentedGraphSpec(alpha=0.0, beta=1.0, seed=[0, 1]), g)
-    net.freeze()
     with pytest.raises(ParameterError):
         rescale(net, AugmentedGraphSpec(alpha=1.0, beta=1.0, seed=[0, 1]), g)
     with pytest.raises(ParameterError):
