@@ -14,8 +14,10 @@ penalty kappa in [1, inf]:
 * ``mqi``, kappa = inf: confined to subsets of R, where the objective is
   cut(S)/vol(S).
 * ``local_flow_improve``, kappa = 1 + delta/ratio, and
-  ``local_flow_improve_scaled``, kappa given: in between, solved strongly
-  locally.
+  ``local_flow_improve_scaled``, kappa given: in between. They are solved
+  strongly locally only below the crossover set out below; where the
+  output volume bound reaches vol(V), the network is built whole, as for
+  ``flow_improve``.
 
 ``refine_by_flow`` runs the one loop they all call. Each round solves the
 augmented min-cut of ``refcut`` (source to R at alpha*d_i, the rest to the

@@ -4,47 +4,55 @@ A network is a set of arrays over paired arcs (arc 2k is the k-th arc's
 forward direction, arc 2k+1 its reverse), plus the stable CSR permutation
 that groups arc ids by tail. The one constructor checks the arrays and
 freezes them, so no solver checks or freezes a network again. Both
-engines run on flat Python lists
-(``_Residual``). The lists of the arc structure (heads, reverse arcs,
-each node's run) are taken once per network and kept with it; each
-solve takes only a capacity list. A solved network's ``cap`` array of
-residuals is written back from that list when it is first read, so a
-caller that reads only the cut pays nothing for it.
-``FlowNetwork.set_capacities`` replaces ``cap_init`` with a checked
-copy that gives some arcs new capacities, so a network whose arcs stay
-can be solved again at new capacities without being built again:
-``solve_maxflow`` always starts from zero flow, at ``cap_init``.
+engines run on flat Python lists (``_Residual``). The lists of the arc
+structure (heads, reverse arcs, each node's run) are taken once, when
+the network is built; each solve takes only a capacity list.
+
+This module owns a network's residuals: no caller writes them. A network
+holds its arc structure, fixed at birth; its capacities before any flow,
+``cap_init``, which only ``FlowNetwork.set_capacities`` replaces (with a
+checked copy that gives some arcs new capacities, so a network whose
+arcs stay can be solved again at new capacities without being built
+again); and ``cap``, its residuals, which are ``cap_init`` until a solve
+and that solve's output after it. The residual array is written back
+from the solve's list when it is first read, so a caller that reads only
+the cut pays nothing for it.
 
 ``solve_maxflow``, the whole-network solve, runs FIFO push-relabel with
 global relabeling and the gap heuristic (Goldberg & Tarjan 1988;
-Cherkassky & Goldberg 1997): it saturates the source's arcs and
-discharges the excess toward the sink; ``_return_excess`` then sends
-what cannot arrive back to the source, so the solve ends with a flow
-whose residual reach from the source is the minimal min cut. A relabel
-that empties its old label cuts off every node above it at once (the
-gap), where those nodes would otherwise climb one label at a time until
-the relabel budget ran out and a global relabel cut them off; and a
-relabel's scan stops at the first neighbour at the node's own label,
-the lowest any valid labeling allows. Where a network's last,
-certifying round must saturate thousands of tiny sink arcs, Dinic pays
-a whole-network BFS per phase and a dead-end DFS per augmenting path,
-while push-relabel saturates them by local pushes; on deep networks (a
-3000-node path) Dinic needs one phase per level.
+Cherkassky & Goldberg 1997) from zero flow, at ``cap_init``: it
+saturates the source's arcs and discharges the excess toward the sink;
+``_return_excess`` then sends what cannot arrive back to the source, so
+the solve ends with a flow whose residual reach from the source is the
+minimal min cut. A relabel that empties its old label cuts off every
+node above it at once (the gap), where those nodes would otherwise climb
+one label at a time until the relabel budget ran out and a global
+relabel cut them off; and a relabel's scan stops at the first neighbour
+at the node's own label, the lowest any valid labeling allows. Where a
+network's last, certifying round must saturate thousands of tiny sink
+arcs, Dinic pays a whole-network BFS per phase and a dead-end DFS per
+augmenting path, while push-relabel saturates them by local pushes; on
+deep networks (a 3000-node path) Dinic needs one phase per level.
 
 Dinic's blocking flow (``_dinic``) serves the strongly-local solver
-(``refcut``): each phase's level BFS stops once the sink is labeled, and
-after each augmentation the DFS resumes at the first arc the push
-saturated. The last, failing BFS is the residual reach. It takes its
-terminals as arguments: besides the max flow from the network's source,
-it can push from several start nodes, each holding a bounded supply, to
-any target node. ``_return_excess`` runs it that way back to the source,
-both for the excess push-relabel could not deliver and for the surplus a
-grown network starts with; its early-exit BFS measured faster there than
-a second, source-ward discharge with its own global relabel. The grow
-rounds start from a carried flow and need only a few short augmenting
-paths, and push-relabel started from that carried preflow measured slower
-there: 1.1-1.2 times Dinic's time on planted 2k-node graphs at delta 0.1
-and 1 and on a ring of 300 five-cliques at delta 0.01, and no faster on a
+(``refcut``), which enters through ``_augment``, one call per grow
+round: it takes the round's start residuals (the flow carried from the
+last round, or ``cap_init``) and the surplus some nodes start with,
+sends each surplus on to the sink and what cannot arrive back to the
+source, augments from the source and stores the residuals. Each phase's
+level BFS stops once the sink is labeled, and after each augmentation
+the DFS resumes at the first arc the push saturated. The last, failing
+BFS is the residual reach. ``_dinic`` takes its terminals as arguments:
+besides the max flow from the network's source, it can push from several
+start nodes, each holding a bounded supply, to any target node.
+``_return_excess`` runs it that way back to the source, both for the
+excess push-relabel could not deliver and for a grow round's surplus;
+its early-exit BFS measured faster there than a second, source-ward
+discharge with its own global relabel. The grow rounds start from a
+carried flow and need only a few short augmenting paths, and
+push-relabel started from that carried preflow measured slower there:
+1.1-1.2 times Dinic's time on planted 2k-node graphs at delta 0.1 and 1
+and on a ring of 300 five-cliques at delta 0.01, and no faster on a
 3000-node path at delta 0.1.
 
 Capacities are 64-bit floats; every solve finishes with a max-flow =
@@ -86,7 +94,9 @@ class FlowNetwork:
     ``first``: arc ids sorted stably by tail, so node u's arcs are
     ``order[first[u]:first[u + 1]]`` in id order. All of these and
     ``head`` are read-only; only ``set_capacities`` replaces ``cap_init``.
-    ``cap`` holds the residuals: ``cap_init`` until a solve.
+    ``cap`` holds the residuals, read-only too: ``cap_init`` until a
+    solve, then that solve's residuals. Only this module's solvers set
+    them.
     """
 
     def __init__(self, num_nodes: int, source: int, sink: int, head: np.ndarray, cap: np.ndarray):
@@ -108,7 +118,6 @@ class FlowNetwork:
         self.source = source
         self.sink = sink
         self.head = head
-        self._lists: tuple | None = None  # the residual arc lists, taken once (``_Residual``)
         self.freeze(cap)
 
     @property
@@ -118,16 +127,14 @@ class FlowNetwork:
             res, self._solved = self._solved, None
             self._cap = np.empty(res.order.size)
             self._cap[res.order] = res.cap
+            self._cap.setflags(write=False)
         return self._cap
 
-    @cap.setter
-    def cap(self, cap: np.ndarray) -> None:
-        self._cap, self._solved = cap, None
-
     def freeze(self, cap: np.ndarray) -> None:
-        """Group the arcs by tail, take ``cap`` as the capacities before any flow, and lock the arc arrays.
+        """Group the arcs by tail, lock the arc arrays, and take ``cap`` as the capacities before any flow.
 
-        Runs once per network, from the constructor.
+        Also takes the solvers' arc lists (``_arc_lists``), which depend
+        only on the arcs. Runs once per network, from the constructor.
         """
         tails = _tails(self.head)
         # numpy sorts keys of 16 bits or fewer by radix sort, several times
@@ -137,6 +144,7 @@ class FlowNetwork:
         np.cumsum(np.bincount(tails, minlength=self.num_nodes), out=self.first[1:])
         for arr in (self.head, self.order, self.first):
             arr.setflags(write=False)
+        self._lists = _arc_lists(self)
         self._set_initial(cap)
 
     def set_capacities(self, arcs: np.ndarray, caps: np.ndarray) -> None:
@@ -169,7 +177,7 @@ class FlowNetwork:
         for arr in (cap, infinite):
             arr.setflags(write=False)
         self.infinite, self.cap_init = infinite, cap
-        self.cap = cap.copy()
+        self._cap, self._solved = cap, None
 
     def arc_flow(self, a: int) -> float:
         """Net flow routed along forward arc ``a``."""
@@ -269,24 +277,23 @@ def _cut_of(net: FlowNetwork, side: np.ndarray) -> float:
 
 
 class _Residual:
-    """A frozen network's residual arcs as flat lists, ordered by position in ``net.order``.
+    """A network's residual arcs as flat lists, ordered by position in ``net.order``.
 
     Each node's arcs are one contiguous run, ``first[u]:end[u]``, and the
     scan order is the arc id order. ``head``, ``rev``, ``first`` and
-    ``end`` depend only on the arcs, so they are taken once per network
-    and shared by all its residuals; each residual takes its own capacity
-    list, from ``cap`` (by arc id; ``net.cap`` by default). The lists may
-    serve several solver calls; ``store`` makes them the network's
-    residuals.
+    ``end`` depend only on the arcs, so the network takes them once, when
+    it is built, and all its residuals share them; each residual takes its
+    own capacity list, from the start residuals ``cap`` (by arc id): a
+    solve's first call builds it from ``cap_init`` or from a flow the
+    caller carries in. The lists may serve several solver calls; ``store``
+    makes them the network's residuals, ``net.cap``.
     """
 
     __slots__ = ("order", "head", "cap", "rev", "first", "end", "num_nodes")
 
-    def __init__(self, net: FlowNetwork, cap: np.ndarray | None = None):
-        if net._lists is None:
-            net._lists = _arc_lists(net)
+    def __init__(self, net: FlowNetwork, cap: np.ndarray):
         self.order, self.head, self.rev, self.first, self.end = net._lists
-        self.cap = (net.cap if cap is None else cap)[self.order].tolist()
+        self.cap = cap[self.order].tolist()
         self.num_nodes = net.num_nodes
 
     def store(self, net: FlowNetwork) -> None:
@@ -299,18 +306,45 @@ class _Residual:
 
 
 def _arc_lists(net: FlowNetwork) -> tuple:
-    """``_Residual``'s arc lists of a frozen network: order, head, rev, first and end."""
+    """``_Residual``'s arc lists of a network's frozen arc structure: order, head, rev, first and end."""
     order = net.order
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
-    # Heads as shared node-id objects: tolist() alone would make one int
-    # object per arc.
-    head = list(map(list(range(net.num_nodes)).__getitem__, net.head[order].tolist()))
+    # Heads as shared node-id objects, gathered from an object array.
+    # tolist() of the int array would make one int object per arc, all
+    # alive at once while the network's builder still holds its arrays
+    # (``freeze`` runs inside the constructor): built that way, the
+    # planted benchmark's queries_per_s measured 3-4% lower.
+    head = np.array(range(net.num_nodes), dtype=object)[net.head[order]].tolist()
     # Read once per arc of an augmenting path or a retreat, so a view of
     # the array serves; a list would hold an int object per arc.
     rev = memoryview(position[order ^ 1])
     first = net.first.tolist()
     return order, head, rev, first, first[1:]
+
+
+def _augment(
+    net: FlowNetwork, start: np.ndarray, flow: float, starts: list[int], surplus: list[float]
+) -> tuple[float, np.ndarray]:
+    """One grow round of the strongly-local solver: settle the surplus, then augment to a maximum flow.
+
+    ``start`` holds the residuals (by arc id) of a flow of value ``flow``
+    that conserves except at ``starts[k]``, which takes in ``surplus[k]``
+    more than it sends on. Each surplus goes on to the sink as far as it
+    can, by the bounded ``_dinic``, and what is left back to the source
+    (``_return_excess``); then ``_dinic`` augments from the source, and
+    the residuals become ``net.cap``. Returns the flow value after the
+    round and the source's residual reach as a node mask.
+    """
+    res = _Residual(net, start)
+    if starts:
+        # Measured against the surplus before it moves: _dinic spends the list.
+        total = sum(surplus)
+        _dinic(res, starts, net.sink, surplus)
+        flow -= _return_excess(res, starts, surplus, net.source, total)
+    pushed, reach = _dinic(res, [net.source], net.sink)
+    res.store(net)
+    return flow + pushed, reach
 
 
 def _dinic(

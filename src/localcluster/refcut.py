@@ -16,8 +16,14 @@ When a round's flow does not extend to the full graph, the offending
 outside nodes join and the flow is carried into the grown network
 (``_Carry``): every arc keeps its flow, an outside edge that comes inside
 takes its share of the sink arc's flow, and a new member's inflow beyond
-its own sink arc is surplus, sent on to the sink or back to the source
-before the round augments from the source.
+its own sink arc is surplus. ``_Carry.load`` hands that flow over as a
+new array of start residuals with the surplus, and each round, the first
+one from ``cap_init``, enters the engine through one call,
+``flownet._augment``, which sends the surplus on to the sink or back to
+the source, augments from the source and stores the residuals. This
+module never writes a network's residuals or touches the engine's lists;
+its one tolerance, ``RESIDUAL_EPS``, is the margin of ``_Carry.split``'s
+violator test.
 """
 
 from __future__ import annotations
@@ -29,15 +35,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .flownet import (
-    RESIDUAL_EPS,
-    CutSolution,
-    FlowNetwork,
-    _checked_min_cut,
-    _dinic,
-    _Residual,
-    _return_excess,
-)
+from .flownet import RESIDUAL_EPS, CutSolution, FlowNetwork, _augment, _checked_min_cut
 from .graph import Graph, _as_node_array, _cut, _locate, _sorted_ids
 
 __all__ = [
@@ -270,16 +268,8 @@ def solve_maxflow_local(
     carry = None
     while True:
         net, lay = _subnetwork(spec, g, explored)
-        starts, surplus = ([], []) if carry is None else carry.load(net, lay, g.n)
-        res = _Residual(net)
-        if starts:
-            # Measured against the surplus before it moves: _dinic spends the list.
-            total = sum(surplus)
-            _dinic(res, starts, net.sink, surplus)
-            flow -= _return_excess(res, starts, surplus, net.source, total)
-        pushed, reach = _dinic(res, [net.source], net.sink)
-        flow += pushed
-        res.store(net)
+        start, starts, surplus = (net.cap_init, [], []) if carry is None else carry.load(net, lay, g.n)
+        flow, reach = _augment(net, start, flow, starts, surplus)
 
         if lay.tag_end.size and not math.isinf(spec.beta):
             carry = _Carry.split(spec, g, net, lay, explored, flow)
@@ -295,10 +285,10 @@ class _Carry(NamedTuple):
     """A grow round's flow, kept in graph terms so the next round's network can take it over.
 
     ``split`` reads the flow off a solved network and picks the violators;
-    ``load`` writes it into the network grown by them. Every arc keeps its
-    flow; an outside edge that comes inside takes its share of the sink
-    arc's flow; what the grown members cannot pass to their sink arcs is
-    their surplus.
+    ``load`` gives it as start residuals of the network grown by them.
+    Every arc keeps its flow; an outside edge that comes inside takes its
+    share of the sink arc's flow; what the grown members cannot pass to
+    their sink arcs is their surplus.
     """
 
     members: np.ndarray  # the members of the solved network
@@ -352,14 +342,16 @@ class _Carry(NamedTuple):
             keys[order], pairs[order], violators, inflow[hot],
         )
 
-    def load(self, net: FlowNetwork, lay: _Layout, n: int) -> tuple[list[int], list[float]]:
-        """Set ``net.cap`` (``net`` built on ``grown`` of an n-node graph) to the carried flow.
+    def load(self, net: FlowNetwork, lay: _Layout, n: int) -> tuple[np.ndarray, list[int], list[float]]:
+        """The carried flow as residuals of ``net``, built on ``grown`` of an n-node graph.
 
         Each violator's inflow goes to its sink arc as far as that arc's
-        capacity allows. Returns the network nodes left with a surplus, and
-        their surpluses.
+        capacity allows. Returns the residuals by arc id, a new array that
+        ``net`` does not hold, then the network nodes left with a surplus
+        and their surpluses: ``flownet._augment``'s start.
         """
-        res, init = net.cap.reshape(-1, 2), net.cap_init.reshape(-1, 2)
+        start = net.cap_init.copy()
+        res, init = start.reshape(-1, 2), net.cap_init.reshape(-1, 2)
         res[lay.src] = self.src
         at = _locate(lay.edge_key, self.edge_key, n * n)
         found = at < self.edge_key.size
@@ -376,5 +368,5 @@ class _Carry(NamedTuple):
         res[lay.snk, 1] = snk_flow[lay.snk_member]
         surplus = self.inflow - snk_flow[at]
         left = surplus > 0.0
-        return at[left].tolist(), surplus[left].tolist()
+        return start, at[left].tolist(), surplus[left].tolist()
 

@@ -66,7 +66,8 @@ def conjugate_gradient(
     ``project``, when given, restricts the iteration to a subspace (used
     for deflating known null directions); it must be an orthogonal
     projector commuting with the operator on its range. Raises
-    ParameterError if the operator turns out indefinite on the subspace.
+    ParameterError if the operator turns out indefinite on the subspace,
+    or if the curvature p'Ap is NaN, as a non-finite ``b`` makes it.
     """
     r = b.astype(np.float64, copy=True)
     if project is not None:
@@ -83,8 +84,10 @@ def conjugate_gradient(
         if project is not None:
             ap = project(ap)
         p_ap = _dot(p, ap)
-        if p_ap <= 0.0:
-            raise ParameterError("operator is not positive definite on the search space")
+        if not p_ap > 0.0:  # NaN fails too
+            raise ParameterError(
+                f"curvature {p_ap!r}: the operator is not positive definite on the search space, or b is not finite"
+            )
         step = rs / p_ap
         x += step * p
         r -= step * ap

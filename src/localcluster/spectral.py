@@ -103,27 +103,38 @@ class EmbeddingVector:
 def seed_distribution(g: Graph, seeds: object) -> dict[int, float]:
     """Degree-weighted probability mass on a seed set (sums to one).
 
-    A single int gives the point mass e_v.
+    A single int gives the point mass e_v. A seed of zero volume has no
+    such mass and raises ParameterError.
     """
     if isinstance(seeds, (int, np.integer)):
         v = int(seeds)
         if not (0 <= v < g.n):
             raise ParameterError(f"seed node {v} out of range")
-        return {v: 1.0}
-    arr = _as_node_array(g, seeds)
-    if arr.size == 0:
-        raise ParameterError("seed set is empty")
+        arr = np.array([v])
+    else:
+        arr = _as_node_array(g, seeds)
+        if arr.size == 0:
+            raise ParameterError("seed set is empty")
     total = float(g.degrees[arr].sum())
+    if total == 0.0:
+        raise ParameterError("seed set has zero volume")
     return {int(v): float(g.degrees[v]) / total for v in arr}
 
 
 def correlation_seed(g: Graph, r: object) -> np.ndarray:
-    """Signed seed indicator, degree-orthogonal to constants, D-normalized."""
+    """Signed seed indicator, degree-orthogonal to constants, D-normalized.
+
+    The seed and its complement must each have positive volume: otherwise
+    the indicator has no component left after orthogonalization, and
+    ParameterError is raised.
+    """
     arr = _as_node_array(g, r)
     if arr.size == 0 or arr.size == g.n:
         raise ParameterError("seed set must be a nonempty proper subset")
     z = np.zeros(g.n)
     z[arr] = 1.0
+    if not ((g.degrees[arr] > 0.0).any() and (g.degrees[z == 0.0] > 0.0).any()):
+        raise ParameterError("seed set and its complement must each have positive volume")
     z -= float(g.degrees[arr].sum()) / g.total_volume
     scale = math.sqrt(_dot(z, g.degrees * z))
     return z / scale
@@ -214,13 +225,16 @@ def spectral_mqi(g: Graph, r: object, tol: float = 1e-10) -> tuple[float, Embedd
     (zero-padded outside R) with nonnegative entries; for R = V that is
     the square-root-degree direction with eigenvalue 0, for a singleton
     it is e_v with eigenvalue 1. Strongly local: the solve reads only the
-    arcs of R's vertices.
+    arcs of R's vertices. The degree scaling needs every node of R to have
+    positive degree; a zero-degree node raises ParameterError.
     """
     if not tol > 0:  # NaN fails too
         raise ParameterError("tol must be positive")
     r_arr = _as_node_array(g, r)
     if r_arr.size == 0:
         raise ParameterError("seed set is empty")
+    if (g.degrees[r_arr] == 0.0).any():
+        raise ParameterError("seed set holds a node of zero degree")
 
     if r_arr.size == g.n:
         sqrt_d = np.sqrt(g.degrees)
@@ -273,9 +287,12 @@ def spectral_mqi_cluster(g: Graph, r: object, tol: float = 1e-8) -> ClusterResul
 
 
 def _orthogonalize_seed(g: Graph, z: np.ndarray) -> np.ndarray:
+    """``z`` less its degree-weighted mean; rejects a vector of the wrong length, not finite, or constant."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (g.n,):
         raise ParameterError("seed vector length mismatch")
+    if not np.isfinite(z).all():
+        raise ParameterError("seed vector entries must all be finite")
     z = z - _dot(g.degrees, z) / g.total_volume
     if float(np.abs(z).max(initial=0.0)) == 0.0:
         raise ParameterError("seed vector is constant; no direction left after orthogonalization")
@@ -435,6 +452,8 @@ def _as_seed_mass(g: Graph, h: object) -> dict[int, float]:
             raise ParameterError(f"seed node {i} out of range")
         if w < 0:
             raise ParameterError(f"negative seed mass at node {i}")
+        if w > 0 and g.degrees[i] == 0.0:
+            raise ParameterError(f"seed mass at node {i}, which has zero degree")
     items = {i: w for i, w in items.items() if w > 0}
     total = sum(items.values())
     if not items or abs(total - 1.0) > 1e-9:

@@ -161,6 +161,19 @@ def test_a_network_owns_and_locks_its_arrays():
             getattr(net, name)[0] = 0
 
 
+def test_only_a_solve_sets_the_residuals():
+    net = FlowNetwork(3, 0, 2, np.array([1, 0, 2, 1]), np.array([2.0, 0.0, 1.0, 0.0]))
+    with pytest.raises(AttributeError):
+        net.cap = np.zeros(4)
+    assert net.cap.tobytes() == net.cap_init.tobytes()
+    solve_maxflow(net)
+    assert net.cap.tolist() == [1.0, 1.0, 0.0, 1.0]
+    with pytest.raises(AttributeError):
+        net.cap = net.cap_init
+    with pytest.raises(ValueError, match="read-only"):
+        net.cap[0] = 0.0
+
+
 def test_bad_terminals_rejected():
     with pytest.raises(ParameterError):
         FlowNetwork(3, 1, 1, [], [])
@@ -331,7 +344,7 @@ def _network(n, arcs, source, sink):
 
 def dinic_solve(net):
     """``_dinic`` from the network's source, as a grow round runs it, with the min-cut check."""
-    res = _Residual(net)
+    res = _Residual(net, net.cap_init)
     flow, reach = _dinic(res, [net.source], net.sink)
     res.store(net)
     _checked_min_cut(net, flow, reach)
@@ -629,7 +642,7 @@ def test_bounded_sources_send_at_most_their_supply():
     for u, v, c in ((0, 2, 5.0), (1, 2, 5.0), (2, 3, 4.0)):
         rows.add(u, v, c)
     net = rows.build()
-    res = _Residual(net)
+    res = _Residual(net, net.cap_init)
     supply = [3.0, 2.0]
     pushed, reach = _dinic(res, [0, 1], net.sink, supply)
     res.store(net)
@@ -644,7 +657,7 @@ def test_a_bounded_start_sends_flow_back_along_residual_arcs():
     for u, v, c in ((0, 1, 2.0), (1, 2, 2.0), (2, 3, 1.0)):
         rows.add(u, v, c)
     net = rows.build()
-    res = _Residual(net)
+    res = _Residual(net, net.cap_init)
     assert _dinic(res, [0], net.sink)[0] == 1.0
     # Node 2 holds 1.5 more than it can pass on; only the 1.0 that came
     # in along 0 -> 1 -> 2 can go back.
@@ -664,7 +677,7 @@ def test_the_per_solve_check_rejects_a_flow_that_is_not_maximum():
     for u, v, c in ((0, 1, 3.0), (1, 2, 1.0), (2, 3, 1.0)):
         rows.add(u, v, c)
     net = rows.build()
-    res = _Residual(net)
+    res = _Residual(net, net.cap_init)
     reach = np.array(_bfs_levels(res.head, res.cap, res.first, net.num_nodes, [net.source], net.sink)) >= 0
     assert reach.all()
     with pytest.raises(AssertionError, match="sink is reachable"):

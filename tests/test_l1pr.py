@@ -20,6 +20,7 @@ from localcluster import (
     seed_distribution,
     volume,
 )
+from localcluster.graph import Graph
 from localcluster.oracles import dense_nnq_prox
 from localcluster.synth import random_connected_graph
 from test_flowcluster import relabel
@@ -152,6 +153,16 @@ def test_seed_mass_validation(dumbbell):
         l1_pagerank(dumbbell, {9: 1.0}, alpha=0.15, epsilon=1e-3)
     with pytest.raises(ParameterError):
         l1_pagerank(dumbbell, np.ones(5), alpha=0.15, epsilon=1e-3)
+
+
+@pytest.mark.parametrize("solve", [l1_pagerank, l1pr_cluster])
+def test_seed_mass_on_a_zero_degree_node_rejected(solve):
+    # Vertex 3 is isolated. Its mass once made an inf vector, which
+    # l1pr_cluster reported as non-finite embedding entries.
+    g = Graph.from_edges(4, [0, 1], [1, 2])
+    for seed in ({3: 1.0}, np.array([0.5, 0.0, 0.0, 0.5])):
+        with pytest.raises(ParameterError, match="zero degree"):
+            solve(g, seed, alpha=0.15, epsilon=1e-3)
 
 
 def test_cluster_recovers_the_triangle(dumbbell):

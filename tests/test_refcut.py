@@ -1,6 +1,7 @@
 """Augmented source/sink construction: closed-form cut values, the
 materialized network, and the strongly-local solver against the global one."""
 
+import contextlib
 import math
 import random
 
@@ -329,7 +330,11 @@ def _kappa_spec(g, seed_ids, alpha, kappa):
 
 def assert_local_equals_global(spec, g, warm_start=()):
     ref = solve_maxflow(materialize(spec, g))
-    sol, explored = solve_maxflow_local(spec, g, warm_start=warm_start)
+    assert_local_solution(ref, *solve_maxflow_local(spec, g, warm_start=warm_start))
+
+
+def assert_local_solution(ref, sol, explored):
+    """The local solver's ``sol`` and ``explored`` against the whole-network solution ``ref``."""
     assert sol.flow_value == pytest.approx(ref.flow_value, rel=1e-12)
     assert_ids(sol.s_side, ref.s_side)
     assert np.isin(sol.s_side, explored).all()
@@ -358,20 +363,26 @@ def test_local_solver_matches_the_whole_network_solve(case):
     assert_local_equals_global(*case)
 
 
-def _return_spy(monkeypatch):
-    """Record the amount each surplus return of the local solver sends back to the source."""
-    from localcluster import refcut
+@contextlib.contextmanager
+def _surplus_returns():
+    """Record the amount each return of excess to the source sends back, while the block runs.
+
+    The whole-network solve returns its excess by the same routine, so
+    the block should hold only the local solve.
+    """
+    from localcluster import flownet
 
     returned = []
-    return_excess = refcut._return_excess
+    return_excess = flownet._return_excess
 
     def spy(res, starts, amounts, source, scale):
         out = return_excess(res, starts, amounts, source, scale)
         returned.append(out)
         return out
 
-    monkeypatch.setattr(refcut, "_return_excess", spy)
-    return returned
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flownet, "_return_excess", spy)
+        yield returned
 
 
 @pytest.mark.parametrize(
@@ -388,10 +399,12 @@ def _return_spy(monkeypatch):
         ("path, all but the middle", path_graph(9), [0, 1, 2, 3, 5, 6, 7, 8], 0.5, 0.1),
     ],
 )
-def test_surplus_goes_back_to_the_source(monkeypatch, name, g, seed_ids, alpha, beta):
-    returned = _return_spy(monkeypatch)
+def test_surplus_goes_back_to_the_source(name, g, seed_ids, alpha, beta):
     spec = AugmentedGraphSpec(alpha=alpha, beta=beta, seed=seed_ids)
-    assert_local_equals_global(spec, g)
+    ref = solve_maxflow(materialize(spec, g))
+    with _surplus_returns() as returned:
+        sol, explored = solve_maxflow_local(spec, g)
+    assert_local_solution(ref, sol, explored)
     assert max(returned, default=0.0) > 0.1 * alpha, name
 
 
@@ -418,27 +431,17 @@ def test_carried_flow_is_a_preflow_with_the_reported_surplus(case):
     """One grow round by hand: the flow loaded into the grown network keeps every
     arc pair's capacity, stays within it, and breaks conservation only by the
     surplus ``load`` reports."""
-    from localcluster.flownet import _dinic, _Residual
-    from localcluster.refcut import _Carry
-
     spec, g, warm = case
     members = np.union1d(spec.seed, np.array(warm, dtype=np.int64))
-    net, lay = _subnetwork(spec, g, members)
-    res = _Residual(net)
-    flow, _ = _dinic(res, [net.source], net.sink)
-    res.store(net)
-    if math.isinf(spec.beta) or not lay.tag_end.size:
+    loaded = _one_grow_round(spec, g, members)
+    if loaded is None:
         return
-    carry = _Carry.split(spec, g, net, lay, members, flow)
-    if carry is None:
-        return
-    grown, lay = _subnetwork(spec, g, carry.grown)
-    starts, surplus = carry.load(grown, lay, g.n)
+    grown, flow, (start, starts, surplus) = loaded
 
     tol = 1e-12 * max(1.0, float(grown.cap_init.sum()))
-    pairs, init = grown.cap.reshape(-1, 2), grown.cap_init.reshape(-1, 2)
+    pairs, init = start.reshape(-1, 2), grown.cap_init.reshape(-1, 2)
     np.testing.assert_allclose(pairs.sum(axis=1), init.sum(axis=1), rtol=0, atol=tol)
-    assert (grown.cap >= -tol).all()
+    assert (start >= -tol).all()
     sent = init[:, 0] - pairs[:, 0]  # flow along each forward arc, tail to head
     excess = np.zeros(grown.num_nodes)
     np.add.at(excess, grown.head[0::2], sent)
@@ -448,6 +451,45 @@ def test_carried_flow_is_a_preflow_with_the_reported_surplus(case):
     inner = slice(0, grown.num_nodes - 2)
     np.testing.assert_allclose(excess[inner], want[inner], rtol=0, atol=tol)
     assert -excess[grown.source] == pytest.approx(flow, rel=1e-12, abs=tol)
+
+
+def _one_grow_round(spec, g, members):
+    """Solve the subnetwork on ``members`` and carry its flow into the grown one.
+
+    Returns the grown network, the flow value and what ``_Carry.load``
+    returned, or None when the round has no violator.
+    """
+    from localcluster.flownet import _augment
+    from localcluster.refcut import _Carry
+
+    net, lay = _subnetwork(spec, g, members)
+    flow, _ = _augment(net, net.cap_init, 0.0, [], [])
+    if math.isinf(spec.beta) or not lay.tag_end.size:
+        return None
+    carry = _Carry.split(spec, g, net, lay, members, flow)
+    if carry is None:
+        return None
+    grown, lay = _subnetwork(spec, g, carry.grown)
+    return grown, flow, carry.load(grown, lay, g.n)
+
+
+def test_carry_load_returns_the_start_and_leaves_the_network_alone():
+    # The hub, pulled in with every neighbour inside, takes in more than
+    # its own sink arc holds: the grown network starts with a surplus.
+    g = star_graph(8)
+    spec = AugmentedGraphSpec(alpha=1.0, beta=1e-3, seed=range(1, 8))
+    grown, flow, (start, starts, surplus) = _one_grow_round(spec, g, spec.seed)
+    assert starts and flow > 0.0
+    assert grown.cap.tobytes() == grown.cap_init.tobytes()
+    assert not np.shares_memory(start, grown.cap_init)
+    assert (start != grown.cap_init).any()  # the carried flow is in the start
+
+
+def test_refcut_leaves_the_residual_lists_to_the_engine():
+    from localcluster import refcut
+
+    for name in ("_dinic", "_Residual", "_return_excess"):
+        assert not hasattr(refcut, name), name
 
 
 # -- one materialized network, re-scaled between solves -------------------------------

@@ -36,11 +36,14 @@ from localcluster.oracles import (
     dense_mov_solve,
     dense_normalized_laplacian,
 )
+from localcluster.solvers import MatvecBudget, conjugate_gradient
 from localcluster.synth import complete_graph, random_connected_graph
 from test_flowcluster import relabel
 
 DUMBBELL_LAMBDA2 = 0.20466635455687243
 DUMBBELL_LAMBDA_R = 0.12084713039410419
+# Vertex 3 is isolated: degree zero.
+WITH_ISOLATED = Graph.from_edges(4, [0, 1], [1, 2])
 
 
 def _cos(a: np.ndarray, b: np.ndarray) -> float:
@@ -99,6 +102,16 @@ class TestSeedHelpers:
         z = correlation_seed(dumbbell, (0, 1, 2))
         assert float(dumbbell.degrees @ z) == pytest.approx(0.0, abs=1e-12)
         assert float(z @ (dumbbell.degrees * z)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seeds", [[3], 3])
+    def test_seed_distribution_rejects_a_zero_volume_seed(self, seeds):
+        with pytest.raises(ParameterError, match="zero volume"):
+            seed_distribution(WITH_ISOLATED, seeds)
+
+    @pytest.mark.parametrize("seeds", [[3], [0, 1, 2]])
+    def test_correlation_seed_rejects_a_side_of_zero_volume(self, seeds):
+        with pytest.raises(ParameterError, match="positive volume"):
+            correlation_seed(WITH_ISOLATED, seeds)
 
     def test_correlation_seed_rejects_trivial_sets(self, dumbbell):
         with pytest.raises(ParameterError):
@@ -239,6 +252,13 @@ class TestSeedConfined:
         # The triangle and vertex 3, the one neighbour outside it.
         assert spectral_mqi_cluster(dumbbell, (0, 1, 2)).touched_nodes == 4
 
+    @pytest.mark.parametrize("seeds", [[2, 3], [3]])
+    def test_zero_degree_seed_rejected(self, seeds):
+        # [2, 3] once ran the whole matvec budget; [3] returned lambda = 1.
+        for solve in (spectral_mqi, spectral_mqi_cluster):
+            with pytest.raises(ParameterError, match="zero degree"):
+                solve(WITH_ISOLATED, seeds)
+
     def test_empty_seed_rejected(self, dumbbell):
         with pytest.raises(ParameterError):
             spectral_mqi(dumbbell, ())
@@ -343,6 +363,22 @@ class TestResolventSolve:
     def test_constant_seed_rejected(self, dumbbell):
         with pytest.raises(ParameterError):
             mov_solve(dumbbell, np.ones(6), 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_seed_rejected(self, dumbbell, bad):
+        # Each once ran the whole matvec budget and then raised ConvergenceError.
+        z = correlation_seed(dumbbell, (0, 1, 2))
+        z[4] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            mov_solve(dumbbell, z, 0.5)
+        with pytest.raises(ParameterError, match="finite"):
+            mov_correlate(dumbbell, z, kappa=0.96)
+
+    def test_conjugate_gradient_stops_at_a_nan_curvature(self):
+        budget = MatvecBudget()
+        with pytest.raises(ParameterError, match="not finite"):
+            conjugate_gradient(lambda v: 2.0 * v, np.array([1.0, math.nan]), rel_tol=1e-10, budget=budget)
+        assert budget.used == 1
 
     def test_disconnected_rejected(self):
         g = Graph.from_edges(4, [0, 2], [1, 3])
