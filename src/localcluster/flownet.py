@@ -5,18 +5,20 @@ forward direction, arc 2k+1 its reverse), plus the stable CSR permutation
 that groups arc ids by tail. The one constructor checks the arrays and
 freezes them, so no solver checks or freezes a network again. Both
 engines run on flat Python lists (``_Residual``). The lists of the arc
-structure (heads, reverse arcs, each node's run) are taken once, when
-the network is built; each solve takes only a capacity list.
+structure (heads, reverse arcs, each node's run) are taken once per
+network, when a residual first needs them; each solve takes only a
+capacity list.
 
-This module owns a network's residuals: no caller writes them. A network
-holds its arc structure, fixed at birth; its capacities before any flow,
-``cap_init``, which only ``FlowNetwork.set_capacities`` replaces (with a
-checked copy that gives some arcs new capacities, so a network whose
-arcs stay can be solved again at new capacities without being built
-again); and ``cap``, its residuals, which are ``cap_init`` until a solve
-and that solve's output after it. The residual array is written back
-from the solve's list when it is first read, so a caller that reads only
-the cut pays nothing for it.
+This module owns the residuals: no caller writes them except through a
+residual's own growth methods. A network holds its arc structure, fixed
+at birth; its capacities before any flow, ``cap_init``, which only
+``FlowNetwork.set_capacities`` replaces (with a checked copy that gives
+some arcs new capacities, so a network whose arcs stay can be solved
+again at new capacities without being built again); and ``cap``, its
+residuals, which are ``cap_init`` until a solve and that solve's output
+after it. The residual array is written back from the solve's list when
+it is first read, so a caller that reads only the cut pays nothing for
+it.
 
 ``solve_maxflow``, the whole-network solve, runs FIFO push-relabel with
 global relabeling and the gap heuristic (Goldberg & Tarjan 1988;
@@ -35,25 +37,27 @@ augmenting path, while push-relabel saturates them by local pushes; on
 deep networks (a 3000-node path) Dinic needs one phase per level.
 
 Dinic's blocking flow (``_dinic``) serves the strongly-local solver
-(``refcut``), which enters through ``_augment``, one call per grow
-round: it takes the round's start residuals (the flow carried from the
-last round, or ``cap_init``) and the surplus some nodes start with,
-sends each surplus on to the sink and what cannot arrive back to the
-source, augments from the source and stores the residuals. Each phase's
-level BFS stops once the sink is labeled, and after each augmentation
-the DFS resumes at the first arc the push saturated. The last, failing
-BFS is the residual reach. ``_dinic`` takes its terminals as arguments:
-besides the max flow from the network's source, it can push from several
-start nodes, each holding a bounded supply, to any target node.
-``_return_excess`` runs it that way back to the source, both for the
-excess push-relabel could not deliver and for a grow round's surplus;
-its early-exit BFS measured faster there than a second, source-ward
-discharge with its own global relabel. The grow rounds start from a
-carried flow and need only a few short augmenting paths, and
-push-relabel started from that carried preflow measured slower there:
-1.1-1.2 times Dinic's time on planted 2k-node graphs at delta 0.1 and 1
-and on a ring of 300 five-cliques at delta 0.01, and no faster on a
-3000-node path at delta 0.1.
+(``refcut``), which holds one residual per solve and grows it in place:
+each node's arcs fill the front of a block of slots, so a grow round
+appends its new arcs where they belong, and the solvers scan each run up
+to its end, ``end[u]``, never up to the next node's start. The solver
+enters through ``_augment``, one call per grow round: it sends the
+surplus some nodes start with on to the sink and what cannot arrive back
+to the source, then augments from the source, leaving the flow in the
+residual. Each phase's level BFS stops once the sink is labeled, and
+after each augmentation the DFS resumes at the first arc the push
+saturated. The last, failing BFS is the residual reach. ``_dinic`` takes
+its terminals as arguments: besides the max flow from the network's
+source, it can push from several start nodes, each holding a bounded
+supply, to any target node. ``_return_excess`` runs it that way back to
+the source, both for the excess push-relabel could not deliver and for a
+grow round's surplus; its early-exit BFS measured faster there than a
+second, source-ward discharge with its own global relabel. The grow
+rounds start from a carried flow and need only a few short augmenting
+paths, and push-relabel started from that carried preflow measured
+slower there: 1.1-1.2 times Dinic's time on planted 2k-node graphs at
+delta 0.1 and 1 and on a ring of 300 five-cliques at delta 0.01, and no
+faster on a 3000-node path at delta 0.1.
 
 Capacities are 64-bit floats; every solve finishes with a max-flow =
 min-cut duality check at 1e-9 relative tolerance, which substitutes for
@@ -66,7 +70,10 @@ with a finite cut once the total reaches 2**53 and absorbs the 1.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -133,8 +140,7 @@ class FlowNetwork:
     def freeze(self, cap: np.ndarray) -> None:
         """Group the arcs by tail, lock the arc arrays, and take ``cap`` as the capacities before any flow.
 
-        Also takes the solvers' arc lists (``_arc_lists``), which depend
-        only on the arcs. Runs once per network, from the constructor.
+        Runs once per network, from the constructor.
         """
         tails = _tails(self.head)
         # numpy sorts keys of 16 bits or fewer by radix sort, several times
@@ -144,8 +150,12 @@ class FlowNetwork:
         np.cumsum(np.bincount(tails, minlength=self.num_nodes), out=self.first[1:])
         for arr in (self.head, self.order, self.first):
             arr.setflags(write=False)
-        self._lists = _arc_lists(self)
         self._set_initial(cap)
+
+    @cached_property
+    def _lists(self) -> tuple:
+        """The solvers' arc lists (``_arc_lists``), which depend only on the arcs: taken when a residual first needs them."""
+        return _arc_lists(self)
 
     def set_capacities(self, arcs: np.ndarray, caps: np.ndarray) -> None:
         """Give arcs ``arcs`` the capacities ``caps`` (+inf allowed), with no flow.
@@ -277,24 +287,40 @@ def _cut_of(net: FlowNetwork, side: np.ndarray) -> float:
 
 
 class _Residual:
-    """A network's residual arcs as flat lists, ordered by position in ``net.order``.
+    """A network's residual arcs as flat lists, each node's arcs one run of them.
 
-    Each node's arcs are one contiguous run, ``first[u]:end[u]``, and the
-    scan order is the arc id order. ``head``, ``rev``, ``first`` and
-    ``end`` depend only on the arcs, so the network takes them once, when
-    it is built, and all its residuals share them; each residual takes its
-    own capacity list, from the start residuals ``cap`` (by arc id): a
-    solve's first call builds it from ``cap_init`` or from a flow the
-    caller carries in. The lists may serve several solver calls; ``store``
-    makes them the network's residuals, ``net.cap``.
+    Node u's arcs are the positions ``first[u]:end[u]``, scanned in that
+    order; ``head[p]`` is the head of the arc at position p, ``rev[p]`` the
+    position of its twin and ``cap[p]`` its residual. Built on a network,
+    the lists are ordered by position in ``net.order``: the runs follow
+    one another in node order, each in arc id order. ``head``, ``rev``,
+    ``first`` and ``end`` depend only on the arcs, so the network takes
+    them once and all its residuals share them; each residual takes its
+    own capacity list, from the start residuals ``cap`` (by arc id). The
+    lists may serve several solver calls; ``store`` makes them the
+    network's residuals, ``net.cap``.
+
+    A residual can also grow in place, for the strongly-local solver. Its
+    first growth call gives it copies of the shared lists, in which each
+    node's run fills the front of a block of slots, ``first[u]:limit[u]``;
+    from then on it belongs to no network and is never stored.
+    ``add_nodes`` appends nodes, each with a block of its own,
+    ``add_pairs`` appends arc pairs at the ends of their tails' and heads'
+    runs, and ``take`` lowers arcs' capacities and the flow they carry. A
+    run that fills its block moves to a new block at the end of the lists,
+    with room for as many arcs again plus two, so a caller names an arc by
+    its tail and its index in the tail's run, which a move keeps. Only
+    these methods and this module's solvers write the lists; a caller
+    reads the flow through ``back``.
     """
 
-    __slots__ = ("order", "head", "cap", "rev", "first", "end", "num_nodes")
+    __slots__ = ("order", "head", "cap", "rev", "first", "end", "limit", "num_nodes", "source", "sink")
 
     def __init__(self, net: FlowNetwork, cap: np.ndarray):
         self.order, self.head, self.rev, self.first, self.end = net._lists
         self.cap = cap[self.order].tolist()
-        self.num_nodes = net.num_nodes
+        self.num_nodes, self.source, self.sink = net.num_nodes, net.source, net.sink
+        self.limit = None  # each block's end, once the residual grows
 
     def store(self, net: FlowNetwork) -> None:
         """Make these capacities ``net.cap``.
@@ -303,6 +329,88 @@ class _Residual:
         must not change after this call.
         """
         net._solved = self
+
+    def back(self, u: int, i: int) -> float:
+        """Residual of the twin of u's i-th arc: the flow on that arc when its twin has no capacity of its own."""
+        return self.cap[self.rev[self.first[u] + i]]
+
+    def add_nodes(self, widths: list[int]) -> None:
+        """Append a node with no arcs and a block of ``widths[k]`` slots for each k; they take the next ids."""
+        self._own()
+        start = len(self.head)
+        ends = list(accumulate(widths, initial=start))
+        self.num_nodes += len(widths)
+        self.first += ends[:-1]
+        self.end += ends[:-1]
+        self.limit += ends[1:]
+        self._extend(ends[-1] - start)
+
+    def add_pairs(self, pairs: list[tuple[int, int, float, float]]) -> list[int]:
+        """Append, for each (u, v, cap_uv, cap_vu), the arc u -> v with residual cap_uv and its twin with cap_vu.
+
+        Returns the index of each arc u -> v in u's run.
+        """
+        self._own()
+        head, cap, rev, first, slot = self.head, self.cap, self.rev, self.first, self._slot
+        out = []
+        for u, v, cap_uv, cap_vu in pairs:
+            p, q = slot(u), slot(v)
+            head[p], head[q] = v, u
+            cap[p], cap[q] = cap_uv, cap_vu
+            rev[p], rev[q] = q, p
+            out.append(p - first[u])
+        return out
+
+    def take(self, arcs: list[tuple[int, int, float, float]]) -> None:
+        """For each (u, i, cap, flow): u's i-th arc loses ``cap`` of its capacity, carrying ``flow`` of its flow.
+
+        Its residual falls by cap - flow and its twin's by ``flow``.
+        """
+        cap, rev, first = self.cap, self.rev, self.first
+        for u, i, lost, flow in arcs:
+            p = first[u] + i
+            cap[p] -= lost - flow
+            cap[rev[p]] -= flow
+
+    def _own(self) -> None:
+        """Before the first growth: take copies of the shared lists, in which each node's block is its run."""
+        if self.limit is None:
+            self.order = None
+            self.head = list(self.head)
+            self.rev = array("q", self.rev.tobytes())
+            self.first, self.end = list(self.first), list(self.end)
+            self.limit = list(self.end)
+
+    def _extend(self, width: int) -> None:
+        self.head += [0] * width
+        self.cap += [0.0] * width
+        self.rev.frombytes(bytes(8 * width))
+
+    def _slot(self, u: int) -> int:
+        """A free position at the end of u's run, which then covers it."""
+        p = self.end[u]
+        if p == self.limit[u]:
+            # Move the run to a new block at the end of the lists.
+            head, cap, rev = self.head, self.cap, self.rev
+            lo, hi = self.first[u], p
+            start = len(head)
+            self._extend(2 * (hi - lo) + 2)
+            p = start + hi - lo
+            head[start:p] = head[lo:hi]
+            cap[start:p] = cap[lo:hi]
+            rev[start:p] = rev[lo:hi]
+            for r in range(start, p):
+                rev[rev[r]] = r
+            self.first[u], self.limit[u] = start, len(head)
+        self.end[u] = p + 1
+        return p
+
+
+def _run_index(net: FlowNetwork, arcs: np.ndarray) -> list[int]:
+    """Index of each arc ``arcs`` (by arc id) of ``net`` in its tail's run, in every residual of ``net``."""
+    position = np.empty_like(net.order)
+    position[net.order] = np.arange(net.order.size)
+    return (position[arcs] - net.first[net.head[arcs ^ 1]]).tolist()
 
 
 def _arc_lists(net: FlowNetwork) -> tuple:
@@ -320,30 +428,28 @@ def _arc_lists(net: FlowNetwork) -> tuple:
     # the array serves; a list would hold an int object per arc.
     rev = memoryview(position[order ^ 1])
     first = net.first.tolist()
-    return order, head, rev, first, first[1:]
+    return order, head, rev, first[:-1], first[1:]
 
 
-def _augment(
-    net: FlowNetwork, start: np.ndarray, flow: float, starts: list[int], surplus: list[float]
-) -> tuple[float, np.ndarray]:
+def _augment(res: _Residual, flow: float, starts: list[int], surplus: list[float]) -> tuple[float, np.ndarray]:
     """One grow round of the strongly-local solver: settle the surplus, then augment to a maximum flow.
 
-    ``start`` holds the residuals (by arc id) of a flow of value ``flow``
-    that conserves except at ``starts[k]``, which takes in ``surplus[k]``
-    more than it sends on. Each surplus goes on to the sink as far as it
-    can, by the bounded ``_dinic``, and what is left back to the source
-    (``_return_excess``); then ``_dinic`` augments from the source, and
-    the residuals become ``net.cap``. Returns the flow value after the
-    round and the source's residual reach as a node mask.
+    ``res`` holds the residuals of a flow of value ``flow`` that conserves
+    except at ``starts[k]``, which takes in ``surplus[k]`` more than it
+    sends on. Each surplus goes on to the sink as far as it can, by the
+    bounded ``_dinic``, and what is left back to the source
+    (``_return_excess``); then ``_dinic`` augments from the source. The
+    flow is left in ``res``. Returns the flow value after the round and
+    the source's residual reach as a node mask; the source and the sink
+    are those of the network ``res`` was built on.
     """
-    res = _Residual(net, start)
+    source, sink = res.source, res.sink
     if starts:
         # Measured against the surplus before it moves: _dinic spends the list.
         total = sum(surplus)
-        _dinic(res, starts, net.sink, surplus)
-        flow -= _return_excess(res, starts, surplus, net.source, total)
-    pushed, reach = _dinic(res, [net.source], net.sink)
-    res.store(net)
+        _dinic(res, starts, sink, surplus)
+        flow -= _return_excess(res, starts, surplus, source, total)
+    pushed, reach = _dinic(res, [source], sink)
     return flow + pushed, reach
 
 
@@ -364,10 +470,10 @@ def _dinic(
     total = 0.0
     while True:
         starts = [s for s, amount in zip(sources, left) if amount > eps]
-        level = _bfs_levels(head, cap, first, res.num_nodes, starts, sink)
+        level = _bfs_levels(res, starts, sink)
         if level[sink] < 0:
             break
-        ptr = first[:-1]
+        ptr = first[:]
         for k, start in enumerate(sources):
             budget = left[k]
             if budget <= eps:
@@ -411,20 +517,21 @@ def _dinic(
     return total, np.array(level) >= 0
 
 
-def _bfs_levels(head: list[int], cap: list[float], first: list[int], n: int, sources: list[int], sink: int) -> list[int]:
+def _bfs_levels(res: _Residual, sources: list[int], sink: int) -> list[int]:
     """BFS level of every node over residual arcs from ``sources``, -1 where unreached.
 
     Stops as soon as the sink is labeled; a level list whose sink is -1
     comes from a complete search and is the sources' residual reach.
     """
+    head, cap, first, end = res.head, res.cap, res.first, res.end
     eps = RESIDUAL_EPS
-    level = [-1] * n
+    level = [-1] * res.num_nodes
     for s in sources:
         level[s] = 0
     queue = list(sources)
     for u in queue:
         next_level = level[u] + 1
-        for p in range(first[u], first[u + 1]):
+        for p in range(first[u], end[u]):
             if cap[p] > eps:
                 w = head[p]
                 if level[w] < 0:
@@ -465,7 +572,7 @@ def _push_relabel(res: _Residual, source: int, sink: int) -> tuple[float, np.nda
     _discharge(res, excess, label, sink, source)
     starts = [u for u in range(n) if excess[u] > 0.0 and u != sink and u != source]
     flow = sent - _return_excess(res, starts, [excess[u] for u in starts], source, excess[sink])
-    level = _bfs_levels(head, cap, first, n, [source], sink)
+    level = _bfs_levels(res, [source], sink)
     return flow, np.array(level) >= 0
 
 
@@ -522,7 +629,7 @@ def _discharge(res: _Residual, excess: list[float], label: list[int], sink: int,
     # between until the node is cut off from the sink.
     queue = [u for u in range(n) if excess[u] > eps and 0 < label[u] < n]
     while queue:
-        ptr = first[:-1]
+        ptr = first[:]
         count = [0] * (n + 1)  # nodes per label; count[n] is not kept up
         for d in label:
             count[d] += 1

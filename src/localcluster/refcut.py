@@ -12,18 +12,26 @@ they are.
 ``solve_maxflow_local`` solves on a grown subset of the nodes, the
 members, with everything else contracted into the sink: each member has
 one sink arc holding its own attachment and its edges to non-members.
-When a round's flow does not extend to the full graph, the offending
-outside nodes join and the flow is carried into the grown network
-(``_Carry``): every arc keeps its flow, an outside edge that comes inside
-takes its share of the sink arc's flow, and a new member's inflow beyond
-its own sink arc is surplus. ``_Carry.load`` hands that flow over as a
-new array of start residuals with the surplus, and each round, the first
-one from ``cap_init``, enters the engine through one call,
-``flownet._augment``, which sends the surplus on to the sink or back to
-the source, augments from the source and stores the residuals. This
-module never writes a network's residuals or touches the engine's lists;
-its one tolerance, ``RESIDUAL_EPS``, is the margin of ``_Carry.split``'s
-violator test.
+A solve holds one residual (``flownet._Residual``), built on the first
+round's network, and enters the engine through one call per round,
+``flownet._augment``, which sends any surplus on to the sink or back to
+the source, augments from the source and leaves the flow in the
+residual. When a round's flow does not extend to the full graph, the
+offending outside nodes join and ``_Carry.grow`` appends their arcs to
+the residual in place (``_Residual.add_nodes`` / ``add_pairs``): every
+arc keeps its flow, an outside edge that comes inside takes its capacity
+and its share of the flow out of its member's sink arc
+(``_Residual.take``), and a new member's inflow beyond its own sink arc
+is surplus. A grow round so costs the new members' arcs and a walk over
+the members that hold outside edges, not a new network. This module
+writes the residual only through those growth methods and reads a flow
+only through ``_Residual.back``. Every returned cut is checked
+(``flownet._checked_min_cut``) on a network from the checked
+``FlowNetwork`` constructor whose members hold the cut's side and the
+seed: the first round's, or, when the side left it, one built on the
+side and the seed. So the certificate never rests on the residual's
+bookkeeping. The one tolerance here, ``RESIDUAL_EPS``, is the margin of
+the violator test.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .flownet import RESIDUAL_EPS, CutSolution, FlowNetwork, _augment, _checked_min_cut
+from .flownet import RESIDUAL_EPS, CutSolution, FlowNetwork, _augment, _checked_min_cut, _Residual, _run_index
 from .graph import Graph, _as_node_array, _cut, _locate, _sorted_ids
 
 __all__ = [
@@ -147,22 +155,19 @@ def rescale(net: FlowNetwork, spec: AugmentedGraphSpec, g: Graph) -> None:
 
 
 class _Layout(NamedTuple):
-    """Where ``_subnetwork`` put each kind of arc, by arc pair (forward arc 2a).
+    """Where ``_subnetwork`` put the sink arcs, by arc pair (forward arc 2a), and the outside edges.
 
     The outside edges ("tags") are listed member by member, each member's
     in CSR order: the member's index, the outside endpoint's graph id and
     the edge's capacity.
     """
 
-    src: np.ndarray  # source arcs, in seed order
     snk: np.ndarray  # sink arcs
     snk_member: np.ndarray  # the member index of each sink arc
     own: np.ndarray  # the member's own attachment within each sink arc
     tag_member: np.ndarray
     tag_end: np.ndarray
     tag_cap: np.ndarray
-    edges: np.ndarray  # inside edges
-    edge_key: np.ndarray  # lo * n + hi for each inside edge, in graph ids
 
 
 def _subnetwork(spec: AugmentedGraphSpec, g: Graph, members: np.ndarray) -> tuple[FlowNetwork, _Layout]:
@@ -229,8 +234,7 @@ def _subnetwork(spec: AugmentedGraphSpec, g: Graph, members: np.ndarray) -> tupl
     head[nbr_ids, 1] = row
     cap[nbr_ids] = c[:, None]
     net = FlowNetwork(m + 2, source, sink, head.reshape(-1), cap.reshape(-1))
-    key = members[row] * g.n + members[loc]
-    return net, _Layout(src_ids, snk_ids, snk_k, snk_own, tag_row, tag_end, tag_cap, nbr_ids, key)
+    return net, _Layout(snk_ids, snk_k, snk_own, tag_row, tag_end, tag_cap)
 
 
 def solve_maxflow_local(
@@ -247,10 +251,11 @@ def solve_maxflow_local(
     its outside edges in CSR order. The solution extends to the full
     network when the flow that split sends into each outside endpoint fits
     under that node's sink attachment; endpoints where it does not are
-    pulled into the subgraph, and the flow is carried into the grown
-    network (see ``_Carry``) and augmented from there. On return both the
-    flow value and the minimal s-side equal solve_maxflow on the fully
-    materialized network.
+    pulled into the subgraph, their arcs are added to the residual in
+    place, the flow is carried over (see ``_Carry``) and augmented from
+    there. The cut is checked on a network built by the checked
+    constructor. On return both the flow value and the minimal s-side
+    equal solve_maxflow on the fully materialized network.
 
     Returns the cut solution (graph node ids) and the graph nodes ever
     materialized, both as sorted int64 arrays; the second one's size is
@@ -264,109 +269,150 @@ def solve_maxflow_local(
     if explored[0] < 0 or explored[-1] >= g.n:
         raise ParameterError("warm-start node out of range")
 
-    flow = 0.0
-    carry = None
-    while True:
-        net, lay = _subnetwork(spec, g, explored)
-        start, starts, surplus = (net.cap_init, [], []) if carry is None else carry.load(net, lay, g.n)
-        flow, reach = _augment(net, start, flow, starts, surplus)
-
-        if lay.tag_end.size and not math.isinf(spec.beta):
-            carry = _Carry.split(spec, g, net, lay, explored, flow)
-            if carry is not None:
-                explored = carry.grown
-                continue
-
+    net, lay = _subnetwork(spec, g, explored)
+    res = _Residual(net, net.cap_init)
+    flow, reach = _augment(res, 0.0, [], [])
+    if lay.tag_end.size and not math.isinf(spec.beta):
+        carry = _Carry(spec, g, net, res, explored, lay)
+        while (start := carry.grow(flow)) is not None:
+            flow, reach = _augment(res, flow, *start)
+    if res.num_nodes == net.num_nodes:
         _checked_min_cut(net, flow, reach)
         return CutSolution(flow_value=flow, s_side=explored[reach[: explored.size]]), explored
 
+    # The residual grew in place. The certificate comes from a network the
+    # checked constructor built on members that hold the cut's side and the
+    # seed, where the cut has its capacity in the whole graph: the first
+    # round's network when its members hold the side, else one built on the
+    # side and the seed. It never rests on the residual's bookkeeping.
+    ids = np.array(carry.ids)
+    s_side = np.sort(ids[reach & (ids >= 0)])
+    members = explored
+    if (_locate(s_side, members, g.n) == members.size).any():
+        members = _sorted_ids(np.concatenate((s_side, spec.seed)))
+        net, _ = _subnetwork(spec, g, members)
+    side = np.zeros(net.num_nodes, dtype=bool)
+    side[members.searchsorted(s_side)] = True
+    side[net.source], side[net.sink] = reach[res.source], reach[res.sink]
+    _checked_min_cut(net, flow, side)
+    return CutSolution(flow_value=flow, s_side=s_side), np.sort(ids[ids >= 0])
 
-class _Carry(NamedTuple):
-    """A grow round's flow, kept in graph terms so the next round's network can take it over.
 
-    ``split`` reads the flow off a solved network and picks the violators;
-    ``load`` gives it as start residuals of the network grown by them.
-    Every arc keeps its flow; an outside edge that comes inside takes its
-    share of the sink arc's flow; what the grown members cannot pass to
-    their sink arcs is their surplus.
+class _Carry:
+    """One local solve's growing residual in graph terms: what each node joined with and where its sink arc is.
+
+    Built on the first round's network and its layout; residual node k
+    below the terminals is member k of that network, and each node that
+    joins later takes the next id. ``grow`` reads the flow on each sink
+    arc (``_Residual.back``), splits what exceeds the member's own
+    attachment greedily over its outside edges in CSR order, and pulls in
+    every outside endpoint that receives more than its own attachment can
+    take, adding its arcs to the residual. Every arc keeps its flow; an
+    outside edge that comes inside leaves its member's sink arc with its
+    capacity and its share of the flow (``_Residual.take``), and a new
+    member's inflow beyond its own sink arc is surplus. A new member's
+    block in the residual has room for an arc per neighbour and its sink
+    arc; a first-round member's run moves once it gains arcs, and the
+    residual keeps each arc's index in its tail's run.
     """
 
-    members: np.ndarray  # the members of the solved network
-    grown: np.ndarray  # the members with the violators added
-    src: np.ndarray  # residual pair of each source arc, in seed order
-    sink_flow: np.ndarray  # flow left on each member's sink arc
-    edge_key: np.ndarray  # sorted lo * n + hi of each edge that may carry flow ...
-    edge_res: np.ndarray  # ... and its residual pair (lo -> hi, hi -> lo)
-    violators: np.ndarray
-    inflow: np.ndarray  # the flow each violator receives
+    __slots__ = ("spec", "g", "res", "ids", "node", "snk", "tag_node", "tag_end", "tag_cap", "tagged")
 
-    @classmethod
-    def split(
-        cls, spec: AugmentedGraphSpec, g: Graph, net: FlowNetwork, lay: _Layout, members: np.ndarray, flow: float
-    ) -> "_Carry | None":
-        """Split the sink arcs' flow over their outside edges; None when no endpoint is a violator."""
-        res, init = net.cap.reshape(-1, 2), net.cap_init.reshape(-1, 2)
-        snk_flow = init[lay.snk, 0] - res[lay.snk, 0]
-        beyond_own = np.zeros(members.size)
-        beyond_own[lay.snk_member] = np.maximum(snk_flow - lay.own, 0.0)
-        # Each outside edge takes what its member's flow beyond the own
-        # attachment leaves after the member's earlier outside edges.
-        before = lay.tag_cap.cumsum() - lay.tag_cap
-        before -= before[lay.tag_member.searchsorted(lay.tag_member)]
-        share = np.clip(beyond_own[lay.tag_member] - before, 0.0, lay.tag_cap)
-        # An endpoint that receives nothing is never a violator.
-        fed = (share > 0.0).nonzero()[0]
-        if not fed.size:
-            return None
-        ends, which = np.unique(lay.tag_end[fed], return_inverse=True)
-        inflow = np.bincount(which, weights=share[fed])
-        limit = spec.beta * g.degrees[ends] + RESIDUAL_EPS * max(1.0, flow)
-        hot = inflow > limit
-        if not hot.any():
-            return None
+    def __init__(
+        self, spec: AugmentedGraphSpec, g: Graph, net: FlowNetwork, res: _Residual, members: np.ndarray, lay: _Layout
+    ):
+        m = members.size
+        self.spec, self.g, self.res = spec, g, res
+        self.ids = members.tolist() + [-1, -1]  # graph id of each node, -1 at the terminals
+        self.node = dict(zip(self.ids[:m], range(m)))  # node of each member
+        self.snk = [-1] * (m + 2)  # index of each node's sink arc in its run
+        for k, i in zip(lay.snk_member.tolist(), _run_index(net, 2 * lay.snk)):
+            self.snk[k] = i
+        # The edges each node joined with (to members too, which are skipped
+        # when read), one run of these lists per node, and for each node
+        # that has edges outside: the node, its own attachment and its run.
+        self.tag_node, self.tag_end, self.tag_cap = lay.tag_member.tolist(), lay.tag_end.tolist(), lay.tag_cap.tolist()
+        count = np.bincount(lay.tag_member, minlength=m)
+        end = count.cumsum()
+        own = np.zeros(m)
+        own[lay.snk_member] = lay.own
+        k = count.nonzero()[0]
+        self.tagged = list(zip(k.tolist(), own[k].tolist(), (end - count)[k].tolist(), end[k].tolist()))
 
-        moved = fed[hot[which]]
-        sink_flow = np.zeros(members.size)
-        sink_flow[lay.snk_member] = snk_flow
-        sink_flow -= np.bincount(lay.tag_member[moved], weights=share[moved], minlength=members.size)
-        u, j = members[lay.tag_member[moved]], lay.tag_end[moved]
-        c, s = lay.tag_cap[moved], share[moved]
-        up = u < j
-        lo_hi = np.where(up, s, -s)  # flow from the lower id to the higher
-        keys = np.concatenate((lay.edge_key, np.where(up, u * g.n + j, j * g.n + u)))
-        pairs = np.concatenate((res[lay.edges], np.column_stack((c - lo_hi, c + lo_hi))))
-        order = keys.argsort()
-        violators = ends[hot]
-        return cls(
-            members, _sorted_ids(np.concatenate((members, violators))), res[lay.src], sink_flow,
-            keys[order], pairs[order], violators, inflow[hot],
-        )
+    def grow(self, flow: float) -> tuple[list[int], list[float]] | None:
+        """Pull in the violators of a flow of value ``flow`` and carry the flow to them.
 
-    def load(self, net: FlowNetwork, lay: _Layout, n: int) -> tuple[np.ndarray, list[int], list[float]]:
-        """The carried flow as residuals of ``net``, built on ``grown`` of an n-node graph.
-
-        Each violator's inflow goes to its sink arc as far as that arc's
-        capacity allows. Returns the residuals by arc id, a new array that
-        ``net`` does not hold, then the network nodes left with a surplus
-        and their surpluses: ``flownet._augment``'s start.
+        Returns the new nodes left with a surplus and their surpluses,
+        ``flownet._augment``'s start, or None when no endpoint is a violator.
         """
-        start = net.cap_init.copy()
-        res, init = start.reshape(-1, 2), net.cap_init.reshape(-1, 2)
-        res[lay.src] = self.src
-        at = _locate(lay.edge_key, self.edge_key, n * n)
-        found = at < self.edge_key.size
-        res[lay.edges[found]] = self.edge_res[at[found]]
+        spec, g, res, node, snk = self.spec, self.g, self.res, self.node, self.snk
+        tag_node, tag_end, tag_cap, back = self.tag_node, self.tag_end, self.tag_cap, res.back
+        inflow: dict[int, float] = {}
+        fed, fed_share = [], []  # the outside edges that receive flow, and how much
+        for k, own, lo, hi in self.tagged:
+            # Each outside edge takes what the member's flow beyond its own
+            # attachment leaves after the member's earlier outside edges.
+            beyond = back(k, snk[k]) - own
+            if beyond > 0.0:
+                for i in range(lo, hi):
+                    j = tag_end[i]
+                    if j not in node:
+                        c = tag_cap[i]
+                        s = beyond if beyond < c else c
+                        inflow[j] = inflow.get(j, 0.0) + s
+                        fed.append(i)
+                        fed_share.append(s)
+                        beyond -= c
+                        if beyond <= 0.0:
+                            break
+        slack = RESIDUAL_EPS * max(1.0, flow)
+        beta, degree = spec.beta, g.degrees.item
+        violators = sorted(j for j, f in inflow.items() if f > beta * degree(j) + slack)
+        if not violators:
+            return None
 
-        m = self.grown.size
-        snk_cap = np.zeros(m)
-        snk_cap[lay.snk_member] = init[lay.snk, 0]
-        snk_flow = np.zeros(m)
-        snk_flow[self.grown.searchsorted(self.members)] = self.sink_flow
-        at = self.grown.searchsorted(self.violators)
-        snk_flow[at] = np.minimum(self.inflow, snk_cap[at])
-        res[lay.snk, 0] = init[lay.snk, 0] - snk_flow[lay.snk_member]
-        res[lay.snk, 1] = snk_flow[lay.snk_member]
-        surplus = self.inflow - snk_flow[at]
-        left = surplus > 0.0
-        return start, at[left].tolist(), surplus[left].tolist()
-
+        first = res.num_nodes
+        rows = np.array(violators)
+        bounds = g.indptr[rows], g.indptr[rows + 1]
+        res.add_nodes((bounds[1] - bounds[0] + 1).tolist())  # an arc per neighbour and the sink arc
+        node.update(zip(violators, range(first, res.num_nodes)))
+        self.ids += violators
+        snk += [-1] * len(violators)
+        joined = set(violators)
+        share = {(tag_node[i], tag_end[i]): s for i, s in zip(fed, fed_share) if tag_end[i] in joined}
+        arcs = g.arcs_of(rows)
+        nbrs, ws = g.indices[arcs].tolist(), g.weights[arcs].tolist()
+        sinks, pairs, taken, starts, surplus = [], [], [], [], []
+        lo = 0
+        for k, v, hi, own in zip(
+            range(first, res.num_nodes), violators, (bounds[1] - bounds[0]).cumsum().tolist(), (beta * g.degrees[rows]).tolist()
+        ):
+            outside = 0.0
+            for j, c in zip(nbrs[lo:hi], ws[lo:hi]):
+                kj = node.get(j)
+                if kj is None:
+                    outside += c
+                elif kj < first:
+                    s = share.get((kj, v), 0.0)  # the flow from kj to v
+                    pairs.append((kj, k, c - s, c + s))
+                    taken.append((kj, snk[kj], c, s))
+                elif kj > k:  # an edge between two new members, taken in once
+                    pairs.append((kj, k, c, c))
+            sent = 0.0
+            if own > 0.0 or outside > 0.0:
+                sent = min(inflow[v], own + outside)
+                sinks.append((k, res.sink, own + outside - sent, sent))
+                if outside > 0.0:
+                    self.tagged.append((k, own, len(tag_end), len(tag_end) + hi - lo))
+                    tag_node += [k] * (hi - lo)
+                    tag_end += nbrs[lo:hi]
+                    tag_cap += ws[lo:hi]
+            if inflow[v] > sent:
+                starts.append(k)
+                surplus.append(inflow[v] - sent)
+            lo = hi
+        for (k, *_), i in zip(sinks, res.add_pairs(sinks)):
+            snk[k] = i
+        res.add_pairs(pairs)
+        res.take(taken)
+        return starts, surplus

@@ -450,8 +450,8 @@ def _as_seed_mass(g: Graph, h: object) -> dict[int, float]:
     for i, w in items.items():
         if not (0 <= i < g.n):
             raise ParameterError(f"seed node {i} out of range")
-        if w < 0:
-            raise ParameterError(f"negative seed mass at node {i}")
+        if not w >= 0:  # NaN fails it too
+            raise ParameterError(f"negative or NaN seed mass at node {i}")
         if w > 0 and g.degrees[i] == 0.0:
             raise ParameterError(f"seed mass at node {i}, which has zero degree")
     items = {i: w for i, w in items.items() if w > 0}

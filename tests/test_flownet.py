@@ -20,7 +20,7 @@ from localcluster import (
     materialize,
     solve_maxflow,
 )
-from localcluster.flownet import DUALITY_RTOL, _bfs_levels, _checked_min_cut, _dinic, _Residual
+from localcluster.flownet import DUALITY_RTOL, _augment, _bfs_levels, _checked_min_cut, _dinic, _Residual, _run_index
 from localcluster.oracles import brute_min_cut
 from localcluster.synth import random_connected_graph, ring_of_cliques
 
@@ -678,7 +678,7 @@ def test_the_per_solve_check_rejects_a_flow_that_is_not_maximum():
         rows.add(u, v, c)
     net = rows.build()
     res = _Residual(net, net.cap_init)
-    reach = np.array(_bfs_levels(res.head, res.cap, res.first, net.num_nodes, [net.source], net.sink)) >= 0
+    reach = np.array(_bfs_levels(res, [net.source], net.sink)) >= 0
     assert reach.all()
     with pytest.raises(AssertionError, match="sink is reachable"):
         _checked_min_cut(net, 0.0, reach)
@@ -702,3 +702,77 @@ def test_set_capacities_clears_the_flow_and_checks_its_input():
         with pytest.raises(ParameterError, match="nonnegative"):
             net.set_capacities(np.array([0, 2]), np.array([1.0, bad]))
         assert [net.cap_init.tobytes(), net.infinite.tobytes(), net.cap.tobytes()] == before
+
+
+# -- the growable residual of the strongly-local solver ----------------------------
+
+
+@st.composite
+def grown_networks(draw):
+    """A network, then the nodes (with their block widths) and arc pairs to add to its residual.
+
+    A node's first arc added moves its run out of the network's lists, and
+    so does every arc beyond a block's room. Capacities are finite and far
+    above RESIDUAL_EPS, so the minimal min cut does not depend on the arc
+    order.
+    """
+    n = draw(st.integers(2, 7))
+    extra = draw(st.integers(0, 3))
+    node = st.integers(0, n + extra - 1)
+    caps = st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.7])
+    pair = st.tuples(node, node, caps, st.sampled_from([0.0, 0.0, 1.0, 2.5])).filter(lambda a: a[0] != a[1])
+    first = draw(st.lists(pair.filter(lambda a: max(a[:2]) < n), max_size=15))
+    later = draw(st.lists(pair, max_size=15))
+    width = draw(st.lists(st.integers(0, 4), min_size=extra, max_size=extra))
+    return n, first, later, width
+
+
+@settings(max_examples=300)
+@given(case=grown_networks())
+def test_a_grown_residual_solves_as_the_network_of_all_its_arcs(case):
+    """Arcs added to a residual in place, some into full runs that must move,
+    solve as a network built with all of them."""
+    n, first, later, width = case
+    extra = len(width)
+    sink = n - 1
+    net = _network(n, first, 0, sink)
+    shared = [list(x) for x in net._lists[1:]]
+    res = _Residual(net, net.cap_init)
+    res.add_nodes(width)
+    assert res.num_nodes == n + extra
+    for (u, v, fwd, rev), i in zip(later, res.add_pairs(later)):
+        p = res.first[u] + i
+        assert (res.head[p], res.cap[p], res.back(u, i)) == (v, fwd, rev)
+    for u in range(res.num_nodes):
+        assert res.first[u] <= res.end[u] <= res.limit[u]
+        for p in range(res.first[u], res.end[u]):
+            assert res.head[res.rev[p]] == u and res.rev[res.rev[p]] == p
+    flow, reach = _dinic(res, [0], sink)
+
+    whole = _network(n + extra, first + later, 0, sink)
+    want, want_reach = _dinic(_Residual(whole, whole.cap_init), [0], sink)
+    assert flow == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert reach.tolist() == want_reach.tolist()
+    _checked_min_cut(whole, flow, reach)
+    assert [list(x) for x in net._lists[1:]] == shared  # the network's lists are left as they were
+
+
+def test_take_moves_capacity_and_flow_off_an_arc():
+    # 0 -> 1 (cap 3) -> 2 (cap 2) carries 2. Taking 1.5 of the capacity of
+    # 1 -> 2 with 1.5 of its flow leaves it saturated at 0.5.
+    rows = ArcRows(3, source=0, sink=2)
+    rows.add(0, 1, 3.0)
+    rows.add(1, 2, 2.0)
+    net = rows.build()
+    res = _Residual(net, net.cap_init)
+    assert _augment(res, 0.0, [], [])[0] == 2.0
+    (i,) = _run_index(net, np.array([2]))
+    assert (res.cap[res.first[1] + i], res.back(1, i)) == (0.0, 2.0)
+    res.take([(1, i, 1.5, 1.5)])
+    assert (res.cap[res.first[1] + i], res.back(1, i)) == (0.0, 0.5)
+    # Node 1 now takes in 1.5 more than it sends on. A new arc 1 -> 2 of
+    # capacity 1 passes 1 of it on, and 0.5 goes back to the source.
+    res.add_pairs([(1, 2, 1.0, 0.0)])
+    flow, reach = _augment(res, 2.0, [1], [1.5])
+    assert flow == 1.5
+    assert reach.tolist() == [True, True, False]

@@ -155,6 +155,24 @@ def test_seed_mass_validation(dumbbell):
         l1_pagerank(dumbbell, np.ones(5), alpha=0.15, epsilon=1e-3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, h: l1_pagerank(g, h, 0.15, 1e-3),
+        lambda g, h: l1pr_cluster(g, h, 0.15, 1e-3),
+        lambda g, h: kkt_residual(g, h, 0.15, 1e-3, l1_pagerank(g, {0: 1.0}, 0.15, 1e-3)[0]),
+    ],
+    ids=["l1_pagerank", "l1pr_cluster", "kkt_residual"],
+)
+def test_nan_seed_mass_rejected(call):
+    # NaN fails both w < 0 and the w > 0 filter: it was once dropped, and
+    # the rest of the seed solved as if it were all of it.
+    g = random_connected_graph(6, seed=1)
+    for seed in ({0: 1.0, 1: math.nan}, np.array([1.0, math.nan, 0.0, 0.0, 0.0, 0.0])):
+        with pytest.raises(ParameterError, match="NaN seed mass at node 1"):
+            call(g, seed)
+
+
 @pytest.mark.parametrize("solve", [l1_pagerank, l1pr_cluster])
 def test_seed_mass_on_a_zero_degree_node_rejected(solve):
     # Vertex 3 is isolated. Its mass once made an inf vector, which

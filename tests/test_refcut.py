@@ -20,6 +20,7 @@ from localcluster import (
     solve_maxflow,
     solve_maxflow_local,
 )
+from localcluster.graph import _sorted_ids
 from localcluster.refcut import _subnetwork, rescale
 from localcluster.synth import path_graph, random_connected_graph, star_graph
 from test_flownet import ArcRows, assert_ids
@@ -225,20 +226,19 @@ def reference_subnetwork(spec, g, members):
 
     A member's sink arc holds its own attachment plus its outside edges,
     added in CSR order. Returns the network and, per kind of arc, what the
-    builder's layout lists: (arc pair, member) for source arcs, (arc pair,
-    member, own attachment) for sink arcs, (member, endpoint, capacity) for
-    outside edges and (arc pair, lo * n + hi) for inside edges.
+    builder's layout lists: (arc pair, member, own attachment) for sink
+    arcs and (member, endpoint, capacity) for outside edges.
     """
     members = [int(v) for v in members]
     local_id = {v: k for k, v in enumerate(members)}
     seed = set(spec.seed.tolist())
     m = len(members)
     rows = ArcRows(m + 2, source=m, sink=m + 1)
-    src, snk, tagged, edges = [], [], [], []
+    snk, tagged = [], []
     for k, v in enumerate(members):
         dv = float(g.degrees[v])
         if v in seed and spec.alpha * dv > 0.0:
-            src.append((rows.add(rows.source, k, spec.alpha * dv) // 2, k))
+            rows.add(rows.source, k, spec.alpha * dv)
         z = 0.0 if v in seed else dv
         own = spec.beta * z if z > 0.0 else 0.0
         ids, ws = g.neighbors(v)
@@ -252,8 +252,8 @@ def reference_subnetwork(spec, g, members):
         for j, w in zip(ids.tolist(), ws.tolist()):
             kj = local_id.get(j)
             if kj is not None and v < j:
-                edges.append((rows.add(k, kj, w, w) // 2, v * g.n + j))
-    return rows.build(), (src, snk, tagged, edges)
+                rows.add(k, kj, w, w)
+    return rows.build(), (snk, tagged)
 
 
 def _bits(values, dtype):
@@ -263,16 +263,14 @@ def _bits(values, dtype):
 def assert_builders_agree(spec, g, members):
     members = np.asarray(sorted(members), dtype=np.int64)
     net, lay = _subnetwork(spec, g, members)
-    ref, (src, snk, tagged, edges) = reference_subnetwork(spec, g, members)
+    ref, (snk, tagged) = reference_subnetwork(spec, g, members)
     assert (net.num_nodes, net.source, net.sink) == (ref.num_nodes, ref.source, ref.sink)
     assert _bits(net.head, np.int64) == _bits(ref.head, np.int64)
     assert _bits(net.cap, np.float64) == _bits(ref.cap, np.float64)
-    assert list(zip(lay.src.tolist(), net.head[2 * lay.src].tolist())) == src
     assert list(zip(lay.snk.tolist(), lay.snk_member.tolist())) == [(a, k) for a, k, _ in snk]
     assert _bits(lay.own, np.float64) == _bits([own for *_, own in snk], np.float64)
     assert list(zip(lay.tag_member.tolist(), lay.tag_end.tolist())) == [(k, j) for k, j, _ in tagged]
     assert _bits(lay.tag_cap, np.float64) == _bits([c for *_, c in tagged], np.float64)
-    assert list(zip(lay.edges.tolist(), lay.edge_key.tolist())) == edges
     for name in ("head", "cap", "cap_init", "infinite", "order", "first"):
         assert getattr(net, name).tobytes() == getattr(ref, name).tobytes(), name
 
@@ -414,7 +412,7 @@ def test_surplus_that_cannot_be_routed_raises(monkeypatch):
     dinic = flownet._dinic
 
     def drop_the_return(res, sources, sink, supply=None):
-        if supply is not None and sink == res.num_nodes - 2:  # the source
+        if supply is not None and sink == res.source:
             return 0.0, None
         return dinic(res, sources, sink, supply)
 
@@ -425,71 +423,222 @@ def test_surplus_that_cannot_be_routed_raises(monkeypatch):
         solve_maxflow_local(spec, g)
 
 
-@settings(max_examples=150)
-@given(case=local_cases(alphas=(0.5, 1.0, 3.0), kappas=(1.0 + 1e-6, 1.5)))
-def test_carried_flow_is_a_preflow_with_the_reported_surplus(case):
-    """One grow round by hand: the flow loaded into the grown network keeps every
-    arc pair's capacity, stays within it, and breaks conservation only by the
-    surplus ``load`` reports."""
-    spec, g, warm = case
-    members = np.union1d(spec.seed, np.array(warm, dtype=np.int64))
-    loaded = _one_grow_round(spec, g, members)
-    if loaded is None:
-        return
-    grown, flow, (start, starts, surplus) = loaded
+def _pairs(res, ids):
+    """Every arc pair of a residual in graph terms: (tail, head) -> (residual, twin's residual).
 
-    tol = 1e-12 * max(1.0, float(grown.cap_init.sum()))
-    pairs, init = start.reshape(-1, 2), grown.cap_init.reshape(-1, 2)
-    np.testing.assert_allclose(pairs.sum(axis=1), init.sum(axis=1), rtol=0, atol=tol)
-    assert (start >= -tol).all()
-    sent = init[:, 0] - pairs[:, 0]  # flow along each forward arc, tail to head
-    excess = np.zeros(grown.num_nodes)
-    np.add.at(excess, grown.head[0::2], sent)
-    np.add.at(excess, grown.head[1::2], -sent)
-    want = np.zeros(grown.num_nodes)
-    want[starts] = surplus
-    inner = slice(0, grown.num_nodes - 2)
-    np.testing.assert_allclose(excess[inner], want[inner], rtol=0, atol=tol)
-    assert -excess[grown.source] == pytest.approx(flow, rel=1e-12, abs=tol)
+    The terminals are named "s" and "t", and a terminal arc is keyed from
+    the source or to the sink. Checks that every twin points back.
+    """
+    name = {res.source: "s", res.sink: "t"}
+    out = {}
+    for u in range(res.num_nodes):
+        for p in range(res.first[u], res.end[u]):
+            q = res.rev[p]
+            assert (res.rev[q], res.head[q]) == (p, u)
+            key = tuple(name.get(x, ids[x]) for x in (u, res.head[p]))
+            if "t" in key or "s" in key:
+                keep = key[0] == "s" or key[1] == "t"
+            else:
+                keep = p < q
+            if keep:
+                assert key not in out and key[::-1] not in out
+                out[key] = (res.cap[p], res.cap[q])
+    return out
+
+
+def _fresh_pairs(spec, g, members):
+    """The arc pairs of a fresh ``_subnetwork`` on ``members``: (tail, head) -> (capacity, twin's capacity)."""
+    net, _ = _subnetwork(spec, g, members)
+    name = {net.source: "s", net.sink: "t"}
+    ids = members.tolist()
+    heads, caps = net.head.reshape(-1, 2).tolist(), net.cap_init.reshape(-1, 2).tolist()
+    return {tuple(name.get(x, ids[x] if x < len(ids) else x) for x in (t, h)): tuple(c) for (h, t), c in zip(heads, caps)}
+
+
+def _members(carry):
+    return np.array(sorted(v for v in carry.ids if v >= 0), dtype=np.int64)
+
+
+def _capacities(spec, g, carry):
+    """Each of the grown residual's pairs with the capacities a fresh ``_subnetwork`` gives it.
+
+    Returns (tail, head, capacity, twin's capacity, residual, twin's
+    residual) per pair. A sink arc whose member has neither outside edges
+    nor an own attachment left has no pair in the fresh network; it gets
+    capacity 0.
+    """
+    fresh = _fresh_pairs(spec, g, _members(carry))
+    rows = []
+    for (u, v), (r, r_twin) in _pairs(carry.res, carry.ids).items():
+        if (u, v) in fresh:
+            c, c_twin = fresh.pop((u, v))
+        elif (v, u) in fresh:
+            c_twin, c = fresh.pop((v, u))
+        else:
+            assert v == "t", (u, v)
+            c = c_twin = 0.0
+        rows.append((u, v, c, c_twin, r, r_twin))
+    assert not fresh, fresh  # every pair of the fresh network is in the residual
+    return rows
 
 
 def _one_grow_round(spec, g, members):
-    """Solve the subnetwork on ``members`` and carry its flow into the grown one.
+    """Solve the subnetwork on ``members``, then grow its residual once by hand.
 
-    Returns the grown network, the flow value and what ``_Carry.load``
-    returned, or None when the round has no violator.
+    Returns the first round's network, the carry, the flow value and what
+    ``_Carry.grow`` returned, or None when the round has no violator.
     """
-    from localcluster.flownet import _augment
+    from localcluster.flownet import _augment, _Residual
     from localcluster.refcut import _Carry
 
     net, lay = _subnetwork(spec, g, members)
-    flow, _ = _augment(net, net.cap_init, 0.0, [], [])
+    res = _Residual(net, net.cap_init)
+    flow, _ = _augment(res, 0.0, [], [])
     if math.isinf(spec.beta) or not lay.tag_end.size:
         return None
-    carry = _Carry.split(spec, g, net, lay, members, flow)
-    if carry is None:
-        return None
-    grown, lay = _subnetwork(spec, g, carry.grown)
-    return grown, flow, carry.load(grown, lay, g.n)
+    carry = _Carry(spec, g, net, res, members, lay)
+    start = carry.grow(flow)
+    return None if start is None else (net, carry, flow, start)
 
 
-def test_carry_load_returns_the_start_and_leaves_the_network_alone():
-    # The hub, pulled in with every neighbour inside, takes in more than
-    # its own sink arc holds: the grown network starts with a surplus.
-    g = star_graph(8)
-    spec = AugmentedGraphSpec(alpha=1.0, beta=1e-3, seed=range(1, 8))
-    grown, flow, (start, starts, surplus) = _one_grow_round(spec, g, spec.seed)
-    assert starts and flow > 0.0
-    assert grown.cap.tobytes() == grown.cap_init.tobytes()
-    assert not np.shares_memory(start, grown.cap_init)
-    assert (start != grown.cap_init).any()  # the carried flow is in the start
+@settings(max_examples=150)
+@given(case=local_cases(alphas=(0.5, 1.0, 3.0), kappas=(1.0 + 1e-6, 1.5)))
+def test_carried_flow_is_a_preflow_with_the_reported_surplus(case):
+    """One grow round by hand: the flow carried into the grown residual keeps every
+    arc pair's capacity, stays within it, and breaks conservation only by the
+    surplus ``grow`` reports."""
+    spec, g, warm = case
+    members = _sorted_ids(np.concatenate((spec.seed, np.array(warm, dtype=np.int64))))
+    grown = _one_grow_round(spec, g, members)
+    if grown is None:
+        return
+    _, carry, flow, (starts, surplus) = grown
+
+    rows = _capacities(spec, g, carry)
+    tol = 1e-12 * max(1.0, sum(c + c_twin for *_, c, c_twin, _, _ in rows))
+    excess = {}
+    for u, v, c, c_twin, r, r_twin in rows:
+        assert r + r_twin == pytest.approx(c + c_twin, abs=tol)
+        assert r >= -tol and r_twin >= -tol
+        excess[u] = excess.get(u, 0.0) - (c - r)  # flow along u -> v
+        excess[v] = excess.get(v, 0.0) + (c - r)
+    want = dict.fromkeys(carry.node, 0.0)
+    want.update((carry.ids[k], amount) for k, amount in zip(starts, surplus))
+    for v, amount in want.items():
+        assert excess.get(v, 0.0) == pytest.approx(amount, abs=tol)
+    assert -excess["s"] == pytest.approx(flow, rel=1e-12, abs=tol)
 
 
-def test_refcut_leaves_the_residual_lists_to_the_engine():
+@contextlib.contextmanager
+def _each_grown_residual_checked(spec, g):
+    """While the block runs, check after each grow round that the grown residual's
+    capacities before flow equal, pair by pair, those of a network built fresh on
+    the members. Yields the list of the residual's node counts after each round."""
     from localcluster import refcut
 
-    for name in ("_dinic", "_Residual", "_return_excess"):
+    grow, sizes = refcut._Carry.grow, []
+
+    def grow_and_compare(carry, flow):
+        start = grow(carry, flow)
+        if start is not None:
+            rows = _capacities(spec, g, carry)
+            tol = 1e-12 * max(1.0, sum(c + c_twin for *_, c, c_twin, _, _ in rows))
+            for u, v, c, c_twin, r, r_twin in rows:
+                assert r + r_twin == pytest.approx(c + c_twin, abs=tol), (u, v)
+            sizes.append(carry.res.num_nodes)
+        return start
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refcut._Carry, "grow", grow_and_compare)
+        yield sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=local_cases(alphas=(0.5, 1.0, 3.0), kappas=(1.0 + 1e-6, 1.5, 10.0)))
+def test_a_grown_residual_holds_the_capacities_of_a_fresh_subnetwork(case):
+    spec, g, warm = case
+    with _each_grown_residual_checked(spec, g):
+        assert_local_equals_global(spec, g, warm)
+
+
+def test_a_grown_residual_holds_the_capacities_on_named_cases():
+    for g, seed_ids, beta in ((star_graph(8), [1, 2, 3], 1e-2), (path_graph(40), [19, 20], 0.05)):
+        spec = AugmentedGraphSpec(alpha=1.0, beta=beta, seed=seed_ids)
+        with _each_grown_residual_checked(spec, g) as sizes:
+            assert_local_equals_global(spec, g)
+        assert len(sizes) >= 2, sizes  # the solve grew more than once
+
+
+def test_a_grow_round_leaves_the_first_network_alone():
+    # The hub, pulled in with every neighbour inside, takes in more than
+    # its own sink arc holds: the grown residual starts with a surplus.
+    g = star_graph(8)
+    spec = AugmentedGraphSpec(alpha=1.0, beta=1e-3, seed=range(1, 8))
+    net, carry, flow, (starts, surplus) = _one_grow_round(spec, g, spec.seed)
+    assert starts and flow > 0.0
+    assert carry.res.num_nodes == net.num_nodes + 1
+    assert net.cap.tobytes() == net.cap_init.tobytes()
+    lists = [carry.res.head, carry.res.rev, carry.res.first, carry.res.end]
+    assert not any(x is y for x in lists for y in net._lists)
+
+
+def test_refcut_reaches_a_residual_only_through_its_methods():
+    """refcut runs no solver of the engine's and never indexes a residual's lists."""
+    import ast
+    import inspect
+
+    from localcluster import refcut
+
+    for name in ("_dinic", "_bfs_levels", "_return_excess", "_push_relabel"):
         assert not hasattr(refcut, name), name
+    allowed = {"back", "add_nodes", "add_pairs", "take", "num_nodes", "source", "sink"}
+    used = set()
+    for node in ast.walk(ast.parse(inspect.getsource(refcut))):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id in ("res", "_Residual")) or (
+                isinstance(owner, ast.Attribute) and owner.attr == "res"
+            ):
+                used.add(node.attr)
+    assert used and used <= allowed, used - allowed
+
+
+def test_a_deep_local_solve_takes_rows_in_proportion_to_the_nodes_it_touches():
+    """On a path, growth adds one or two nodes per round for about a hundred rounds;
+    each node's row enters the solve's residual once, and the solve builds at
+    most two networks (the first round's and the check's)."""
+    from localcluster import flowcluster, flownet, local_flow_improve, refcut
+
+    rows, networks, solves = [], [], []
+    init, add_nodes, subnetwork = flownet._Residual.__init__, flownet._Residual.add_nodes, refcut._subnetwork
+    solve = flowcluster.solve_maxflow_local
+
+    def count_rows(res, net, cap):
+        rows.append(net.num_nodes - 2)  # the first round's members
+        init(res, net, cap)
+
+    def count_nodes(res, widths):
+        rows.append(len(widths))
+        return add_nodes(res, widths)
+
+    def count_network(spec, g, members):
+        networks.append(members.size)
+        return subnetwork(spec, g, members)
+
+    def count_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flownet._Residual, "__init__", count_rows)
+        mp.setattr(flownet._Residual, "add_nodes", count_nodes)
+        mp.setattr(refcut, "_subnetwork", count_network)
+        mp.setattr(flowcluster, "solve_maxflow_local", count_solve)
+        res = local_flow_improve(path_graph(3000), range(1490, 1510), delta=0.1)
+    touched = res.touched_nodes
+    assert 100 < touched < 3000
+    assert sum(rows) <= 2 * touched
+    assert len(networks) <= 2 * len(solves) and sum(networks) <= 2 * touched
 
 
 # -- one materialized network, re-scaled between solves -------------------------------
