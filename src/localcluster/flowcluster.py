@@ -44,13 +44,14 @@ crossover took those seed sets from 5.1-7.0 s to 0.67-0.79 s.
 from __future__ import annotations
 
 import math
+import operator
 import time
 
 import numpy as np
 
 from .errors import ParameterError, SeedTooLargeError
 from .flownet import solve_maxflow
-from .graph import Graph, _as_node_array, _sorted_ids, relative_conductance
+from .graph import SET_FUNCTIONAL_TOL, Graph, _as_node_array, _cut, _sorted_ids, relative_conductance
 from .refcut import AugmentedGraphSpec, materialize, rescale, solve_maxflow_local
 from .results import ClusterResult
 
@@ -104,6 +105,10 @@ def refine_by_flow(
     result builder take. The objective is named ``"cut_over_volume"`` at
     kappa = inf and ``"seed_relative_conductance"`` otherwise.
     """
+    try:
+        max_iters = operator.index(max_iters)
+    except TypeError:
+        raise ParameterError(f"max_iters must be an integer (got {max_iters!r})") from None
     if max_iters < 1:
         raise ParameterError("max_iters must be >= 1")
     if not kappa >= 1.0:
@@ -113,11 +118,12 @@ def refine_by_flow(
     eps = kappa * ratio
 
     current = r_arr
-    obj = relative_conductance(g, r_arr, r_arr, kappa=kappa)
-    if math.isinf(obj):
+    # The seed's objective is cut(R)/vol(R) at every kappa, as
+    # relative_conductance computes it for S = R, so this is the output
+    # volume bound vol(R)(1 + 2/eps) + cut(R) against vol(V).
+    if not vol_r > SET_FUNCTIONAL_TOL:
         raise ParameterError("seed-relative conductance of the seed is not finite")
-    # The seed's objective is cut(R)/vol(R), so this is the output volume
-    # bound vol(R)(1 + 2/eps) + cut(R) against vol(V).
+    obj = _cut(g, r_arr) / vol_r
     whole = vol_r * (1.0 + 2.0 / eps + obj) >= g.total_volume
     history = [obj]
     touched = r_arr
@@ -194,7 +200,7 @@ def local_flow_improve(
     vol(V), at a small enough delta, the solve is not local: the network
     is built whole and ``touched_nodes`` is n.
     """
-    if delta < 0:
+    if not delta >= 0:  # NaN fails the comparison
         raise ParameterError(f"delta must be >= 0 (got {delta})")
     r_arr, _, ratio = _seed_ratio(g, r)
     return refine_by_flow(g, r_arr, 1.0 + delta / ratio, max_iters)

@@ -244,9 +244,18 @@ def _checked_min_cut(net: FlowNetwork, flow: float, reach: np.ndarray) -> None:
     is not maximum), the cut must cross no infinite arc, and its capacity
     must equal ``flow`` (the duality check).
     """
-    if reach[net.sink]:
+    _check_cut(flow, reach[net.sink], _cut_of(net, reach))
+
+
+def _check_cut(flow: float, sink_reached: bool, cap_sent: float) -> None:
+    """The rule of ``_checked_min_cut`` for a cut of capacity ``cap_sent``, however the caller computed it.
+
+    Raises AssertionError when ``sink_reached`` or when ``cap_sent``
+    differs from ``flow`` at 1e-9 relative tolerance, and
+    UnboundedFlowError when it is infinite.
+    """
+    if sink_reached:
         raise AssertionError(f"the sink is reachable: flow {flow!r} is not a maximum flow")
-    cap_sent = _cut_of(net, reach)
     if math.isinf(cap_sent):
         raise UnboundedFlowError("no finite source-sink cut exists")
     if not math.isclose(flow, cap_sent, rel_tol=DUALITY_RTOL, abs_tol=1e-9):
@@ -311,7 +320,8 @@ class _Residual:
     with room for as many arcs again plus two, so a caller names an arc by
     its tail and its index in the tail's run, which a move keeps. Only
     these methods and this module's solvers write the lists; a caller
-    reads the flow through ``back``.
+    reads residuals through ``run``, a node's run in order, which at the
+    sink are the flows on the arcs into it.
     """
 
     __slots__ = ("order", "head", "cap", "rev", "first", "end", "limit", "num_nodes", "source", "sink")
@@ -330,9 +340,13 @@ class _Residual:
         """
         net._solved = self
 
-    def back(self, u: int, i: int) -> float:
-        """Residual of the twin of u's i-th arc: the flow on that arc when its twin has no capacity of its own."""
-        return self.cap[self.rev[self.first[u] + i]]
+    def run(self, v: int) -> list[float]:
+        """The residual of each arc of v's run, in run order.
+
+        At a node whose arcs are all twins with no capacity of their own,
+        as the sink's are, these are the flows on the arcs into it.
+        """
+        return self.cap[self.first[v] : self.end[v]]
 
     def add_nodes(self, widths: list[int]) -> None:
         """Append a node with no arcs and a block of ``widths[k]`` slots for each k; they take the next ids."""

@@ -16,22 +16,25 @@ A solve holds one residual (``flownet._Residual``), built on the first
 round's network, and enters the engine through one call per round,
 ``flownet._augment``, which sends any surplus on to the sink or back to
 the source, augments from the source and leaves the flow in the
-residual. When a round's flow does not extend to the full graph, the
-offending outside nodes join and ``_Carry.grow`` appends their arcs to
-the residual in place (``_Residual.add_nodes`` / ``add_pairs``): every
-arc keeps its flow, an outside edge that comes inside takes its capacity
-and its share of the flow out of its member's sink arc
-(``_Residual.take``), and a new member's inflow beyond its own sink arc
-is surplus. A grow round so costs the new members' arcs and a walk over
-the members that hold outside edges, not a new network. This module
-writes the residual only through those growth methods and reads a flow
-only through ``_Residual.back``. Every returned cut is checked
-(``flownet._checked_min_cut``) on a network from the checked
-``FlowNetwork`` constructor whose members hold the cut's side and the
-seed: the first round's, or, when the side left it, one built on the
-side and the seed. So the certificate never rests on the residual's
-bookkeeping. The one tolerance here, ``RESIDUAL_EPS``, is the margin of
-the violator test.
+residual. After each round ``_Split`` splits the flow on each member's
+sink arc over its outside edges and finds the outside nodes that take in
+more than their own attachment can; a row is split again only when its
+flow moved, so a round reads the sink arcs and what the augmentation
+changed. A solve whose first round has no such node builds nothing more
+(no ``_Carry``). Otherwise those nodes join and ``_Carry.grow`` appends
+their arcs to the residual in place (``_Residual.add_nodes`` /
+``add_pairs``): every arc keeps its flow, an outside edge that comes
+inside takes its capacity and its share of the flow out of its member's
+sink arc (``_Residual.take``), and a new member's inflow beyond its own
+sink arc is surplus. This module writes the residual only through those
+growth methods and reads it only through ``_Residual.run``. Every
+returned cut is checked against a capacity that does not rest on the
+residual's bookkeeping: a solve that never grew checks its cut on the
+first round's network, from the checked ``FlowNetwork`` constructor
+(``flownet._checked_min_cut``); a grown one checks that the residual
+does not reach the sink and that the flow equals the cut's capacity in
+the graph itself (``augmented_cut_value``). The one tolerance here,
+``RESIDUAL_EPS``, is the margin of the violator test.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .flownet import RESIDUAL_EPS, CutSolution, FlowNetwork, _augment, _checked_min_cut, _Residual, _run_index
+from .flownet import RESIDUAL_EPS, CutSolution, FlowNetwork, _augment, _check_cut, _checked_min_cut, _Residual, _run_index
 from .graph import Graph, _as_node_array, _cut, _locate, _sorted_ids
 
 __all__ = [
@@ -108,9 +111,13 @@ def augmented_cut_value(spec: AugmentedGraphSpec, g: Graph, s: object) -> float:
     has volume.
     """
     spec.validate_against(g)
-    arr = _as_node_array(g, s)
-    source_term = float(g.degrees[np.setdiff1d(spec.seed, arr, assume_unique=True)].sum())
-    sink_term = float(g.degrees[np.setdiff1d(arr, spec.seed, assume_unique=True)].sum())
+    return _augmented_cut(spec, g, _as_node_array(g, s))
+
+
+def _augmented_cut(spec: AugmentedGraphSpec, g: Graph, arr: np.ndarray) -> float:
+    """``augmented_cut_value`` of a sorted, distinct, in-range id array."""
+    source_term = float(g.degrees[spec.seed[_locate(spec.seed, arr, g.n) == arr.size]].sum())
+    sink_term = float(g.degrees[arr[_locate(arr, spec.seed, g.n) == spec.seed.size]].sum())
     if sink_term > 0.0 and math.isinf(spec.beta):
         return float("inf")
     # An infinite beta with no sink mass adds nothing; inf * 0.0 would be nan.
@@ -248,14 +255,17 @@ def solve_maxflow_local(
     everything else into the sink (one sink arc per member, holding its
     outside edges), and solves exactly on the subnetwork. The flow on each
     sink arc is split greedily: the member's own attachment first, then
-    its outside edges in CSR order. The solution extends to the full
-    network when the flow that split sends into each outside endpoint fits
-    under that node's sink attachment; endpoints where it does not are
-    pulled into the subgraph, their arcs are added to the residual in
-    place, the flow is carried over (see ``_Carry``) and augmented from
-    there. The cut is checked on a network built by the checked
-    constructor. On return both the flow value and the minimal s-side
-    equal solve_maxflow on the fully materialized network.
+    its outside edges in CSR order (``_Split``). The solution extends to
+    the full network when the flow that split sends into each outside
+    endpoint fits under that node's sink attachment; endpoints where it
+    does not are pulled into the subgraph, their arcs are added to the
+    residual in place, the flow is carried over (see ``_Carry``) and
+    augmented from there. A solve that never grows checks its cut on the
+    first round's network, built by the checked constructor; a grown one
+    checks the sink's reach in the residual and compares the flow with
+    the cut's capacity in the whole graph (``augmented_cut_value``). On
+    return both the flow value and the minimal s-side equal solve_maxflow
+    on the fully materialized network.
 
     Returns the cut solution (graph node ids) and the graph nodes ever
     materialized, both as sorted int64 arrays; the second one's size is
@@ -273,146 +283,212 @@ def solve_maxflow_local(
     res = _Residual(net, net.cap_init)
     flow, reach = _augment(res, 0.0, [], [])
     if lay.tag_end.size and not math.isinf(spec.beta):
-        carry = _Carry(spec, g, net, res, explored, lay)
-        while (start := carry.grow(flow)) is not None:
-            flow, reach = _augment(res, flow, *start)
-    if res.num_nodes == net.num_nodes:
-        _checked_min_cut(net, flow, reach)
-        return CutSolution(flow_value=flow, s_side=explored[reach[: explored.size]]), explored
+        split = _Split(spec, g, lay)
+        if (found := split.violators(res, flow)) is not None:
+            carry = _Carry(g, net, explored, lay, split)
+            while found is not None:
+                flow, reach = _augment(res, flow, *carry.grow(res, split, found))
+                found = split.violators(res, flow)
+            # The residual grew in place. Its reach gives the side; the cut's
+            # capacity comes from the graph, so the check does not rest on the
+            # residual's bookkeeping.
+            ids = np.array(carry.ids)
+            s_side = np.sort(ids[reach & (ids >= 0)])
+            _check_cut(flow, reach[res.sink], _augmented_cut(spec, g, s_side))
+            return CutSolution(flow_value=flow, s_side=s_side), np.sort(ids[ids >= 0])
+    _checked_min_cut(net, flow, reach)
+    return CutSolution(flow_value=flow, s_side=explored[reach[: explored.size]]), explored
 
-    # The residual grew in place. The certificate comes from a network the
-    # checked constructor built on members that hold the cut's side and the
-    # seed, where the cut has its capacity in the whole graph: the first
-    # round's network when its members hold the side, else one built on the
-    # side and the seed. It never rests on the residual's bookkeeping.
-    ids = np.array(carry.ids)
-    s_side = np.sort(ids[reach & (ids >= 0)])
-    members = explored
-    if (_locate(s_side, members, g.n) == members.size).any():
-        members = _sorted_ids(np.concatenate((s_side, spec.seed)))
-        net, _ = _subnetwork(spec, g, members)
-    side = np.zeros(net.num_nodes, dtype=bool)
-    side[members.searchsorted(s_side)] = True
-    side[net.source], side[net.sink] = reach[res.source], reach[res.sink]
-    _checked_min_cut(net, flow, side)
-    return CutSolution(flow_value=flow, s_side=s_side), np.sort(ids[ids >= 0])
+
+class _Split:
+    """The greedy split of each member's sink-arc flow over its outside edges, and the inflow it sends each outside node.
+
+    A member's flow beyond its own attachment goes to its outside edges
+    ("tags") in CSR order: each takes what is left, up to its capacity.
+    The members that have outside edges are the rows, in the order they
+    joined (the first round's in id order), and the tags follow row by
+    row, so a node's inflow, summed over the tags in order
+    (``np.bincount``), is summed in the order of a walk over all the
+    members. A walk splits a row again only when the flow on its sink arc
+    moved or one of its tags' outside nodes joined. A joined node's tags
+    keep their place at capacity 0, which takes nothing and leaves every
+    other share as it was. The flows are read from the sink's run
+    (``_Residual.run``), where each member's sink arc keeps its place.
+    """
+
+    __slots__ = (
+        "beta", "degrees", "rows", "row_flow", "row_stop", "moved", "arcs", "cap", "share", "ends", "slot", "slot_of", "limit"
+    )
+
+    def __init__(self, spec: AugmentedGraphSpec, g: Graph, lay: _Layout):
+        count = np.bincount(lay.tag_member)
+        k = count.nonzero()[0]
+        pos = lay.snk_member.searchsorted(k)  # every member with a tag has a sink arc
+        hi = count.cumsum()[k]
+        lo = hi - count[k]
+        self.beta, self.degrees = spec.beta, g.degrees
+        # Each row's node, its sink arc (by index in the sink's run), own
+        # attachment and tags; the flow it was last split at, and the end
+        # of the tags that took a share then.
+        self.rows = list(zip(k.tolist(), pos.tolist(), lay.own[pos].tolist(), lo.tolist(), hi.tolist()))
+        self.row_flow = [math.nan] * k.size
+        self.row_stop = lo.tolist()
+        self.moved: set[int] = set()  # rows whose tags lost an outside node
+        self.arcs = lay.snk.size  # sink arcs so far
+        self.cap, self.share = lay.tag_cap.tolist(), [0.0] * lay.tag_end.size
+        # Each tag's outside node, by its slot in ``ends``: the first round's
+        # nodes sorted, then each node a later row reaches first. ``limit``
+        # holds each node's own attachment; ``slot_of`` maps a node to its
+        # slot once rows are added.
+        self.ends = _sorted_ids(lay.tag_end)
+        self.slot = self.ends.searchsorted(lay.tag_end)
+        self.slot_of: dict[int, int] | None = None
+        self.limit = self.beta * self.degrees[self.ends]
+
+    def violators(self, res: _Residual, flow: float) -> list[tuple[int, float]] | None:
+        """The violators of a flow of value ``flow``: each outside node whose inflow exceeds its own attachment.
+
+        Returns (node, inflow) pairs sorted by node, or None when there is
+        none.
+        """
+        flows = res.run(res.sink)
+        last, stop, moved, cap, share = self.row_flow, self.row_stop, self.moved, self.cap, self.share
+        for r, (_, p, own, lo, hi) in enumerate(self.rows):
+            f = flows[p]
+            if f == last[r] and r not in moved:
+                continue
+            last[r] = f
+            beyond = f - own
+            i = lo
+            if beyond > 0.0:
+                for i in range(lo, hi):
+                    c = cap[i]
+                    if beyond <= c:  # then beyond - c <= 0: this tag takes the rest
+                        share[i] = beyond
+                        break
+                    share[i] = c
+                    beyond -= c
+                i += 1
+            if i < stop[r]:
+                share[i : stop[r]] = [0.0] * (stop[r] - i)
+            stop[r] = i
+        moved.clear()
+        inflow = np.bincount(self.slot, weights=share, minlength=self.ends.size)
+        over = (inflow > self.limit + RESIDUAL_EPS * max(1.0, flow)).nonzero()[0]
+        return sorted(zip(self.ends[over].tolist(), inflow[over].tolist())) if over.size else None
+
+    def add(self, rows: list[tuple[int, int, float, list[float]]], ends: list[int], arcs: int) -> None:
+        """Take new rows and the ``arcs`` sink arcs added with them.
+
+        Each row is (node, index of its sink arc among the new ones, own
+        attachment, tag capacities); ``ends`` lists the tags' outside
+        nodes, row by row.
+        """
+        lo = len(self.share)
+        for k, arc, own, caps in rows:
+            self.rows.append((k, self.arcs + arc, own, lo, lo + len(caps)))
+            self.row_flow.append(math.nan)
+            self.row_stop.append(lo)
+            self.cap += caps
+            lo += len(caps)
+        self.arcs += arcs
+        self.share += [0.0] * len(ends)
+        if self.slot_of is None:
+            self.slot_of = dict(zip(self.ends.tolist(), range(self.ends.size)))
+        slot_of, first = self.slot_of, len(self.slot_of)
+        slots = [slot_of.setdefault(j, len(slot_of)) for j in ends]
+        self.slot = np.concatenate((self.slot, np.array(slots, dtype=np.int64)))
+        if len(slot_of) > first:  # nodes no tag reached before
+            new = np.array(list(slot_of)[first:])
+            self.ends = np.concatenate((self.ends, new))
+            self.limit = np.concatenate((self.limit, self.beta * self.degrees[new]))
 
 
 class _Carry:
-    """One local solve's growing residual in graph terms: what each node joined with and where its sink arc is.
+    """One local solve's growing residual in graph terms: which node each member is, and where its arcs are.
 
-    Built on the first round's network and its layout; residual node k
-    below the terminals is member k of that network, and each node that
-    joins later takes the next id. ``grow`` reads the flow on each sink
-    arc (``_Residual.back``), splits what exceeds the member's own
-    attachment greedily over its outside edges in CSR order, and pulls in
-    every outside endpoint that receives more than its own attachment can
-    take, adding its arcs to the residual. Every arc keeps its flow; an
-    outside edge that comes inside leaves its member's sink arc with its
-    capacity and its share of the flow (``_Residual.take``), and a new
-    member's inflow beyond its own sink arc is surplus. A new member's
-    block in the residual has room for an arc per neighbour and its sink
-    arc; a first-round member's run moves once it gains arcs, and the
-    residual keeps each arc's index in its tail's run.
+    Built only when the first round has violators, on the first round's
+    network: residual node k below the terminals is member k of that
+    network, and each node that joins later takes the next id. ``grow``
+    pulls in the violators ``_Split`` found and adds their arcs to the
+    residual. Every arc keeps its flow; an outside edge that comes inside
+    leaves its member's sink arc with its capacity and its share of the
+    flow (``_Residual.take``), and a new member's inflow beyond its own
+    sink arc is surplus. A new member's block in the residual has room for
+    an arc per neighbour and its sink arc; a first-round member's run
+    moves once it gains arcs, and the residual keeps each arc's index in
+    its tail's run.
     """
 
-    __slots__ = ("spec", "g", "res", "ids", "node", "snk", "tag_node", "tag_end", "tag_cap", "tagged")
+    __slots__ = ("g", "ids", "node", "snk", "row", "tag_end")
 
-    def __init__(
-        self, spec: AugmentedGraphSpec, g: Graph, net: FlowNetwork, res: _Residual, members: np.ndarray, lay: _Layout
-    ):
+    def __init__(self, g: Graph, net: FlowNetwork, members: np.ndarray, lay: _Layout, split: _Split):
         m = members.size
-        self.spec, self.g, self.res = spec, g, res
+        self.g = g
         self.ids = members.tolist() + [-1, -1]  # graph id of each node, -1 at the terminals
         self.node = dict(zip(self.ids[:m], range(m)))  # node of each member
         self.snk = [-1] * (m + 2)  # index of each node's sink arc in its run
         for k, i in zip(lay.snk_member.tolist(), _run_index(net, 2 * lay.snk)):
             self.snk[k] = i
-        # The edges each node joined with (to members too, which are skipped
-        # when read), one run of these lists per node, and for each node
-        # that has edges outside: the node, its own attachment and its run.
-        self.tag_node, self.tag_end, self.tag_cap = lay.tag_member.tolist(), lay.tag_end.tolist(), lay.tag_cap.tolist()
-        count = np.bincount(lay.tag_member, minlength=m)
-        end = count.cumsum()
-        own = np.zeros(m)
-        own[lay.snk_member] = lay.own
-        k = count.nonzero()[0]
-        self.tagged = list(zip(k.tolist(), own[k].tolist(), (end - count)[k].tolist(), end[k].tolist()))
+        self.row = [-1] * (m + 2)  # each node's row of the split
+        for r, (k, *_) in enumerate(split.rows):
+            self.row[k] = r
+        self.tag_end = lay.tag_end.tolist()  # each tag's outside node
 
-    def grow(self, flow: float) -> tuple[list[int], list[float]] | None:
-        """Pull in the violators of a flow of value ``flow`` and carry the flow to them.
+    def grow(self, res: _Residual, split: _Split, found: list[tuple[int, float]]) -> tuple[list[int], list[float]]:
+        """Pull in the violators ``found`` (node, inflow), sorted by node, and carry the flow to them.
 
         Returns the new nodes left with a surplus and their surpluses,
-        ``flownet._augment``'s start, or None when no endpoint is a violator.
+        ``flownet._augment``'s start.
         """
-        spec, g, res, node, snk = self.spec, self.g, self.res, self.node, self.snk
-        tag_node, tag_end, tag_cap, back = self.tag_node, self.tag_end, self.tag_cap, res.back
-        inflow: dict[int, float] = {}
-        fed, fed_share = [], []  # the outside edges that receive flow, and how much
-        for k, own, lo, hi in self.tagged:
-            # Each outside edge takes what the member's flow beyond its own
-            # attachment leaves after the member's earlier outside edges.
-            beyond = back(k, snk[k]) - own
-            if beyond > 0.0:
-                for i in range(lo, hi):
-                    j = tag_end[i]
-                    if j not in node:
-                        c = tag_cap[i]
-                        s = beyond if beyond < c else c
-                        inflow[j] = inflow.get(j, 0.0) + s
-                        fed.append(i)
-                        fed_share.append(s)
-                        beyond -= c
-                        if beyond <= 0.0:
-                            break
-        slack = RESIDUAL_EPS * max(1.0, flow)
-        beta, degree = spec.beta, g.degrees.item
-        violators = sorted(j for j, f in inflow.items() if f > beta * degree(j) + slack)
-        if not violators:
-            return None
-
+        g, node, snk, row, tag_end = self.g, self.node, self.snk, self.row, self.tag_end
+        rows, cap, share, moved = split.rows, split.cap, split.share, split.moved
+        indptr, indices, weights, degrees, beta = g.indptr, g.indices, g.weights, g.degrees, split.beta
         first = res.num_nodes
-        rows = np.array(violators)
-        bounds = g.indptr[rows], g.indptr[rows + 1]
-        res.add_nodes((bounds[1] - bounds[0] + 1).tolist())  # an arc per neighbour and the sink arc
-        node.update(zip(violators, range(first, res.num_nodes)))
-        self.ids += violators
-        snk += [-1] * len(violators)
-        joined = set(violators)
-        share = {(tag_node[i], tag_end[i]): s for i, s in zip(fed, fed_share) if tag_end[i] in joined}
-        arcs = g.arcs_of(rows)
-        nbrs, ws = g.indices[arcs].tolist(), g.weights[arcs].tolist()
-        sinks, pairs, taken, starts, surplus = [], [], [], [], []
-        lo = 0
-        for k, v, hi, own in zip(
-            range(first, res.num_nodes), violators, (bounds[1] - bounds[0]).cumsum().tolist(), (beta * g.degrees[rows]).tolist()
-        ):
-            outside = 0.0
-            for j, c in zip(nbrs[lo:hi], ws[lo:hi]):
+        bounds = [(int(indptr[v]), int(indptr[v + 1])) for v, _ in found]
+        res.add_nodes([hi - lo + 1 for lo, hi in bounds])  # an arc per neighbour and the sink arc
+        new = [v for v, _ in found]
+        node.update(zip(new, range(first, res.num_nodes)))
+        self.ids += new
+        snk += [-1] * len(new)
+        row += [-1] * len(new)
+        tags = len(tag_end)
+        sinks, pairs, taken, new_rows, starts, surplus = [], [], [], [], [], []
+        for k, (v, f), (lo, hi) in zip(range(first, res.num_nodes), found, bounds):
+            own = beta * float(degrees[v])
+            outside, caps = 0.0, []
+            for j, c in zip(indices[lo:hi].tolist(), weights[lo:hi].tolist()):
                 kj = node.get(j)
                 if kj is None:
                     outside += c
+                    caps.append(c)
+                    tag_end.append(j)
                 elif kj < first:
-                    s = share.get((kj, v), 0.0)  # the flow from kj to v
+                    # The edge was a tag of kj's row: it leaves kj's sink arc
+                    # with the share of the flow it took.
+                    r = row[kj]
+                    _, _, _, tag_lo, tag_hi = rows[r]
+                    i = tag_end.index(v, tag_lo, tag_hi)
+                    s = share[i]
+                    cap[i] = 0.0
+                    moved.add(r)
                     pairs.append((kj, k, c - s, c + s))
                     taken.append((kj, snk[kj], c, s))
                 elif kj > k:  # an edge between two new members, taken in once
                     pairs.append((kj, k, c, c))
             sent = 0.0
             if own > 0.0 or outside > 0.0:
-                sent = min(inflow[v], own + outside)
-                sinks.append((k, res.sink, own + outside - sent, sent))
+                sent = min(f, own + outside)
                 if outside > 0.0:
-                    self.tagged.append((k, own, len(tag_end), len(tag_end) + hi - lo))
-                    tag_node += [k] * (hi - lo)
-                    tag_end += nbrs[lo:hi]
-                    tag_cap += ws[lo:hi]
-            if inflow[v] > sent:
+                    row[k] = len(rows) + len(new_rows)
+                    new_rows.append((k, len(sinks), own, caps))
+                sinks.append((k, res.sink, own + outside - sent, sent))
+            if f > sent:
                 starts.append(k)
-                surplus.append(inflow[v] - sent)
-            lo = hi
+                surplus.append(f - sent)
         for (k, *_), i in zip(sinks, res.add_pairs(sinks)):
             snk[k] = i
         res.add_pairs(pairs)
         res.take(taken)
+        split.add(new_rows, tag_end[tags:], len(sinks))
         return starts, surplus

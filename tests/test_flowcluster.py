@@ -113,9 +113,20 @@ class TestValidation:
         with pytest.raises(ParameterError):
             mqi(dumbbell, SEED, max_iters=0)
 
+    def test_max_iters_must_be_an_integer(self, dumbbell):
+        # range(1.5) would escape as a TypeError.
+        for method in (mqi, flow_improve, lambda g, r, max_iters: refine_by_flow(g, r, 2.0, max_iters)):
+            with pytest.raises(ParameterError, match="max_iters must be an integer"):
+                method(dumbbell, SEED, max_iters=1.5)
+        assert mqi(dumbbell, SEED, max_iters=np.int64(2)).iterations <= 2
+
     def test_delta_and_kappa_ranges(self, dumbbell):
         with pytest.raises(ParameterError):
             local_flow_improve(dumbbell, SEED, delta=-0.1)
+        # NaN fails every comparison; it is rejected as a delta, not passed
+        # on as a NaN kappa.
+        with pytest.raises(ParameterError, match=r"delta must be >= 0 \(got nan\)"):
+            local_flow_improve(dumbbell, SEED, delta=math.nan)
         with pytest.raises(ParameterError):
             local_flow_improve_scaled(dumbbell, SEED, kappa=0.9)
 
@@ -404,9 +415,9 @@ def test_refine_by_flow_hands_on_sorted_id_arrays(ring20, monkeypatch):
     monkeypatch.setattr(ClusterResult, "of_set", classmethod(spy_build))
     for kappa in (1.0, 5.0, math.inf):
         assert len(refine_by_flow(ring20, range(12), kappa).history) == 2
-    # Each call scores the seed and one candidate (two sets each), then
-    # builds one result.
-    assert len(passed["relative_conductance"]) == 12 and len(passed["of_set"]) == 3
+    # Each call scores one candidate (two sets; the seed's own objective is
+    # cut(R)/vol(R), taken without the functional), then builds one result.
+    assert len(passed["relative_conductance"]) == 6 and len(passed["of_set"]) == 3
     for name, arrays in passed.items():
         for ids in arrays:
             assert isinstance(ids, np.ndarray) and ids.dtype == np.int64, name

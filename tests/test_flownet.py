@@ -742,7 +742,7 @@ def test_a_grown_residual_solves_as_the_network_of_all_its_arcs(case):
     assert res.num_nodes == n + extra
     for (u, v, fwd, rev), i in zip(later, res.add_pairs(later)):
         p = res.first[u] + i
-        assert (res.head[p], res.cap[p], res.back(u, i)) == (v, fwd, rev)
+        assert (res.head[p], res.cap[p], res.cap[res.rev[p]]) == (v, fwd, rev)
     for u in range(res.num_nodes):
         assert res.first[u] <= res.end[u] <= res.limit[u]
         for p in range(res.first[u], res.end[u]):
@@ -767,9 +767,10 @@ def test_take_moves_capacity_and_flow_off_an_arc():
     res = _Residual(net, net.cap_init)
     assert _augment(res, 0.0, [], [])[0] == 2.0
     (i,) = _run_index(net, np.array([2]))
-    assert (res.cap[res.first[1] + i], res.back(1, i)) == (0.0, 2.0)
+    # The sink's run holds the twin of 1 -> 2, whose residual is the flow on it.
+    assert (res.cap[res.first[1] + i], res.run(2)) == (0.0, [2.0])
     res.take([(1, i, 1.5, 1.5)])
-    assert (res.cap[res.first[1] + i], res.back(1, i)) == (0.0, 0.5)
+    assert (res.cap[res.first[1] + i], res.run(2)) == (0.0, [0.5])
     # Node 1 now takes in 1.5 more than it sends on. A new arc 1 -> 2 of
     # capacity 1 passes 1 of it on, and 0.5 goes back to the source.
     res.add_pairs([(1, 2, 1.0, 0.0)])

@@ -20,9 +20,9 @@ from localcluster import (
     solve_maxflow,
     solve_maxflow_local,
 )
-from localcluster.graph import _sorted_ids
+from localcluster.graph import Graph, _sorted_ids
 from localcluster.refcut import _subnetwork, rescale
-from localcluster.synth import path_graph, random_connected_graph, star_graph
+from localcluster.synth import path_graph, random_connected_graph, ring_of_cliques, star_graph
 from test_flownet import ArcRows, assert_ids
 
 
@@ -455,11 +455,11 @@ def _fresh_pairs(spec, g, members):
     return {tuple(name.get(x, ids[x] if x < len(ids) else x) for x in (t, h)): tuple(c) for (h, t), c in zip(heads, caps)}
 
 
-def _members(carry):
-    return np.array(sorted(v for v in carry.ids if v >= 0), dtype=np.int64)
+def _members(ids):
+    return np.array(sorted(v for v in ids if v >= 0), dtype=np.int64)
 
 
-def _capacities(spec, g, carry):
+def _capacities(spec, g, res, ids):
     """Each of the grown residual's pairs with the capacities a fresh ``_subnetwork`` gives it.
 
     Returns (tail, head, capacity, twin's capacity, residual, twin's
@@ -467,9 +467,9 @@ def _capacities(spec, g, carry):
     nor an own attachment left has no pair in the fresh network; it gets
     capacity 0.
     """
-    fresh = _fresh_pairs(spec, g, _members(carry))
+    fresh = _fresh_pairs(spec, g, _members(ids))
     rows = []
-    for (u, v), (r, r_twin) in _pairs(carry.res, carry.ids).items():
+    for (u, v), (r, r_twin) in _pairs(res, ids).items():
         if (u, v) in fresh:
             c, c_twin = fresh.pop((u, v))
         elif (v, u) in fresh:
@@ -485,20 +485,24 @@ def _capacities(spec, g, carry):
 def _one_grow_round(spec, g, members):
     """Solve the subnetwork on ``members``, then grow its residual once by hand.
 
-    Returns the first round's network, the carry, the flow value and what
-    ``_Carry.grow`` returned, or None when the round has no violator.
+    Returns the first round's network, the carry, the residual, the flow
+    value and what ``_Carry.grow`` returned, or None when the round has no
+    violator.
     """
     from localcluster.flownet import _augment, _Residual
-    from localcluster.refcut import _Carry
+    from localcluster.refcut import _Carry, _Split
 
     net, lay = _subnetwork(spec, g, members)
     res = _Residual(net, net.cap_init)
     flow, _ = _augment(res, 0.0, [], [])
     if math.isinf(spec.beta) or not lay.tag_end.size:
         return None
-    carry = _Carry(spec, g, net, res, members, lay)
-    start = carry.grow(flow)
-    return None if start is None else (net, carry, flow, start)
+    split = _Split(spec, g, lay)
+    found = split.violators(res, flow)
+    if found is None:
+        return None
+    carry = _Carry(g, net, members, lay, split)
+    return net, carry, res, flow, carry.grow(res, split, found)
 
 
 @settings(max_examples=150)
@@ -512,9 +516,9 @@ def test_carried_flow_is_a_preflow_with_the_reported_surplus(case):
     grown = _one_grow_round(spec, g, members)
     if grown is None:
         return
-    _, carry, flow, (starts, surplus) = grown
+    _, carry, res, flow, (starts, surplus) = grown
 
-    rows = _capacities(spec, g, carry)
+    rows = _capacities(spec, g, res, carry.ids)
     tol = 1e-12 * max(1.0, sum(c + c_twin for *_, c, c_twin, _, _ in rows))
     excess = {}
     for u, v, c, c_twin, r, r_twin in rows:
@@ -538,14 +542,13 @@ def _each_grown_residual_checked(spec, g):
 
     grow, sizes = refcut._Carry.grow, []
 
-    def grow_and_compare(carry, flow):
-        start = grow(carry, flow)
-        if start is not None:
-            rows = _capacities(spec, g, carry)
-            tol = 1e-12 * max(1.0, sum(c + c_twin for *_, c, c_twin, _, _ in rows))
-            for u, v, c, c_twin, r, r_twin in rows:
-                assert r + r_twin == pytest.approx(c + c_twin, abs=tol), (u, v)
-            sizes.append(carry.res.num_nodes)
+    def grow_and_compare(carry, res, split, found):
+        start = grow(carry, res, split, found)
+        rows = _capacities(spec, g, res, carry.ids)
+        tol = 1e-12 * max(1.0, sum(c + c_twin for *_, c, c_twin, _, _ in rows))
+        for u, v, c, c_twin, r, r_twin in rows:
+            assert r + r_twin == pytest.approx(c + c_twin, abs=tol), (u, v)
+        sizes.append(res.num_nodes)
         return start
 
     with pytest.MonkeyPatch.context() as mp:
@@ -574,11 +577,11 @@ def test_a_grow_round_leaves_the_first_network_alone():
     # its own sink arc holds: the grown residual starts with a surplus.
     g = star_graph(8)
     spec = AugmentedGraphSpec(alpha=1.0, beta=1e-3, seed=range(1, 8))
-    net, carry, flow, (starts, surplus) = _one_grow_round(spec, g, spec.seed)
+    net, carry, res, flow, (starts, surplus) = _one_grow_round(spec, g, spec.seed)
     assert starts and flow > 0.0
-    assert carry.res.num_nodes == net.num_nodes + 1
+    assert res.num_nodes == net.num_nodes + 1
     assert net.cap.tobytes() == net.cap_init.tobytes()
-    lists = [carry.res.head, carry.res.rev, carry.res.first, carry.res.end]
+    lists = [res.head, res.rev, res.first, res.end]
     assert not any(x is y for x in lists for y in net._lists)
 
 
@@ -591,7 +594,7 @@ def test_refcut_reaches_a_residual_only_through_its_methods():
 
     for name in ("_dinic", "_bfs_levels", "_return_excess", "_push_relabel"):
         assert not hasattr(refcut, name), name
-    allowed = {"back", "add_nodes", "add_pairs", "take", "num_nodes", "source", "sink"}
+    allowed = {"run", "add_nodes", "add_pairs", "take", "num_nodes", "source", "sink"}
     used = set()
     for node in ast.walk(ast.parse(inspect.getsource(refcut))):
         if isinstance(node, ast.Attribute):
@@ -605,8 +608,8 @@ def test_refcut_reaches_a_residual_only_through_its_methods():
 
 def test_a_deep_local_solve_takes_rows_in_proportion_to_the_nodes_it_touches():
     """On a path, growth adds one or two nodes per round for about a hundred rounds;
-    each node's row enters the solve's residual once, and the solve builds at
-    most two networks (the first round's and the check's)."""
+    each node's row enters the solve's residual once, and each solve builds one
+    network, its first round's."""
     from localcluster import flowcluster, flownet, local_flow_improve, refcut
 
     rows, networks, solves = [], [], []
@@ -638,7 +641,196 @@ def test_a_deep_local_solve_takes_rows_in_proportion_to_the_nodes_it_touches():
     touched = res.touched_nodes
     assert 100 < touched < 3000
     assert sum(rows) <= 2 * touched
-    assert len(networks) <= 2 * len(solves) and sum(networks) <= 2 * touched
+    assert len(networks) == len(solves) and sum(networks) <= touched
+
+
+# -- the certificate of a grown cut, and solves that never grow ------------------------
+
+
+@contextlib.contextmanager
+def _graph_certificates():
+    """Record the side of each cut checked against its capacity in the graph, while the block runs."""
+    from localcluster import refcut
+
+    sides = []
+    cut = refcut._augmented_cut
+
+    def spy(spec, g, side):
+        sides.append(side)
+        return cut(spec, g, side)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refcut, "_augmented_cut", spy)
+        yield sides
+
+
+def test_a_grown_cut_is_certified_from_the_graph():
+    """The local solve equals the whole-network solve in its side and its flow. A
+    solve that grew checks its cut against the cut's capacity in the graph, also
+    where the side holds nodes that joined after the first round."""
+    left_the_first_round = []
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=local_cases(alphas=(1.0, 3.0, 10.0), kappas=(1.0 + 1e-6, 1.5)))
+    def check(case):
+        spec, g, warm = case
+        ref = solve_maxflow(materialize(spec, g))
+        with _graph_certificates() as sides:
+            sol, explored = solve_maxflow_local(spec, g, warm_start=warm)
+        assert sol.flow_value == pytest.approx(ref.flow_value, rel=1e-9)
+        assert_ids(sol.s_side, ref.s_side)
+        first = _sorted_ids(np.concatenate((spec.seed, np.array(warm, dtype=np.int64))))
+        if explored.size > first.size:  # the solve grew
+            assert len(sides) == 1
+            assert_ids(sides[0], sol.s_side)
+            left_the_first_round.append(not np.isin(sol.s_side, first).all())
+        else:
+            assert not sides
+
+    check()
+    assert sum(left_the_first_round) >= 10, left_the_first_round
+
+
+def _walk_every_member(split, res, flow):
+    """The violators of ``_Split.violators`` by a fresh walk over every row, each tag's share
+    summed into its node in walk order, skipping the tags of joined nodes (capacity 0)."""
+    flows = res.run(res.sink)
+    ends = split.ends[split.slot].tolist()
+    inflow = {}
+    for _, p, own, lo, hi in split.rows:
+        beyond = flows[p] - own
+        if beyond > 0.0:
+            for i in range(lo, hi):
+                c = split.cap[i]
+                if c == 0.0:
+                    continue
+                inflow[ends[i]] = inflow.get(ends[i], 0.0) + (beyond if beyond < c else c)
+                beyond -= c
+                if beyond <= 0.0:
+                    break
+    slack = 1e-12 * max(1.0, flow)
+    over = sorted((j, f) for j, f in inflow.items() if f > split.beta * split.degrees[j] + slack)
+    return over or None
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=local_cases(alphas=(0.5, 1.0, 3.0), kappas=(1.0 + 1e-6, 1.5, 10.0)))
+def test_the_split_of_what_moved_equals_a_walk_of_every_member(case):
+    """A walk that splits again only the rows whose flow moved or whose tags lost
+    an outside node finds, bit for bit, the violators and inflows of a walk over
+    every member."""
+    from localcluster import refcut
+
+    spec, g, warm = case
+    violators = refcut._Split.violators
+
+    def checked(split, res, flow):
+        want = _walk_every_member(split, res, flow)
+        got = violators(split, res, flow)
+        assert got == want
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refcut._Split, "violators", checked)
+        assert_local_equals_global(spec, g, warm)
+
+
+def _grown_named_case():
+    spec = AugmentedGraphSpec(alpha=1.0, beta=0.05, seed=[19, 20])
+    return spec, path_graph(40)
+
+
+@pytest.mark.parametrize(
+    "name, broken, message",
+    [
+        ("a flow below the maximum", lambda flow, reach, res: (0.5 * flow, reach), "duality violated"),
+        ("a reachable sink", lambda flow, reach, res: (flow, _with(reach, res.sink, True)), "the sink is reachable"),
+        ("a side of every member", lambda flow, reach, res: (flow, _with(~reach | reach, res.sink, False)), "duality violated"),
+        ("a side of one seed node", lambda flow, reach, res: (flow, _seed_side(reach, res)), "duality violated"),
+    ],
+)
+def test_a_wrong_grown_cut_raises(name, broken, message):
+    """Each grow round's flow or reach is spoiled; the graph-capacity check must refuse the cut."""
+    from localcluster import refcut
+
+    spec, g = _grown_named_case()
+    augment, rounds = refcut._augment, []
+
+    def spoiled(res, flow, starts, surplus):
+        rounds.append(len(starts))
+        flow, reach = augment(res, flow, starts, surplus)
+        return broken(flow, reach, res) if len(rounds) > 1 else (flow, reach)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refcut, "_augment", spoiled)
+        with pytest.raises(AssertionError, match=message):
+            solve_maxflow_local(spec, g)
+    assert len(rounds) > 2, name  # the solve grew
+
+
+def _with(mask, at, value):
+    mask = mask.copy()
+    mask[at] = value
+    return mask
+
+
+def _seed_side(reach, res):
+    """The source and one of the first round's members (here the seed, nodes 0 and 1)."""
+    mask = np.zeros_like(reach)
+    mask[[0, res.source]] = True
+    return mask
+
+
+def _planted(blocks, size, seed):
+    """Blocks of ``size`` nodes, in-block edges at 0.3 and cross edges at 0.002, plus a ring; weights in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    n = blocks * size
+    iu, iv = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < np.where(iu // size == iv // size, 0.3, 0.002)
+    ring, after = np.arange(n), (np.arange(n) + 1) % n
+    lo, hi = np.concatenate((iu[keep], np.minimum(ring, after))), np.concatenate((iv[keep], np.maximum(ring, after)))
+    codes = np.unique(lo * n + hi)
+    g = Graph.from_edges(n, codes // n, codes % n, rng.uniform(0.5, 2.0, codes.size))
+    seeds = []
+    for block in range(4):
+        inside = rng.choice(np.arange(block * size, (block + 1) * size), 25, replace=False)
+        outside = rng.choice(np.setdiff1d(np.arange(n), np.arange(block * size, (block + 1) * size)), 5, replace=False)
+        seeds.append(np.concatenate((inside, outside)))
+    return g, seeds
+
+
+@pytest.mark.parametrize(
+    "name, g, seeds, delta",
+    [
+        # At delta = 1 these seeds grow (so do the ring benchmark's); at 10
+        # the first round has no violator.
+        ("a ring of cliques", ring_of_cliques(200, 10), [range(10), [*range(30, 42), 29]], 10.0),
+        ("planted blocks", *_planted(10, 40, seed=3), 3.0),
+    ],
+)
+def test_a_solve_that_never_grows_builds_no_carry(name, g, seeds, delta):
+    """A local solve whose first round has no violator decides so from the split
+    alone: it builds no ``_Carry`` and checks its cut on its first network."""
+    from localcluster import local_flow_improve, refcut
+
+    splits, carries = [], []
+    split_init, carry_init = refcut._Split.__init__, refcut._Carry.__init__
+
+    def count_split(self, *args):
+        splits.append(1)
+        split_init(self, *args)
+
+    def count_carry(self, *args):
+        carries.append(1)
+        carry_init(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp, _graph_certificates() as sides:
+        mp.setattr(refcut._Split, "__init__", count_split)
+        mp.setattr(refcut._Carry, "__init__", count_carry)
+        for seed in seeds:
+            res = local_flow_improve(g, seed, delta=delta)
+            assert res.touched_nodes < g.n, name  # solved locally
+    assert splits and not carries and not sides, name
 
 
 # -- one materialized network, re-scaled between solves -------------------------------
