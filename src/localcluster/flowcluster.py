@@ -29,7 +29,11 @@ alpha. An empty s-side ends the loop with the previous set.
 
 The solver follows from the output volume bound vol(S) <= vol(R)*(1 +
 2/epsilon) + cut(R). Below vol(V), the grow-on-demand local max-flow
-touches only a neighbourhood of R. Where the bound reaches vol(V), as it
+touches only a neighbourhood of R, and a call keeps one local flow for
+all its rounds: the first round builds its network and grows its
+residual; each later one, at alpha' = s*alpha (0 < s < 1, epsilon
+fixed), scales that flow by s and augments and grows from there
+(``refcut._LocalFlow.resolve``). Where the bound reaches vol(V), as it
 always does at kappa = 1, growing cannot save work and the network is
 built whole, once per call: between rounds only alpha and beta change,
 so each later round re-scales the source and sink arcs of the same
@@ -49,9 +53,9 @@ import time
 
 import numpy as np
 
-from .errors import ParameterError, SeedTooLargeError
+from .errors import ParameterError
 from .flownet import solve_maxflow
-from .graph import SET_FUNCTIONAL_TOL, Graph, _as_node_array, _cut, _sorted_ids, relative_conductance
+from .graph import SET_FUNCTIONAL_TOL, Graph, _as_node_array, _cut, _Seed, _seed_of, _sorted_ids, relative_conductance
 from .refcut import AugmentedGraphSpec, materialize, rescale, solve_maxflow_local
 from .results import ClusterResult
 
@@ -67,18 +71,20 @@ ACCEPT_RTOL = 1e-12
 DEFAULT_MAX_ITERS = 50
 
 
-def _seed_ratio(g: Graph, r: object) -> tuple[np.ndarray, float, float]:
-    """The seed as a node array, vol(R) and vol(R)/vol(R^c); rejects seeds with no ratio."""
+def _seed_ratio(g: Graph, r: object) -> _Seed:
+    """The seed normalized once, with vol(R) and vol(R)/vol(R^c); rejects seeds with no ratio.
+
+    A seed this function made is returned as it is.
+    """
+    if isinstance(r, _Seed):
+        return r
     r_arr = _as_node_array(g, r)
     if r_arr.size == 0:
         raise ParameterError("seed set is empty")
-    vol_r = float(g.degrees[r_arr].sum())
-    vol_rc = g.total_volume - vol_r
-    if vol_rc <= 0.0:
-        raise SeedTooLargeError("seed set covers the whole graph")
-    if vol_r <= 0.0:
+    seed = _seed_of(g, r_arr)
+    if seed.volume <= 0.0:
         raise ParameterError("seed set has zero volume")
-    return r_arr, vol_r, vol_r / vol_rc
+    return seed
 
 
 def refine_by_flow(
@@ -97,12 +103,23 @@ def refine_by_flow(
     1, every round solves the fully materialized network, built in the
     first round and re-scaled in place (source and sink arcs only) in each
     later one, and ``touched_nodes`` is n. Below it the rounds solve
-    strongly locally, warm-started from the current set: the solver grows
-    its subgraph on demand and carries its flow from one grow round to the
-    next, and ``touched_nodes`` counts every node some round explored.
-    The current set, each round's s-side and the explored nodes are
-    sorted int64 arrays throughout, the form the set functionals and the
-    result builder take. The objective is named ``"cut_over_volume"`` at
+    strongly locally on one residual: the first round, warm-started from
+    R, builds the call's one network and grows its subgraph on demand,
+    carrying its flow from one grow round to the next. Each later round
+    keeps that residual and its maximum flow, multiplied by s = alpha'/alpha
+    in (0, 1): the source arcs and each member's own sink attachment scale
+    by s as well, and edges keep their capacities, so the scaled flow is
+    feasible and conserving; the round augments and grows from it. The
+    first round's cut, if it never grew, is checked on its network; every
+    later cut is checked against its capacity in the graph, with the sink
+    outside the residual reach. A round that scaling cannot reach (s
+    outside (0, 1), which happens once the objective reaches 0) builds
+    afresh, warm-started from the current set. ``touched_nodes`` counts
+    the nodes of the residuals the call held. ``r`` may also be the
+    ``_Seed`` that ``local_flow_improve`` normalized, so that R is
+    normalized once per call. The current set, each round's s-side and
+    the explored nodes are sorted int64 arrays throughout, the form the
+    set functionals and the result builder take. The objective is named ``"cut_over_volume"`` at
     kappa = inf and ``"seed_relative_conductance"`` otherwise.
     """
     try:
@@ -114,8 +131,9 @@ def refine_by_flow(
     if not kappa >= 1.0:
         raise ParameterError(f"kappa must be >= 1 (got {kappa})")
     t0 = time.perf_counter()
-    r_arr, vol_r, ratio = _seed_ratio(g, r)
-    eps = kappa * ratio
+    seed = _seed_ratio(g, r)
+    r_arr, vol_r = seed.ids, seed.volume
+    eps = kappa * seed.ratio
 
     current = r_arr
     # The seed's objective is cut(R)/vol(R) at every kappa, as
@@ -126,9 +144,9 @@ def refine_by_flow(
     obj = _cut(g, r_arr) / vol_r
     whole = vol_r * (1.0 + 2.0 / eps + obj) >= g.total_volume
     history = [obj]
-    touched = r_arr
     iterations = 0
     net = None
+    flows = []  # the local flows the rounds ran on: one, unless a round could not scale the kept one
 
     for _ in range(max_iters):
         # 0 * inf is nan, so at kappa = inf beta stays inf even where alpha is 0.
@@ -141,13 +159,15 @@ def refine_by_flow(
                 rescale(net, spec, g)
             sol = solve_maxflow(net)
         else:
-            sol, explored = solve_maxflow_local(spec, g, warm_start=current)
-            touched = _sorted_ids(np.concatenate((touched, explored)))
+            sol = flows[-1].resolve(spec) if flows else None
+            if sol is None:
+                sol, _, kept = solve_maxflow_local(spec, g, warm_start=current)
+                flows.append(kept)
         iterations += 1
         candidate = sol.s_side
         if not candidate.size:
             break
-        cand_obj = relative_conductance(g, candidate, r_arr, kappa=kappa)
+        cand_obj = relative_conductance(g, candidate, seed, kappa=kappa)
         if not cand_obj < obj * (1.0 - ACCEPT_RTOL):
             break
         current, obj = candidate, cand_obj
@@ -158,7 +178,7 @@ def refine_by_flow(
         current,
         "cut_over_volume" if math.isinf(kappa) else "seed_relative_conductance",
         obj,
-        touched_nodes=g.n if whole else touched.size,
+        touched_nodes=g.n if whole else _sorted_ids(np.concatenate([f.explored() for f in flows])).size,
         iterations=iterations,
         t0=t0,
         history=tuple(history),
@@ -202,8 +222,8 @@ def local_flow_improve(
     """
     if not delta >= 0:  # NaN fails the comparison
         raise ParameterError(f"delta must be >= 0 (got {delta})")
-    r_arr, _, ratio = _seed_ratio(g, r)
-    return refine_by_flow(g, r_arr, 1.0 + delta / ratio, max_iters)
+    seed = _seed_ratio(g, r)
+    return refine_by_flow(g, seed, 1.0 + delta / seed.ratio, max_iters)
 
 
 def local_flow_improve_scaled(

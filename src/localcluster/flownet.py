@@ -37,11 +37,11 @@ augmenting path, while push-relabel saturates them by local pushes; on
 deep networks (a 3000-node path) Dinic needs one phase per level.
 
 Dinic's blocking flow (``_dinic``) serves the strongly-local solver
-(``refcut``), which holds one residual per solve and grows it in place:
-each node's arcs fill the front of a block of slots, so a grow round
-appends its new arcs where they belong, and the solvers scan each run up
-to its end, ``end[u]``, never up to the next node's start. The solver
-enters through ``_augment``, one call per grow round: it sends the
+(``refcut``), which holds one residual per refinement call and grows it
+in place: each node's arcs fill the front of a block of slots, so a grow
+round appends its new arcs where they belong, and the solvers scan each
+run up to its end, ``end[u]``, never up to the next node's start. The
+solver enters through ``_augment``, one call per grow round: it sends the
 surplus some nodes start with on to the sink and what cannot arrive back
 to the source, then augments from the source, leaving the flow in the
 residual. Each phase's level BFS stops once the sink is labeled, and
@@ -58,6 +58,12 @@ paths, and push-relabel started from that carried preflow measured
 slower there: 1.1-1.2 times Dinic's time on planted 2k-node graphs at
 delta 0.1 and 1 and on a ring of 300 five-cliques at delta 0.01, and no
 faster on a 3000-node path at delta 0.1.
+
+A refinement call's later rounds enter through ``_augment_scaled``, which
+first multiplies the kept maximum flow by s = alpha'/alpha in (0, 1)
+(``_Residual.scale``): the source arcs and each sink arc's own
+attachment shrink by s and every other capacity stays, so the scaled
+flow is feasible and conserving, and the round augments from it.
 
 Capacities are 64-bit floats; every solve finishes with a max-flow =
 min-cut duality check at 1e-9 relative tolerance, which substitutes for
@@ -386,6 +392,36 @@ class _Residual:
             cap[p] -= lost - flow
             cap[rev[p]] -= flow
 
+    def scale(self, s: float, sink_drop: list[float]) -> None:
+        """Multiply the flow on every arc by ``s``, 0 < s < 1; the source's arcs' capacities scale with it, and the sink's i-th arc loses ``sink_drop[i]``.
+
+        Every other arc keeps its capacity. No capacity list is needed: the
+        two residuals of an arc pair sum to the pair's capacity. At a
+        terminal pair the twin's residual is the flow; an edge pair has the
+        same capacity both ways, so its flow is half the difference of its
+        two residuals.
+        """
+        head, cap, rev, first, end = self.head, self.cap, self.rev, self.first, self.end
+        source, sink = self.source, self.sink
+        for p in range(first[source], end[source]):
+            cap[p] *= s
+            cap[rev[p]] *= s
+        for q, lost in zip(range(first[sink], end[sink]), sink_drop):
+            f = cap[q]  # the flow into the sink: the twin's residual
+            cap[q] = f * s
+            cap[rev[q]] += f - cap[q] - lost
+        half = 0.5 * (1.0 - s)
+        for u in range(self.num_nodes):
+            if u == source or u == sink:
+                continue
+            for p in range(first[u], end[u]):
+                q = rev[p]
+                v = head[p]
+                if p < q and v != source and v != sink:
+                    moved = half * (cap[q] - cap[p])  # (1 - s) times the flow along p
+                    cap[p] += moved
+                    cap[q] -= moved
+
     def _own(self) -> None:
         """Before the first growth: take copies of the shared lists, in which each node's block is its run."""
         if self.limit is None:
@@ -465,6 +501,20 @@ def _augment(res: _Residual, flow: float, starts: list[int], surplus: list[float
         flow -= _return_excess(res, starts, surplus, source, total)
     pushed, reach = _dinic(res, [source], sink)
     return flow + pushed, reach
+
+
+def _augment_scaled(res: _Residual, flow: float, s: float, sink_drop: list[float]) -> tuple[float, np.ndarray]:
+    """A later round of the strongly-local solver: scale the maximum flow ``res`` holds, then augment again.
+
+    ``res`` holds a maximum flow of value ``flow``; ``_Residual.scale``
+    multiplies it by ``s``, with the source's capacities, and lowers the
+    sink's arcs by ``sink_drop``. Where no capacity falls below ``s``
+    times what it was, as in a refinement call's later rounds, the scaled
+    flow is feasible; it conserves, as scaling is linear, so ``_augment``
+    goes on from it with no surplus.
+    """
+    res.scale(s, sink_drop)
+    return _augment(res, s * flow, [], [])
 
 
 def _dinic(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,7 +94,8 @@ class Graph:
         Only the rows are checked: ids in range, no self-loops, finite
         positive weights, and no duplicate (u, v) pair, naming the smallest
         (min, max) one; summing duplicates is an ingest policy and lives in
-        the loader. The m edges are sorted once and every row is written in
+        the loader. The m edges are sorted once, unless they come strictly
+        increasing as the loader gives them, and every row is written in
         place from them, symmetric and sorted by construction.
         """
         u = np.asarray(u, dtype=np.int64)
@@ -222,16 +223,21 @@ def _place_arcs(
     """CSR arrays of the undirected edges (lo[e], hi[e], w[e]), lo[e] < hi[e].
 
     Each row is written in place as its smaller neighbours, then its larger
-    ones. One sort of the edges by (lo, hi), cheap when they come sorted as
-    the loader gives them, lists every vertex's larger neighbours in order;
-    a stable sort of that by hi lists every vertex's smaller ones in order.
+    ones. The edges in (lo, hi) order list every vertex's larger neighbours
+    in order; a stable sort of them by hi lists every vertex's smaller ones
+    in order. Edges that come strictly increasing in (lo, hi), as the
+    loader gives them, are in that order already and hold no duplicate;
+    others are sorted first.
     """
-    order = np.argsort(lo * n + hi, kind="stable")  # the key fits int64 while n < 3e9
-    lo, hi, w = lo[order], hi[order], w[order]
-    dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-    if np.any(dup):
-        k = int(np.argmax(dup))
-        raise GraphFormatError(f"duplicate edge ({lo[k]}, {hi[k]})")
+    key = lo * n + hi  # fits int64 while n < 3e9
+    order = None if (key[1:] > key[:-1]).all() else np.argsort(key, kind="stable")
+    del key
+    if order is not None:
+        lo, hi, w = lo[order], hi[order], w[order]
+        dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+        if np.any(dup):
+            k = int(np.argmax(dup))
+            raise GraphFormatError(f"duplicate edge ({lo[k]}, {hi[k]})")
 
     up = np.bincount(lo, minlength=n)  # larger neighbours per vertex
     down = np.bincount(hi, minlength=n)  # smaller neighbours per vertex
@@ -386,6 +392,23 @@ def expansion(g: Graph, s: object) -> float:
     return _cut(g, arr) * g.total_volume / (vol_s * vol_c)
 
 
+class _Seed(NamedTuple):
+    """A seed set R normalized once: its sorted ids, vol(R) and vol(R)/vol(R^c)."""
+
+    ids: np.ndarray
+    volume: float
+    ratio: float
+
+
+def _seed_of(g: Graph, r_arr: np.ndarray) -> _Seed:
+    """The ``_Seed`` of an id array ``_as_node_array`` returned; SeedTooLargeError when R^c has no volume."""
+    vol_r = float(g.degrees[r_arr].sum())
+    vol_rc = g.total_volume - vol_r
+    if vol_rc <= 0.0:
+        raise SeedTooLargeError("seed set covers the whole graph")
+    return _Seed(r_arr, vol_r, vol_r / vol_rc)
+
+
 def relative_conductance(g: Graph, s: object, r: object, kappa: float = 1.0) -> float:
     """Conductance of S measured relative to a reference seed set R.
 
@@ -394,7 +417,8 @@ def relative_conductance(g: Graph, s: object, r: object, kappa: float = 1.0) -> 
     not strictly positive (at tolerance), so the functional is always
     well-defined. kappa=1 is the plain seed-relative conductance; raising
     kappa penalizes leaving R harder, and kappa=+inf confines finite values
-    to subsets of R, where the functional reduces to cut(S)/vol(S).
+    to subsets of R, where the functional reduces to cut(S)/vol(S). R
+    may also be a ``_Seed``, normalized once for a whole refinement call.
 
     Raises
     ------
@@ -405,19 +429,15 @@ def relative_conductance(g: Graph, s: object, r: object, kappa: float = 1.0) -> 
     """
     if not kappa >= 1.0:
         raise ParameterError(f"kappa must be >= 1 (got {kappa})")
-    r_arr = _as_node_array(g, r)
+    seed = r if isinstance(r, _Seed) else _seed_of(g, _as_node_array(g, r))
     s_arr = _as_node_array(g, s)
-    vol_r = float(g.degrees[r_arr].sum())
-    vol_rc = g.total_volume - vol_r
-    if vol_rc <= 0.0:
-        raise SeedTooLargeError("seed set covers the whole graph")
     if s_arr.size == 0:
         return float("inf")
 
-    in_r = _locate(s_arr, r_arr, g.n) < r_arr.size
+    in_r = _locate(s_arr, seed.ids, g.n) < seed.ids.size
     vol_s_in = float(g.degrees[s_arr[in_r]].sum())
     vol_s_out = float(g.degrees[s_arr[~in_r]].sum())
-    ratio = vol_r / vol_rc
+    ratio = seed.ratio
 
     if np.isinf(kappa):
         denom = vol_s_in if vol_s_out == 0.0 else -float("inf")

@@ -26,15 +26,29 @@ their arcs to the residual in place (``_Residual.add_nodes`` /
 ``add_pairs``): every arc keeps its flow, an outside edge that comes
 inside takes its capacity and its share of the flow out of its member's
 sink arc (``_Residual.take``), and a new member's inflow beyond its own
-sink arc is surplus. This module writes the residual only through those
-growth methods and reads it only through ``_Residual.run``. Every
-returned cut is checked against a capacity that does not rest on the
-residual's bookkeeping: a solve that never grew checks its cut on the
-first round's network, from the checked ``FlowNetwork`` constructor
-(``flownet._checked_min_cut``); a grown one checks that the residual
-does not reach the sink and that the flow equals the cut's capacity in
-the graph itself (``augmented_cut_value``). The one tolerance here,
-``RESIDUAL_EPS``, is the margin of the violator test.
+sink arc is surplus.
+
+The solve's flow (``_LocalFlow``) outlives it: a refinement call keeps
+one residual for all its rounds. A later round, at alpha' = s*alpha
+with s in (0, 1) and beta/alpha fixed, multiplies the flow on every arc
+by s, gives the source arcs alpha'*d and each member's own attachment
+beta'*d, and leaves edges and outside edges as they were
+(``flownet._augment_scaled``, one call). No capacity falls below s times
+what it was, so the scaled flow is feasible, and scaling keeps it
+conserving; the round re-splits every row at beta' and augments and
+grows as a grow round does. Where scaling cannot reach the new scales
+(s outside (0, 1), a sentinel in the kept network, or another
+beta/alpha), the caller builds a fresh solve.
+
+This module writes the residual only through those methods and calls
+and reads it only through ``_Residual.run``. Every returned cut is
+checked against a capacity that does not rest on the residual's
+bookkeeping: a first round that never grew checks its cut on its own
+network, from the checked ``FlowNetwork`` constructor
+(``flownet._checked_min_cut``); a grown or scaled one checks that the
+residual does not reach the sink and that the flow equals the cut's
+capacity in the graph itself (``augmented_cut_value``). The one
+tolerance here, ``RESIDUAL_EPS``, is the margin of the violator test.
 """
 
 from __future__ import annotations
@@ -46,7 +60,17 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .flownet import RESIDUAL_EPS, CutSolution, FlowNetwork, _augment, _check_cut, _checked_min_cut, _Residual, _run_index
+from .flownet import (
+    RESIDUAL_EPS,
+    CutSolution,
+    FlowNetwork,
+    _augment,
+    _augment_scaled,
+    _check_cut,
+    _checked_min_cut,
+    _Residual,
+    _run_index,
+)
 from .graph import Graph, _as_node_array, _cut, _locate, _sorted_ids
 
 __all__ = [
@@ -172,6 +196,7 @@ class _Layout(NamedTuple):
     snk: np.ndarray  # sink arcs
     snk_member: np.ndarray  # the member index of each sink arc
     own: np.ndarray  # the member's own attachment within each sink arc
+    snk_deg: np.ndarray  # the degree behind it: beta times this, or 0 on the seed
     tag_member: np.ndarray
     tag_end: np.ndarray
     tag_cap: np.ndarray
@@ -196,13 +221,18 @@ def _subnetwork(spec: AugmentedGraphSpec, g: Graph, members: np.ndarray) -> tupl
     at = members.searchsorted(spec.seed)
     in_seed = np.zeros(m, dtype=bool)
     in_seed[at] = True
-    attachment = spec._attachment(g.degrees[members], in_seed)
+    d = g.degrees[members]
+    attachment = spec._attachment(d, in_seed)
     src_k = at[attachment[at] > 0.0]
     src_cap = attachment[src_k]
     own = np.where(in_seed, 0.0, attachment)
+    off_seed = np.where(in_seed, 0.0, d)
 
-    arcs = g.arcs_of(members)
-    row = np.arange(m).repeat(g.indptr[members + 1] - g.indptr[members])
+    # g.arcs_of(members), with each arc's member index from the same row lengths.
+    starts = g.indptr[members]
+    lengths = g.indptr[members + 1] - starts
+    row = np.arange(m).repeat(lengths)
+    arcs = (starts - lengths.cumsum() + lengths)[row] + np.arange(row.size)
     nbr = g.indices[arcs]
     loc = _locate(nbr, members, g.n)
     inside = loc < m
@@ -241,14 +271,22 @@ def _subnetwork(spec: AugmentedGraphSpec, g: Graph, members: np.ndarray) -> tupl
     head[nbr_ids, 1] = row
     cap[nbr_ids] = c[:, None]
     net = FlowNetwork(m + 2, source, sink, head.reshape(-1), cap.reshape(-1))
-    return net, _Layout(snk_ids, snk_k, snk_own, tag_row, tag_end, tag_cap)
+    return net, _Layout(snk_ids, snk_k, snk_own, off_seed[snk_k], tag_row, tag_end, tag_cap)
+
+
+class LocalSolve(NamedTuple):
+    """What ``solve_maxflow_local`` returns."""
+
+    solution: CutSolution  # the cut, in graph node ids
+    explored: np.ndarray  # the graph nodes the solve materialized, sorted
+    flow: _LocalFlow  # the solve's flow, kept for solving again at smaller scales
 
 
 def solve_maxflow_local(
     spec: AugmentedGraphSpec,
     g: Graph,
     warm_start: Iterable[int] = (),
-) -> tuple[CutSolution, np.ndarray]:
+) -> LocalSolve:
     """Max-flow on the augmented graph touching only a grown subgraph.
 
     Starts from the seed plus the warm-start set, contracts
@@ -267,9 +305,10 @@ def solve_maxflow_local(
     return both the flow value and the minimal s-side equal solve_maxflow
     on the fully materialized network.
 
-    Returns the cut solution (graph node ids) and the graph nodes ever
-    materialized, both as sorted int64 arrays; the second one's size is
-    the touched-node count.
+    Returns the cut solution (graph node ids), the graph nodes ever
+    materialized, both as sorted int64 arrays (the second one's size is
+    the touched-node count), and the flow, which ``_LocalFlow.resolve``
+    solves again at smaller scales.
     """
     spec.validate_against(g)
     if math.isinf(spec.alpha):
@@ -278,26 +317,99 @@ def solve_maxflow_local(
     explored = _sorted_ids(np.concatenate((spec.seed, _sorted_ids(warm_start))))
     if explored[0] < 0 or explored[-1] >= g.n:
         raise ParameterError("warm-start node out of range")
+    flow = _LocalFlow(spec, g, explored)
+    return LocalSolve(flow.solve(), flow.explored(), flow)
 
-    net, lay = _subnetwork(spec, g, explored)
-    res = _Residual(net, net.cap_init)
-    flow, reach = _augment(res, 0.0, [], [])
-    if lay.tag_end.size and not math.isinf(spec.beta):
-        split = _Split(spec, g, lay)
-        if (found := split.violators(res, flow)) is not None:
-            carry = _Carry(g, net, explored, lay, split)
+
+class _LocalFlow:
+    """One strongly-local max-flow: the residual grown from one network, kept across the rounds of a refinement call.
+
+    The first round builds the network on the members it is given and
+    grows its residual as far as the violators ask. A later round, at
+    the same seed and at alpha' = s*alpha and beta' = s*beta with s in
+    (0, 1), keeps that residual and its flow: the flow on every arc
+    is multiplied by s, the source arcs get alpha'*d (s times their
+    capacity), each member's own part of its sink arc gets beta'*d, and
+    edges and outside edges keep their capacities (``_Residual.scale``).
+    No capacity falls below s times what it was, so the scaled flow is
+    feasible, and it conserves, as scaling is linear. Each ``_Split``
+    row is split again at beta', and the round augments and grows as a
+    grow round does. A cut whose residual still holds the first network's
+    capacities is checked on that network; every other is checked
+    against its capacity in the graph (``augmented_cut_value``), with the
+    sink outside the reach.
+    """
+
+    __slots__ = ("spec", "g", "members", "net", "lay", "res", "value", "split", "carry", "first")
+
+    def __init__(self, spec: AugmentedGraphSpec, g: Graph, members: np.ndarray):
+        self.spec, self.g, self.members = spec, g, members
+        self.net, self.lay = _subnetwork(spec, g, members)
+        self.res = _Residual(self.net, self.net.cap_init)
+        self.value = 0.0  # of the maximum flow the residual holds
+        self.split: _Split | None = None
+        self.carry: _Carry | None = None
+        self.first = True  # the residual holds the first network's capacities
+
+    def solve(self) -> CutSolution:
+        """The first round: a maximum flow from zero, grown until no outside node is overloaded."""
+        if self.lay.tag_end.size and not math.isinf(self.spec.beta):
+            self.split = _Split(self.spec, self.g, self.lay)
+        return self._grow(*_augment(self.res, 0.0, [], []))
+
+    def resolve(self, spec: AugmentedGraphSpec) -> CutSolution | None:
+        """A later round at ``spec``: the kept flow scaled by s = alpha'/alpha, augmented and grown.
+
+        ``spec`` holds the kept seed. Returns None, leaving the flow as it
+        was, where scaling cannot reach ``spec``: s is not in (0, 1), the
+        kept network holds an infinite capacity (the sentinel), or beta is
+        not s times the kept beta (at 1e-9, the roundoff of a fixed
+        beta/alpha; an infinite beta must stay infinite). The caller then
+        builds afresh.
+        """
+        kept = self.spec
+        s = spec.alpha / kept.alpha if kept.alpha > 0.0 else math.nan
+        if not 0.0 < s < 1.0 or self.net.infinite.any() or not math.isclose(spec.beta, s * kept.beta, rel_tol=1e-9):
+            return None
+        deg = self.carry.sink_deg if self.carry is not None else self.lay.snk_deg.tolist()
+        # Only a member outside the seed with a degree has an own attachment;
+        # at an infinite beta there is none, or the network would hold a sentinel.
+        own = [spec.beta * d if d > 0.0 else 0.0 for d in deg]
+        drop = [kept.beta * d - o if d > 0.0 else 0.0 for d, o in zip(deg, own)]
+        self.spec, self.first = spec, False
+        if self.split is not None:
+            self.split.rescale(spec.beta, own)
+        return self._grow(*_augment_scaled(self.res, self.value, s, drop))
+
+    def explored(self) -> np.ndarray:
+        """The graph nodes the residual holds, sorted."""
+        if self.carry is None:
+            return self.members
+        ids = np.array(self.carry.ids)
+        return np.sort(ids[ids >= 0])
+
+    def _grow(self, flow: float, reach: np.ndarray) -> CutSolution:
+        """Grow from a maximum ``flow`` with residual reach ``reach`` until no outside node is overloaded; check the cut."""
+        spec, g, res, split = self.spec, self.g, self.res, self.split
+        if split is not None and (found := split.violators(res, flow)) is not None:
+            if self.carry is None:
+                self.carry = _Carry(g, self.net, self.members, self.lay, split)
             while found is not None:
-                flow, reach = _augment(res, flow, *carry.grow(res, split, found))
+                flow, reach = _augment(res, flow, *self.carry.grow(res, split, found))
                 found = split.violators(res, flow)
-            # The residual grew in place. Its reach gives the side; the cut's
-            # capacity comes from the graph, so the check does not rest on the
-            # residual's bookkeeping.
-            ids = np.array(carry.ids)
+        self.value = flow
+        if self.carry is None:
+            s_side = self.members[reach[: self.members.size]]
+            if self.first:
+                _checked_min_cut(self.net, flow, reach)
+                return CutSolution(flow_value=flow, s_side=s_side)
+        else:
+            ids = np.array(self.carry.ids)
             s_side = np.sort(ids[reach & (ids >= 0)])
-            _check_cut(flow, reach[res.sink], _augmented_cut(spec, g, s_side))
-            return CutSolution(flow_value=flow, s_side=s_side), np.sort(ids[ids >= 0])
-    _checked_min_cut(net, flow, reach)
-    return CutSolution(flow_value=flow, s_side=explored[reach[: explored.size]]), explored
+        # The cut's capacity comes from the graph, so the check does not
+        # rest on the residual's bookkeeping.
+        _check_cut(flow, reach[res.sink], _augmented_cut(spec, g, s_side))
+        return CutSolution(flow_value=flow, s_side=s_side)
 
 
 class _Split:
@@ -377,6 +489,13 @@ class _Split:
         over = (inflow > self.limit + RESIDUAL_EPS * max(1.0, flow)).nonzero()[0]
         return sorted(zip(self.ends[over].tolist(), inflow[over].tolist())) if over.size else None
 
+    def rescale(self, beta: float, own: list[float]) -> None:
+        """Split every row again at sink scale ``beta``, where the i-th sink arc's own attachment is ``own[i]``."""
+        self.beta = beta
+        self.rows = [(k, p, own[p], lo, hi) for k, p, _, lo, hi in self.rows]
+        self.row_flow = [math.nan] * len(self.rows)
+        self.limit = beta * self.degrees[self.ends]
+
     def add(self, rows: list[tuple[int, int, float, list[float]]], ends: list[int], arcs: int) -> None:
         """Take new rows and the ``arcs`` sink arcs added with them.
 
@@ -405,9 +524,9 @@ class _Split:
 
 
 class _Carry:
-    """One local solve's growing residual in graph terms: which node each member is, and where its arcs are.
+    """One local flow's growing residual in graph terms: which node each member is, and where its arcs are.
 
-    Built only when the first round has violators, on the first round's
+    Built only when a round first has violators, on the first round's
     network: residual node k below the terminals is member k of that
     network, and each node that joins later takes the next id. ``grow``
     pulls in the violators ``_Split`` found and adds their arcs to the
@@ -420,7 +539,7 @@ class _Carry:
     its tail's run.
     """
 
-    __slots__ = ("g", "ids", "node", "snk", "row", "tag_end")
+    __slots__ = ("g", "ids", "node", "snk", "row", "tag_end", "sink_deg")
 
     def __init__(self, g: Graph, net: FlowNetwork, members: np.ndarray, lay: _Layout, split: _Split):
         m = members.size
@@ -434,6 +553,7 @@ class _Carry:
         for r, (k, *_) in enumerate(split.rows):
             self.row[k] = r
         self.tag_end = lay.tag_end.tolist()  # each tag's outside node
+        self.sink_deg = lay.snk_deg.tolist()  # each sink arc's degree behind its own attachment, in the sink's run
 
     def grow(self, res: _Residual, split: _Split, found: list[tuple[int, float]]) -> tuple[list[int], list[float]]:
         """Pull in the violators ``found`` (node, inflow), sorted by node, and carry the flow to them.
@@ -455,7 +575,8 @@ class _Carry:
         tags = len(tag_end)
         sinks, pairs, taken, new_rows, starts, surplus = [], [], [], [], [], []
         for k, (v, f), (lo, hi) in zip(range(first, res.num_nodes), found, bounds):
-            own = beta * float(degrees[v])
+            d = float(degrees[v])
+            own = beta * d
             outside, caps = 0.0, []
             for j, c in zip(indices[lo:hi].tolist(), weights[lo:hi].tolist()):
                 kj = node.get(j)
@@ -483,6 +604,7 @@ class _Carry:
                     row[k] = len(rows) + len(new_rows)
                     new_rows.append((k, len(sinks), own, caps))
                 sinks.append((k, res.sink, own + outside - sent, sent))
+                self.sink_deg.append(d)
             if f > sent:
                 starts.append(k)
                 surplus.append(f - sent)

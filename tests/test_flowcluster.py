@@ -315,7 +315,7 @@ class TestAdversarialShapes:
         for alpha, delta in ((0.02, 0.1), (0.1, 0.0), (0.1, 3.0), (0.5, 0.1)):
             spec = AugmentedGraphSpec(alpha=alpha, beta=alpha * (ratio + delta), seed=seed_ids)
             ref = solve_maxflow(materialize(spec, g))
-            sol, explored = solve_maxflow_local(spec, g)
+            sol, explored, _ = solve_maxflow_local(spec, g)
             assert sol.flow_value == pytest.approx(ref.flow_value, rel=1e-12)
             assert_ids(sol.s_side, ref.s_side)
             assert np.isin(sol.s_side, explored).all()
@@ -397,6 +397,7 @@ def test_refine_by_flow_hands_on_sorted_id_arrays(ring20, monkeypatch):
     # accepts a candidate; kappa = 1 solves the whole network, the others
     # solve locally.
     from localcluster import flowcluster
+    from localcluster.graph import _Seed
     from localcluster.results import ClusterResult
 
     passed = {"relative_conductance": [], "of_set": []}
@@ -404,7 +405,9 @@ def test_refine_by_flow_hands_on_sorted_id_arrays(ring20, monkeypatch):
     build = ClusterResult.of_set.__func__
 
     def spy_score(g, s, r, kappa=1.0):
-        passed["relative_conductance"] += [s, r]
+        # The seed comes normalized once per call, with its volume and ratio.
+        assert isinstance(r, _Seed)
+        passed["relative_conductance"] += [s, r.ids]
         return score(g, s, r, kappa=kappa)
 
     def spy_build(cls, g, set_ids, *args, **kwargs):

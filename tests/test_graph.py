@@ -252,6 +252,24 @@ def test_from_edges_names_the_first_duplicate(case, data):
     assert str(exc.value) == f"duplicate edge ({a}, {b})"
 
 
+@given(case=edge_rows(), data=st.data())
+def test_edges_in_increasing_order_build_what_any_order_builds(case, data):
+    """Rows strictly increasing in (min, max), as the loader gives them, skip the
+    sort and build the arrays of the shuffled rows bit for bit; sorted rows that
+    repeat an edge still name it."""
+    n, rows, weights = case
+    shuffled = Graph.from_edges(n, [a for a, _ in rows], [b for _, b in rows], weights)
+    ordered = sorted(((min(p), max(p)), w) for p, w in zip(rows, weights))
+    g = Graph.from_edges(n, [a for (a, _), _ in ordered], [b for (_, b), _ in ordered], [w for _, w in ordered])
+    for name in ("indptr", "indices", "weights"):
+        assert getattr(g, name).tobytes() == getattr(shuffled, name).tobytes(), name
+    if ordered:
+        k = data.draw(st.integers(0, len(ordered) - 1))
+        twice = ordered[: k + 1] + ordered[k:]
+        with pytest.raises(GraphFormatError, match=rf"duplicate edge \({ordered[k][0][0]}, {ordered[k][0][1]}\)"):
+            Graph.from_edges(n, [a for (a, _), _ in twice], [b for (_, b), _ in twice])
+
+
 class TestRawAdjacencyErrors:
     """Graph(indptr, indices, weights) names the first fault it finds.
 

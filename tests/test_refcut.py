@@ -15,8 +15,10 @@ from localcluster import (
     InvalidSetError,
     ParameterError,
     augmented_cut_value,
+    cut,
     cut_capacity,
     materialize,
+    relative_conductance,
     solve_maxflow,
     solve_maxflow_local,
 )
@@ -163,7 +165,7 @@ class TestLocalSolver:
                 spec = _fi_spec(g, seed_ids, alpha=rng.uniform(0.1, 2.0))
             net = materialize(spec, g)
             ref = solve_maxflow(net)
-            local_sol, explored = solve_maxflow_local(spec, g)
+            local_sol, explored, _ = solve_maxflow_local(spec, g)
             assert local_sol.flow_value == pytest.approx(ref.flow_value, rel=1e-9)
             assert_ids(local_sol.s_side, ref.s_side)
             assert np.isin(local_sol.s_side, explored).all()
@@ -172,7 +174,7 @@ class TestLocalSolver:
 
     def test_confined_solver_never_leaves_support(self, dumbbell):
         spec = _mqi_spec(dumbbell, (0, 1, 2, 3), alpha=0.12)
-        sol, explored = solve_maxflow_local(spec, dumbbell)
+        sol, explored, _ = solve_maxflow_local(spec, dumbbell)
         assert np.isin(sol.s_side, [0, 1, 2, 3]).all()
         assert_ids(explored, [0, 1, 2, 3])
 
@@ -188,15 +190,15 @@ class TestLocalSolver:
             prev = -1.0
             for alpha in (0.05, 0.2, 0.5, 1.0, 2.0, 5.0):
                 spec = _fi_spec(g, seed_ids, alpha=alpha)
-                sol, _ = solve_maxflow_local(spec, g)
+                sol, _, _ = solve_maxflow_local(spec, g)
                 kept = sum(g.degrees[i] for i in sol.s_side if i in seed_ids)
                 assert kept >= prev - 1e-12
                 prev = kept
 
     def test_warm_start_changes_nothing(self, dumbbell):
         spec = _fi_spec(dumbbell, (0, 1, 2, 3))
-        cold, _ = solve_maxflow_local(spec, dumbbell)
-        warm, explored = solve_maxflow_local(spec, dumbbell, warm_start=range(6))
+        cold, _, _ = solve_maxflow_local(spec, dumbbell)
+        warm, explored, _ = solve_maxflow_local(spec, dumbbell, warm_start=range(6))
         assert warm.flow_value == pytest.approx(cold.flow_value)
         assert_ids(warm.s_side, cold.s_side)
         assert_ids(explored, range(6))
@@ -328,7 +330,8 @@ def _kappa_spec(g, seed_ids, alpha, kappa):
 
 def assert_local_equals_global(spec, g, warm_start=()):
     ref = solve_maxflow(materialize(spec, g))
-    assert_local_solution(ref, *solve_maxflow_local(spec, g, warm_start=warm_start))
+    local = solve_maxflow_local(spec, g, warm_start=warm_start)
+    assert_local_solution(ref, local.solution, local.explored)
 
 
 def assert_local_solution(ref, sol, explored):
@@ -401,7 +404,7 @@ def test_surplus_goes_back_to_the_source(name, g, seed_ids, alpha, beta):
     spec = AugmentedGraphSpec(alpha=alpha, beta=beta, seed=seed_ids)
     ref = solve_maxflow(materialize(spec, g))
     with _surplus_returns() as returned:
-        sol, explored = solve_maxflow_local(spec, g)
+        sol, explored, _ = solve_maxflow_local(spec, g)
     assert_local_solution(ref, sol, explored)
     assert max(returned, default=0.0) > 0.1 * alpha, name
 
@@ -608,8 +611,8 @@ def test_refcut_reaches_a_residual_only_through_its_methods():
 
 def test_a_deep_local_solve_takes_rows_in_proportion_to_the_nodes_it_touches():
     """On a path, growth adds one or two nodes per round for about a hundred rounds;
-    each node's row enters the solve's residual once, and each solve builds one
-    network, its first round's."""
+    each node's row enters the call's one residual once, and the whole
+    refinement call builds one network, its first round's."""
     from localcluster import flowcluster, flownet, local_flow_improve, refcut
 
     rows, networks, solves = [], [], []
@@ -640,8 +643,8 @@ def test_a_deep_local_solve_takes_rows_in_proportion_to_the_nodes_it_touches():
         res = local_flow_improve(path_graph(3000), range(1490, 1510), delta=0.1)
     touched = res.touched_nodes
     assert 100 < touched < 3000
-    assert sum(rows) <= 2 * touched
-    assert len(networks) == len(solves) and sum(networks) <= touched
+    assert sum(rows) <= touched
+    assert len(networks) == len(solves) == 1 and sum(networks) <= touched
 
 
 # -- the certificate of a grown cut, and solves that never grow ------------------------
@@ -676,7 +679,7 @@ def test_a_grown_cut_is_certified_from_the_graph():
         spec, g, warm = case
         ref = solve_maxflow(materialize(spec, g))
         with _graph_certificates() as sides:
-            sol, explored = solve_maxflow_local(spec, g, warm_start=warm)
+            sol, explored, _ = solve_maxflow_local(spec, g, warm_start=warm)
         assert sol.flow_value == pytest.approx(ref.flow_value, rel=1e-9)
         assert_ids(sol.s_side, ref.s_side)
         first = _sorted_ids(np.concatenate((spec.seed, np.array(warm, dtype=np.int64))))
@@ -810,7 +813,9 @@ def _planted(blocks, size, seed):
 )
 def test_a_solve_that_never_grows_builds_no_carry(name, g, seeds, delta):
     """A local solve whose first round has no violator decides so from the split
-    alone: it builds no ``_Carry`` and checks its cut on its first network."""
+    alone: it builds no ``_Carry`` and checks its cut on its first network. The
+    later rounds of the call scale that flow, and each of their cuts is checked
+    against its capacity in the graph."""
     from localcluster import local_flow_improve, refcut
 
     splits, carries = [], []
@@ -827,10 +832,173 @@ def test_a_solve_that_never_grows_builds_no_carry(name, g, seeds, delta):
     with pytest.MonkeyPatch.context() as mp, _graph_certificates() as sides:
         mp.setattr(refcut._Split, "__init__", count_split)
         mp.setattr(refcut._Carry, "__init__", count_carry)
+        later = 0
         for seed in seeds:
+            checked = len(sides)
             res = local_flow_improve(g, seed, delta=delta)
             assert res.touched_nodes < g.n, name  # solved locally
-    assert splits and not carries and not sides, name
+            assert len(sides) - checked == res.iterations - 1, name
+            later += res.iterations - 1
+    assert len(splits) == len(seeds) and not carries and later, name
+
+
+# -- one local flow per refinement call, scaled between rounds ------------------------
+
+
+def _kept_rounds(g, seed_ids, kappa, max_iters=50):
+    """refine_by_flow's rounds on one kept local flow, whatever the crossover.
+
+    Yields (spec, current set, the kept flow, its solution) per round: the
+    first round from ``solve_maxflow_local``, every later one from
+    ``_LocalFlow.resolve``, which must not fall back.
+    """
+    seed = np.asarray(seed_ids, dtype=np.int64)
+    vol_r = float(g.degrees[seed].sum())
+    eps = kappa * vol_r / (g.total_volume - vol_r)
+    obj = cut(g, seed) / vol_r
+    current, flow = seed, None
+    for _ in range(max_iters):
+        spec = AugmentedGraphSpec(alpha=obj, beta=math.inf if math.isinf(eps) else obj * eps, seed=seed)
+        if flow is None:
+            sol, _, flow = solve_maxflow_local(spec, g, warm_start=current)
+        else:
+            sol = flow.resolve(spec)
+            assert sol is not None
+        yield spec, current, flow, sol
+        if not sol.s_side.size:
+            return
+        cand = relative_conductance(g, sol.s_side, seed, kappa=kappa)
+        if not cand < obj * (1.0 - 1e-12):
+            return
+        current, obj = sol.s_side, cand
+
+
+@st.composite
+def refine_cases(draw):
+    """A graph with 2-12 nodes, a seed of one node up to all nodes but one, and a kappa."""
+    n = draw(st.integers(2, 12))
+    g = random_connected_graph(n, seed=draw(st.integers(0, 10**6)), weighted=draw(st.booleans()))
+    seed_ids = sorted(draw(st.permutations(range(n)))[: draw(st.integers(1, n - 1))])
+    return g, seed_ids, draw(st.sampled_from((1.0 + 1e-6, 1.5, 10.0, math.inf)))
+
+
+def _ids_of(flow):
+    """The graph id of each node of a kept flow's residual, -1 at the terminals."""
+    return flow.carry.ids if flow.carry is not None else flow.members.tolist() + [-1, -1]
+
+
+def test_every_round_of_a_kept_flow_solves_as_a_fresh_one():
+    """Each later round scales the kept flow: right after the scaling, every arc
+    pair holds the capacities of a network built fresh on the members at the new
+    scales and s times its flow. Each walk of the split finds what a walk of
+    every member at the round's scales finds. The round's side and flow value
+    equal those of a fresh local solve warm-started from the current set and of
+    the whole network."""
+    from localcluster import flownet, refcut
+
+    grew_later = []  # per later round: did the kept flow grow in it
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=refine_cases())
+    def check(case):
+        g, seed_ids, kappa = case
+        scale, resolve, violators = flownet._Residual.scale, refcut._LocalFlow.resolve, refcut._Split.violators
+        scaled, kept = [], {}
+
+        def checked_violators(split, res, flow):
+            got = violators(split, res, flow)
+            assert got == _walk_every_member(split, res, flow)
+            return got
+
+        def spy_resolve(flow, spec):
+            kept.update(flow=flow, spec=flow.spec, next=spec)
+            return resolve(flow, spec)
+
+        def checked_scale(res, s, sink_drop):
+            ids = _ids_of(kept["flow"])
+            before = _capacities(kept["spec"], g, res, ids)
+            scale(res, s, sink_drop)
+            after = _capacities(kept["next"], g, res, ids)
+            tol = 1e-12 * max(1.0, sum(c + c_twin for *_, c, c_twin, _, _ in before))
+            for (u, v, c, _, r, _), (*_, c2, c2_twin, r2, r2_twin) in zip(before, after):
+                assert r2 + r2_twin == pytest.approx(c2 + c2_twin, abs=tol), (u, v)
+                assert c2 - r2 == pytest.approx(s * (c - r), abs=tol), (u, v)  # the flow along u -> v
+                assert r2 >= -tol and r2_twin >= -tol
+            scaled.append(s)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flownet._Residual, "scale", checked_scale)
+            mp.setattr(refcut._LocalFlow, "resolve", spy_resolve)
+            mp.setattr(refcut._Split, "violators", checked_violators)
+            size, rounds = None, 0
+            for spec, current, flow, sol in _kept_rounds(g, seed_ids, kappa):
+                ref = solve_maxflow(materialize(spec, g))
+                fresh, _, _ = solve_maxflow_local(spec, g, warm_start=current)
+                assert_ids(sol.s_side, ref.s_side)
+                assert_ids(sol.s_side, fresh.s_side)
+                assert sol.flow_value == pytest.approx(ref.flow_value, rel=1e-9)
+                assert sol.flow_value == pytest.approx(fresh.flow_value, rel=1e-9)
+                if size is not None:
+                    grew_later.append(len(_ids_of(flow)) > size)
+                size, rounds = len(_ids_of(flow)), rounds + 1
+        # Every later round scaled the kept flow once, by a factor in (0, 1).
+        assert len(scaled) == rounds - 1
+        assert all(0.0 < s < 1.0 for s in scaled)
+
+    check()
+    assert len(grew_later) >= 30 and sum(grew_later) >= 10, (len(grew_later), sum(grew_later))
+
+
+@pytest.mark.parametrize(
+    "name, kept_beta, warm, alpha, beta",
+    [
+        # Node 2's sink arc holds an infinite attachment, as the sentinel.
+        ("a sentinel in the kept network", math.inf, [2], 0.5, math.inf),
+        # Scaling cannot make a finite sink scale infinite, or the reverse.
+        ("an infinite sink scale after a finite one", 0.5, [2], 0.5, math.inf),
+        ("a finite sink scale after an infinite one", math.inf, [], 0.5, 0.25),
+        ("another beta/alpha", 0.5, [2], 0.5, 0.1),
+        ("s = 1", 0.5, [2], 1.0, 0.5),
+        ("s > 1", 0.5, [2], 2.0, 1.0),
+        ("s = 0", 0.5, [2], 0.0, 0.0),
+    ],
+)
+def test_a_kept_flow_that_scaling_cannot_reach_is_left_as_it_was(name, kept_beta, warm, alpha, beta):
+    # A triangle 0-1-2 with a tail 2-3-4, seed {0, 1}.
+    g = Graph.from_edges(5, [0, 0, 1, 2, 3], [1, 2, 2, 3, 4])
+    _, _, flow = solve_maxflow_local(AugmentedGraphSpec(alpha=1.0, beta=kept_beta, seed=[0, 1]), g, warm_start=warm)
+    assert flow.net.infinite.any() == (name == "a sentinel in the kept network")
+    before = (flow.spec, flow.value, list(flow.res.cap))
+    assert flow.resolve(AugmentedGraphSpec(alpha=alpha, beta=beta, seed=[0, 1])) is None, name
+    assert (flow.spec, flow.value, list(flow.res.cap)) == before, name
+
+
+def test_a_round_at_zero_source_scale_builds_afresh():
+    """mqi on a graph of three components reaches objective 0: the second round runs
+    at alpha = 0, where s = 0, so the call builds a second network, warm-started from
+    the current set; touched counts the nodes of both networks (the same four here)."""
+    from localcluster import mqi, refcut
+
+    g = Graph.from_edges(9, [0, 1, 0, 3, 4, 3, 6, 7], [1, 2, 2, 4, 5, 5, 7, 8])
+    networks, resolved = [], []
+    subnetwork, resolve = refcut._subnetwork, refcut._LocalFlow.resolve
+
+    def count_network(spec, g, members):
+        networks.append(spec.alpha)
+        return subnetwork(spec, g, members)
+
+    def count_resolve(flow, spec):
+        out = resolve(flow, spec)
+        resolved.append(out is not None)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refcut, "_subnetwork", count_network)
+        mp.setattr(refcut._LocalFlow, "resolve", count_resolve)
+        res = mqi(g, [0, 1, 2, 3])
+    assert res.set_ids == (0, 1, 2) and res.history == (0.25, 0.0) and res.iterations == 2
+    assert networks == [0.25, 0.0] and resolved == [False]
+    assert res.touched_nodes == 4
 
 
 # -- one materialized network, re-scaled between solves -------------------------------
