@@ -36,8 +36,8 @@ fixed), scales that flow by s and augments and grows from there
 (``refcut._LocalFlow.resolve``). Where the bound reaches vol(V), as it
 always does at kappa = 1, growing cannot save work and the network is
 built whole, once per call: between rounds only alpha and beta change,
-so each later round re-scales the source and sink arcs of the same
-network (``refcut.rescale``) and solves it again from zero flow. Past
+so each later round solves, from zero flow, a network at the new source
+and sink scales that shares the first one's arcs (``refcut.rescale``). Past
 the crossover the local solver measured far slower than the whole-graph
 solve: on a planted 2k-node graph's 8 seed sets at kappa = 1 + 1e-12 it
 touched all nodes but one, in about 31 grow rounds per solve, and took
@@ -100,18 +100,17 @@ def refine_by_flow(
     terminates: at a rejection, at an empty s-side, or at ``max_iters``.
     Where the output volume bound vol(R)*(1 + 2/epsilon) + cut(R), with
     epsilon = kappa*ratio, reaches vol(V), which it always does at kappa =
-    1, every round solves the fully materialized network, built in the
-    first round and re-scaled in place (source and sink arcs only) in each
-    later one, and ``touched_nodes`` is n. Below it the rounds solve
+    1, every round solves the fully materialized network: the first round
+    builds it, and each later one solves a copy at the new source and sink
+    scales that shares its arcs (``refcut.rescale``); ``touched_nodes`` is n. Below it the rounds solve
     strongly locally on one residual: the first round, warm-started from
     R, builds the call's one network and grows its subgraph on demand,
     carrying its flow from one grow round to the next. Each later round
     keeps that residual and its maximum flow, multiplied by s = alpha'/alpha
     in (0, 1): the source arcs and each member's own sink attachment scale
     by s as well, and edges keep their capacities, so the scaled flow is
-    feasible and conserving; the round augments and grows from it. The
-    first round's cut, if it never grew, is checked on its network; every
-    later cut is checked against its capacity in the graph, with the sink
+    feasible and conserving; the round augments and grows from it. Every
+    local cut is checked against its capacity in the graph, with the sink
     outside the residual reach. A round that scaling cannot reach (s
     outside (0, 1), which happens once the objective reaches 0) builds
     afresh, warm-started from the current set. ``touched_nodes`` counts
@@ -156,7 +155,7 @@ def refine_by_flow(
             if net is None:
                 net = materialize(spec, g)
             else:
-                rescale(net, spec, g)
+                net = rescale(net, spec, g)
             sol = solve_maxflow(net)
         else:
             sol = flows[-1].resolve(spec) if flows else None

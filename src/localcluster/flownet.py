@@ -1,40 +1,32 @@
 """Max-flow / min-cut engine on real-valued capacities.
 
-A network is a set of arrays over paired arcs (arc 2k is the k-th arc's
-forward direction, arc 2k+1 its reverse), plus the stable CSR permutation
-that groups arc ids by tail. The one constructor checks the arrays and
-freezes them, so no solver checks or freezes a network again. Both
-engines run on flat Python lists (``_Residual``). The lists of the arc
-structure (heads, reverse arcs, each node's run) are taken once per
-network, when a residual first needs them; each solve takes only a
+A network is a value: arrays over paired arcs (arc 2k is the k-th arc's
+forward direction, arc 2k+1 its reverse), the stable CSR permutation
+that groups arc ids by tail, and the arcs' capacities. The one
+constructor checks the arrays and freezes them, so no solver checks or
+freezes a network again, and a solve only reads it. A network at other
+capacities on the same arcs (``FlowNetwork._with_capacities``) shares
+the arc arrays and is not frozen again. Both engines run on flat Python
+lists (``_Residual``), which this module alone writes. The lists of the
+arc structure (heads, reverse arcs, each node's run) are taken once per
+arc structure, when a residual first needs them; each solve takes only a
 capacity list.
-
-This module owns the residuals: no caller writes them except through a
-residual's own growth methods. A network holds its arc structure, fixed
-at birth; its capacities before any flow, ``cap_init``, which only
-``FlowNetwork.set_capacities`` replaces (with a checked copy that gives
-some arcs new capacities, so a network whose arcs stay can be solved
-again at new capacities without being built again); and ``cap``, its
-residuals, which are ``cap_init`` until a solve and that solve's output
-after it. The residual array is written back from the solve's list when
-it is first read, so a caller that reads only the cut pays nothing for
-it.
 
 ``solve_maxflow``, the whole-network solve, runs FIFO push-relabel with
 global relabeling and the gap heuristic (Goldberg & Tarjan 1988;
-Cherkassky & Goldberg 1997) from zero flow, at ``cap_init``: it
-saturates the source's arcs and discharges the excess toward the sink;
-``_return_excess`` then sends what cannot arrive back to the source, so
-the solve ends with a flow whose residual reach from the source is the
-minimal min cut. A relabel that empties its old label cuts off every
-node above it at once (the gap), where those nodes would otherwise climb
-one label at a time until the relabel budget ran out and a global
-relabel cut them off; and a relabel's scan stops at the first neighbour
-at the node's own label, the lowest any valid labeling allows. Where a
-network's last, certifying round must saturate thousands of tiny sink
-arcs, Dinic pays a whole-network BFS per phase and a dead-end DFS per
-augmenting path, while push-relabel saturates them by local pushes; on
-deep networks (a 3000-node path) Dinic needs one phase per level.
+Cherkassky & Goldberg 1997) from zero flow: it saturates the source's
+arcs and discharges the excess toward the sink; ``_return_excess`` then
+sends what cannot arrive back to the source, so the solve ends with a
+flow whose residual reach from the source is the minimal min cut. A
+relabel that empties its old label cuts off every node above it at once
+(the gap), where those nodes would otherwise climb one label at a time
+until the relabel budget ran out and a global relabel cut them off; and
+a relabel's scan stops at the first neighbour at the node's own label,
+the lowest any valid labeling allows. Where a network's last, certifying
+round must saturate thousands of tiny sink arcs, Dinic pays a
+whole-network BFS per phase and a dead-end DFS per augmenting path,
+while push-relabel saturates them by local pushes; on deep networks (a
+3000-node path) Dinic needs one phase per level.
 
 Dinic's blocking flow (``_dinic``) serves the strongly-local solver
 (``refcut``), which holds one residual per refinement call and grows it
@@ -75,6 +67,7 @@ with a finite cut once the total reaches 2**53 and absorbs the 1.
 
 from __future__ import annotations
 
+import copy
 import math
 from array import array
 from dataclasses import dataclass
@@ -94,7 +87,7 @@ DUALITY_RTOL = 1e-9
 
 
 class FlowNetwork:
-    """Directed flow network with paired arcs, checked and frozen when built.
+    """Directed flow network with paired arcs and their capacities, checked and frozen when built.
 
     ``head[a]`` and ``cap[a]`` (+inf allowed) are given for every arc id.
     Arc 2k is the forward direction of the k-th pair and arc 2k+1 its
@@ -102,14 +95,11 @@ class FlowNetwork:
     ``head[a ^ 1]``. Heads that are not integers in [0, num_nodes), arcs
     without a twin or a capacity, self-arcs, and negative or NaN
     capacities raise ParameterError before any work. The network holds
-    ``cap_init`` (the capacities before any flow, each infinite one
-    replaced by the sentinel), the ``infinite`` arc mask, and ``order`` /
-    ``first``: arc ids sorted stably by tail, so node u's arcs are
-    ``order[first[u]:first[u + 1]]`` in id order. All of these and
-    ``head`` are read-only; only ``set_capacities`` replaces ``cap_init``.
-    ``cap`` holds the residuals, read-only too: ``cap_init`` until a
-    solve, then that solve's residuals. Only this module's solvers set
-    them.
+    ``capacity`` (each infinite capacity replaced by the sentinel), the
+    ``infinite`` arc mask, and ``order`` / ``first``: arc ids sorted
+    stably by tail, so node u's arcs are ``order[first[u]:first[u + 1]]``
+    in id order. All of these and ``head`` are read-only, and nothing
+    replaces them: a solve only reads the network.
     """
 
     def __init__(self, num_nodes: int, source: int, sink: int, head: np.ndarray, cap: np.ndarray):
@@ -133,20 +123,10 @@ class FlowNetwork:
         self.head = head
         self.freeze(cap)
 
-    @property
-    def cap(self) -> np.ndarray:
-        """Residual capacity of every arc: ``cap_init`` until a solve, then the solve's residuals."""
-        if self._solved is not None:
-            res, self._solved = self._solved, None
-            self._cap = np.empty(res.order.size)
-            self._cap[res.order] = res.cap
-            self._cap.setflags(write=False)
-        return self._cap
-
     def freeze(self, cap: np.ndarray) -> None:
-        """Group the arcs by tail, lock the arc arrays, and take ``cap`` as the capacities before any flow.
+        """Group the arcs by tail, lock the arc arrays, and take ``cap`` as the capacities.
 
-        Runs once per network, from the constructor.
+        Runs once per arc structure, from the constructor.
         """
         tails = _tails(self.head)
         # numpy sorts keys of 16 bits or fewer by radix sort, several times
@@ -163,20 +143,20 @@ class FlowNetwork:
         """The solvers' arc lists (``_arc_lists``), which depend only on the arcs: taken when a residual first needs them."""
         return _arc_lists(self)
 
-    def set_capacities(self, arcs: np.ndarray, caps: np.ndarray) -> None:
-        """Give arcs ``arcs`` the capacities ``caps`` (+inf allowed), with no flow.
+    def _with_capacities(self, cap: np.ndarray) -> FlowNetwork:
+        """A network with these arcs and the capacities ``cap`` (+inf allowed), by arc id.
 
-        The other arcs keep their capacities before any flow, and the
-        sentinel is set again by the rule of ``_set_initial`` over the new
-        finite capacities. A capacity that ``_set_initial`` rejects leaves
-        the network as it was.
+        The new network shares this one's arc arrays and whatever arc lists
+        it has taken, so it is not frozen again. ``cap`` goes through
+        ``_set_initial``: a capacity it rejects raises there, and this
+        network is left as it was either way.
         """
-        cap = np.where(self.infinite, math.inf, self.cap_init)
-        cap[arcs] = caps
-        self._set_initial(cap)
+        net = copy.copy(self)
+        net._set_initial(np.array(cap, dtype=np.float64))
+        return net
 
     def _set_initial(self, cap: np.ndarray) -> None:
-        """Take ``cap`` as the capacities before any flow, each infinite one replaced by the sentinel.
+        """Take ``cap`` (a copy no caller holds) as the capacities, each infinite one replaced by the sentinel.
 
         Every capacity a network holds enters here, so this is its one
         capacity check: each must be nonnegative, and NaN is not. The
@@ -192,12 +172,7 @@ class FlowNetwork:
             cap[infinite] = 2.0 * sum(cap[~infinite].tolist()) + 1.0
         for arr in (cap, infinite):
             arr.setflags(write=False)
-        self.infinite, self.cap_init = infinite, cap
-        self._cap, self._solved = cap, None
-
-    def arc_flow(self, a: int) -> float:
-        """Net flow routed along forward arc ``a``."""
-        return float(self.cap_init[a] - self.cap[a])
+        self.infinite, self.capacity = infinite, cap
 
 
 def _tails(head: np.ndarray) -> np.ndarray:
@@ -222,7 +197,7 @@ def solve_maxflow(net: FlowNetwork) -> CutSolution:
     The s-side is the sorted array of non-terminal nodes reachable from
     the source in the residual network, which is the inclusion-minimal
     minimum cut regardless of which maximum flow was found. The solve
-    starts from ``net.cap_init`` and leaves its residuals in ``net.cap``.
+    runs on a residual of its own and leaves ``net`` as it was.
 
     Raises
     ------
@@ -235,9 +210,7 @@ def solve_maxflow(net: FlowNetwork) -> CutSolution:
         left that could not be sent back to the source (never expected
         either).
     """
-    res = _Residual(net, net.cap_init)
-    flow, reach = _push_relabel(res, net.source, net.sink)
-    res.store(net)
+    flow, reach = _push_relabel(_Residual(net, net.capacity), net.source, net.sink)
     _checked_min_cut(net, flow, reach)
     reach[net.source] = False
     return CutSolution(flow_value=flow, s_side=np.flatnonzero(reach))
@@ -273,8 +246,7 @@ def _check_cut(flow: float, sink_reached: bool, cap_sent: float) -> None:
 def cut_capacity(net: FlowNetwork, s_nodes: Iterable[int]) -> float:
     """Capacity of the cut whose source side is {source} | s_nodes.
 
-    Uses the capacities before any flow (``cap_init``), so a solve in
-    between changes nothing. A cut that crosses an infinite arc is +inf,
+    A cut that crosses an infinite arc is +inf,
     which is the right reading for oracle comparisons. Ids that are not
     integers raise InvalidSetError, as on every other query path; ids out
     of range, or the sink, raise ParameterError.
@@ -291,11 +263,11 @@ def cut_capacity(net: FlowNetwork, s_nodes: Iterable[int]) -> float:
 
 
 def _cut_of(net: FlowNetwork, side: np.ndarray) -> float:
-    """Capacity before any flow of the arcs leaving the node mask ``side``; +inf if one of them is infinite."""
+    """Capacity of the arcs leaving the node mask ``side``; +inf if one of them is infinite."""
     crossing = side[_tails(net.head)] & ~side[net.head]
     if (crossing & net.infinite).any():
         return math.inf
-    return float(net.cap_init[crossing].sum())
+    return float(net.capacity[crossing].sum())
 
 
 # -- residual lists and Dinic internals ------------------------------------
@@ -312,13 +284,11 @@ class _Residual:
     ``first`` and ``end`` depend only on the arcs, so the network takes
     them once and all its residuals share them; each residual takes its
     own capacity list, from the start residuals ``cap`` (by arc id). The
-    lists may serve several solver calls; ``store`` makes them the
-    network's residuals, ``net.cap``.
+    lists may serve several solver calls; none of them writes the network.
 
     A residual can also grow in place, for the strongly-local solver. Its
     first growth call gives it copies of the shared lists, in which each
-    node's run fills the front of a block of slots, ``first[u]:limit[u]``;
-    from then on it belongs to no network and is never stored.
+    node's run fills the front of a block of slots, ``first[u]:limit[u]``.
     ``add_nodes`` appends nodes, each with a block of its own,
     ``add_pairs`` appends arc pairs at the ends of their tails' and heads'
     runs, and ``take`` lowers arcs' capacities and the flow they carry. A
@@ -330,21 +300,13 @@ class _Residual:
     sink are the flows on the arcs into it.
     """
 
-    __slots__ = ("order", "head", "cap", "rev", "first", "end", "limit", "num_nodes", "source", "sink")
+    __slots__ = ("head", "cap", "rev", "first", "end", "limit", "num_nodes", "source", "sink")
 
     def __init__(self, net: FlowNetwork, cap: np.ndarray):
-        self.order, self.head, self.rev, self.first, self.end = net._lists
-        self.cap = cap[self.order].tolist()
+        self.head, self.rev, self.first, self.end = net._lists
+        self.cap = cap[net.order].tolist()
         self.num_nodes, self.source, self.sink = net.num_nodes, net.source, net.sink
         self.limit = None  # each block's end, once the residual grows
-
-    def store(self, net: FlowNetwork) -> None:
-        """Make these capacities ``net.cap``.
-
-        The array is built when ``net.cap`` is first read, so the lists
-        must not change after this call.
-        """
-        net._solved = self
 
     def run(self, v: int) -> list[float]:
         """The residual of each arc of v's run, in run order.
@@ -425,7 +387,6 @@ class _Residual:
     def _own(self) -> None:
         """Before the first growth: take copies of the shared lists, in which each node's block is its run."""
         if self.limit is None:
-            self.order = None
             self.head = list(self.head)
             self.rev = array("q", self.rev.tobytes())
             self.first, self.end = list(self.first), list(self.end)
@@ -464,7 +425,7 @@ def _run_index(net: FlowNetwork, arcs: np.ndarray) -> list[int]:
 
 
 def _arc_lists(net: FlowNetwork) -> tuple:
-    """``_Residual``'s arc lists of a network's frozen arc structure: order, head, rev, first and end."""
+    """``_Residual``'s arc lists of a network's frozen arc structure: head, rev, first and end."""
     order = net.order
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
@@ -478,7 +439,7 @@ def _arc_lists(net: FlowNetwork) -> tuple:
     # the array serves; a list would hold an int object per arc.
     rev = memoryview(position[order ^ 1])
     first = net.first.tolist()
-    return order, head, rev, first[:-1], first[1:]
+    return head, rev, first[:-1], first[1:]
 
 
 def _augment(res: _Residual, flow: float, starts: list[int], surplus: list[float]) -> tuple[float, np.ndarray]:

@@ -5,9 +5,8 @@ node/edge list): every graph edge keeps its weight, the source attaches to
 each seed node i with capacity alpha*d_i, and every other node attaches
 to the sink with capacity beta*d_i. Zero-weight attachments are omitted,
 which is what makes strongly-local solving possible. ``materialize``
-builds the whole network; ``rescale`` gives a built one new source and
-sink scales in place, leaving its edge arcs and its arc structure as
-they are.
+builds the whole network; ``rescale`` returns one at new source and sink
+scales that shares the built one's arcs.
 
 ``solve_maxflow_local`` solves on a grown subset of the nodes, the
 members, with everything else contracted into the sink: each member has
@@ -42,11 +41,8 @@ beta/alpha), the caller builds a fresh solve.
 
 This module writes the residual only through those methods and calls
 and reads it only through ``_Residual.run``. Every returned cut is
-checked against a capacity that does not rest on the residual's
-bookkeeping: a first round that never grew checks its cut on its own
-network, from the checked ``FlowNetwork`` constructor
-(``flownet._checked_min_cut``); a grown or scaled one checks that the
-residual does not reach the sink and that the flow equals the cut's
+checked by one rule that does not rest on the residual's bookkeeping:
+the residual must not reach the sink, and the flow must equal the cut's
 capacity in the graph itself (``augmented_cut_value``). The one
 tolerance here, ``RESIDUAL_EPS``, is the margin of the violator test.
 """
@@ -67,7 +63,6 @@ from .flownet import (
     _augment,
     _augment_scaled,
     _check_cut,
-    _checked_min_cut,
     _Residual,
     _run_index,
 )
@@ -155,18 +150,19 @@ def materialize(spec: AugmentedGraphSpec, g: Graph) -> FlowNetwork:
     return _subnetwork(spec, g, np.arange(g.n))[0]
 
 
-def rescale(net: FlowNetwork, spec: AugmentedGraphSpec, g: Graph) -> None:
-    """Give a network from ``materialize`` the terminal capacities of ``spec``, with no flow.
+def rescale(net: FlowNetwork, spec: AugmentedGraphSpec, g: Graph) -> FlowNetwork:
+    """The network from ``materialize`` at the terminal capacities of ``spec``, on the same arcs.
 
-    Source arcs get alpha*d_i and sink arcs beta*d_i; the edge arcs are
-    left alone, and so is the arc set. Every attachment that ``spec``
-    makes positive must have its arc already, as each does when the
-    network was materialized on the same graph and seed at positive alpha
-    and beta; otherwise ParameterError. Where every attachment is
-    positive the network then equals a fresh ``materialize(spec, g)`` bit
-    for bit. An attachment that is zero keeps its arc, at capacity 0,
-    where the fresh network omits it: the minimal min cut is the same,
-    but a solve may sum its flow in another order.
+    Source arcs get alpha*d_i and sink arcs beta*d_i; the edge arcs keep
+    their capacities. The new network shares ``net``'s arcs, and ``net``
+    stays as it was. Every attachment that ``spec`` makes positive must
+    have its arc already, as each does when the network was materialized
+    on the same graph and seed at positive alpha and beta; otherwise
+    ParameterError. Where every attachment is positive the result equals
+    a fresh ``materialize(spec, g)`` bit for bit. An attachment that is
+    zero keeps its arc, at capacity 0, where the fresh network omits it:
+    the minimal min cut is the same, but a solve may sum its flow in
+    another order.
     """
     spec.validate_against(g)
     if net.num_nodes != g.n + 2:
@@ -182,7 +178,10 @@ def rescale(net: FlowNetwork, spec: AugmentedGraphSpec, g: Graph) -> None:
     has[src_node] = has[snk_node] = True
     if not in_seed[src_node].all() or in_seed[snk_node].any() or (~has & (attachment > 0.0)).any():
         raise ParameterError("network lacks an attachment of this spec, or has one off its seed")
-    net.set_capacities(np.concatenate((2 * src, 2 * snk)), attachment[np.concatenate((src_node, snk_node))])
+    cap = np.where(net.infinite, math.inf, net.capacity)
+    cap[2 * src] = attachment[src_node]
+    cap[2 * snk] = attachment[snk_node]
+    return net._with_capacities(cap)
 
 
 class _Layout(NamedTuple):
@@ -298,10 +297,9 @@ def solve_maxflow_local(
     endpoint fits under that node's sink attachment; endpoints where it
     does not are pulled into the subgraph, their arcs are added to the
     residual in place, the flow is carried over (see ``_Carry``) and
-    augmented from there. A solve that never grows checks its cut on the
-    first round's network, built by the checked constructor; a grown one
-    checks the sink's reach in the residual and compares the flow with
-    the cut's capacity in the whole graph (``augmented_cut_value``). On
+    augmented from there. The cut is checked as every local cut is: the
+    sink must lie outside the residual reach, and the flow must equal the
+    cut's capacity in the whole graph (``augmented_cut_value``). On
     return both the flow value and the minimal s-side equal solve_maxflow
     on the fully materialized network.
 
@@ -334,22 +332,20 @@ class _LocalFlow:
     No capacity falls below s times what it was, so the scaled flow is
     feasible, and it conserves, as scaling is linear. Each ``_Split``
     row is split again at beta', and the round augments and grows as a
-    grow round does. A cut whose residual still holds the first network's
-    capacities is checked on that network; every other is checked
-    against its capacity in the graph (``augmented_cut_value``), with the
-    sink outside the reach.
+    grow round does. Every round's cut is checked the same way: the sink
+    must lie outside the residual reach, and the flow must equal the
+    cut's capacity in the graph (``augmented_cut_value``).
     """
 
-    __slots__ = ("spec", "g", "members", "net", "lay", "res", "value", "split", "carry", "first")
+    __slots__ = ("spec", "g", "members", "net", "lay", "res", "value", "split", "carry")
 
     def __init__(self, spec: AugmentedGraphSpec, g: Graph, members: np.ndarray):
         self.spec, self.g, self.members = spec, g, members
         self.net, self.lay = _subnetwork(spec, g, members)
-        self.res = _Residual(self.net, self.net.cap_init)
+        self.res = _Residual(self.net, self.net.capacity)
         self.value = 0.0  # of the maximum flow the residual holds
         self.split: _Split | None = None
         self.carry: _Carry | None = None
-        self.first = True  # the residual holds the first network's capacities
 
     def solve(self) -> CutSolution:
         """The first round: a maximum flow from zero, grown until no outside node is overloaded."""
@@ -376,7 +372,7 @@ class _LocalFlow:
         # at an infinite beta there is none, or the network would hold a sentinel.
         own = [spec.beta * d if d > 0.0 else 0.0 for d in deg]
         drop = [kept.beta * d - o if d > 0.0 else 0.0 for d, o in zip(deg, own)]
-        self.spec, self.first = spec, False
+        self.spec = spec
         if self.split is not None:
             self.split.rescale(spec.beta, own)
         return self._grow(*_augment_scaled(self.res, self.value, s, drop))
@@ -400,9 +396,6 @@ class _LocalFlow:
         self.value = flow
         if self.carry is None:
             s_side = self.members[reach[: self.members.size]]
-            if self.first:
-                _checked_min_cut(self.net, flow, reach)
-                return CutSolution(flow_value=flow, s_side=s_side)
         else:
             ids = np.array(self.carry.ids)
             s_side = np.sort(ids[reach & (ids >= 0)])

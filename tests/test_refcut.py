@@ -25,7 +25,7 @@ from localcluster import (
 from localcluster.graph import Graph, _sorted_ids
 from localcluster.refcut import _subnetwork, rescale
 from localcluster.synth import path_graph, random_connected_graph, ring_of_cliques, star_graph
-from test_flownet import ArcRows, assert_ids
+from test_flownet import ArcRows, assert_ids, push_relabel_residuals
 
 
 def _fi_spec(g, seed_ids, alpha=1.0):
@@ -117,7 +117,7 @@ class TestMaterialize:
         # One source arc (node 0), two sink arcs (the seed node carries no
         # sink mass), three edges.
         assert len(net.head) == 2 * (1 + 2 + 3)
-        assert sorted(net.cap[0::2].tolist()) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+        assert sorted(net.capacity[0::2].tolist()) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
 
     def test_zero_weight_attachments_omitted(self, triangle):
         # beta = 0: no sink arcs, 1 source + 3 edges; alpha = 0: no source arc.
@@ -268,12 +268,12 @@ def assert_builders_agree(spec, g, members):
     ref, (snk, tagged) = reference_subnetwork(spec, g, members)
     assert (net.num_nodes, net.source, net.sink) == (ref.num_nodes, ref.source, ref.sink)
     assert _bits(net.head, np.int64) == _bits(ref.head, np.int64)
-    assert _bits(net.cap, np.float64) == _bits(ref.cap, np.float64)
+    assert _bits(net.capacity, np.float64) == _bits(ref.capacity, np.float64)
     assert list(zip(lay.snk.tolist(), lay.snk_member.tolist())) == [(a, k) for a, k, _ in snk]
     assert _bits(lay.own, np.float64) == _bits([own for *_, own in snk], np.float64)
     assert list(zip(lay.tag_member.tolist(), lay.tag_end.tolist())) == [(k, j) for k, j, _ in tagged]
     assert _bits(lay.tag_cap, np.float64) == _bits([c for *_, c in tagged], np.float64)
-    for name in ("head", "cap", "cap_init", "infinite", "order", "first"):
+    for name in ("head", "capacity", "infinite", "order", "first"):
         assert getattr(net, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
@@ -454,7 +454,7 @@ def _fresh_pairs(spec, g, members):
     net, _ = _subnetwork(spec, g, members)
     name = {net.source: "s", net.sink: "t"}
     ids = members.tolist()
-    heads, caps = net.head.reshape(-1, 2).tolist(), net.cap_init.reshape(-1, 2).tolist()
+    heads, caps = net.head.reshape(-1, 2).tolist(), net.capacity.reshape(-1, 2).tolist()
     return {tuple(name.get(x, ids[x] if x < len(ids) else x) for x in (t, h)): tuple(c) for (h, t), c in zip(heads, caps)}
 
 
@@ -496,7 +496,7 @@ def _one_grow_round(spec, g, members):
     from localcluster.refcut import _Carry, _Split
 
     net, lay = _subnetwork(spec, g, members)
-    res = _Residual(net, net.cap_init)
+    res = _Residual(net, net.capacity)
     flow, _ = _augment(res, 0.0, [], [])
     if math.isinf(spec.beta) or not lay.tag_end.size:
         return None
@@ -583,7 +583,7 @@ def test_a_grow_round_leaves_the_first_network_alone():
     net, carry, res, flow, (starts, surplus) = _one_grow_round(spec, g, spec.seed)
     assert starts and flow > 0.0
     assert res.num_nodes == net.num_nodes + 1
-    assert net.cap.tobytes() == net.cap_init.tobytes()
+    assert net.capacity.tobytes() == _subnetwork(spec, g, spec.seed)[0].capacity.tobytes()
     lists = [res.head, res.rev, res.first, res.end]
     assert not any(x is y for x in lists for y in net._lists)
 
@@ -668,9 +668,9 @@ def _graph_certificates():
 
 
 def test_a_grown_cut_is_certified_from_the_graph():
-    """The local solve equals the whole-network solve in its side and its flow. A
-    solve that grew checks its cut against the cut's capacity in the graph, also
-    where the side holds nodes that joined after the first round."""
+    """The local solve equals the whole-network solve in its side and its flow. Every
+    solve checks its cut once, against the cut's capacity in the graph, whether it
+    grew or not, also where the side holds nodes that joined after the first round."""
     left_the_first_round = []
 
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -682,13 +682,11 @@ def test_a_grown_cut_is_certified_from_the_graph():
             sol, explored, _ = solve_maxflow_local(spec, g, warm_start=warm)
         assert sol.flow_value == pytest.approx(ref.flow_value, rel=1e-9)
         assert_ids(sol.s_side, ref.s_side)
+        assert len(sides) == 1
+        assert_ids(sides[0], sol.s_side)
         first = _sorted_ids(np.concatenate((spec.seed, np.array(warm, dtype=np.int64))))
         if explored.size > first.size:  # the solve grew
-            assert len(sides) == 1
-            assert_ids(sides[0], sol.s_side)
             left_the_first_round.append(not np.isin(sol.s_side, first).all())
-        else:
-            assert not sides
 
     check()
     assert sum(left_the_first_round) >= 10, left_the_first_round
@@ -813,9 +811,9 @@ def _planted(blocks, size, seed):
 )
 def test_a_solve_that_never_grows_builds_no_carry(name, g, seeds, delta):
     """A local solve whose first round has no violator decides so from the split
-    alone: it builds no ``_Carry`` and checks its cut on its first network. The
-    later rounds of the call scale that flow, and each of their cuts is checked
-    against its capacity in the graph."""
+    alone: it builds no ``_Carry``. The later rounds of the call scale that flow,
+    and every round's cut, the first one's too, is checked once against its
+    capacity in the graph."""
     from localcluster import local_flow_improve, refcut
 
     splits, carries = [], []
@@ -837,7 +835,7 @@ def test_a_solve_that_never_grows_builds_no_carry(name, g, seeds, delta):
             checked = len(sides)
             res = local_flow_improve(g, seed, delta=delta)
             assert res.touched_nodes < g.n, name  # solved locally
-            assert len(sides) - checked == res.iterations - 1, name
+            assert len(sides) - checked == res.iterations, name
             later += res.iterations - 1
     assert len(splits) == len(seeds) and not carries and later, name
 
@@ -1049,46 +1047,33 @@ def assert_rescaled_solves_match(g, seed_ids, rounds, seen):
     net = None
     for alpha, beta in rounds:
         spec = AugmentedGraphSpec(alpha=alpha, beta=beta, seed=seed_ids)
-        if net is None:
-            net = materialize(spec, g)
-        else:
-            rescale(net, spec, g)
+        net = materialize(spec, g) if net is None else rescale(net, spec, g)
         got = solve_maxflow(net)
         fresh = materialize(spec, g)
         want = solve_maxflow(fresh)
         assert got.flow_value == want.flow_value
         assert_ids(got.s_side, want.s_side)
-        # net.cap holds the solve's residuals: the flow leaves the source.
+        # The solve's residuals: the flow leaves the source.
+        residual = push_relabel_residuals(net)
         from_source = net.head[1::2] == net.source
-        sent = net.cap_init[0::2][from_source] - net.cap[0::2][from_source]
+        sent = net.capacity[0::2][from_source] - residual[0::2][from_source]
         assert sent.sum() == pytest.approx(got.flow_value, rel=1e-12, abs=1e-12)
         if alpha > 0.0 and beta > 0.0:  # every terminal arc has positive capacity
             assert seen[-2] == seen[-1]
-            assert _bits(net.cap, np.float64) == _bits(fresh.cap, np.float64)
-            assert _bits(net.cap_init, np.float64) == _bits(fresh.cap_init, np.float64)
+            assert _bits(residual, np.float64) == _bits(push_relabel_residuals(fresh), np.float64)
+            assert _bits(net.capacity, np.float64) == _bits(fresh.capacity, np.float64)
             assert net.infinite.tobytes() == fresh.infinite.tobytes()
-
-
-def test_solving_a_network_again_starts_from_zero_flow():
-    g = random_connected_graph(10, seed=3)
-    net = materialize(_fi_spec(g, range(4), alpha=0.5), g)
-    first = solve_maxflow(net)
-    residual = net.cap.copy()
-    again = solve_maxflow(net)
-    assert again.flow_value == first.flow_value
-    assert_ids(again.s_side, first.s_side)
-    assert net.cap.tobytes() == residual.tobytes()
 
 
 def test_rescale_sets_the_sentinel_by_the_rule_of_freeze():
     g = random_connected_graph(9, seed=12)
     net = materialize(AugmentedGraphSpec(alpha=0.5, beta=0.2, seed=range(3)), g)
     solve_maxflow(net)
-    rescale(net, AugmentedGraphSpec(alpha=0.25, beta=math.inf, seed=range(3)), g)
-    finite = net.cap_init[~net.infinite].tolist()
-    assert net.infinite[0::2].sum() == 6  # one sink arc per node outside the seed
-    assert (net.cap_init[net.infinite] == 2.0 * sum(finite) + 1.0).all()
-    assert (net.cap == net.cap_init).all()
+    rescaled = rescale(net, AugmentedGraphSpec(alpha=0.25, beta=math.inf, seed=range(3)), g)
+    finite = rescaled.capacity[~rescaled.infinite].tolist()
+    assert rescaled.infinite[0::2].sum() == 6  # one sink arc per node outside the seed
+    assert (rescaled.capacity[rescaled.infinite] == 2.0 * sum(finite) + 1.0).all()
+    assert not net.infinite.any()  # the network it came from keeps its capacities
 
 
 def test_rescale_rejects_a_network_that_lacks_an_attachment():
