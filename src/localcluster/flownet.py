@@ -8,9 +8,9 @@ freezes a network again, and a solve only reads it. A network at other
 capacities on the same arcs (``FlowNetwork._with_capacities``) shares
 the arc arrays and is not frozen again. Both engines run on flat Python
 lists (``_Residual``), which this module alone writes. The lists of the
-arc structure (heads, reverse arcs, each node's run) are taken once per
-arc structure, when a residual first needs them; each solve takes only a
-capacity list.
+arc structure (heads, reverse arcs, each node's run and its arcs into the
+sink) are taken once per arc structure, when a residual first needs
+them; each solve takes only a capacity list.
 
 ``solve_maxflow``, the whole-network solve, runs FIFO push-relabel with
 global relabeling and the gap heuristic (Goldberg & Tarjan 1988;
@@ -20,9 +20,11 @@ sends what cannot arrive back to the source, so the solve ends with a
 flow whose residual reach from the source is the minimal min cut. A
 relabel that empties its old label cuts off every node above it at once
 (the gap), where those nodes would otherwise climb one label at a time
-until the relabel budget ran out and a global relabel cut them off; and
-a relabel's scan stops at the first neighbour at the node's own label,
-the lowest any valid labeling allows. Where a network's last, certifying
+until the relabel budget ran out and a global relabel cut them off. A
+relabel's scan stops at the first neighbour at the node's own label,
+the lowest any valid labeling allows. A node at label 1 can push only
+into the sink, so its push scan reads only its arcs into the sink, which
+the arc structure lists once per node. Where a network's last, certifying
 round must saturate thousands of tiny sink arcs, Dinic pays a
 whole-network BFS per phase and a dead-end DFS per augmenting path,
 while push-relabel saturates them by local pushes; on deep networks (a
@@ -280,15 +282,18 @@ class _Residual:
     order; ``head[p]`` is the head of the arc at position p, ``rev[p]`` the
     position of its twin and ``cap[p]`` its residual. Built on a network,
     the lists are ordered by position in ``net.order``: the runs follow
-    one another in node order, each in arc id order. ``head``, ``rev``,
-    ``first`` and ``end`` depend only on the arcs, so the network takes
-    them once and all its residuals share them; each residual takes its
-    own capacity list, from the start residuals ``cap`` (by arc id). The
-    lists may serve several solver calls; none of them writes the network.
+    one another in node order, each in arc id order. ``into_sink[u]``
+    holds the positions of u's arcs into the sink, in run order.
+    ``head``, ``rev``, ``first``, ``end`` and ``into_sink`` depend only on
+    the arcs, so the network takes them once and all its residuals share
+    them; each residual takes its own capacity list, from the start
+    residuals ``cap`` (by arc id). The lists may serve several solver
+    calls; none of them writes the network.
 
     A residual can also grow in place, for the strongly-local solver. Its
     first growth call gives it copies of the shared lists, in which each
-    node's run fills the front of a block of slots, ``first[u]:limit[u]``.
+    node's run fills the front of a block of slots, ``first[u]:limit[u]``,
+    and drops ``into_sink``, which only push-relabel reads.
     ``add_nodes`` appends nodes, each with a block of its own,
     ``add_pairs`` appends arc pairs at the ends of their tails' and heads'
     runs, and ``take`` lowers arcs' capacities and the flow they carry. A
@@ -300,10 +305,10 @@ class _Residual:
     sink are the flows on the arcs into it.
     """
 
-    __slots__ = ("head", "cap", "rev", "first", "end", "limit", "num_nodes", "source", "sink")
+    __slots__ = ("head", "cap", "rev", "first", "end", "into_sink", "limit", "num_nodes", "source", "sink")
 
     def __init__(self, net: FlowNetwork, cap: np.ndarray):
-        self.head, self.rev, self.first, self.end = net._lists
+        self.head, self.rev, self.first, self.end, self.into_sink = net._lists
         self.cap = cap[net.order].tolist()
         self.num_nodes, self.source, self.sink = net.num_nodes, net.source, net.sink
         self.limit = None  # each block's end, once the residual grows
@@ -387,6 +392,7 @@ class _Residual:
     def _own(self) -> None:
         """Before the first growth: take copies of the shared lists, in which each node's block is its run."""
         if self.limit is None:
+            self.into_sink = None
             self.head = list(self.head)
             self.rev = array("q", self.rev.tobytes())
             self.first, self.end = list(self.first), list(self.end)
@@ -425,7 +431,7 @@ def _run_index(net: FlowNetwork, arcs: np.ndarray) -> list[int]:
 
 
 def _arc_lists(net: FlowNetwork) -> tuple:
-    """``_Residual``'s arc lists of a network's frozen arc structure: head, rev, first and end."""
+    """``_Residual``'s arc lists of a network's frozen arc structure: head, rev, first, end and into_sink."""
     order = net.order
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
@@ -439,7 +445,13 @@ def _arc_lists(net: FlowNetwork) -> tuple:
     # the array serves; a list would hold an int object per arc.
     rev = memoryview(position[order ^ 1])
     first = net.first.tolist()
-    return head, rev, first[:-1], first[1:]
+    # Each node's positions of arcs into the sink, in run order: the twins
+    # of the sink's run, which is in arc id order as every run is.
+    lo, hi = first[net.sink], first[net.sink + 1]
+    into_sink = [()] * net.num_nodes
+    for v, p in zip(head[lo:hi], rev[lo:hi]):
+        into_sink[v] += (p,)
+    return head, rev, first[:-1], first[1:], into_sink
 
 
 def _augment(res: _Residual, flow: float, starts: list[int], surplus: list[float]) -> tuple[float, np.ndarray]:
@@ -627,11 +639,12 @@ def _global_labels(res: _Residual, target: int, blocked: int) -> list[int]:
 def _discharge(res: _Residual, excess: list[float], label: list[int], sink: int, source: int) -> None:
     """Push every excess above ``RESIDUAL_EPS`` to ``sink`` as far as residual paths allow.
 
-    FIFO push-relabel over current-arc pointers. A node whose label
+    FIFO push-relabel over current-arc pointers; ``sink`` and ``source``
+    are those of the network ``res`` was built on. A node whose label
     reaches ``num_nodes`` has no residual path to ``sink`` and keeps its
     excess; so does ``source``, held at that label. The labels stay valid
     (label[u] <= label[v] + 1 on every residual arc u -> v below
-    ``num_nodes``), which gives two shortcuts:
+    ``num_nodes``), which gives three shortcuts:
 
     - a relabel of a node at label d finds no residual neighbour below d,
       so its scan stops at the first one at d: the arc and the label a
@@ -640,13 +653,19 @@ def _discharge(res: _Residual, excess: list[float], label: list[int], sink: int,
       label can reach ``sink`` (the gap heuristic), and all of them, the
       relabeled node too, go to ``num_nodes`` at once instead of climbing
       there one relabel at a time. A node cut off while it waits in the
-      queue is skipped.
+      queue is skipped;
+    - the sink is the only node at label 0, so a node at label 1 can push
+      only into the sink, and its push scan reads only its arcs into the
+      sink (``res.into_sink``), not its whole run. It reads all of them,
+      not only those from its current arc on: one behind the current arc
+      is saturated (the sink never pushes back), so the scan skips it,
+      and every push and label is the one the full scan makes.
 
     Labels are set again by a global relabel (``_global_labels``) whenever
     the relabels have charged 6n + m arcs since the last one; each relabel
     charges its node's whole arc run, however early its scan stopped.
     """
-    head, cap, rev, first, end = res.head, res.cap, res.rev, res.first, res.end
+    head, cap, rev, first, end, into_sink = res.head, res.cap, res.rev, res.first, res.end, res.into_sink
     eps = RESIDUAL_EPS
     n = res.num_nodes
     budget = 6 * n + len(cap)
@@ -668,7 +687,7 @@ def _discharge(res: _Residual, excess: list[float], label: list[int], sink: int,
             p = ptr[u]
             stop = end[u]
             while True:
-                for p in range(p, stop):
+                for p in range(p, stop) if below else into_sink[u]:
                     c = cap[p]
                     if c > eps and label[head[p]] == below:
                         v = head[p]

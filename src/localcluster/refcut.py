@@ -66,7 +66,7 @@ from .flownet import (
     _Residual,
     _run_index,
 )
-from .graph import Graph, _as_node_array, _cut, _locate, _sorted_ids
+from .graph import Graph, _as_node_array, _locate, _sorted_ids
 
 __all__ = [
     "AugmentedGraphSpec",
@@ -134,14 +134,29 @@ def augmented_cut_value(spec: AugmentedGraphSpec, g: Graph, s: object) -> float:
 
 
 def _augmented_cut(spec: AugmentedGraphSpec, g: Graph, arr: np.ndarray) -> float:
-    """``augmented_cut_value`` of a sorted, distinct, in-range id array."""
-    source_term = float(g.degrees[spec.seed[_locate(spec.seed, arr, g.n) == arr.size]].sum())
-    sink_term = float(g.degrees[arr[_locate(arr, spec.seed, g.n) == spec.seed.size]].sum())
+    """``augmented_cut_value`` of a sorted, distinct, in-range id array.
+
+    One search of S places both the seed nodes and the heads of S's arcs.
+    The few degrees of each terminal term are summed by ``math.fsum`` and
+    the cut's many weights by numpy: each way measured faster at its size.
+    """
+    seed = spec.seed
+    if not arr.size:
+        return spec.alpha * math.fsum(g.degrees[seed].tolist())
+    k = seed.size
+    arc = g.arcs_of(arr)
+    ids = np.concatenate((seed, g.indices[arc]))
+    at = arr.searchsorted(ids)
+    found = arr.take(at, mode="clip") == ids
+    in_seed = np.zeros(arr.size, dtype=bool)
+    in_seed[at[:k][found[:k]]] = True
+    source_term = math.fsum(g.degrees[seed[~found[:k]]].tolist())
+    sink_term = math.fsum(g.degrees[arr[~in_seed]].tolist())
     if sink_term > 0.0 and math.isinf(spec.beta):
         return float("inf")
     # An infinite beta with no sink mass adds nothing; inf * 0.0 would be nan.
     sink_part = spec.beta * sink_term if sink_term > 0.0 else 0.0
-    return _cut(g, arr) + spec.alpha * source_term + sink_part
+    return float(g.weights[arc][~found[k:]].sum()) + spec.alpha * source_term + sink_part
 
 
 def materialize(spec: AugmentedGraphSpec, g: Graph) -> FlowNetwork:

@@ -622,6 +622,140 @@ def test_the_relabel_budget_still_runs_a_global_relabel(monkeypatch):
     assert res.objective == pytest.approx(10 / 66, rel=1e-12)  # cut 10, volume 66
 
 
+class ReadLog(list):
+    """A residual capacity list that logs the position of every read."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.reads = []
+
+    def __getitem__(self, p):
+        self.reads.append(p)
+        return super().__getitem__(p)
+
+
+def log_discharge_reads(monkeypatch):
+    """Run each ``_discharge`` on a ``ReadLog`` of its capacities; returns the list of (residual, labels, reads) it fills."""
+    from localcluster import flownet
+
+    discharge, seen = flownet._discharge, []
+
+    def logged(res, excess, label, sink, source):
+        cap = res.cap
+        res.cap = ReadLog(cap)
+        discharge(res, excess, label, sink, source)
+        cap[:] = res.cap
+        seen.append((res, list(label), res.cap.reads))
+        res.cap = cap
+
+    monkeypatch.setattr(flownet, "_discharge", logged)
+    return seen
+
+
+def run_heads(res, u):
+    """The heads of u's arcs, in run order."""
+    return [res.head[p] for p in range(res.first[u], res.end[u])]
+
+
+def test_a_node_at_label_1_reads_only_its_arcs_into_the_sink(monkeypatch):
+    # Nodes 1-5 each take 1 from the source 0, are all joined to one
+    # another, and can pass it all on to the sink 6 at once, so none leaves
+    # label 1 and every read in a node's run is a read of its push scan.
+    # Node 1's arc into the sink starts its run, node 2's sits in the
+    # middle, node 3 has one at each end (the first at capacity 0), and
+    # nodes 4 and 5 end their runs with theirs.
+    rows = ArcRows(num_nodes=7, source=0, sink=6)
+    rows.add(1, 6, 2.0)
+    rows.add(3, 6, 0.0)
+    for u in range(1, 6):
+        rows.add(0, u, 1.0)
+    for u in range(1, 6):
+        for v in range(u + 1, 6):
+            rows.add(u, v, 1.0, 1.0)
+            if (u, v) == (2, 3):
+                rows.add(2, 6, 2.0)
+    for u in range(3, 6):
+        rows.add(u, 6, 2.0)
+    net = rows.build()
+    seen = log_discharge_reads(monkeypatch)
+    calls = count_global_relabels(monkeypatch)
+    assert solve_maxflow(net).flow_value == 5.0
+    ((res, label, reads),) = seen
+    assert calls == [] and label[1:6] == [1] * 5
+    assert [run_heads(res, u).index(6) for u in range(1, 6)] == [0, 3, 0, 5, 5]
+    into_sink = {u: [p for p in range(res.first[u], res.end[u]) if res.head[p] == 6] for u in range(1, 6)}
+    for p in reads:
+        (u,) = [u for u in range(7) if res.first[u] <= p < res.end[u]]
+        assert u == 6 or p in into_sink[u], (u, p, run_heads(res, u))
+    # A push scan reads each arc into the sink once and a push its twin once.
+    assert len(reads) <= 2 * sum(map(len, into_sink.values())) == 12
+
+
+def assert_min_cut_by_brute_force(net):
+    """``solve_maxflow`` finds the minimum cut ``brute_min_cut`` finds, with the inclusion-minimal source side, and leaves valid labels."""
+    value, side = brute_min_cut(net)
+    sol = solve_maxflow(net)
+    assert sol.flow_value == pytest.approx(value, rel=DUALITY_RTOL, abs=1e-9)
+    assert cut_capacity(net, sol.s_side) == pytest.approx(value, rel=DUALITY_RTOL, abs=1e-9)
+    # The minimal min cut lies inside every min cut, the oracle's among them.
+    assert set(sol.s_side.tolist()) <= set(side.tolist())
+    assert_discharge_leaves_valid_labels(net)
+    return sol
+
+
+def test_arcs_into_the_sink_at_the_start_middle_and_end_of_a_run():
+    net = _network(6, [
+        (1, 5, 1.0, 0.0), (0, 1, 3.0, 0.0), (0, 2, 2.0, 0.0), (0, 3, 2.0, 0.0), (1, 2, 1.0, 1.0),
+        (2, 5, 1.0, 0.0), (2, 3, 1.0, 1.0), (3, 4, 2.0, 0.0), (4, 5, 0.5, 0.0), (3, 5, 1.5, 0.0),
+    ], 0, None)
+    res = _Residual(net, net.capacity)
+    assert [run_heads(res, u) for u in (1, 2, 3)] == [[5, 0, 2], [0, 1, 5, 3], [0, 2, 4, 5]]
+    assert assert_min_cut_by_brute_force(net).flow_value == 4.0
+
+
+@pytest.mark.parametrize("first_cap, second_cap", [(0.0, 1.5), (1.5, 0.0)])
+def test_two_parallel_arcs_into_the_sink_one_at_capacity_0(first_cap, second_cap):
+    # Node 1 takes 2 from the source and can pass 1.5 to the sink directly
+    # and 0.5 more through node 2.
+    net = _network(4, [
+        (0, 1, 2.0, 0.0), (1, 3, first_cap, 0.0), (1, 3, second_cap, 0.0), (1, 2, 1.0, 0.0),
+        (0, 2, 1.0, 0.0), (2, 3, 1.0, 0.0),
+    ], 0, None)
+    assert assert_min_cut_by_brute_force(net).flow_value == 2.5
+
+
+def test_a_node_with_no_arc_into_the_sink_that_takes_in_excess():
+    # Node 2 takes 2 from the source and has no arc into the sink: it must
+    # relabel before it passes anything on. It can deliver 1.5 of it, 0.5
+    # through node 1 and 1 through node 3; the rest goes back.
+    net = _network(5, [
+        (0, 2, 2.0, 0.0), (2, 1, 1.0, 0.0), (2, 3, 1.0, 0.0), (1, 4, 0.5, 0.0), (3, 4, 2.0, 0.0),
+        (0, 3, 0.5, 0.0),
+    ], 0, None)
+    assert 4 not in run_heads(_Residual(net, net.capacity), 2)
+    assert assert_min_cut_by_brute_force(net).flow_value == 2.0
+
+
+def test_arcs_into_the_sink_behind_the_current_arc_after_a_global_relabel(monkeypatch):
+    # Found by a search over small grid-like networks: after the one
+    # global relabel, node 1 is back at label 1 with its current arc past
+    # its first arc into the sink 13 (capacity 0.5, saturated), which the
+    # push scan then passes over.
+    net = _network(14, [
+        (3, 13, 0.0, 0.0), (4, 8, 1.0, 1.0), (0, 2, 3.0, 0.0), (3, 13, 0.0, 0.0), (3, 4, 2.0, 0.0),
+        (5, 9, 1.0, 1.0), (5, 13, 0.0, 0.0), (12, 13, 0.1, 0.0), (6, 13, 0.5, 0.0), (0, 7, 1.0, 0.0),
+        (11, 13, 0.0, 0.0), (4, 13, 0.5, 0.0), (3, 7, 1.0, 1.0), (9, 10, 2.0, 1.0), (2, 3, 2.0, 0.0),
+        (8, 12, 1.0, 1.0), (11, 13, 0.1, 0.0), (11, 12, 1.0, 0.0), (1, 13, 0.5, 0.0), (10, 13, 0.1, 0.0),
+        (6, 13, 0.0, 0.0), (5, 6, 1.0, 0.0), (10, 11, 2.0, 0.0), (5, 13, 0.25, 0.0), (1, 13, 1.0, 0.0),
+        (2, 6, 1.0, 1.0), (7, 11, 1.0, 1.0), (1, 5, 1.0, 1.0), (6, 10, 1.0, 1.0), (8, 13, 0.1, 0.0),
+        (7, 8, 1.0, 0.0), (1, 2, 2.0, 0.0), (6, 7, 1.0, 1.0),
+    ], 0, None)
+    calls = count_global_relabels(monkeypatch)
+    sol = assert_min_cut_by_brute_force(net)
+    assert len(calls) == 2  # one in the solve, one in the labels check's solve
+    assert sol.flow_value == pytest.approx(reference_dinic(net)[0], rel=1e-12)
+
+
 def test_sentinel_is_twice_the_finite_total_in_arc_order_plus_one():
     rng = random.Random(5)
     rows = ArcRows(num_nodes=6, source=0, sink=5)
