@@ -55,7 +55,17 @@ import numpy as np
 
 from .errors import ParameterError
 from .flownet import solve_maxflow
-from .graph import SET_FUNCTIONAL_TOL, Graph, _as_node_array, _cut, _Seed, _seed_of, _sorted_ids, relative_conductance
+from .graph import (
+    SET_FUNCTIONAL_TOL,
+    Graph,
+    _as_node_array,
+    _cut,
+    _Seed,
+    _seed_of,
+    _sorted_ids,
+    _SortedIds,
+    relative_conductance,
+)
 from .refcut import AugmentedGraphSpec, materialize, rescale, solve_maxflow_local
 from .results import ClusterResult
 
@@ -118,8 +128,11 @@ def refine_by_flow(
     ``_Seed`` that ``local_flow_improve`` normalized, so that R is
     normalized once per call. The current set, each round's s-side and
     the explored nodes are sorted int64 arrays throughout, the form the
-    set functionals and the result builder take. The objective is named ``"cut_over_volume"`` at
-    kappa = inf and ``"seed_relative_conductance"`` otherwise.
+    set functionals and the result builder take; each round's spec
+    (``AugmentedGraphSpec._of_sorted``) and ``relative_conductance`` (S as
+    ``_SortedIds``) take R and the s-side without sorting them again. The
+    objective is named ``"cut_over_volume"`` at kappa = inf and
+    ``"seed_relative_conductance"`` otherwise.
     """
     try:
         max_iters = operator.index(max_iters)
@@ -150,7 +163,7 @@ def refine_by_flow(
     for _ in range(max_iters):
         # 0 * inf is nan, so at kappa = inf beta stays inf even where alpha is 0.
         beta = math.inf if math.isinf(eps) else obj * eps
-        spec = AugmentedGraphSpec(alpha=obj, beta=beta, seed=r_arr)
+        spec = AugmentedGraphSpec._of_sorted(obj, beta, r_arr)
         if whole:
             if net is None:
                 net = materialize(spec, g)
@@ -166,7 +179,7 @@ def refine_by_flow(
         candidate = sol.s_side
         if not candidate.size:
             break
-        cand_obj = relative_conductance(g, candidate, seed, kappa=kappa)
+        cand_obj = relative_conductance(g, _SortedIds(candidate), seed, kappa=kappa)
         if not cand_obj < obj * (1.0 - ACCEPT_RTOL):
             break
         current, obj = candidate, cand_obj

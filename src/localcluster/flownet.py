@@ -26,9 +26,9 @@ the lowest any valid labeling allows. A node at label 1 can push only
 into the sink, so its push scan reads only its arcs into the sink, which
 the arc structure lists once per node. Where a network's last, certifying
 round must saturate thousands of tiny sink arcs, Dinic pays a
-whole-network BFS per phase and a dead-end DFS per augmenting path,
-while push-relabel saturates them by local pushes; on deep networks (a
-3000-node path) Dinic needs one phase per level.
+whole-network BFS per phase and a DFS through every node that leads to
+them, while push-relabel saturates them by local pushes; on deep
+networks (a 3000-node path) Dinic needs one phase per level.
 
 Dinic's blocking flow (``_dinic``) serves the strongly-local solver
 (``refcut``), which holds one residual per refinement call and grows it
@@ -38,9 +38,11 @@ run up to its end, ``end[u]``, never up to the next node's start. The
 solver enters through ``_augment``, one call per grow round: it sends the
 surplus some nodes start with on to the sink and what cannot arrive back
 to the source, then augments from the source, leaving the flow in the
-residual. Each phase's level BFS stops once the sink is labeled, and
-after each augmentation the DFS resumes at the first arc the push
-saturated. The last, failing BFS is the residual reach. ``_dinic`` takes
+residual. Each phase's level BFS stops once the sink is labeled, and one
+flow-accumulating DFS per start finds the phase's blocking flow, writing
+each arc once per visit of a subtree, not once per augmenting path
+through it; it keeps its path on a stack, as levels can be thousands
+deep. The last, failing BFS is the residual reach. ``_dinic`` takes
 its terminals as arguments: besides the max flow from the network's
 source, it can push from several start nodes, each holding a bounded
 supply, to any target node. ``_return_excess`` runs it that way back to
@@ -500,6 +502,15 @@ def _dinic(
     list is left holding what each could not send. Returns the amount
     pushed and the residual reach of the sources as a node mask; the flow
     is left in ``res.cap``.
+
+    Each phase's blocking flow is one DFS per source over the level
+    graph, on a stack rather than by recursion. A node entered over an arc
+    gets a limit, the lesser of the arc's residual and what its parent
+    still has to send, and keeps what is left of it. An admissible arc into
+    the sink takes what it can at once. A node whose limit is spent keeps
+    its current arc; one with no admissible arc left is a dead end for the
+    phase. Either way it hands what it sent back over its entry arc once,
+    and its parent goes on from the next arc unless that spends it too.
     """
     head, cap, rev, first, end = res.head, res.cap, res.rev, res.first, res.end
     left = [math.inf] * len(sources) if supply is None else supply
@@ -512,45 +523,60 @@ def _dinic(
             break
         ptr = first[:]
         for k, start in enumerate(sources):
-            budget = left[k]
-            if budget <= eps:
+            rem = left[k]
+            if rem <= eps:
                 continue
-            path: list[int] = []  # arc positions from the start to u
-            u = start
+            # The path from the start to u: each node above u with the arc
+            # it left by, its limit and what was left of it then, and its
+            # scan, which goes on where it stopped once u hands back.
+            stack = []
+            u, lim = start, rem
+            arcs = iter(range(ptr[u], end[u]))
+            next_level = level[u] + 1
             while True:
-                if u == sink:
-                    pushed = min(map(cap.__getitem__, path))
-                    if pushed > budget:
-                        pushed = budget
-                    for p in path:
-                        cap[p] -= pushed
-                        cap[rev[p]] += pushed
-                    total += pushed
-                    budget -= pushed
-                    if budget <= eps:
-                        break
-                    # Resume at the tail of the first arc the push saturated:
-                    # every arc before it still leads on in the level graph.
-                    i = 0
-                    while cap[path[i]] > eps:
-                        i += 1
-                    u = head[rev[path[i]]]
-                    del path[i:]
-                next_level = level[u] + 1
-                for p in range(ptr[u], end[u]):
-                    if cap[p] > eps and level[head[p]] == next_level:
-                        break
+                for p in arcs:
+                    c = cap[p]
+                    if c > eps:
+                        v = head[p]
+                        if level[v] == next_level:
+                            if v == sink:
+                                d = c if c < rem else rem
+                                cap[p] = c - d
+                                cap[rev[p]] += d
+                                total += d
+                                rem -= d
+                                if rem <= eps:
+                                    break
+                            else:
+                                break
                 else:
-                    if u == start:
-                        break
-                    level[u] = -1  # dead end for this phase
-                    u = head[rev[path.pop()]]
-                    ptr[u] += 1
+                    p = -1  # u is a dead end for this phase
+                if p >= 0 and v != sink:
+                    stack.append((u, p, lim, rem, arcs, next_level))
+                    u = v
+                    lim = rem = c if c < rem else rem
+                    arcs = iter(range(ptr[u], end[u]))
+                    next_level += 1
                     continue
-                ptr[u] = p
-                path.append(p)
-                u = head[p]
-            left[k] = budget
+                # u is spent, or at a dead end: hand what it sent back over
+                # its entry arc, and on up while that spends its parent too.
+                while stack:
+                    if p < 0:
+                        level[u] = -1
+                    else:
+                        ptr[u] = p
+                    sent = lim - rem
+                    u, p, lim, rem, arcs, next_level = stack.pop()
+                    if sent:
+                        cap[p] -= sent
+                        cap[rev[p]] += sent
+                        rem -= sent
+                        if rem <= eps:
+                            continue
+                    break
+                else:
+                    break
+            left[k] = rem
     return total, np.array(level) >= 0
 
 

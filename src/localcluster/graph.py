@@ -400,6 +400,12 @@ class _Seed(NamedTuple):
     ratio: float
 
 
+class _SortedIds(NamedTuple):
+    """Ids a solver holds sorted, distinct and in range, as int64: ``relative_conductance`` takes them as they are."""
+
+    ids: np.ndarray
+
+
 def _seed_of(g: Graph, r_arr: np.ndarray) -> _Seed:
     """The ``_Seed`` of an id array ``_as_node_array`` returned; SeedTooLargeError when R^c has no volume."""
     vol_r = float(g.degrees[r_arr].sum())
@@ -418,7 +424,8 @@ def relative_conductance(g: Graph, s: object, r: object, kappa: float = 1.0) -> 
     well-defined. kappa=1 is the plain seed-relative conductance; raising
     kappa penalizes leaving R harder, and kappa=+inf confines finite values
     to subsets of R, where the functional reduces to cut(S)/vol(S). R
-    may also be a ``_Seed``, normalized once for a whole refinement call.
+    may also be a ``_Seed``, normalized once for a whole refinement call,
+    and S a ``_SortedIds``, a side a max-flow returned.
 
     Raises
     ------
@@ -430,7 +437,7 @@ def relative_conductance(g: Graph, s: object, r: object, kappa: float = 1.0) -> 
     if not kappa >= 1.0:
         raise ParameterError(f"kappa must be >= 1 (got {kappa})")
     seed = r if isinstance(r, _Seed) else _seed_of(g, _as_node_array(g, r))
-    s_arr = _as_node_array(g, s)
+    s_arr = s.ids if isinstance(s, _SortedIds) else _as_node_array(g, s)
     if s_arr.size == 0:
         return float("inf")
 

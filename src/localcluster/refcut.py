@@ -106,6 +106,18 @@ class AugmentedGraphSpec:
             raise ParameterError("seed set is empty")
         object.__setattr__(self, "seed", seed)
 
+    @classmethod
+    def _of_sorted(cls, alpha: float, beta: float, seed: np.ndarray) -> AugmentedGraphSpec:
+        """The spec of a seed already held as sorted, distinct int64 ids, which are not sorted again.
+
+        Nothing is checked: the caller holds a nonempty seed and
+        nonnegative scales, as ``flowcluster.refine_by_flow`` does.
+        """
+        spec = cls.__new__(cls)
+        for name, value in (("alpha", alpha), ("beta", beta), ("seed", seed)):
+            object.__setattr__(spec, name, value)
+        return spec
+
     def validate_against(self, g: Graph) -> None:
         lo, hi = self.seed[0], self.seed[-1]
         if lo < 0 or hi >= g.n:

@@ -397,7 +397,7 @@ def test_refine_by_flow_hands_on_sorted_id_arrays(ring20, monkeypatch):
     # accepts a candidate; kappa = 1 solves the whole network, the others
     # solve locally.
     from localcluster import flowcluster
-    from localcluster.graph import _Seed
+    from localcluster.graph import _Seed, _SortedIds
     from localcluster.results import ClusterResult
 
     passed = {"relative_conductance": [], "of_set": []}
@@ -405,9 +405,11 @@ def test_refine_by_flow_hands_on_sorted_id_arrays(ring20, monkeypatch):
     build = ClusterResult.of_set.__func__
 
     def spy_score(g, s, r, kappa=1.0):
-        # The seed comes normalized once per call, with its volume and ratio.
-        assert isinstance(r, _Seed)
-        passed["relative_conductance"] += [s, r.ids]
+        # The seed comes normalized once per call, with its volume and ratio,
+        # and the candidate as the sorted array the max-flow returned, marked
+        # so that it is not normalized again.
+        assert isinstance(r, _Seed) and isinstance(s, _SortedIds)
+        passed["relative_conductance"] += [s.ids, r.ids]
         return score(g, s, r, kappa=kappa)
 
     def spy_build(cls, g, set_ids, *args, **kwargs):

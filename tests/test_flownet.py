@@ -3,6 +3,7 @@
 import contextlib
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -256,11 +257,15 @@ def test_against_brute_min_cut_random():
 # -- the flat-list Dinic and the push-relabel solve against the adjacency-list Dinic --
 
 
-def reference_dinic(net):
-    """Solve a frozen network with per-node arc lists and restarted path searches.
+def reference_dinic(net, by_path=False):
+    """Solve a frozen network with per-node arc lists, one blocking flow per phase.
 
-    Returns (flow value, residual capacity of every arc, s-side), or raises
-    what the solver raises.
+    The blocking flow is one recursive DFS that carries a limit into each
+    node and hands what the node sent back over its entry arc once, the
+    way ``_dinic`` runs it; with ``by_path`` it is found one augmenting
+    path at a time instead, each search restarted from the source.
+    Returns (flow value, residual capacity of every arc, s-side), or
+    raises what the solver raises.
     """
     from collections import deque
 
@@ -269,6 +274,7 @@ def reference_dinic(net):
     adj = [[] for _ in range(net.num_nodes)]
     for a in range(len(head)):
         adj[head[a ^ 1]].append(a)
+    total = 0.0
 
     def bfs_levels():
         level = [-1] * net.num_nodes
@@ -282,6 +288,27 @@ def reference_dinic(net):
                     level[w] = level[u] + 1
                     q.append(w)
         return level if level[net.sink] >= 0 else None
+
+    def send(u, rem, level, ptr):
+        """Send up to ``rem`` from u toward the sink in the level graph; returns what is left of it."""
+        nonlocal total
+        arcs = adj[u]
+        while ptr[u] < len(arcs):
+            a = arcs[ptr[u]]
+            w, c = head[a], cap[a]
+            if c > eps and level[w] == level[u] + 1:
+                lim = c if c < rem else rem
+                d = lim if w == net.sink else lim - send(w, lim, level, ptr)
+                cap[a] -= d
+                cap[a ^ 1] += d
+                if w == net.sink:
+                    total += d
+                rem -= d
+                if rem <= eps:
+                    return rem
+            ptr[u] += 1
+        level[u] = -1
+        return rem
 
     def augment_once(level, ptr):
         u, path = net.source, []
@@ -312,12 +339,14 @@ def reference_dinic(net):
             u = head[came_by ^ 1]
             ptr[u] += 1
 
-    total = 0.0
     while True:
         level = bfs_levels()
         if level is None:
             break
         ptr = [0] * net.num_nodes
+        if not by_path:
+            send(net.source, math.inf, level, ptr)
+            continue
         while True:
             pushed = augment_once(level, ptr)
             if pushed <= 0.0:
@@ -363,12 +392,22 @@ def dinic_solve(net):
     return flow, arc_residuals(net, res).tolist(), np.flatnonzero(reach)
 
 
+def assert_same_min_cut(net, flow, got_side, want_side):
+    """The two s-sides are equal, or both are minimum cuts of capacity ``flow`` at the duality check's tolerance."""
+    if not np.array_equal(got_side, want_side):
+        for side in (got_side, want_side):
+            assert math.isclose(cut_capacity(net, side), flow, rel_tol=DUALITY_RTOL, abs_tol=1e-9)
+
+
 def assert_dinic_agrees(n, arcs, source=0, sink=None):
+    """``_dinic`` equals the reference's blocking flow bit for bit, and the path-at-a-time one in value and cut."""
     net = _network(n, arcs, source, sink)
     want = _solve_outcome(reference_dinic, net)
     got = _solve_outcome(dinic_solve, net)
+    by_path = _solve_outcome(lambda net: reference_dinic(net, by_path=True), net)
     if isinstance(want[0], type):
         assert got == want
+        assert by_path == want
         return
     assert got[0] == want[0]
     assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
@@ -376,6 +415,8 @@ def assert_dinic_agrees(n, arcs, source=0, sink=None):
         net.capacity[a] - want[1][a] for a in range(0, len(net.head), 2)
     ]
     assert_ids(got[2], want[2])
+    assert math.isclose(by_path[0], want[0], rel_tol=DUALITY_RTOL, abs_tol=1e-9)
+    assert_same_min_cut(net, want[0], by_path[2], want[2])
 
 
 def assert_maxflow_agrees(n, arcs, source=0, sink=None):
@@ -406,9 +447,7 @@ def assert_maxflow_agrees(n, arcs, source=0, sink=None):
     inner[[net.source, net.sink]] = False
     assert np.abs(inflow[inner]).max(initial=0.0) <= 1e-9 * max(1.0, flow)
 
-    if not np.array_equal(got.s_side, s_side):
-        for side in (got.s_side, s_side):
-            assert math.isclose(cut_capacity(net, side), flow, rel_tol=DUALITY_RTOL, abs_tol=1e-9)
+    assert_same_min_cut(net, flow, got.s_side, s_side)
 
 
 # 1 + 5e-13 leaves a residual at or below RESIDUAL_EPS after a unit push.
@@ -458,12 +497,32 @@ NAMED_NETWORKS = [
     (3, []),
     # Terminals that are not the end nodes.
     (5, [(2, 0, 3.0, 1.0), (0, 4, 1.0, 0.0), (2, 4, 0.5, 0.0), (4, 1, 2.0, 0.0)], 2, 1),
+    # What node 2 hands back leaves node 1 with 5e-13 to send, at or below
+    # RESIDUAL_EPS: node 1 is spent and must not go on over its 2e-12 arc.
+    (4, [(1, 2, 1.0, 0.0), (0, 1, 1.0 + 5e-13, 0.0), (2, 3, 2.5, 0.0), (1, 2, 2e-12, 0.0)]),
 ]
 
 
 def test_dinic_matches_on_named_networks():
     for case in NAMED_NETWORKS:
         assert_dinic_agrees(*case)
+
+
+def test_dinic_on_a_path_far_deeper_than_the_recursion_limit():
+    # One phase, 19,999 levels deep: a DFS that recursed once per level
+    # would raise RecursionError here.
+    n = 20_000
+    limit = sys.getrecursionlimit()
+    assert n > 10 * limit
+    rng = random.Random(25)
+    arcs = [(u, u + 1, rng.choice([1.5, 2.0, 3.25, 8.0]), rng.choice([0.0, 1.0])) for u in range(n - 2)]
+    arcs.append((n - 2, n - 1, 1.75, 0.0))
+    net = _network(n, arcs, 0, None)
+    flow, _, s_side = dinic_solve(net)
+    assert sys.getrecursionlimit() == limit
+    want_flow, _, want_side = reference_dinic(net, by_path=True)
+    assert flow == want_flow == 1.5
+    assert_ids(s_side, want_side)
 
 
 def test_maxflow_matches_on_named_networks():

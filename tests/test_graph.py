@@ -91,6 +91,20 @@ def test_relative_conductance_dumbbell(dumbbell):
     assert relative_conductance(dumbbell, list(range(6)), r) == math.inf
 
 
+def test_relative_conductance_of_sorted_ids_a_solver_holds(dumbbell):
+    from localcluster.graph import _SortedIds
+
+    r = [0, 1, 2, 3]
+    for s in ([0, 1, 2], [0, 1, 2, 4], []):
+        ids = np.array(s, dtype=np.int64)
+        assert relative_conductance(dumbbell, _SortedIds(ids), r, kappa=2.0) == relative_conductance(
+            dumbbell, s[::-1], r, kappa=2.0
+        )
+    # A plain argument is still checked.
+    with pytest.raises(InvalidSetError):
+        relative_conductance(dumbbell, [0, 6], r)
+
+
 def test_relative_conductance_negative_denominator(dumbbell):
     # S = {0,1,2,4}: vol(S∩R)=7, vol(S\R)=2, ratio=2.5, kappa=2
     # denominator 7 - 2.5*2*2 = -3 -> infinity, not an error

@@ -65,6 +65,13 @@ class TestSpecValidation:
         spec = AugmentedGraphSpec(alpha=1.0, beta=1.0, seed=(4, 1, 4, 0))
         assert spec.seed.tolist() == [0, 1, 4]
 
+    def test_a_seed_already_sorted_is_taken_as_it_is(self):
+        ids = np.array([0, 1, 4])
+        spec = AugmentedGraphSpec._of_sorted(1.5, math.inf, ids)
+        public = AugmentedGraphSpec(alpha=1.5, beta=math.inf, seed=[4, 1, 0, 1])
+        assert spec.seed is ids
+        assert (spec.alpha, spec.beta, spec.seed.tolist()) == (public.alpha, public.beta, public.seed.tolist())
+
     def test_non_integer_seed_rejected(self):
         # Neither truncated to ints nor parsed as ints.
         for bad in ([0.7, 2.2], ["1"], np.array([0.0, 1.0])):
@@ -609,10 +616,13 @@ def test_refcut_reaches_a_residual_only_through_its_methods():
     assert used and used <= allowed, used - allowed
 
 
-def test_a_deep_local_solve_takes_rows_in_proportion_to_the_nodes_it_touches():
-    """On a path, growth adds one or two nodes per round for about a hundred rounds;
+def assert_a_deep_local_solve_takes_rows_in_proportion_to_the_nodes_it_touches(n):
+    """``local_flow_improve`` at delta 0.1 on path(n), seeded by its 20 middle nodes.
+
+    Growth adds one or two nodes per round for about a hundred rounds;
     each node's row enters the call's one residual once, and the whole
-    refinement call builds one network, its first round's."""
+    refinement call builds one network, its first round's.
+    """
     from localcluster import flowcluster, flownet, local_flow_improve, refcut
 
     rows, networks, solves = [], [], []
@@ -640,11 +650,19 @@ def test_a_deep_local_solve_takes_rows_in_proportion_to_the_nodes_it_touches():
         mp.setattr(flownet._Residual, "add_nodes", count_nodes)
         mp.setattr(refcut, "_subnetwork", count_network)
         mp.setattr(flowcluster, "solve_maxflow_local", count_solve)
-        res = local_flow_improve(path_graph(3000), range(1490, 1510), delta=0.1)
+        res = local_flow_improve(path_graph(n), range(n // 2 - 10, n // 2 + 10), delta=0.1)
     touched = res.touched_nodes
-    assert 100 < touched < 3000
+    assert 100 < touched < n
     assert sum(rows) <= touched
     assert len(networks) == len(solves) == 1 and sum(networks) <= touched
+
+
+def test_a_deep_local_solve_takes_rows_in_proportion_to_the_nodes_it_touches():
+    assert_a_deep_local_solve_takes_rows_in_proportion_to_the_nodes_it_touches(3000)
+
+
+def test_a_local_solve_on_path_5000_takes_one_network_and_a_row_per_touched_node():
+    assert_a_deep_local_solve_takes_rows_in_proportion_to_the_nodes_it_touches(5000)
 
 
 # -- the certificate of a grown cut, and solves that never grow ------------------------
