@@ -2,8 +2,10 @@
 sweep-cut rounding, and exhaustive desk-scale reference oracles.
 
 The central objects are :class:`Graph` (immutable CSR adjacency),
-:class:`NodeSet` (a sorted tuple of distinct vertex ids), and
-:class:`ClusterResult` (what every clustering entry point returns).
+:class:`NodeSet` (sorted, distinct vertex ids checked once against
+their graph; every entry point takes one as it is, and it keeps its
+volume and cut once summed), and :class:`ClusterResult` (what every
+clustering entry point returns).
 Algorithms come in two families: flow refinement of a seed set (`mqi`,
 `flow_improve`, `local_flow_improve`) and spectral embeddings rounded
 by `sweep_cut` (`fiedler`, `spectral_mqi`, `mov_solve`, `l1_pagerank`).

@@ -215,7 +215,7 @@ def _swept(args: argparse.Namespace, g: Graph, vec: EmbeddingVector, t0: float) 
     """The best prefix of ``vec``'s sweep under --objective."""
     node_set, value, profile = sweep_cut(g, vec, objective=args.objective)
     return ClusterResult.of_set(
-        g, node_set.ids, args.objective, value, touched_nodes=int(profile.order.size),
+        g, node_set, args.objective, value, touched_nodes=int(profile.order.size),
         iterations=1, t0=t0,
     )
 
@@ -299,7 +299,7 @@ def _cmd_brute(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> ClusterR
     else:
         node_set, value = brute_min_subset_ratio(g, _load_seed(args, g, lm))
     return ClusterResult.of_set(
-        g, node_set.ids, _BRUTE_TARGETS[args.target], value, touched_nodes=g.n, iterations=1, t0=t0
+        g, node_set, _BRUTE_TARGETS[args.target], value, touched_nodes=g.n, iterations=1, t0=t0
     )
 
 
@@ -308,7 +308,7 @@ def _cmd_eval(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> ClusterRe
     seed = _load_seed(args, g, lm)
     value = conductance(g, seed) if args.objective == "conductance" else expansion(g, seed)
     return ClusterResult.of_set(
-        g, seed.ids, args.objective, value, touched_nodes=len(seed), iterations=1, t0=t0
+        g, seed, args.objective, value, touched_nodes=len(seed), iterations=1, t0=t0
     )
 
 

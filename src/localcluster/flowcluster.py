@@ -25,7 +25,12 @@ sink at beta*d_i) at alpha = the current set's objective and beta =
 alpha*epsilon with epsilon = kappa*ratio, and accepts the s-side only on
 strict objective decrease (relative tolerance 1e-12), which rules out
 floating-point cycling. The accepted objective is the next
-alpha. An empty s-side ends the loop with the previous set.
+alpha. An empty s-side ends the loop with the previous set, and an
+accepted objective of 0 ends it with that set: no later round could
+decrease it. The seed, each s-side and the returned set are node sets
+of the graph (``graph.NodeSet``): the seed is checked once per call, an
+s-side is taken as the sorted array the max-flow holds, and each set's
+cut is summed once, for its score, and read again by the result.
 
 The solver follows from the output volume bound vol(S) <= vol(R)*(1 +
 2/epsilon) + cut(R). Below vol(V), the grow-on-demand local max-flow
@@ -33,8 +38,9 @@ touches only a neighbourhood of R, and a call keeps one local flow for
 all its rounds: the first round builds its network and grows its
 residual; each later one, at alpha' = s*alpha (0 < s < 1, epsilon
 fixed), scales that flow by s and augments and grows from there
-(``refcut._LocalFlow.resolve``). Where the bound reaches vol(V), as it
-always does at kappa = 1, growing cannot save work and the network is
+(``refcut._LocalFlow.resolve``); s lies in (0, 1) because the objective
+falls and the loop ends once it is 0. Where the bound reaches vol(V), as
+it always does at kappa = 1, growing cannot save work and the network is
 built whole, once per call: between rounds only alpha and beta change,
 so each later round solves, from zero flow, a network at the new source
 and sink scales that shares the first one's arcs (``refcut.rescale``). Past
@@ -51,21 +57,9 @@ import math
 import operator
 import time
 
-import numpy as np
-
 from .errors import ParameterError
 from .flownet import solve_maxflow
-from .graph import (
-    SET_FUNCTIONAL_TOL,
-    Graph,
-    _as_node_array,
-    _cut,
-    _Seed,
-    _seed_of,
-    _sorted_ids,
-    _SortedIds,
-    relative_conductance,
-)
+from .graph import SET_FUNCTIONAL_TOL, Graph, NodeSet, _volume_ratio, relative_conductance
 from .refcut import AugmentedGraphSpec, materialize, rescale, solve_maxflow_local
 from .results import ClusterResult
 
@@ -81,20 +75,15 @@ ACCEPT_RTOL = 1e-12
 DEFAULT_MAX_ITERS = 50
 
 
-def _seed_ratio(g: Graph, r: object) -> _Seed:
-    """The seed normalized once, with vol(R) and vol(R)/vol(R^c); rejects seeds with no ratio.
-
-    A seed this function made is returned as it is.
-    """
-    if isinstance(r, _Seed):
-        return r
-    r_arr = _as_node_array(g, r)
-    if r_arr.size == 0:
+def _checked_seed(g: Graph, r: object) -> tuple[NodeSet, float]:
+    """The seed as a node set of ``g``, and vol(R)/vol(R^c); rejects a seed with no ratio."""
+    seed = NodeSet.of(g, r)
+    if not len(seed):
         raise ParameterError("seed set is empty")
-    seed = _seed_of(g, r_arr)
+    ratio = _volume_ratio(seed)
     if seed.volume <= 0.0:
         raise ParameterError("seed set has zero volume")
-    return seed
+    return seed, ratio
 
 
 def refine_by_flow(
@@ -107,30 +96,27 @@ def refine_by_flow(
 
     Returns the final set with its objective history. The objective is
     strictly decreasing across accepted iterations and the loop always
-    terminates: at a rejection, at an empty s-side, or at ``max_iters``.
-    Where the output volume bound vol(R)*(1 + 2/epsilon) + cut(R), with
-    epsilon = kappa*ratio, reaches vol(V), which it always does at kappa =
-    1, every round solves the fully materialized network: the first round
-    builds it, and each later one solves a copy at the new source and sink
-    scales that shares its arcs (``refcut.rescale``); ``touched_nodes`` is n. Below it the rounds solve
-    strongly locally on one residual: the first round, warm-started from
-    R, builds the call's one network and grows its subgraph on demand,
-    carrying its flow from one grow round to the next. Each later round
-    keeps that residual and its maximum flow, multiplied by s = alpha'/alpha
-    in (0, 1): the source arcs and each member's own sink attachment scale
-    by s as well, and edges keep their capacities, so the scaled flow is
-    feasible and conserving; the round augments and grows from it. Every
-    local cut is checked against its capacity in the graph, with the sink
-    outside the residual reach. A round that scaling cannot reach (s
-    outside (0, 1), which happens once the objective reaches 0) builds
-    afresh, warm-started from the current set. ``touched_nodes`` counts
-    the nodes of the residuals the call held. ``r`` may also be the
-    ``_Seed`` that ``local_flow_improve`` normalized, so that R is
-    normalized once per call. The current set, each round's s-side and
-    the explored nodes are sorted int64 arrays throughout, the form the
-    set functionals and the result builder take; each round's spec
-    (``AugmentedGraphSpec._of_sorted``) and ``relative_conductance`` (S as
-    ``_SortedIds``) take R and the s-side without sorting them again. The
+    terminates: at a rejection, at an empty s-side, at an objective of 0,
+    which no later round can decrease, or at ``max_iters``. Where the
+    output volume bound vol(R)*(1 + 2/epsilon) + cut(R), with epsilon =
+    kappa*ratio, reaches vol(V), which it always does at kappa = 1, every
+    round solves the fully materialized network: the first round builds
+    it, and each later one solves a copy at the new source and sink scales
+    that shares its arcs (``refcut.rescale``); ``touched_nodes`` is n.
+    Below it the rounds solve strongly locally on one residual: the first
+    round, from R, builds the call's one network and grows its subgraph
+    on demand, carrying its flow from one grow round to the next. Each
+    later round keeps that residual and its maximum flow, multiplied by s
+    = alpha'/alpha, which lies in (0, 1) because the objective falls and
+    stays above 0: the source arcs and each member's own sink attachment
+    scale by s as well, and edges keep their capacities, so the scaled
+    flow is feasible and conserving; the round augments and grows from
+    it. Every local cut is checked against its capacity in the graph,
+    with the sink outside the residual reach. ``touched_nodes`` counts the
+    nodes of the residual. R, each round's s-side and the returned set are
+    node sets of ``g`` (``NodeSet``): R is checked once, each s-side is
+    taken as the sorted array the max-flow holds, and each set's cut is
+    summed once, for its score, and read again by the result. The
     objective is named ``"cut_over_volume"`` at kappa = inf and
     ``"seed_relative_conductance"`` otherwise.
     """
@@ -143,54 +129,49 @@ def refine_by_flow(
     if not kappa >= 1.0:
         raise ParameterError(f"kappa must be >= 1 (got {kappa})")
     t0 = time.perf_counter()
-    seed = _seed_ratio(g, r)
-    r_arr, vol_r = seed.ids, seed.volume
-    eps = kappa * seed.ratio
+    seed, ratio = _checked_seed(g, r)
+    eps = kappa * ratio
 
-    current = r_arr
     # The seed's objective is cut(R)/vol(R) at every kappa, as
     # relative_conductance computes it for S = R, so this is the output
     # volume bound vol(R)(1 + 2/eps) + cut(R) against vol(V).
-    if not vol_r > SET_FUNCTIONAL_TOL:
+    if not seed.volume > SET_FUNCTIONAL_TOL:
         raise ParameterError("seed-relative conductance of the seed is not finite")
-    obj = _cut(g, r_arr) / vol_r
-    whole = vol_r * (1.0 + 2.0 / eps + obj) >= g.total_volume
+    current, obj = seed, seed.cut / seed.volume
+    whole = seed.volume * (1.0 + 2.0 / eps + obj) >= g.total_volume
     history = [obj]
     iterations = 0
-    net = None
-    flows = []  # the local flows the rounds ran on: one, unless a round could not scale the kept one
+    net = flow = None
 
     for _ in range(max_iters):
         # 0 * inf is nan, so at kappa = inf beta stays inf even where alpha is 0.
         beta = math.inf if math.isinf(eps) else obj * eps
-        spec = AugmentedGraphSpec._of_sorted(obj, beta, r_arr)
+        spec = AugmentedGraphSpec(obj, beta, seed)
         if whole:
-            if net is None:
-                net = materialize(spec, g)
-            else:
-                net = rescale(net, spec, g)
+            net = materialize(spec, g) if net is None else rescale(net, spec, g)
             sol = solve_maxflow(net)
+        elif flow is None:
+            sol, _, flow = solve_maxflow_local(spec, g)
         else:
-            sol = flows[-1].resolve(spec) if flows else None
-            if sol is None:
-                sol, _, kept = solve_maxflow_local(spec, g, warm_start=current)
-                flows.append(kept)
+            sol = flow.resolve(spec)
         iterations += 1
-        candidate = sol.s_side
-        if not candidate.size:
+        if not sol.s_side.size:
             break
-        cand_obj = relative_conductance(g, _SortedIds(candidate), seed, kappa=kappa)
+        candidate = NodeSet._sorted(g, sol.s_side)
+        cand_obj = relative_conductance(g, candidate, seed, kappa=kappa)
         if not cand_obj < obj * (1.0 - ACCEPT_RTOL):
             break
         current, obj = candidate, cand_obj
         history.append(obj)
+        if obj == 0.0:
+            break
 
     return ClusterResult.of_set(
         g,
         current,
         "cut_over_volume" if math.isinf(kappa) else "seed_relative_conductance",
         obj,
-        touched_nodes=g.n if whole else _sorted_ids(np.concatenate([f.explored() for f in flows])).size,
+        touched_nodes=g.n if whole else flow.explored().size,
         iterations=iterations,
         t0=t0,
         history=tuple(history),
@@ -234,8 +215,8 @@ def local_flow_improve(
     """
     if not delta >= 0:  # NaN fails the comparison
         raise ParameterError(f"delta must be >= 0 (got {delta})")
-    seed = _seed_ratio(g, r)
-    return refine_by_flow(g, seed, 1.0 + delta / seed.ratio, max_iters)
+    seed, ratio = _checked_seed(g, r)
+    return refine_by_flow(g, seed, 1.0 + delta / ratio, max_iters)
 
 
 def local_flow_improve_scaled(

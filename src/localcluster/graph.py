@@ -3,13 +3,20 @@
 Everything downstream (flow refinement, spectral solvers, rounding,
 oracles) consumes the representation defined here: compressed adjacency
 with sorted neighbor lists, weighted degrees, and pure set functionals.
+
+A vertex set has one form, ``NodeSet``: a read-only sorted array of
+distinct ids and the graph they were checked against. ``NodeSet.of`` is
+the one check, made once per set a caller hands in; a node set of the
+same graph passes through it as it is. The set functionals take a node
+set or anything ``of`` takes, and read the volume and cut a set keeps
+once it has summed them.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -273,34 +280,69 @@ def _row_reduce(op: np.ufunc, indptr: np.ndarray, arc_values: np.ndarray, empty:
     return out
 
 
-@dataclass(frozen=True)
 class NodeSet:
-    """Sorted, distinct vertex ids; :meth:`of` validates them against a graph."""
+    """Sorted, distinct vertex ids of one graph, checked once.
 
-    ids: tuple[int, ...]
+    :meth:`of` makes the node set of whatever a caller hands in: it checks
+    the ids against the graph once, and a set already made for that graph
+    passes through it as it is. ``array`` holds the ids as a read-only int64 array and ``graph``
+    the graph they were checked against. The set's volume and cut are
+    summed the first time they are read and kept. ``ids`` is the tuple of
+    the ids as ints.
+    """
 
     @classmethod
     def of(cls, g: Graph, members: Iterable[int]) -> "NodeSet":
-        return cls(tuple(_as_node_array(g, members).tolist()))
+        """The node set of ``members`` on ``g``: ``members`` itself when it is a node set of ``g``.
+
+        Anything else is sorted and its repeats dropped. Ids that are not
+        integers, or that lie outside [0, n), raise InvalidSetError; an
+        empty input of any dtype is the empty set.
+        """
+        if isinstance(members, NodeSet) and members.graph is g:
+            return members
+        arr = _sorted_ids(members)
+        if arr.size and (arr[0] < 0 or arr[-1] >= g.n):
+            bad = arr[0] if arr[0] < 0 else arr[-1]
+            raise InvalidSetError(f"vertex id {bad} out of range for n={g.n}")
+        return cls._sorted(g, arr)
+
+    @classmethod
+    def _sorted(cls, g: Graph, ids: np.ndarray) -> "NodeSet":
+        """The node set of an int64 array a solver holds sorted, distinct and in range; nothing is checked or copied."""
+        ns = cls.__new__(cls)
+        ns.array, ns.graph = ids.view(), g
+        ns.array.setflags(write=False)
+        return ns
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
+
+    @cached_property
+    def volume(self) -> float:
+        """Sum of the weighted degrees over the set."""
+        return float(self.graph.degrees[self.array].sum())
+
+    @cached_property
+    def cut(self) -> float:
+        """Total weight of the edges with exactly one endpoint in the set."""
+        return _cut(self.graph, self.array)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self.array.size
 
     def __iter__(self):
-        return iter(self.ids)
+        return iter(self.array.tolist())
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, NodeSet) and np.array_equal(self.array, other.array)
 
-def _as_node_array(g: Graph, s: object) -> np.ndarray:
-    """Normalize a set-like argument to a sorted, validated id array.
+    def __hash__(self) -> int:
+        return hash(self.ids)
 
-    Ids that are not integers, or that lie outside [0, n), raise
-    InvalidSetError; an empty input of any dtype is the empty set.
-    """
-    arr = _sorted_ids(s)
-    if arr.size and (arr[0] < 0 or arr[-1] >= g.n):
-        bad = arr[0] if arr[0] < 0 else arr[-1]
-        raise InvalidSetError(f"vertex id {bad} out of range for n={g.n}")
-    return arr
+    def __repr__(self) -> str:
+        return f"NodeSet(ids={self.ids})"
 
 
 def _sorted_ids(s: object) -> np.ndarray:
@@ -348,8 +390,7 @@ def _locate(ids: np.ndarray, within: np.ndarray, n: int) -> np.ndarray:
 
 def volume(g: Graph, s: object) -> float:
     """Sum of weighted degrees over the set."""
-    arr = _as_node_array(g, s)
-    return float(g.degrees[arr].sum())
+    return NodeSet.of(g, s).volume
 
 
 def cut(g: Graph, s: object) -> float:
@@ -357,11 +398,11 @@ def cut(g: Graph, s: object) -> float:
 
     Work is O(vol(S) log |S|) and memory O(vol(S)), whatever the graph size.
     """
-    return _cut(g, _as_node_array(g, s))
+    return NodeSet.of(g, s).cut
 
 
 def _cut(g: Graph, arr: np.ndarray) -> float:
-    """``cut`` of a set that ``_as_node_array`` has already normalized."""
+    """``cut`` of a sorted, distinct, in-range id array: the sum behind ``NodeSet.cut``."""
     if arr.size == 0 or arr.size == g.n:
         return 0.0
     arc = g.arcs_of(arr)
@@ -370,8 +411,8 @@ def _cut(g: Graph, arr: np.ndarray) -> float:
 
 def conductance(g: Graph, s: object) -> float:
     """cut(S) / min(vol(S), vol(S^c)); +inf on an empty side."""
-    arr = _as_node_array(g, s)
-    return _conductance(g, _cut(g, arr), float(g.degrees[arr].sum()))
+    s = NodeSet.of(g, s)
+    return _conductance(g, s.cut, s.volume)
 
 
 def _conductance(g: Graph, cut_s: float, vol_s: float) -> float:
@@ -384,35 +425,20 @@ def _conductance(g: Graph, cut_s: float, vol_s: float) -> float:
 
 def expansion(g: Graph, s: object) -> float:
     """cut(S) * vol(V) / (vol(S) * vol(S^c)); +inf on an empty side."""
-    arr = _as_node_array(g, s)
-    vol_s = float(g.degrees[arr].sum())
+    s = NodeSet.of(g, s)
+    vol_s = s.volume
     vol_c = g.total_volume - vol_s
     if vol_s <= 0.0 or vol_c <= 0.0:
         return float("inf")
-    return _cut(g, arr) * g.total_volume / (vol_s * vol_c)
+    return s.cut * g.total_volume / (vol_s * vol_c)
 
 
-class _Seed(NamedTuple):
-    """A seed set R normalized once: its sorted ids, vol(R) and vol(R)/vol(R^c)."""
-
-    ids: np.ndarray
-    volume: float
-    ratio: float
-
-
-class _SortedIds(NamedTuple):
-    """Ids a solver holds sorted, distinct and in range, as int64: ``relative_conductance`` takes them as they are."""
-
-    ids: np.ndarray
-
-
-def _seed_of(g: Graph, r_arr: np.ndarray) -> _Seed:
-    """The ``_Seed`` of an id array ``_as_node_array`` returned; SeedTooLargeError when R^c has no volume."""
-    vol_r = float(g.degrees[r_arr].sum())
-    vol_rc = g.total_volume - vol_r
+def _volume_ratio(r: NodeSet) -> float:
+    """vol(R)/vol(R^c) from R's volume; SeedTooLargeError when R^c has no volume."""
+    vol_rc = r.graph.total_volume - r.volume
     if vol_rc <= 0.0:
         raise SeedTooLargeError("seed set covers the whole graph")
-    return _Seed(r_arr, vol_r, vol_r / vol_rc)
+    return r.volume / vol_rc
 
 
 def relative_conductance(g: Graph, s: object, r: object, kappa: float = 1.0) -> float:
@@ -423,9 +449,9 @@ def relative_conductance(g: Graph, s: object, r: object, kappa: float = 1.0) -> 
     not strictly positive (at tolerance), so the functional is always
     well-defined. kappa=1 is the plain seed-relative conductance; raising
     kappa penalizes leaving R harder, and kappa=+inf confines finite values
-    to subsets of R, where the functional reduces to cut(S)/vol(S). R
-    may also be a ``_Seed``, normalized once for a whole refinement call,
-    and S a ``_SortedIds``, a side a max-flow returned.
+    to subsets of R, where the functional reduces to cut(S)/vol(S). S and
+    R pass through ``NodeSet.of``: node sets of ``g`` are taken as they
+    are, R's ratio comes from its volume, and S's cut is kept on S.
 
     Raises
     ------
@@ -436,15 +462,16 @@ def relative_conductance(g: Graph, s: object, r: object, kappa: float = 1.0) -> 
     """
     if not kappa >= 1.0:
         raise ParameterError(f"kappa must be >= 1 (got {kappa})")
-    seed = r if isinstance(r, _Seed) else _seed_of(g, _as_node_array(g, r))
-    s_arr = s.ids if isinstance(s, _SortedIds) else _as_node_array(g, s)
-    if s_arr.size == 0:
+    r = NodeSet.of(g, r)
+    ratio = _volume_ratio(r)
+    s = NodeSet.of(g, s)
+    if not len(s):
         return float("inf")
 
-    in_r = _locate(s_arr, seed.ids, g.n) < seed.ids.size
+    s_arr = s.array
+    in_r = _locate(s_arr, r.array, g.n) < len(r)
     vol_s_in = float(g.degrees[s_arr[in_r]].sum())
     vol_s_out = float(g.degrees[s_arr[~in_r]].sum())
-    ratio = seed.ratio
 
     if np.isinf(kappa):
         denom = vol_s_in if vol_s_out == 0.0 else -float("inf")
@@ -452,7 +479,7 @@ def relative_conductance(g: Graph, s: object, r: object, kappa: float = 1.0) -> 
         denom = vol_s_in - ratio * kappa * vol_s_out
     if denom <= SET_FUNCTIONAL_TOL:
         return float("inf")
-    return _cut(g, s_arr) / denom
+    return s.cut / denom
 
 
 def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from .errors import (
     ConvergenceError,
     OracleCapError,
     ParameterError,
-    SeedTooLargeError,
     UnboundedFlowError,
 )
 from .flownet import FlowNetwork, cut_capacity
@@ -25,7 +24,7 @@ from .graph import (
     SET_FUNCTIONAL_TOL,
     Graph,
     NodeSet,
-    _as_node_array,
+    _volume_ratio,
     conductance,
     cut,
     expansion,
@@ -131,8 +130,8 @@ def brute_min_conductance(g: Graph) -> tuple[NodeSet, float]:
         denom = min(w.volume, total - w.volume)
         return w.cut_value / denom if denom > 0 else math.inf
 
-    _, ids = _enumerate_nontrivial(g, score)
-    return NodeSet.of(g, ids), conductance(g, ids)
+    best = NodeSet.of(g, _enumerate_nontrivial(g, score)[1])
+    return best, conductance(g, best)
 
 
 def brute_min_expansion(g: Graph) -> tuple[NodeSet, float]:
@@ -147,8 +146,8 @@ def brute_min_expansion(g: Graph) -> tuple[NodeSet, float]:
         denom = w.volume * (total - w.volume)
         return w.cut_value * total / denom if denom > 0 else math.inf
 
-    _, ids = _enumerate_nontrivial(g, score)
-    return NodeSet.of(g, ids), expansion(g, ids)
+    best = NodeSet.of(g, _enumerate_nontrivial(g, score)[1])
+    return best, expansion(g, best)
 
 
 def brute_min_relative_conductance(
@@ -165,16 +164,12 @@ def brute_min_relative_conductance(
         raise OracleCapError(f"relative-conductance oracle capped at {MAX_REL_COND_NODES} nodes")
     if not (kappa >= 1.0):
         raise ParameterError(f"kappa must be at least 1 (got {kappa})")
-    r_arr = _as_node_array(g, r)
-    if r_arr.size == 0:
+    r = NodeSet.of(g, r)
+    if not len(r):
         raise ParameterError("seed set is empty")
-    vol_r = float(g.degrees[r_arr].sum())
-    vol_rc = g.total_volume - vol_r
-    if vol_rc <= 0:
-        raise SeedTooLargeError("seed set covers all volume")
-    ratio = vol_r / vol_rc
+    ratio = _volume_ratio(r)
     in_r = np.zeros(g.n, dtype=bool)
-    in_r[r_arr] = True
+    in_r[r.array] = True
 
     walk = _GrayWalk(g, np.arange(g.n, dtype=np.int64))
     vol_in = 0.0
@@ -195,12 +190,13 @@ def brute_min_relative_conductance(
         value = walk.cut_value / denom if denom > SET_FUNCTIONAL_TOL else math.inf
         best = _take_if_better(value, walk, best)
     assert best[1] is not None
-    return NodeSet.of(g, best[1]), relative_conductance(g, best[1], r_arr, kappa=kappa)
+    best_set = NodeSet.of(g, best[1])
+    return best_set, relative_conductance(g, best_set, r, kappa=kappa)
 
 
 def brute_min_subset_ratio(g: Graph, r: object) -> tuple[NodeSet, float]:
     """Exact minimum of cut/vol over nonempty subsets of the seed set."""
-    r_arr = _as_node_array(g, r)
+    r_arr = NodeSet.of(g, r).array
     if r_arr.size == 0:
         raise ParameterError("seed set is empty")
     if r_arr.size > MAX_SUBSET_SEED:
@@ -213,7 +209,8 @@ def brute_min_subset_ratio(g: Graph, r: object) -> tuple[NodeSet, float]:
         if walk.size > 0:
             best = _take_if_better(walk.cut_value / walk.volume, walk, best)
     assert best[1] is not None
-    return NodeSet.of(g, best[1]), cut(g, best[1]) / volume(g, best[1])
+    best_set = NodeSet.of(g, best[1])
+    return best_set, cut(g, best_set) / volume(g, best_set)
 
 
 def brute_min_cut(net: FlowNetwork) -> tuple[float, np.ndarray]:

@@ -6,7 +6,10 @@ each seed node i with capacity alpha*d_i, and every other node attaches
 to the sink with capacity beta*d_i. Zero-weight attachments are omitted,
 which is what makes strongly-local solving possible. ``materialize``
 builds the whole network; ``rescale`` returns one at new source and sink
-scales that shares the built one's arcs.
+scales that shares the built one's arcs. A spec holds its seed as a
+sorted id array: a seed given as a ``graph.NodeSet`` lends its own array,
+so the refinement loop, which builds a spec per round from the one node
+set it holds, sorts nothing again.
 
 ``solve_maxflow_local`` solves on a grown subset of the nodes, the
 members, with everything else contracted into the sink: each member has
@@ -35,9 +38,9 @@ beta'*d, and leaves edges and outside edges as they were
 (``flownet._augment_scaled``, one call). No capacity falls below s times
 what it was, so the scaled flow is feasible, and scaling keeps it
 conserving; the round re-splits every row at beta' and augments and
-grows as a grow round does. Where scaling cannot reach the new scales
-(s outside (0, 1), a sentinel in the kept network, or another
-beta/alpha), the caller builds a fresh solve.
+grows as a grow round does. Scaling cannot reach s outside (0, 1), a
+kept network that holds a sentinel, or another beta/alpha; a round
+asked for any of them is an internal error.
 
 This module writes the residual only through those methods and calls
 and reads it only through ``_Residual.run``. Every returned cut is
@@ -66,7 +69,7 @@ from .flownet import (
     _Residual,
     _run_index,
 )
-from .graph import Graph, _as_node_array, _locate, _sorted_ids
+from .graph import Graph, NodeSet, _locate, _sorted_ids
 
 __all__ = [
     "AugmentedGraphSpec",
@@ -89,9 +92,10 @@ class AugmentedGraphSpec:
     beta : float
         Sink scale, >= 0; +inf allowed (hard confinement): node i outside
         R is attached to the sink with capacity beta*d_i.
-    seed : iterable of integer node ids
-        The seed set R, nonempty; held as a sorted array of distinct ids.
-        Ids that are not integers raise InvalidSetError.
+    seed : iterable of integer node ids, or a NodeSet
+        The seed set R, nonempty; held as a sorted array of distinct ids,
+        a node set's own array as it is. Ids that are not integers raise
+        InvalidSetError.
     """
 
     alpha: float
@@ -101,22 +105,10 @@ class AugmentedGraphSpec:
     def __post_init__(self):
         if not (self.alpha >= 0 and self.beta >= 0):  # NaN fails both comparisons
             raise ParameterError("alpha and beta must be nonnegative")
-        seed = _sorted_ids(self.seed)
+        seed = self.seed.array if isinstance(self.seed, NodeSet) else _sorted_ids(self.seed)
         if not seed.size:
             raise ParameterError("seed set is empty")
         object.__setattr__(self, "seed", seed)
-
-    @classmethod
-    def _of_sorted(cls, alpha: float, beta: float, seed: np.ndarray) -> AugmentedGraphSpec:
-        """The spec of a seed already held as sorted, distinct int64 ids, which are not sorted again.
-
-        Nothing is checked: the caller holds a nonempty seed and
-        nonnegative scales, as ``flowcluster.refine_by_flow`` does.
-        """
-        spec = cls.__new__(cls)
-        for name, value in (("alpha", alpha), ("beta", beta), ("seed", seed)):
-            object.__setattr__(spec, name, value)
-        return spec
 
     def validate_against(self, g: Graph) -> None:
         lo, hi = self.seed[0], self.seed[-1]
@@ -142,7 +134,7 @@ def augmented_cut_value(spec: AugmentedGraphSpec, g: Graph, s: object) -> float:
     has volume.
     """
     spec.validate_against(g)
-    return _augmented_cut(spec, g, _as_node_array(g, s))
+    return _augmented_cut(spec, g, NodeSet.of(g, s).array)
 
 
 def _augmented_cut(spec: AugmentedGraphSpec, g: Graph, arr: np.ndarray) -> float:
@@ -311,11 +303,11 @@ class LocalSolve(NamedTuple):
 def solve_maxflow_local(
     spec: AugmentedGraphSpec,
     g: Graph,
-    warm_start: Iterable[int] = (),
+    warm_start: Iterable[int] | None = None,
 ) -> LocalSolve:
     """Max-flow on the augmented graph touching only a grown subgraph.
 
-    Starts from the seed plus the warm-start set, contracts
+    Starts from the seed, plus the warm-start set if one is given, contracts
     everything else into the sink (one sink arc per member, holding its
     outside edges), and solves exactly on the subnetwork. The flow on each
     sink arc is split greedily: the member's own attachment first, then
@@ -339,10 +331,12 @@ def solve_maxflow_local(
     if math.isinf(spec.alpha):
         raise ParameterError("total source capacity must be finite")
 
-    explored = _sorted_ids(np.concatenate((spec.seed, _sorted_ids(warm_start))))
-    if explored[0] < 0 or explored[-1] >= g.n:
-        raise ParameterError("warm-start node out of range")
-    flow = _LocalFlow(spec, g, explored)
+    members = spec.seed
+    if warm_start is not None:
+        members = _sorted_ids(np.concatenate((members, _sorted_ids(warm_start))))
+        if members[0] < 0 or members[-1] >= g.n:
+            raise ParameterError("warm-start node out of range")
+    flow = _LocalFlow(spec, g, members)
     return LocalSolve(flow.solve(), flow.explored(), flow)
 
 
@@ -380,20 +374,22 @@ class _LocalFlow:
             self.split = _Split(self.spec, self.g, self.lay)
         return self._grow(*_augment(self.res, 0.0, [], []))
 
-    def resolve(self, spec: AugmentedGraphSpec) -> CutSolution | None:
+    def resolve(self, spec: AugmentedGraphSpec) -> CutSolution:
         """A later round at ``spec``: the kept flow scaled by s = alpha'/alpha, augmented and grown.
 
-        ``spec`` holds the kept seed. Returns None, leaving the flow as it
-        was, where scaling cannot reach ``spec``: s is not in (0, 1), the
-        kept network holds an infinite capacity (the sentinel), or beta is
-        not s times the kept beta (at 1e-9, the roundoff of a fixed
-        beta/alpha; an infinite beta must stay infinite). The caller then
-        builds afresh.
+        ``spec`` holds the kept seed. Where scaling cannot reach ``spec``
+        it raises AssertionError, an internal error, and leaves the flow
+        as it was: s is not in (0, 1), the kept network holds an infinite
+        capacity (the sentinel), or beta is not s times the kept beta (at
+        1e-9, the roundoff of a fixed beta/alpha; an infinite beta must
+        stay infinite). A refinement call never asks for such a round: its
+        objective falls, the loop ends once it is 0, and beta/alpha is
+        fixed.
         """
         kept = self.spec
         s = spec.alpha / kept.alpha if kept.alpha > 0.0 else math.nan
         if not 0.0 < s < 1.0 or self.net.infinite.any() or not math.isclose(spec.beta, s * kept.beta, rel_tol=1e-9):
-            return None
+            raise AssertionError(f"a kept flow cannot be scaled to alpha={spec.alpha!r}, beta={spec.beta!r}")
         deg = self.carry.sink_deg if self.carry is not None else self.lay.snk_deg.tolist()
         # Only a member outside the seed with a degree has an own attachment;
         # at an infinite beta there is none, or the network would hold a sentinel.

@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from .graph import Graph, _as_node_array, _conductance, _cut
+from .graph import Graph, NodeSet, _conductance
 
 if TYPE_CHECKING:
     from .spectral import EmbeddingVector
@@ -19,8 +19,9 @@ class ClusterResult:
     """Output set plus the numbers needed to reproduce and audit a run.
 
     ``objective`` is the value of ``objective_name`` on the returned set;
-    ``conductance``, ``cut`` and ``volume`` are always recomputed from the
-    graph so results can be cross-checked independently of the algorithm.
+    ``conductance``, ``cut`` and ``volume`` always come from the graph's
+    own set functionals, so results can be cross-checked independently of
+    the algorithm.
     ``history`` holds the accepted per-iteration objective values for
     iterative methods; ``vector`` is the embedding a swept method rounded,
     when it has one. Neither is compared or serialized.
@@ -54,19 +55,19 @@ class ClusterResult:
     ) -> "ClusterResult":
         """Build a result for ``set_ids`` on ``g``, timed from ``time.perf_counter() == t0``.
 
-        Recomputes conductance, cut and volume from the graph; an empty set
-        gets inf, 0 and 0. ``set_ids`` is stored sorted and without repeats.
+        ``set_ids`` passes through ``NodeSet.of``, and its cut and volume
+        are the ones the node set keeps, summed here unless it already
+        holds them; an empty set gets conductance inf, cut 0 and volume 0.
+        ``set_ids`` is stored sorted and without repeats.
         """
-        arr = _as_node_array(g, set_ids)
-        cut_s = _cut(g, arr)
-        vol_s = float(g.degrees[arr].sum())
+        s = NodeSet.of(g, set_ids)
         return cls(
-            set_ids=tuple(arr.tolist()),
+            set_ids=s.ids,
             objective_name=objective_name,
             objective=objective,
-            conductance=_conductance(g, cut_s, vol_s),
-            cut=cut_s,
-            volume=vol_s,
+            conductance=_conductance(g, s.cut, s.volume),
+            cut=s.cut,
+            volume=s.volume,
             touched_nodes=touched_nodes,
             iterations=iterations,
             runtime_ms=(time.perf_counter() - t0) * 1e3,

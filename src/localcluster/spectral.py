@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     UnattainableCorrelationError,
 )
-from .graph import Graph, _as_node_array, _locate, _row_reduce, _sorted_ids, laplacian_apply
+from .graph import Graph, NodeSet, _locate, _row_reduce, _sorted_ids, laplacian_apply
 from .results import ClusterResult
 from .rounding import sweep_cut
 from .solvers import MatvecBudget, _BudgetExceeded, _dot, _norm, conjugate_gradient, smallest_eigenpair
@@ -110,15 +110,14 @@ def seed_distribution(g: Graph, seeds: object) -> dict[int, float]:
         v = int(seeds)
         if not (0 <= v < g.n):
             raise ParameterError(f"seed node {v} out of range")
-        arr = np.array([v])
-    else:
-        arr = _as_node_array(g, seeds)
-        if arr.size == 0:
-            raise ParameterError("seed set is empty")
-    total = float(g.degrees[arr].sum())
+        seeds = [v]
+    seeds = NodeSet.of(g, seeds)
+    if not len(seeds):
+        raise ParameterError("seed set is empty")
+    total = seeds.volume
     if total == 0.0:
         raise ParameterError("seed set has zero volume")
-    return {int(v): float(g.degrees[v]) / total for v in arr}
+    return {int(v): float(g.degrees[v]) / total for v in seeds.array}
 
 
 def correlation_seed(g: Graph, r: object) -> np.ndarray:
@@ -128,14 +127,15 @@ def correlation_seed(g: Graph, r: object) -> np.ndarray:
     the indicator has no component left after orthogonalization, and
     ParameterError is raised.
     """
-    arr = _as_node_array(g, r)
+    r = NodeSet.of(g, r)
+    arr = r.array
     if arr.size == 0 or arr.size == g.n:
         raise ParameterError("seed set must be a nonempty proper subset")
     z = np.zeros(g.n)
     z[arr] = 1.0
     if not ((g.degrees[arr] > 0.0).any() and (g.degrees[z == 0.0] > 0.0).any()):
         raise ParameterError("seed set and its complement must each have positive volume")
-    z -= float(g.degrees[arr].sum()) / g.total_volume
+    z -= r.volume / g.total_volume
     scale = math.sqrt(_dot(z, g.degrees * z))
     return z / scale
 
@@ -230,7 +230,7 @@ def spectral_mqi(g: Graph, r: object, tol: float = 1e-10) -> tuple[float, Embedd
     """
     if not tol > 0:  # NaN fails too
         raise ParameterError("tol must be positive")
-    r_arr = _as_node_array(g, r)
+    r_arr = NodeSet.of(g, r).array
     if r_arr.size == 0:
         raise ParameterError("seed set is empty")
     if (g.degrees[r_arr] == 0.0).any():
@@ -278,7 +278,7 @@ def spectral_mqi_cluster(g: Graph, r: object, tol: float = 1e-8) -> ClusterResul
     sweep_vec = EmbeddingVector(n=g.n, values=rescaled, indices=ids, kind="dirichlet")
     node_set, value, _profile = sweep_cut(g, sweep_vec, objective="cut_over_volume")
     return ClusterResult.of_set(
-        g, node_set.ids, "cut_over_volume", value, touched_nodes=touched, iterations=1, t0=t0,
+        g, node_set, "cut_over_volume", value, touched_nodes=touched, iterations=1, t0=t0,
         history=(lam,), vector=vec,
     )
 
@@ -578,6 +578,6 @@ def l1pr_cluster(g: Graph, h: object, alpha: float, epsilon: float) -> ClusterRe
         )
     node_set, value, _profile = sweep_cut(g, vec, objective="conductance")
     return ClusterResult.of_set(
-        g, node_set.ids, "conductance", value, touched_nodes=touched, iterations=pushes, t0=t0,
+        g, node_set, "conductance", value, touched_nodes=touched, iterations=pushes, t0=t0,
         vector=vec,
     )

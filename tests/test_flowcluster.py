@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from localcluster import (
     AugmentedGraphSpec,
     Graph,
+    InvalidSetError,
     ParameterError,
     SeedTooLargeError,
     conductance,
@@ -392,38 +393,50 @@ def test_relabeling_the_vertices_relabels_the_answer(case):
         assert b.objective == pytest.approx(a.objective, rel=1e-12), name
 
 
-def test_refine_by_flow_hands_on_sorted_id_arrays(ring20, monkeypatch):
+def test_refine_by_flow_hands_on_node_sets(ring20, monkeypatch):
     # The seed is one clique and two nodes of the next, so each call
     # accepts a candidate; kappa = 1 solves the whole network, the others
     # solve locally.
-    from localcluster import flowcluster
-    from localcluster.graph import _Seed, _SortedIds
+    from localcluster import flowcluster, graph
+    from localcluster.graph import NodeSet
     from localcluster.results import ClusterResult
 
     passed = {"relative_conductance": [], "of_set": []}
     score = flowcluster.relative_conductance
     build = ClusterResult.of_set.__func__
+    sort = graph._sorted_ids
+    normalized = []
 
     def spy_score(g, s, r, kappa=1.0):
-        # The seed comes normalized once per call, with its volume and ratio,
-        # and the candidate as the sorted array the max-flow returned, marked
-        # so that it is not normalized again.
-        assert isinstance(r, _Seed) and isinstance(s, _SortedIds)
-        passed["relative_conductance"] += [s.ids, r.ids]
+        # The seed comes as the node set the call made, and the candidate as
+        # the node set of the sorted array the max-flow returned.
+        passed["relative_conductance"] += [s, r]
         return score(g, s, r, kappa=kappa)
 
     def spy_build(cls, g, set_ids, *args, **kwargs):
         passed["of_set"].append(set_ids)
         return build(cls, g, set_ids, *args, **kwargs)
 
+    def spy_sort(s):
+        normalized.append(1)
+        return sort(s)
+
     monkeypatch.setattr(flowcluster, "relative_conductance", spy_score)
     monkeypatch.setattr(ClusterResult, "of_set", classmethod(spy_build))
+    monkeypatch.setattr(graph, "_sorted_ids", spy_sort)
     for kappa in (1.0, 5.0, math.inf):
         assert len(refine_by_flow(ring20, range(12), kappa).history) == 2
     # Each call scores one candidate (two sets; the seed's own objective is
-    # cut(R)/vol(R), taken without the functional), then builds one result.
+    # cut(R)/vol(R), taken without the functional), builds one result, and
+    # sorts only the seed it was handed.
     assert len(passed["relative_conductance"]) == 6 and len(passed["of_set"]) == 3
-    for name, arrays in passed.items():
-        for ids in arrays:
-            assert isinstance(ids, np.ndarray) and ids.dtype == np.int64, name
+    assert len(normalized) == 3
+    for name, sets in passed.items():
+        for ns in sets:
+            assert isinstance(ns, NodeSet) and ns.graph is ring20, name
+            ids = ns.array
+            assert ids.dtype == np.int64 and not ids.flags.writeable, name
             assert (np.diff(ids) > 0).all(), name
+    # A plain argument is still checked.
+    with pytest.raises(InvalidSetError):
+        refine_by_flow(ring20, [0, ring20.n], 1.0)

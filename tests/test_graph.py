@@ -22,6 +22,7 @@ from localcluster import (
     conductance,
     cut,
     expansion,
+    flow_improve,
     l1pr_cluster,
     laplacian_apply,
     local_flow_improve,
@@ -91,18 +92,21 @@ def test_relative_conductance_dumbbell(dumbbell):
     assert relative_conductance(dumbbell, list(range(6)), r) == math.inf
 
 
-def test_relative_conductance_of_sorted_ids_a_solver_holds(dumbbell):
-    from localcluster.graph import _SortedIds
-
+def test_relative_conductance_of_node_sets(dumbbell):
     r = [0, 1, 2, 3]
+    seed = NodeSet.of(dumbbell, r)
     for s in ([0, 1, 2], [0, 1, 2, 4], []):
+        # A solver's sorted int64 array becomes a node set without a copy.
         ids = np.array(s, dtype=np.int64)
-        assert relative_conductance(dumbbell, _SortedIds(ids), r, kappa=2.0) == relative_conductance(
-            dumbbell, s[::-1], r, kappa=2.0
-        )
+        side = NodeSet._sorted(dumbbell, ids)
+        assert np.shares_memory(side.array, ids) or not ids.size
+        with _counting("_sorted_ids", graph) as sorted_:
+            got = relative_conductance(dumbbell, side, seed, kappa=2.0)
+        assert not sorted_
+        assert got == relative_conductance(dumbbell, s[::-1], r, kappa=2.0)
     # A plain argument is still checked.
     with pytest.raises(InvalidSetError):
-        relative_conductance(dumbbell, [0, 6], r)
+        relative_conductance(dumbbell, [0, 6], seed)
 
 
 def test_relative_conductance_negative_denominator(dumbbell):
@@ -156,8 +160,12 @@ def test_nodeset_carries_stats(dumbbell):
 
 
 @contextlib.contextmanager
-def _counting(name):
-    """Count the calls of ``graph.<name>`` from every module that imports it."""
+def _counting(name, *modules):
+    """Count the calls of ``graph.<name>`` from ``modules``, by default every module that imports it.
+
+    ``_counting("_sorted_ids", graph)`` counts the normalizations: ``NodeSet.of``
+    is the only caller of ``_sorted_ids`` in ``graph``.
+    """
     original = getattr(graph, name)
     calls = []
 
@@ -166,7 +174,7 @@ def _counting(name):
         return original(*args, **kwargs)
 
     with contextlib.ExitStack() as stack:
-        for mod in (graph, results, rounding, spectral, flowcluster, refcut, oracles):
+        for mod in modules or (graph, results, rounding, spectral, flowcluster, refcut, oracles):
             if getattr(mod, name, None) is original:
                 stack.enter_context(mock.patch.object(mod, name, counted))
         yield calls
@@ -175,15 +183,65 @@ def _counting(name):
 def test_each_set_is_normalized_and_cut_once():
     ids = tuple(range(6, 26))
     g = ring_of_cliques(20, 5)
-    with _counting("_as_node_array") as normalized, _counting("_cut") as cuts:
+    with _counting("_sorted_ids", graph) as normalized, _counting("_cut") as cuts:
         ClusterResult.of_set(g, ids, "x", 0.5, touched_nodes=6, iterations=1, t0=0.0)
     assert (len(normalized), len(cuts)) == (1, 1)
-    with _counting("_as_node_array") as normalized, _counting("_cut") as cuts:
+    with _counting("_sorted_ids", graph) as normalized, _counting("_cut") as cuts:
         NodeSet.of(g, ids)
     assert (len(normalized), len(cuts)) == (1, 0)
     with _counting("_cut") as cuts:
         l1pr_cluster(g, {0: 1.0}, alpha=0.15, epsilon=1e-3)
     assert len(cuts) == 1
+
+    # The seed is two cliques and two nodes of a third. mqi and
+    # local_flow_improve(delta=1) solve locally, flow_improve and
+    # local_flow_improve(delta=1e-6) on the whole network.
+    seed = list(range(12))
+    flows = {
+        "mqi": (mqi, True),
+        "flow_improve": (flow_improve, False),
+        "local_flow_improve(delta=1)": (lambda g, r: local_flow_improve(g, r, delta=1.0), True),
+        "local_flow_improve(delta=1e-6)": (lambda g, r: local_flow_improve(g, r, delta=1e-6), False),
+    }
+    score = flowcluster.relative_conductance
+    for name, (method, local) in flows.items():
+        scored = []
+
+        def spy(g, s, r, kappa=1.0):
+            scored.append(s)
+            return score(g, s, r, kappa=kappa)
+
+        with mock.patch.object(flowcluster, "relative_conductance", spy):
+            with _counting("_sorted_ids", graph) as normalized, _counting("_cut") as cuts:
+                res = method(g, seed)
+        assert (res.touched_nodes < g.n) == local, name
+        assert len(normalized) == 1, name
+        # Once for the seed and once for each candidate scored; the result
+        # reads the cut its set keeps.
+        assert scored and len(cuts) == 1 + len(scored), name
+
+    # A node set of the same graph passes through every public call as it is.
+    r, s = NodeSet.of(g, seed), NodeSet.of(g, range(5, 15))
+    calls = {
+        **{name: (lambda method=method: method(g, r)) for name, (method, _) in flows.items()},
+        "relative_conductance": lambda: relative_conductance(g, s, r, kappa=2.0),
+        "cut": lambda: cut(g, s),
+        "volume": lambda: volume(g, s),
+        "conductance": lambda: conductance(g, s),
+        "expansion": lambda: expansion(g, s),
+        "of_set": lambda: ClusterResult.of_set(g, s, "x", 0.5, touched_nodes=6, iterations=1, t0=0.0),
+        "NodeSet.of": lambda: NodeSet.of(g, s),
+        "augmented_cut_value": lambda: refcut.augmented_cut_value(
+            refcut.AugmentedGraphSpec(alpha=1.0, beta=0.5, seed=r), g, s
+        ),
+        "seed_distribution": lambda: spectral.seed_distribution(g, r),
+        "correlation_seed": lambda: spectral.correlation_seed(g, r),
+        "spectral_mqi": lambda: spectral.spectral_mqi(g, r),
+    }
+    for name, call in calls.items():
+        with _counting("_sorted_ids", graph) as normalized:
+            call()
+        assert not normalized, name
 
 
 def test_result_builder_recomputes_fields(dumbbell):

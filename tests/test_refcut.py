@@ -22,7 +22,7 @@ from localcluster import (
     solve_maxflow,
     solve_maxflow_local,
 )
-from localcluster.graph import Graph, _sorted_ids
+from localcluster.graph import Graph, NodeSet, _sorted_ids
 from localcluster.refcut import _subnetwork, rescale
 from localcluster.synth import path_graph, random_connected_graph, ring_of_cliques, star_graph
 from test_flownet import ArcRows, assert_ids, push_relabel_residuals
@@ -65,12 +65,19 @@ class TestSpecValidation:
         spec = AugmentedGraphSpec(alpha=1.0, beta=1.0, seed=(4, 1, 4, 0))
         assert spec.seed.tolist() == [0, 1, 4]
 
-    def test_a_seed_already_sorted_is_taken_as_it_is(self):
-        ids = np.array([0, 1, 4])
-        spec = AugmentedGraphSpec._of_sorted(1.5, math.inf, ids)
+    def test_a_node_set_seed_is_taken_as_it_is(self, monkeypatch):
+        from localcluster import refcut
+
+        seed = NodeSet.of(path_graph(5), [4, 1, 0, 1])
+        monkeypatch.setattr(refcut, "_sorted_ids", None)  # nothing is sorted again
+        spec = AugmentedGraphSpec(alpha=1.5, beta=math.inf, seed=seed)
+        monkeypatch.undo()
         public = AugmentedGraphSpec(alpha=1.5, beta=math.inf, seed=[4, 1, 0, 1])
-        assert spec.seed is ids
+        assert spec.seed is seed.array
         assert (spec.alpha, spec.beta, spec.seed.tolist()) == (public.alpha, public.beta, public.seed.tolist())
+        # The scales are still checked.
+        with pytest.raises(ParameterError):
+            AugmentedGraphSpec(alpha=-1.5, beta=math.inf, seed=seed)
 
     def test_non_integer_seed_rejected(self):
         # Neither truncated to ints nor parsed as ints.
@@ -879,7 +886,6 @@ def _kept_rounds(g, seed_ids, kappa, max_iters=50):
             sol, _, flow = solve_maxflow_local(spec, g, warm_start=current)
         else:
             sol = flow.resolve(spec)
-            assert sol is not None
         yield spec, current, flow, sol
         if not sol.s_side.size:
             return
@@ -985,14 +991,15 @@ def test_a_kept_flow_that_scaling_cannot_reach_is_left_as_it_was(name, kept_beta
     _, _, flow = solve_maxflow_local(AugmentedGraphSpec(alpha=1.0, beta=kept_beta, seed=[0, 1]), g, warm_start=warm)
     assert flow.net.infinite.any() == (name == "a sentinel in the kept network")
     before = (flow.spec, flow.value, list(flow.res.cap))
-    assert flow.resolve(AugmentedGraphSpec(alpha=alpha, beta=beta, seed=[0, 1])) is None, name
+    with pytest.raises(AssertionError, match="cannot be scaled"):
+        flow.resolve(AugmentedGraphSpec(alpha=alpha, beta=beta, seed=[0, 1]))
     assert (flow.spec, flow.value, list(flow.res.cap)) == before, name
 
 
-def test_a_round_at_zero_source_scale_builds_afresh():
-    """mqi on a graph of three components reaches objective 0: the second round runs
-    at alpha = 0, where s = 0, so the call builds a second network, warm-started from
-    the current set; touched counts the nodes of both networks (the same four here)."""
+def test_the_loop_stops_at_a_zero_objective():
+    """mqi on a graph of three components reaches objective 0 in its first round,
+    and no later round could decrease it: the call stops there, with the one network
+    the first round built and no scaled round (which could not scale to alpha = 0)."""
     from localcluster import mqi, refcut
 
     g = Graph.from_edges(9, [0, 1, 0, 3, 4, 3, 6, 7], [1, 2, 2, 4, 5, 5, 7, 8])
@@ -1004,16 +1011,15 @@ def test_a_round_at_zero_source_scale_builds_afresh():
         return subnetwork(spec, g, members)
 
     def count_resolve(flow, spec):
-        out = resolve(flow, spec)
-        resolved.append(out is not None)
-        return out
+        resolved.append(spec.alpha)
+        return resolve(flow, spec)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(refcut, "_subnetwork", count_network)
         mp.setattr(refcut._LocalFlow, "resolve", count_resolve)
         res = mqi(g, [0, 1, 2, 3])
-    assert res.set_ids == (0, 1, 2) and res.history == (0.25, 0.0) and res.iterations == 2
-    assert networks == [0.25, 0.0] and resolved == [False]
+    assert res.set_ids == (0, 1, 2) and res.history == (0.25, 0.0) and res.iterations == 1
+    assert networks == [0.25] and resolved == []
     assert res.touched_nodes == 4
 
 

@@ -228,7 +228,7 @@ class TestSeedConfined:
         strict=True,
         raises=ConvergenceError,
         reason="inverse iteration stalls where the submatrix's lambda_1/lambda_2 is 0.997 "
-        "(ROADMAP item 3: a block eigensolver)",
+        "(ROADMAP item 9: a block eigensolver)",
     )
     def test_converges_on_a_nearly_degenerate_submatrix(self):
         # 1 of 3,000 small random cases; the relabeling property below
@@ -497,7 +497,7 @@ def test_relabeling_the_vertices_relabels_the_spectral_answers(case):
     except ConvergenceError:
         # Inverse iteration stalls where lambda_2 / lambda_3 is near 1
         # (0.982-0.992 on 16 of 4,800 small random graphs), a defect of the
-        # eigensolver, not of relabeling (ROADMAP item 3).
+        # eigensolver, not of relabeling (ROADMAP item 9).
         assume(False)
     assert moved_lam == pytest.approx(lam, rel=1e-8)
 
