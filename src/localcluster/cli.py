@@ -38,9 +38,9 @@ from .oracles import (
 )
 from .results import ClusterResult
 from .rounding import sweep_cut
-from .solvers import _dot
 from .spectral import (
     EmbeddingVector,
+    _correlation,
     correlation_seed,
     fiedler,
     l1_pagerank,
@@ -272,8 +272,7 @@ def _cmd_mov(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> ClusterRes
     _write_vector(args, lm, vec)
     if args.sweep:
         return _swept(args, g, vec, t0)
-    v = vec.values
-    return {"rho": rho, "correlation": _dot(z, g.degrees * v) ** 2 / _dot(v, g.degrees * v)}
+    return {"rho": rho, "correlation": _correlation(g, z, vec.values)}
 
 
 def _cmd_l1pr(args: argparse.Namespace, g: Graph, lm: gio.LabelMap) -> ClusterResult | dict:

@@ -34,21 +34,22 @@ cut is summed once, for its score, and read again by the result.
 
 The solver follows from the output volume bound vol(S) <= vol(R)*(1 +
 2/epsilon) + cut(R). Below vol(V), the grow-on-demand local max-flow
-touches only a neighbourhood of R, and a call keeps one local flow for
-all its rounds: the first round builds its network and grows its
-residual; each later one, at alpha' = s*alpha (0 < s < 1, epsilon
-fixed), scales that flow by s and augments and grows from there
-(``refcut._LocalFlow.resolve``); s lies in (0, 1) because the objective
-falls and the loop ends once it is 0. Where the bound reaches vol(V), as
-it always does at kappa = 1, growing cannot save work and the network is
-built whole, once per call: between rounds only alpha and beta change,
-so each later round solves, from zero flow, a network at the new source
-and sink scales that shares the first one's arcs (``refcut.rescale``). Past
-the crossover the local solver measured far slower than the whole-graph
-solve: on a planted 2k-node graph's 8 seed sets at kappa = 1 + 1e-12 it
-touched all nodes but one, in about 31 grow rounds per solve, and took
-6.6 s against 0.62 s; at delta = 1e-3, 1e-4 and 1e-6 the
-crossover took those seed sets from 5.1-7.0 s to 0.67-0.79 s.
+starts from R and touches only a neighbourhood of it, and a call keeps
+one local flow for all its rounds: the first round builds its network on
+R alone and grows its residual; each later one, at alpha' = s*alpha (0 <
+s < 1, epsilon fixed), scales that flow by s and augments and grows from
+there (``refcut._LocalFlow.resolve``); s lies in (0, 1) because the
+objective falls and the loop ends once it is 0. Where the bound reaches
+vol(V), as it always does at kappa = 1, growing cannot save work and the
+network is built whole, once per call: between rounds only alpha and
+beta change, so each later round solves, from zero flow, a network at
+the new source and sink scales that shares the first one's arcs
+(``refcut.rescale``). Past the crossover the local solver measured far
+slower than the whole-graph solve: on a planted 2k-node graph's 8 seed
+sets at kappa = 1 + 1e-12 it touched all nodes but one, in about 31 grow
+rounds per solve, and took 6.6 s against 0.62 s; at delta = 1e-3, 1e-4
+and 1e-6 the crossover took those seed sets from 5.1-7.0 s to
+0.67-0.79 s.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def refine_by_flow(
     it, and each later one solves a copy at the new source and sink scales
     that shares its arcs (``refcut.rescale``); ``touched_nodes`` is n.
     Below it the rounds solve strongly locally on one residual: the first
-    round, from R, builds the call's one network and grows its subgraph
+    round builds the call's one network on R alone and grows its subgraph
     on demand, carrying its flow from one grow round to the next. Each
     later round keeps that residual and its maximum flow, multiplied by s
     = alpha'/alpha, which lies in (0, 1) because the objective falls and
@@ -171,7 +172,7 @@ def refine_by_flow(
         current,
         "cut_over_volume" if math.isinf(kappa) else "seed_relative_conductance",
         obj,
-        touched_nodes=g.n if whole else flow.explored().size,
+        touched_nodes=g.n if whole else flow.ids.size - 2,  # the residual's nodes but its two terminals
         iterations=iterations,
         t0=t0,
         history=tuple(history),

@@ -11,36 +11,38 @@ sorted id array: a seed given as a ``graph.NodeSet`` lends its own array,
 so the refinement loop, which builds a spec per round from the one node
 set it holds, sorts nothing again.
 
-``solve_maxflow_local`` solves on a grown subset of the nodes, the
-members, with everything else contracted into the sink: each member has
-one sink arc holding its own attachment and its edges to non-members.
-A solve holds one residual (``flownet._Residual``), built on the first
-round's network, and enters the engine through one call per round,
-``flownet._augment``, which sends any surplus on to the sink or back to
-the source, augments from the source and leaves the flow in the
-residual. After each round ``_Split`` splits the flow on each member's
-sink arc over its outside edges and finds the outside nodes that take in
-more than their own attachment can; a row is split again only when its
-flow moved, so a round reads the sink arcs and what the augmentation
-changed. A solve whose first round has no such node builds nothing more
-(no ``_Carry``). Otherwise those nodes join and ``_Carry.grow`` appends
-their arcs to the residual in place (``_Residual.add_nodes`` /
-``add_pairs``): every arc keeps its flow, an outside edge that comes
-inside takes its capacity and its share of the flow out of its member's
-sink arc (``_Residual.take``), and a new member's inflow beyond its own
-sink arc is surplus.
+``solve_maxflow_local`` solves one local flow (``_LocalFlow``) that
+starts from the seed: its first round's network holds the seed nodes,
+the members, with everything else contracted into the sink. Each member
+has one sink arc, which holds its edges to non-members (a seed node has
+no sink attachment of its own). The flow holds one residual
+(``flownet._Residual``), built on that network, and enters the engine
+through one call per round, ``flownet._augment``, which sends any
+surplus on to the sink or back to the source, augments from the source
+and leaves the flow in the residual. After each round ``_Split`` splits
+the flow on each member's sink arc over its outside edges and finds the
+outside nodes that take in more than their own attachment can; a row is
+split again only when its flow moved, so a round reads the sink arcs and
+what the augmentation changed. Those nodes join (``_LocalFlow._join``),
+which appends their arcs to the residual in place
+(``_Residual.add_nodes`` / ``add_pairs``): every arc keeps its flow, an
+outside edge that comes inside takes its capacity and its share of the
+flow out of its member's sink arc (``_Residual.take``), and a new
+member's inflow beyond its own sink arc is surplus. A flow whose rounds
+have no such node never builds the index that joining needs.
 
-The solve's flow (``_LocalFlow``) outlives it: a refinement call keeps
-one residual for all its rounds. A later round, at alpha' = s*alpha
-with s in (0, 1) and beta/alpha fixed, multiplies the flow on every arc
-by s, gives the source arcs alpha'*d and each member's own attachment
-beta'*d, and leaves edges and outside edges as they were
+Nodes join only through ``_Split``, which exists only at a finite beta,
+and the source capacities are finite, so no local network holds an
+infinite capacity. The flow outlives its first round: a refinement call
+keeps one residual for all its rounds. A later round, at alpha' =
+s*alpha with s in (0, 1) and beta/alpha fixed, multiplies the flow on
+every arc by s, gives the source arcs alpha'*d and each member's own
+attachment beta'*d, and leaves edges and outside edges as they were
 (``flownet._augment_scaled``, one call). No capacity falls below s times
 what it was, so the scaled flow is feasible, and scaling keeps it
 conserving; the round re-splits every row at beta' and augments and
-grows as a grow round does. Scaling cannot reach s outside (0, 1), a
-kept network that holds a sentinel, or another beta/alpha; a round
-asked for any of them is an internal error.
+grows as a grow round does. Scaling cannot reach s outside (0, 1) or
+another beta/alpha; a round asked for either is an internal error.
 
 This module writes the residual only through those methods and calls
 and reads it only through ``_Residual.run``. Every returned cut is
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -300,27 +302,23 @@ class LocalSolve(NamedTuple):
     flow: _LocalFlow  # the solve's flow, kept for solving again at smaller scales
 
 
-def solve_maxflow_local(
-    spec: AugmentedGraphSpec,
-    g: Graph,
-    warm_start: Iterable[int] | None = None,
-) -> LocalSolve:
+def solve_maxflow_local(spec: AugmentedGraphSpec, g: Graph) -> LocalSolve:
     """Max-flow on the augmented graph touching only a grown subgraph.
 
-    Starts from the seed, plus the warm-start set if one is given, contracts
-    everything else into the sink (one sink arc per member, holding its
-    outside edges), and solves exactly on the subnetwork. The flow on each
-    sink arc is split greedily: the member's own attachment first, then
-    its outside edges in CSR order (``_Split``). The solution extends to
-    the full network when the flow that split sends into each outside
-    endpoint fits under that node's sink attachment; endpoints where it
-    does not are pulled into the subgraph, their arcs are added to the
-    residual in place, the flow is carried over (see ``_Carry``) and
-    augmented from there. The cut is checked as every local cut is: the
-    sink must lie outside the residual reach, and the flow must equal the
-    cut's capacity in the whole graph (``augmented_cut_value``). On
-    return both the flow value and the minimal s-side equal solve_maxflow
-    on the fully materialized network.
+    Starts from the seed, contracts everything else into the sink (one
+    sink arc per member, holding its outside edges), and solves exactly
+    on the subnetwork. The flow on each sink arc is split greedily: the
+    member's own attachment first, then its outside edges in CSR order
+    (``_Split``). The solution extends to the full network when the flow
+    that split sends into each outside endpoint fits under that node's
+    sink attachment; endpoints where it does not join the subgraph, their
+    arcs are added to the residual in place, the flow is carried over
+    (``_LocalFlow._join``) and augmented from there. The cut is checked as
+    every local cut is: the sink must lie outside the residual reach, and
+    the flow must equal the cut's capacity in the whole graph
+    (``augmented_cut_value``). On return both the flow value and the
+    minimal s-side equal solve_maxflow on the fully materialized network.
+    The total source capacity alpha*vol(R) must be finite.
 
     Returns the cut solution (graph node ids), the graph nodes ever
     materialized, both as sorted int64 arrays (the second one's size is
@@ -328,50 +326,54 @@ def solve_maxflow_local(
     solves again at smaller scales.
     """
     spec.validate_against(g)
-    if math.isinf(spec.alpha):
+    if not math.isfinite(spec.alpha * float(g.degrees[spec.seed].sum())):  # inf * 0.0 is nan
         raise ParameterError("total source capacity must be finite")
-
-    members = spec.seed
-    if warm_start is not None:
-        members = _sorted_ids(np.concatenate((members, _sorted_ids(warm_start))))
-        if members[0] < 0 or members[-1] >= g.n:
-            raise ParameterError("warm-start node out of range")
-    flow = _LocalFlow(spec, g, members)
+    flow = _LocalFlow(spec, g)
     return LocalSolve(flow.solve(), flow.explored(), flow)
 
 
 class _LocalFlow:
-    """One strongly-local max-flow: the residual grown from one network, kept across the rounds of a refinement call.
+    """One strongly-local max-flow from the seed: the residual grown from one network, kept across the rounds of a refinement call.
 
-    The first round builds the network on the members it is given and
-    grows its residual as far as the violators ask. A later round, at
-    the same seed and at alpha' = s*alpha and beta' = s*beta with s in
-    (0, 1), keeps that residual and its flow: the flow on every arc
-    is multiplied by s, the source arcs get alpha'*d (s times their
-    capacity), each member's own part of its sink arc gets beta'*d, and
-    edges and outside edges keep their capacities (``_Residual.scale``).
-    No capacity falls below s times what it was, so the scaled flow is
-    feasible, and it conserves, as scaling is linear. Each ``_Split``
-    row is split again at beta', and the round augments and grows as a
-    grow round does. Every round's cut is checked the same way: the sink
-    must lie outside the residual reach, and the flow must equal the
-    cut's capacity in the graph (``augmented_cut_value``).
+    The first round builds the network on the seed and grows its residual
+    as far as the violators ask. ``ids`` holds the graph id of each
+    residual node (-1 at the terminals): the seed in order, the source and
+    the sink, then each node in the order it joined. A later round, at the
+    same seed and at alpha' = s*alpha and beta' = s*beta with s in (0, 1),
+    keeps that residual and its flow: the flow on every arc is multiplied
+    by s, the source arcs get alpha'*d (s times their capacity), each
+    member's own part of its sink arc gets beta'*d, and edges and outside
+    edges keep their capacities (``_Residual.scale``). No capacity falls
+    below s times what it was, so the scaled flow is feasible, and it
+    conserves, as scaling is linear. Each ``_Split`` row is split again at
+    beta', and the round augments and grows as a grow round does. Every
+    round's cut is checked the same way: the sink must lie outside the
+    residual reach, and the flow must equal the cut's capacity in the
+    graph (``augmented_cut_value``).
+
+    Joining needs an index of the first round's network in graph terms:
+    each member's node (``node``), the index of each node's sink arc in
+    the sink's run (``snk``), each node's row of the split (``row``) and
+    each tag's outside node (``tag_end``). The first join builds it; a flow
+    that never grows never does.
     """
 
-    __slots__ = ("spec", "g", "members", "net", "lay", "res", "value", "split", "carry")
+    __slots__ = ("spec", "g", "ids", "sink_deg", "net", "lay", "res", "value", "split", "node", "snk", "row", "tag_end")
 
-    def __init__(self, spec: AugmentedGraphSpec, g: Graph, members: np.ndarray):
-        self.spec, self.g, self.members = spec, g, members
-        self.net, self.lay = _subnetwork(spec, g, members)
+    def __init__(self, spec: AugmentedGraphSpec, g: Graph):
+        self.spec, self.g = spec, g
+        self.ids = np.concatenate((spec.seed, [-1, -1]))
+        self.net, self.lay = _subnetwork(spec, g, spec.seed)
+        # Each sink arc's degree behind its own attachment, in the sink's run.
+        self.sink_deg = self.lay.snk_deg.tolist()
         self.res = _Residual(self.net, self.net.capacity)
         self.value = 0.0  # of the maximum flow the residual holds
-        self.split: _Split | None = None
-        self.carry: _Carry | None = None
+        # Only a finite beta can leave an outside node overloaded.
+        self.split = _Split(spec, g, self.lay) if self.lay.tag_end.size and not math.isinf(spec.beta) else None
+        self.node: dict[int, int] | None = None
 
     def solve(self) -> CutSolution:
         """The first round: a maximum flow from zero, grown until no outside node is overloaded."""
-        if self.lay.tag_end.size and not math.isinf(self.spec.beta):
-            self.split = _Split(self.spec, self.g, self.lay)
         return self._grow(*_augment(self.res, 0.0, [], []))
 
     def resolve(self, spec: AugmentedGraphSpec) -> CutSolution:
@@ -379,22 +381,20 @@ class _LocalFlow:
 
         ``spec`` holds the kept seed. Where scaling cannot reach ``spec``
         it raises AssertionError, an internal error, and leaves the flow
-        as it was: s is not in (0, 1), the kept network holds an infinite
-        capacity (the sentinel), or beta is not s times the kept beta (at
-        1e-9, the roundoff of a fixed beta/alpha; an infinite beta must
+        as it was: s is not in (0, 1), or beta is not s times the kept beta
+        (at 1e-9, the roundoff of a fixed beta/alpha; an infinite beta must
         stay infinite). A refinement call never asks for such a round: its
         objective falls, the loop ends once it is 0, and beta/alpha is
         fixed.
         """
         kept = self.spec
         s = spec.alpha / kept.alpha if kept.alpha > 0.0 else math.nan
-        if not 0.0 < s < 1.0 or self.net.infinite.any() or not math.isclose(spec.beta, s * kept.beta, rel_tol=1e-9):
+        if not 0.0 < s < 1.0 or not math.isclose(spec.beta, s * kept.beta, rel_tol=1e-9):
             raise AssertionError(f"a kept flow cannot be scaled to alpha={spec.alpha!r}, beta={spec.beta!r}")
-        deg = self.carry.sink_deg if self.carry is not None else self.lay.snk_deg.tolist()
         # Only a member outside the seed with a degree has an own attachment;
-        # at an infinite beta there is none, or the network would hold a sentinel.
-        own = [spec.beta * d if d > 0.0 else 0.0 for d in deg]
-        drop = [kept.beta * d - o if d > 0.0 else 0.0 for d, o in zip(deg, own)]
+        # at an infinite beta no node outside the seed is a member.
+        own = [spec.beta * d if d > 0.0 else 0.0 for d in self.sink_deg]
+        drop = [kept.beta * d - o if d > 0.0 else 0.0 for d, o in zip(self.sink_deg, own)]
         self.spec = spec
         if self.split is not None:
             self.split.rescale(spec.beta, own)
@@ -402,30 +402,99 @@ class _LocalFlow:
 
     def explored(self) -> np.ndarray:
         """The graph nodes the residual holds, sorted."""
-        if self.carry is None:
-            return self.members
-        ids = np.array(self.carry.ids)
-        return np.sort(ids[ids >= 0])
+        return np.sort(self.ids)[2:]  # the terminals' -1s sort first
 
     def _grow(self, flow: float, reach: np.ndarray) -> CutSolution:
         """Grow from a maximum ``flow`` with residual reach ``reach`` until no outside node is overloaded; check the cut."""
-        spec, g, res, split = self.spec, self.g, self.res, self.split
-        if split is not None and (found := split.violators(res, flow)) is not None:
-            if self.carry is None:
-                self.carry = _Carry(g, self.net, self.members, self.lay, split)
-            while found is not None:
-                flow, reach = _augment(res, flow, *self.carry.grow(res, split, found))
-                found = split.violators(res, flow)
+        res, split = self.res, self.split
+        while split is not None and (found := split.violators(res, flow)) is not None:
+            flow, reach = _augment(res, flow, *self._join(found))
         self.value = flow
-        if self.carry is None:
-            s_side = self.members[reach[: self.members.size]]
-        else:
-            ids = np.array(self.carry.ids)
-            s_side = np.sort(ids[reach & (ids >= 0)])
+        sink_reached = reach[res.sink]
+        reach[res.source] = reach[res.sink] = False  # no graph node
+        s_side = self.ids[reach]
+        s_side.sort()
         # The cut's capacity comes from the graph, so the check does not
         # rest on the residual's bookkeeping.
-        _check_cut(flow, reach[res.sink], _augmented_cut(spec, g, s_side))
+        _check_cut(flow, sink_reached, _augmented_cut(self.spec, self.g, s_side))
         return CutSolution(flow_value=flow, s_side=s_side)
+
+    def _join(self, found: list[tuple[int, float]]) -> tuple[list[int], list[float]]:
+        """Pull in the violators ``found`` (node, inflow), sorted by node, and carry the flow to them.
+
+        Every arc keeps its flow; an outside edge that comes inside leaves
+        its member's sink arc with its capacity and its share of the flow
+        (``_Residual.take``), and a new member's inflow beyond its own
+        sink arc is surplus. A new member's block in the residual has room
+        for an arc per neighbour and its sink arc; a first-round member's
+        run moves once it gains arcs, and the residual keeps each arc's
+        index in its tail's run. Returns the new nodes left with a surplus
+        and their surpluses, ``flownet._augment``'s start.
+        """
+        if self.node is None:
+            m, lay = self.spec.seed.size, self.lay
+            self.node = dict(zip(self.spec.seed.tolist(), range(m)))
+            self.snk = [-1] * (m + 2)
+            for k, i in zip(lay.snk_member.tolist(), _run_index(self.net, 2 * lay.snk)):
+                self.snk[k] = i
+            self.row = [-1] * (m + 2)
+            for r, (k, *_) in enumerate(self.split.rows):
+                self.row[k] = r
+            self.tag_end = lay.tag_end.tolist()
+        g, res, split = self.g, self.res, self.split
+        node, snk, row, tag_end = self.node, self.snk, self.row, self.tag_end
+        rows, cap, share, moved = split.rows, split.cap, split.share, split.moved
+        indptr, indices, weights, degrees, beta = g.indptr, g.indices, g.weights, g.degrees, split.beta
+        first = res.num_nodes
+        bounds = [(int(indptr[v]), int(indptr[v + 1])) for v, _ in found]
+        res.add_nodes([hi - lo + 1 for lo, hi in bounds])  # an arc per neighbour and the sink arc
+        new = [v for v, _ in found]
+        node.update(zip(new, range(first, res.num_nodes)))
+        self.ids = np.concatenate((self.ids, new))
+        snk += [-1] * len(new)
+        row += [-1] * len(new)
+        tags = len(tag_end)
+        sinks, pairs, taken, new_rows, starts, surplus = [], [], [], [], [], []
+        for k, (v, f), (lo, hi) in zip(range(first, res.num_nodes), found, bounds):
+            d = float(degrees[v])
+            own = beta * d
+            outside, caps = 0.0, []
+            for j, c in zip(indices[lo:hi].tolist(), weights[lo:hi].tolist()):
+                kj = node.get(j)
+                if kj is None:
+                    outside += c
+                    caps.append(c)
+                    tag_end.append(j)
+                elif kj < first:
+                    # The edge was a tag of kj's row: it leaves kj's sink arc
+                    # with the share of the flow it took.
+                    r = row[kj]
+                    _, _, _, tag_lo, tag_hi = rows[r]
+                    i = tag_end.index(v, tag_lo, tag_hi)
+                    s = share[i]
+                    cap[i] = 0.0
+                    moved.add(r)
+                    pairs.append((kj, k, c - s, c + s))
+                    taken.append((kj, snk[kj], c, s))
+                elif kj > k:  # an edge between two new members, taken in once
+                    pairs.append((kj, k, c, c))
+            sent = 0.0
+            if own > 0.0 or outside > 0.0:
+                sent = min(f, own + outside)
+                if outside > 0.0:
+                    row[k] = len(rows) + len(new_rows)
+                    new_rows.append((k, len(sinks), own, caps))
+                sinks.append((k, res.sink, own + outside - sent, sent))
+                self.sink_deg.append(d)
+            if f > sent:
+                starts.append(k)
+                surplus.append(f - sent)
+        for (k, *_), i in zip(sinks, res.add_pairs(sinks)):
+            snk[k] = i
+        res.add_pairs(pairs)
+        res.take(taken)
+        split.add(new_rows, tag_end[tags:], len(sinks))
+        return starts, surplus
 
 
 class _Split:
@@ -537,96 +606,3 @@ class _Split:
             new = np.array(list(slot_of)[first:])
             self.ends = np.concatenate((self.ends, new))
             self.limit = np.concatenate((self.limit, self.beta * self.degrees[new]))
-
-
-class _Carry:
-    """One local flow's growing residual in graph terms: which node each member is, and where its arcs are.
-
-    Built only when a round first has violators, on the first round's
-    network: residual node k below the terminals is member k of that
-    network, and each node that joins later takes the next id. ``grow``
-    pulls in the violators ``_Split`` found and adds their arcs to the
-    residual. Every arc keeps its flow; an outside edge that comes inside
-    leaves its member's sink arc with its capacity and its share of the
-    flow (``_Residual.take``), and a new member's inflow beyond its own
-    sink arc is surplus. A new member's block in the residual has room for
-    an arc per neighbour and its sink arc; a first-round member's run
-    moves once it gains arcs, and the residual keeps each arc's index in
-    its tail's run.
-    """
-
-    __slots__ = ("g", "ids", "node", "snk", "row", "tag_end", "sink_deg")
-
-    def __init__(self, g: Graph, net: FlowNetwork, members: np.ndarray, lay: _Layout, split: _Split):
-        m = members.size
-        self.g = g
-        self.ids = members.tolist() + [-1, -1]  # graph id of each node, -1 at the terminals
-        self.node = dict(zip(self.ids[:m], range(m)))  # node of each member
-        self.snk = [-1] * (m + 2)  # index of each node's sink arc in its run
-        for k, i in zip(lay.snk_member.tolist(), _run_index(net, 2 * lay.snk)):
-            self.snk[k] = i
-        self.row = [-1] * (m + 2)  # each node's row of the split
-        for r, (k, *_) in enumerate(split.rows):
-            self.row[k] = r
-        self.tag_end = lay.tag_end.tolist()  # each tag's outside node
-        self.sink_deg = lay.snk_deg.tolist()  # each sink arc's degree behind its own attachment, in the sink's run
-
-    def grow(self, res: _Residual, split: _Split, found: list[tuple[int, float]]) -> tuple[list[int], list[float]]:
-        """Pull in the violators ``found`` (node, inflow), sorted by node, and carry the flow to them.
-
-        Returns the new nodes left with a surplus and their surpluses,
-        ``flownet._augment``'s start.
-        """
-        g, node, snk, row, tag_end = self.g, self.node, self.snk, self.row, self.tag_end
-        rows, cap, share, moved = split.rows, split.cap, split.share, split.moved
-        indptr, indices, weights, degrees, beta = g.indptr, g.indices, g.weights, g.degrees, split.beta
-        first = res.num_nodes
-        bounds = [(int(indptr[v]), int(indptr[v + 1])) for v, _ in found]
-        res.add_nodes([hi - lo + 1 for lo, hi in bounds])  # an arc per neighbour and the sink arc
-        new = [v for v, _ in found]
-        node.update(zip(new, range(first, res.num_nodes)))
-        self.ids += new
-        snk += [-1] * len(new)
-        row += [-1] * len(new)
-        tags = len(tag_end)
-        sinks, pairs, taken, new_rows, starts, surplus = [], [], [], [], [], []
-        for k, (v, f), (lo, hi) in zip(range(first, res.num_nodes), found, bounds):
-            d = float(degrees[v])
-            own = beta * d
-            outside, caps = 0.0, []
-            for j, c in zip(indices[lo:hi].tolist(), weights[lo:hi].tolist()):
-                kj = node.get(j)
-                if kj is None:
-                    outside += c
-                    caps.append(c)
-                    tag_end.append(j)
-                elif kj < first:
-                    # The edge was a tag of kj's row: it leaves kj's sink arc
-                    # with the share of the flow it took.
-                    r = row[kj]
-                    _, _, _, tag_lo, tag_hi = rows[r]
-                    i = tag_end.index(v, tag_lo, tag_hi)
-                    s = share[i]
-                    cap[i] = 0.0
-                    moved.add(r)
-                    pairs.append((kj, k, c - s, c + s))
-                    taken.append((kj, snk[kj], c, s))
-                elif kj > k:  # an edge between two new members, taken in once
-                    pairs.append((kj, k, c, c))
-            sent = 0.0
-            if own > 0.0 or outside > 0.0:
-                sent = min(f, own + outside)
-                if outside > 0.0:
-                    row[k] = len(rows) + len(new_rows)
-                    new_rows.append((k, len(sinks), own, caps))
-                sinks.append((k, res.sink, own + outside - sent, sent))
-                self.sink_deg.append(d)
-            if f > sent:
-                starts.append(k)
-                surplus.append(f - sent)
-        for (k, *_), i in zip(sinks, res.add_pairs(sinks)):
-            snk[k] = i
-        res.add_pairs(pairs)
-        res.take(taken)
-        split.add(new_rows, tag_end[tags:], len(sinks))
-        return starts, surplus

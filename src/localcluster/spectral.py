@@ -64,7 +64,10 @@ class EmbeddingVector:
             if values.shape != (self.n,):
                 raise ParameterError("dense vector length mismatch")
         else:
-            idx = np.asarray(self.indices, dtype=np.int64)
+            idx = np.asarray(self.indices)
+            if idx.size and not np.issubdtype(idx.dtype, np.integer):  # bool is not an integer type
+                raise ParameterError(f"sparse indices must be integers (got dtype {idx.dtype})")
+            idx = idx.astype(np.int64, copy=False)
             if idx.shape != values.shape:
                 raise ParameterError("sparse index/value length mismatch")
             if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0 or idx[-1] >= self.n):
@@ -390,9 +393,7 @@ def mov_correlate(
         # floor also lies above mov_solve's rho limit, so the solves skip
         # mov_solve's range check, which would recompute lambda2.
         x = _mov_solve(g, z_solve, rho, 1e-7)
-        v = x.values
-        c = _dot(z, g.degrees * v) ** 2 / _dot(v, g.degrees * v)
-        return c, x
+        return _correlation(g, z, x.values), x
 
     # The absolute floor keeps the shifted operator solvable when lambda2
     # itself is tiny (large graphs with narrow bottlenecks).
@@ -429,6 +430,11 @@ def mov_correlate(
         else:
             hi = mid
     raise ConvergenceError("correlation bisection did not meet tolerance in 100 steps")
+
+
+def _correlation(g: Graph, z: np.ndarray, v: np.ndarray) -> float:
+    """Squared degree-correlation (z' D v)^2 / (v' D v) of ``v`` with a D-normalized ``z``."""
+    return _dot(z, g.degrees * v) ** 2 / _dot(v, g.degrees * v)
 
 
 # -- l1-regularized diffusion -------------------------------------------------
@@ -481,6 +487,14 @@ def l1_pagerank(g: Graph, h: object, alpha: float, epsilon: float) -> tuple[Embe
     return vec, touched
 
 
+def _check_l1pr_parameters(alpha: float, epsilon: float) -> None:
+    """The diffusion's parameters: alpha in (0, 1) and epsilon > 0; NaN fails both."""
+    if not (0.0 < alpha < 1.0):
+        raise ParameterError(f"alpha must be in (0, 1) (got {alpha})")
+    if not epsilon > 0:
+        raise ParameterError("epsilon must be positive")
+
+
 def _l1pr_push(g: Graph, h: object, alpha: float, epsilon: float) -> tuple[EmbeddingVector, int, int]:
     """Push solve of ``l1_pagerank`` and ``l1pr_cluster``: vector, touched nodes, pushes.
 
@@ -489,10 +503,7 @@ def _l1pr_push(g: Graph, h: object, alpha: float, epsilon: float) -> tuple[Embed
     So a neighbour joins the queue when a push carries its residual across
     that limit, and every node popped has a positive step.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must be in (0, 1) (got {alpha})")
-    if not epsilon > 0:
-        raise ParameterError("epsilon must be positive")
+    _check_l1pr_parameters(alpha, epsilon)
     seed = _as_seed_mass(g, h)
     gamma = (1.0 - alpha) / 2.0
     coeff = gamma + alpha
@@ -536,8 +547,10 @@ def kkt_residual(g: Graph, h: object, alpha: float, epsilon: float, x: Embedding
     Zero belongs to the solution set iff this is 0; the push solver
     guarantees it is below ``PUSH_TOL`` on exit. Only the seed, the support
     and the support's neighbours can violate it, so only they are checked,
-    reading the support's arcs once.
+    reading the support's arcs once. ``alpha`` and ``epsilon`` are checked
+    as ``l1_pagerank`` checks them.
     """
+    _check_l1pr_parameters(alpha, epsilon)
     seed = _as_seed_mass(g, h)
     ids, vals = x.nonzeros()
     if np.any(vals < 0):

@@ -22,7 +22,7 @@ from localcluster import (
 )
 from localcluster.graph import Graph
 from localcluster.oracles import dense_nnq_prox
-from localcluster.synth import random_connected_graph
+from localcluster.synth import random_connected_graph, ring_of_cliques
 from test_flowcluster import relabel
 
 # Diffusion from node 0 at alpha=0.15, epsilon=1e-3, solved to 1e-10.
@@ -142,6 +142,19 @@ def test_parameter_validation(dumbbell, solve):
     for bad_epsilon in (0.0, -1e-3, math.nan):
         with pytest.raises(ParameterError):
             solve(dumbbell, seed, alpha=0.15, epsilon=bad_epsilon)
+
+
+def test_kkt_residual_checks_its_parameters_as_the_solver_does():
+    g = ring_of_cliques(5, 4)
+    h = {0: 1.0}
+    x, _ = l1_pagerank(g, h, alpha=0.15, epsilon=1e-3)
+    bad = [(a, 1e-3) for a in (0.0, 1.0, -0.1, 2.0, math.nan)] + [(0.15, e) for e in (0.0, -1.0, math.nan)]
+    for alpha, epsilon in bad:
+        with pytest.raises(ParameterError) as solver:
+            l1_pagerank(g, h, alpha=alpha, epsilon=epsilon)
+        with pytest.raises(ParameterError) as check:
+            kkt_residual(g, h, alpha, epsilon, x)
+        assert str(check.value) == str(solver.value), (alpha, epsilon)
 
 
 def test_seed_mass_validation(dumbbell):

@@ -79,6 +79,21 @@ class TestEmbeddingVector:
         with pytest.raises(ParameterError):
             EmbeddingVector(n=3, values=np.zeros(2), indices=np.array([1, 3]))
 
+    @pytest.mark.parametrize(
+        "indices",
+        [np.array([1.5, 3.2]), [1.5, 3.2], np.array([1.0, 3.0]), [1.0, 3.0], np.array([False, True]), [False, True]],
+        ids=["float array", "float list", "whole floats", "whole-float list", "bool array", "bool list"],
+    )
+    def test_non_integer_indices_rejected(self, indices):
+        # Each would pass as integers once truncated: [1, 3] or [0, 1].
+        with pytest.raises(ParameterError, match="sparse indices must be integers"):
+            EmbeddingVector(n=5, values=np.ones(2), indices=indices)
+
+    def test_an_empty_index_list_is_valid(self):
+        vec = EmbeddingVector(n=3, values=[], indices=[])
+        assert vec.indices.dtype == np.int64 and vec.indices.size == 0
+        assert vec.to_dense().tolist() == [0.0, 0.0, 0.0]
+
 
 class TestSeedHelpers:
     def test_seed_distribution_point_mass(self, dumbbell):
