@@ -2,8 +2,9 @@
 
 Vertices are visited in decreasing embedding order and every prefix's
 objective follows from running sums over the visit order. A sparse
-vector sweeps its nonzero support, ranked over that pool alone, in memory
-O(vol(pool)) whatever the graph size; a dense vector sweeps every vertex.
+vector sweeps its nonzero support, ranked over that pool alone; a dense
+vector sweeps every vertex. Memory is O(pool) plus one chunk of at most
+``CHUNK_ARCS`` arcs (or one longer row), whatever the pool's volume.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from .graph import Graph, NodeSet, _locate
 __all__ = ["SweepProfile", "sweep_cut"]
 
 _OBJECTIVES = ("conductance", "expansion", "cut_over_volume")
+
+# The most arcs a sweep gathers at once, unless one row holds more: the
+# sweep's temporaries beyond O(pool) are a few arrays of this length.
+CHUNK_ARCS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,10 @@ def sweep_cut(
     candidate, since its cut is empty and every ratio objective
     degenerates there.
 
+    Memory is O(pool) plus the temporaries of one chunk of whole rows of
+    at most ``CHUNK_ARCS`` arcs (or one longer row); the profile does not
+    depend on the chunk size.
+
     Returns the winning set, its objective value, and the full profile.
     """
     if objective not in _OBJECTIVES:
@@ -85,10 +94,18 @@ def sweep_cut(
     rank[by_value] = np.arange(m)
     rank[m] = m
     swept = order[:limit]
-    arc = g.arcs_of(swept)
-    step = np.repeat(np.arange(limit), g.indptr[swept + 1] - g.indptr[swept])
-    earlier = rank[_locate(g.indices[arc], cand, g.n)] < step
-    inside = np.bincount(step[earlier], weights=g.weights[arc[earlier]], minlength=limit)
+    # Chunks of whole rows: each step's arcs are summed in one chunk, in row
+    # order, so every sum is the one a gather of all arcs at once makes.
+    ends = np.cumsum(g.indptr[swept + 1] - g.indptr[swept])
+    inside = np.empty(limit)
+    lo = before = 0
+    while lo < limit:
+        hi = max(lo + 1, int(ends.searchsorted(before + CHUNK_ARCS, side="right")))
+        arc = g.arcs_of(swept[lo:hi])
+        step = np.repeat(np.arange(hi - lo), np.diff(ends[lo:hi], prepend=before))
+        earlier = rank[_locate(g.indices[arc], cand, g.n)] < step + lo
+        inside[lo:hi] = np.bincount(step[earlier], weights=g.weights[arc[earlier]], minlength=hi - lo)
+        lo, before = hi, int(ends[hi - 1])
     d = g.degrees[swept]
     cut_val = np.cumsum(d - 2.0 * inside)
     vol_s = np.cumsum(d)

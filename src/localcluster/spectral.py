@@ -502,6 +502,11 @@ def _l1pr_push(g: Graph, h: object, alpha: float, epsilon: float) -> tuple[Embed
     (epsilon + PUSH_TOL) * d: only its own push lowers it, to epsilon * d.
     So a neighbour joins the queue when a push carries its residual across
     that limit, and every node popped has a positive step.
+
+    Each pop reads the popped node's row once, as three Python lists: its
+    neighbours, its arc weights and each neighbour's limit
+    (epsilon + PUSH_TOL) * d_j. Only popped rows are read, and no row is
+    kept from one pop to the next.
     """
     _check_l1pr_parameters(alpha, epsilon)
     seed = _as_seed_mass(g, h)
@@ -518,17 +523,18 @@ def _l1pr_push(g: Graph, h: object, alpha: float, epsilon: float) -> tuple[Embed
     pushes = 0
     while queue:
         i = queue.popleft()
-        d_i = degrees[i]
+        d_i = float(degrees[i])
         step = (resid[i] - epsilon * d_i) / (coeff * d_i)
         x[i] = x.get(i, 0.0) + step
         resid[i] = epsilon * d_i
         pushes += 1
-        for k in range(indptr[i], indptr[i + 1]):
-            j = int(indices[k])
+        row = slice(indptr[i], indptr[i + 1])
+        nbrs = indices[row]
+        for j, w, limit_j in zip(nbrs.tolist(), weights[row].tolist(), (limit * degrees[nbrs]).tolist()):
             before = resid.get(j, 0.0)
-            r_j = before + gamma * float(weights[k]) * step
+            r_j = before + gamma * w * step
             resid[j] = r_j
-            if before <= limit * degrees[j] < r_j:
+            if before <= limit_j < r_j:
                 queue.append(j)
 
     if x:

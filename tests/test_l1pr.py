@@ -2,6 +2,7 @@
 residuals, order independence, locality, and the dense mirror."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from localcluster import (
 )
 from localcluster.graph import Graph
 from localcluster.oracles import dense_nnq_prox
+from localcluster.spectral import PUSH_TOL, _l1pr_push
 from localcluster.synth import random_connected_graph, ring_of_cliques
 from test_flowcluster import relabel
 
@@ -301,3 +303,60 @@ def test_kkt_residual_named_cases():
     got = kkt_residual(g, h, 0.15, 1e-3, off)
     assert got == reference_kkt_residual(g, h, 0.15, 1e-3, off)
     assert got >= (0.15 - 1e-3 * g.degrees[2]) / g.degrees[2]
+
+
+# -- the row-at-a-time push against the per-arc loop it replaced ------------------
+
+
+def per_arc_push(g, seed, alpha, epsilon):
+    """The push read one arc at a time: (ids, values, touched nodes, pushes)."""
+    gamma = (1.0 - alpha) / 2.0
+    coeff = gamma + alpha
+    limit = epsilon + PUSH_TOL
+    degrees, indptr, indices, weights = g.degrees, g.indptr, g.indices, g.weights
+    x = {}
+    resid = {i: alpha * w for i, w in seed.items()}
+    queue = deque(i for i, r_i in resid.items() if r_i > limit * degrees[i])
+    pushes = 0
+    while queue:
+        i = queue.popleft()
+        d_i = degrees[i]
+        step = (resid[i] - epsilon * d_i) / (coeff * d_i)
+        x[i] = x.get(i, 0.0) + step
+        resid[i] = epsilon * d_i
+        pushes += 1
+        for k in range(indptr[i], indptr[i + 1]):
+            j = int(indices[k])
+            before = resid.get(j, 0.0)
+            r_j = before + gamma * float(weights[k]) * step
+            resid[j] = r_j
+            if before <= limit * degrees[j] < r_j:
+                queue.append(j)
+    ids = sorted(x)
+    return ids, [float(x[i]) for i in ids], len(resid), pushes
+
+
+@st.composite
+def push_cases(draw):
+    """A random connected graph (weighted or not) or a small ring of cliques, a seed mass, alpha and epsilon."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 30))
+        g = random_connected_graph(n, seed=draw(st.integers(0, 10**6)), weighted=draw(st.booleans()))
+    else:
+        g = ring_of_cliques(draw(st.integers(3, 8)), draw(st.integers(2, 6)))
+    k = draw(st.integers(1, min(g.n, 3)))
+    ids = draw(st.permutations(range(g.n)))[:k]
+    mass = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+    seed = {i: w / sum(mass) for i, w in zip(ids, mass)}
+    return g, seed, draw(st.sampled_from([0.5, 0.15, 0.01])), draw(st.sampled_from([1e-2, 1e-4, 1e-6]))
+
+
+@settings(max_examples=150)
+@given(case=push_cases())
+def test_the_push_makes_the_per_arc_loops_steps(case):
+    g, seed, alpha, epsilon = case
+    vec, touched, pushes = _l1pr_push(g, seed, alpha, epsilon)
+    ids, values, want_touched, want_pushes = per_arc_push(g, seed, alpha, epsilon)
+    assert vec.indices.tolist() == ids
+    assert vec.values.tobytes() == np.array(values).tobytes()
+    assert (touched, pushes) == (want_touched, want_pushes)

@@ -1,6 +1,8 @@
 """Sweep-cut rounding: ordering, candidate pools, and objective tracking."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from localcluster import (
     expansion,
     sweep_cut,
 )
-from localcluster.synth import random_connected_graph
+from localcluster import rounding
+from localcluster.graph import _locate
+from localcluster.synth import random_connected_graph, ring_of_cliques, star_graph
 from test_flowcluster import relabel
 
 
@@ -269,3 +273,111 @@ def test_relabeling_the_vertices_relabels_the_sweep(case):
     np.testing.assert_allclose(moved_profile.values, profile.values, rtol=1e-12)
     assert moved.ids == tuple(sorted(perm[list(best.ids)].tolist()))
     assert moved_value == pytest.approx(value, rel=1e-12)
+
+
+# -- the chunked sums against the formula that gathered every arc at once ------
+
+
+def unchunked_sweep(g, x, objective):
+    """The sweep with every arc of the pool gathered at once: (set ids, value, order, values, best index)."""
+    if isinstance(x, EmbeddingVector):
+        keep = x.values != 0.0
+        cand, cand_vals = x.indices[keep], x.values[keep]
+    else:
+        cand, cand_vals = np.arange(g.n, dtype=np.int64), x
+    by_value = np.argsort(-cand_vals, kind="stable")
+    order = cand[by_value]
+    m = order.size
+    limit = m - 1 if m == g.n else m
+    rank = np.empty(m + 1, dtype=np.int64)
+    rank[by_value] = np.arange(m)
+    rank[m] = m
+    swept = order[:limit]
+    arc = g.arcs_of(swept)
+    step = np.repeat(np.arange(limit), g.indptr[swept + 1] - g.indptr[swept])
+    earlier = rank[_locate(g.indices[arc], cand, g.n)] < step
+    inside = np.bincount(step[earlier], weights=g.weights[arc[earlier]], minlength=limit)
+    d = g.degrees[swept]
+    cut_val = np.cumsum(d - 2.0 * inside)
+    vol_s = np.cumsum(d)
+    vol_c = g.total_volume - vol_s
+    if objective == "conductance":
+        num, denom = cut_val, np.minimum(vol_s, vol_c)
+    elif objective == "expansion":
+        num, denom = cut_val * g.total_volume, vol_s * vol_c
+    else:
+        num, denom = cut_val, vol_s
+    values = np.full(limit, np.inf)
+    np.divide(num, denom, out=values, where=denom > 0)
+    best = int(np.argmin(values))
+    return tuple(sorted(order[: best + 1].tolist())), float(values[best]), order, values, best
+
+
+def assert_sweeps_equal(g, x, objective):
+    best, value, profile = sweep_cut(g, x, objective)
+    ids, want_value, order, values, best_index = unchunked_sweep(g, x, objective)
+    assert profile.order.tolist() == order.tolist()
+    assert profile.values.tobytes() == values.tobytes()
+    assert profile.best_index == best_index
+    assert value == want_value
+    assert best.ids == ids
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(3, 40),
+    weighted=st.booleans(),
+    objective=st.sampled_from(["conductance", "expansion", "cut_over_volume"]),
+    sparse=st.booleans(),
+    chunk=st.integers(1, 64),
+)
+def test_chunked_sums_equal_the_unchunked_formula(seed, n, weighted, objective, sparse, chunk):
+    # A chunk bound of a few arcs puts chunk edges everywhere, and rows
+    # longer than a chunk take one chunk each.
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(n, seed=seed, weighted=weighted)
+    x = rng.integers(-2, 4, n) * rng.uniform(0.5, 2.0, n)
+    if sparse:
+        idx = np.flatnonzero(rng.random(n) < 0.7)
+        assume(np.any(x[idx]))
+        x = EmbeddingVector(n=n, values=x[idx], indices=idx)
+    with mock.patch.object(rounding, "CHUNK_ARCS", chunk):
+        assert_sweeps_equal(g, x, objective)
+
+
+@pytest.mark.parametrize("objective", ["conductance", "expansion", "cut_over_volume"])
+@pytest.mark.parametrize("pool", ["dense", "sparse"])
+def test_a_pool_spanning_several_chunks_sums_as_one(objective, pool):
+    g = ring_of_cliques(2000, 10)
+    rng = np.random.default_rng(2000)
+    x = np.exp(-(((np.arange(g.n) - g.n / 3) / 3000.0) ** 2)) + 1e-3 * rng.random(g.n)
+    if pool == "sparse":
+        idx = np.flatnonzero(rng.random(g.n) < 0.8)
+        x = EmbeddingVector(n=g.n, values=x[idx], indices=idx)
+        assert np.diff(g.indptr)[idx].sum() > 2 * rounding.CHUNK_ARCS
+    else:
+        assert g.indices.size > 2 * rounding.CHUNK_ARCS
+    assert_sweeps_equal(g, x, objective)
+
+
+def test_a_row_longer_than_a_chunk_is_one_chunk():
+    g = star_graph(rounding.CHUNK_ARCS + 100)
+    x = np.random.default_rng(3).random(g.n)
+    x[0] = 0.5
+    assert_sweeps_equal(g, x, "conductance")
+
+
+def test_the_dense_sweeps_temporaries_are_bounded_by_n_and_the_chunk():
+    # 6,000 nodes and 714,100 arcs: gathering every arc at once takes about
+    # 23 MB above the inputs; the chunked sweep about 3 MB.
+    g = ring_of_cliques(50, 120)
+    x = np.random.default_rng(5).random(g.n)
+    tracemalloc.start()
+    try:
+        sweep_cut(g, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.indices.size > 10 * rounding.CHUNK_ARCS
+    assert peak <= 256 * g.n + 64 * rounding.CHUNK_ARCS
