@@ -32,7 +32,6 @@ from .flowcluster import (
     mqi,
     refine_by_flow,
 )
-from .flownet import CutSolution, FlowNetwork, cut_capacity, solve_maxflow
 from .graph import (
     Graph,
     NodeSet,
@@ -52,7 +51,6 @@ from .io import (
     write_result,
     write_vector_csv,
 )
-from .refcut import AugmentedGraphSpec, augmented_cut_value, materialize, solve_maxflow_local
 from .results import ClusterResult
 from .rounding import SweepProfile, sweep_cut
 from .spectral import (
@@ -78,9 +76,6 @@ __all__ = [
     "ClusterResult",
     "EmbeddingVector",
     "LabelMap",
-    "FlowNetwork",
-    "CutSolution",
-    "AugmentedGraphSpec",
     "SweepProfile",
     "volume",
     "cut",
@@ -88,11 +83,6 @@ __all__ = [
     "expansion",
     "relative_conductance",
     "laplacian_apply",
-    "solve_maxflow",
-    "solve_maxflow_local",
-    "cut_capacity",
-    "augmented_cut_value",
-    "materialize",
     "refine_by_flow",
     "mqi",
     "flow_improve",

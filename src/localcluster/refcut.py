@@ -71,7 +71,7 @@ from .flownet import (
     _Residual,
     _run_index,
 )
-from .graph import Graph, NodeSet, _locate, _sorted_ids
+from .graph import Graph, NodeSet, _gather, _sorted_ids
 
 __all__ = [
     "AugmentedGraphSpec",
@@ -142,27 +142,26 @@ def augmented_cut_value(spec: AugmentedGraphSpec, g: Graph, s: object) -> float:
 def _augmented_cut(spec: AugmentedGraphSpec, g: Graph, arr: np.ndarray) -> float:
     """``augmented_cut_value`` of a sorted, distinct, in-range id array.
 
-    One search of S places both the seed nodes and the heads of S's arcs.
-    The few degrees of each terminal term are summed by ``math.fsum`` and
-    the cut's many weights by numpy: each way measured faster at its size.
+    S's arcs are gathered with their heads placed in S, and the seed is
+    placed in S. The few degrees of each terminal term are summed by
+    ``math.fsum`` and the cut's many weights by numpy: each way measured
+    faster at its size.
     """
     seed = spec.seed
     if not arr.size:
         return spec.alpha * math.fsum(g.degrees[seed].tolist())
-    k = seed.size
-    arc = g.arcs_of(arr)
-    ids = np.concatenate((seed, g.indices[arc]))
-    at = arr.searchsorted(ids)
-    found = arr.take(at, mode="clip") == ids
+    arc, _, _, slot, _ = _gather(g, arr, arr)
+    at = arr.searchsorted(seed)
+    found = arr.take(at, mode="clip") == seed
     in_seed = np.zeros(arr.size, dtype=bool)
-    in_seed[at[:k][found[:k]]] = True
-    source_term = math.fsum(g.degrees[seed[~found[:k]]].tolist())
+    in_seed[at[found]] = True
+    source_term = math.fsum(g.degrees[seed[~found]].tolist())
     sink_term = math.fsum(g.degrees[arr[~in_seed]].tolist())
     if sink_term > 0.0 and math.isinf(spec.beta):
         return float("inf")
     # An infinite beta with no sink mass adds nothing; inf * 0.0 would be nan.
     sink_part = spec.beta * sink_term if sink_term > 0.0 else 0.0
-    return float(g.weights[arc][~found[k:]].sum()) + spec.alpha * source_term + sink_part
+    return float(g.weights[arc[slot == arr.size]].sum()) + spec.alpha * source_term + sink_part
 
 
 def materialize(spec: AugmentedGraphSpec, g: Graph) -> FlowNetwork:
@@ -248,13 +247,7 @@ def _subnetwork(spec: AugmentedGraphSpec, g: Graph, members: np.ndarray) -> tupl
     own = np.where(in_seed, 0.0, attachment)
     off_seed = np.where(in_seed, 0.0, d)
 
-    # g.arcs_of(members), with each arc's member index from the same row lengths.
-    starts = g.indptr[members]
-    lengths = g.indptr[members + 1] - starts
-    row = np.arange(m).repeat(lengths)
-    arcs = (starts - lengths.cumsum() + lengths)[row] + np.arange(row.size)
-    nbr = g.indices[arcs]
-    loc = _locate(nbr, members, g.n)
+    arcs, row, nbr, loc, _ = _gather(g, members, members)
     inside = loc < m
     c = g.weights[arcs]
     outside = ~inside

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .graph import Graph, NodeSet, _locate
+from .graph import Graph, NodeSet, _gather
 
 __all__ = ["SweepProfile", "sweep_cut"]
 
@@ -101,9 +101,8 @@ def sweep_cut(
     lo = before = 0
     while lo < limit:
         hi = max(lo + 1, int(ends.searchsorted(before + CHUNK_ARCS, side="right")))
-        arc = g.arcs_of(swept[lo:hi])
-        step = np.repeat(np.arange(hi - lo), np.diff(ends[lo:hi], prepend=before))
-        earlier = rank[_locate(g.indices[arc], cand, g.n)] < step + lo
+        arc, step, _, slot, _ = _gather(g, swept[lo:hi], cand)
+        earlier = rank[slot] < step + lo
         inside[lo:hi] = np.bincount(step[earlier], weights=g.weights[arc[earlier]], minlength=hi - lo)
         lo, before = hi, int(ends[hi - 1])
     d = g.degrees[swept]

@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     UnattainableCorrelationError,
 )
-from .graph import Graph, NodeSet, _locate, _row_reduce, _sorted_ids, laplacian_apply
+from .graph import Graph, NodeSet, _gather, _row_reduce, _sorted_ids, laplacian_apply
 from .results import ClusterResult
 from .rounding import sweep_cut
 from .solvers import MatvecBudget, _BudgetExceeded, _dot, _norm, conjugate_gradient, smallest_eigenpair
@@ -163,12 +163,10 @@ def _scaled_laplacian(
     if rows is None:
         return lambda y: inv * laplacian_apply(g, inv * y), s
 
-    arcs = g.arcs_of(rows)
-    nbr, weights = g.indices[arcs], g.weights[arcs]
     # Each arc's head as a position in rows; heads outside rows read the
     # zero in the last slot of ``ext``.
-    slot = _locate(nbr, rows, g.n)
-    indptr = np.concatenate(([0], np.cumsum(g.indptr[rows + 1] - g.indptr[rows])))
+    arcs, _, _, slot, indptr = _gather(g, rows, rows)
+    weights = g.weights[arcs]
     ext = np.zeros(rows.size + 1)
 
     def apply(y: np.ndarray) -> np.ndarray:
@@ -265,15 +263,15 @@ def spectral_mqi_cluster(g: Graph, r: object, tol: float = 1e-8) -> ClusterResul
     is the ordering the Dirichlet variant of the sweep-cut guarantee
     speaks about: the best prefix S satisfies
     cut(S)/vol(S) <= sqrt(2 * lambda_R). The result's ``vector`` is the
-    eigenvector before rescaling, as ``spectral_mqi`` returns it, and its
-    ``touched_nodes`` counts R and its neighbours, the vertices the
-    seed-confined operator reads.
+    eigenvector before rescaling, as ``spectral_mqi`` returns it. The
+    seed-confined operator reads R's rows, and ``touched_nodes`` counts R
+    plus the heads those rows name (every vertex when R = V).
     """
     t0 = time.perf_counter()
     lam, vec = spectral_mqi(g, r, tol=tol)
     # The eigenvector is indexed by R itself, and is dense only when R = V.
     r_arr = vec.indices
-    touched = g.n if r_arr is None else _sorted_ids(np.concatenate((r_arr, g.indices[g.arcs_of(r_arr)]))).size
+    touched = g.n if r_arr is None else _sorted_ids(np.concatenate((r_arr, _gather(g, r_arr, r_arr)[2]))).size
     ids, vals = vec.nonzeros()
     if ids.size == 0:
         raise DegenerateResultError("eigenvector has empty support")
@@ -554,18 +552,20 @@ def kkt_residual(g: Graph, h: object, alpha: float, epsilon: float, x: Embedding
     guarantees it is below ``PUSH_TOL`` on exit. Only the seed, the support
     and the support's neighbours can violate it, so only they are checked,
     reading the support's arcs once. ``alpha`` and ``epsilon`` are checked
-    as ``l1_pagerank`` checks them.
+    as ``l1_pagerank`` checks them, and an ``x`` for another vertex count
+    raises ParameterError, as in ``sweep_cut``.
     """
     _check_l1pr_parameters(alpha, epsilon)
+    if x.n != g.n:
+        raise ParameterError("embedding is for a different vertex count")
     seed = _as_seed_mass(g, h)
     ids, vals = x.nonzeros()
     if np.any(vals < 0):
         return float("inf")
     gamma = (1.0 - alpha) / 2.0
-    arcs = g.arcs_of(ids)
-    nbr = g.indices[arcs]
+    arcs, row, nbr, slot, _ = _gather(g, ids, ids)
     seed_ids = np.fromiter(seed, dtype=np.int64, count=len(seed))
-    check = _sorted_ids(np.concatenate((seed_ids, ids, nbr)))
+    check = _sorted_ids(np.concatenate((seed_ids, ids, nbr[slot == ids.size])))
     xc = np.zeros(check.size)
     xc[check.searchsorted(ids)] = vals
     sc = np.zeros(check.size)
@@ -573,8 +573,7 @@ def kkt_residual(g: Graph, h: object, alpha: float, epsilon: float, x: Embedding
     # Sum_j w_ij x_j at each checked i, gathered over the arcs leaving the
     # support: the graph is symmetric, and the arcs into i arrive in the
     # order of i's neighbour list.
-    from_x = vals.repeat(g.indptr[ids + 1] - g.indptr[ids]) * g.weights[arcs]
-    near = np.bincount(check.searchsorted(nbr), weights=from_x, minlength=check.size)
+    near = np.bincount(check.searchsorted(nbr), weights=vals[row] * g.weights[arcs], minlength=check.size)
     d = g.degrees[check]
     lap = d * xc - near
     grad = gamma * lap + alpha * d * xc - alpha * sc

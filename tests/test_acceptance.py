@@ -18,7 +18,6 @@ from localcluster import (
     conductance,
     correlation_seed,
     cut,
-    cut_capacity,
     fiedler,
     flow_improve,
     kkt_residual,
@@ -28,11 +27,11 @@ from localcluster import (
     mov_correlate,
     mov_solve,
     mqi,
-    solve_maxflow,
     spectral_mqi_cluster,
     sweep_cut,
     volume,
 )
+from localcluster.flownet import cut_capacity, solve_maxflow
 from localcluster.oracles import (
     brute_min_conductance,
     brute_min_cut,

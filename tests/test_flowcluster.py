@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localcluster import (
-    AugmentedGraphSpec,
     Graph,
     InvalidSetError,
     ParameterError,
@@ -21,18 +20,17 @@ from localcluster import (
     flow_improve,
     local_flow_improve,
     local_flow_improve_scaled,
-    materialize,
     mqi,
     refine_by_flow,
     relative_conductance,
-    solve_maxflow,
-    solve_maxflow_local,
     volume,
 )
+from localcluster.flownet import solve_maxflow
 from localcluster.oracles import (
     brute_min_relative_conductance,
     brute_min_subset_ratio,
 )
+from localcluster.refcut import AugmentedGraphSpec, materialize, solve_maxflow_local
 from localcluster.synth import path_graph, random_connected_graph, ring_of_cliques, star_graph
 from test_flownet import assert_ids
 

@@ -11,19 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localcluster import (
-    AugmentedGraphSpec,
-    FlowNetwork,
     Graph,
     InvalidSetError,
     ParameterError,
     UnboundedFlowError,
-    cut_capacity,
     flow_improve,
-    materialize,
-    solve_maxflow,
 )
 from localcluster.flownet import (
     DUALITY_RTOL,
+    FlowNetwork,
+    cut_capacity,
+    solve_maxflow,
     _augment,
     _bfs_levels,
     _checked_min_cut,
@@ -33,6 +31,7 @@ from localcluster.flownet import (
     _run_index,
 )
 from localcluster.oracles import brute_min_cut
+from localcluster.refcut import AugmentedGraphSpec, materialize
 from localcluster.synth import path_graph, random_connected_graph, ring_of_cliques
 
 

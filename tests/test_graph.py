@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localcluster import (
@@ -33,7 +33,7 @@ from localcluster import (
 )
 from localcluster import flowcluster, graph, oracles, refcut, results, rounding, spectral, synth
 from localcluster.errors import SeedTooLargeError
-from localcluster.graph import _locate
+from localcluster.graph import _gather, _locate
 from localcluster.io import load_edge_list
 from localcluster.oracles import dense_laplacian
 from localcluster.synth import (
@@ -634,6 +634,66 @@ def test_locate_matches_a_dictionary(data, n):
     where = {v: k for k, v in enumerate(within.tolist())}
     got = _locate(ids, within, n)
     assert got.tolist() == [where.get(v, within.size) for v in ids.tolist()]
+
+
+@st.composite
+def gathers(draw):
+    """A graph that may have isolated vertices, distinct rows in any order (maybe none) and a sorted ``within``.
+
+    ``within`` is every vertex, any ids, or ids disjoint from the rows.
+    """
+    n = draw(st.integers(1, 60))
+    ends = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
+    edges = {(min(u, v), max(u, v)) for u, v in draw(ends) if u != v}
+    u, v = zip(*sorted(edges)) if edges else ((), ())
+    w = draw(st.lists(st.floats(0.125, 8.0), min_size=len(u), max_size=len(u)))
+    g = Graph.from_edges(n, u, v, w)
+    rows = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    kind = draw(st.sampled_from(["all", "any", "disjoint"]))
+    if kind == "all":
+        within = list(range(n))
+    else:
+        pool = sorted(set(range(n)) - set(rows)) if kind == "disjoint" else list(range(n))
+        within = sorted(draw(st.sets(st.sampled_from(pool))) if pool else [])
+    return g, np.array(rows, dtype=np.int64), np.array(within, dtype=np.int64)
+
+
+def _example(n, u, v, rows, within):
+    return Graph.from_edges(n, u, v), np.array(rows, dtype=np.int64), np.array(within, dtype=np.int64)
+
+
+@settings(max_examples=300)
+@given(case=gathers())
+# Every vertex as within, with an isolated vertex's empty row:
+@example(case=_example(5, [0, 1, 2], [1, 2, 0], [3, 4, 1], range(5)))
+# A position table (n <= 8 heads), within disjoint from the rows:
+@example(case=_example(4, [0, 1, 2, 0], [1, 2, 3, 3], [0, 2], [1, 3]))
+# A search (n > 8 heads), within disjoint from the rows, one row empty:
+@example(case=_example(40, [0, 1], [1, 2], [1, 39], [0, 5, 20]))
+# No rows at all:
+@example(case=_example(6, [0, 1], [1, 2], [], [1, 2]))
+def test_gather_matches_a_row_loop(case):
+    """Every field of the row gather against a per-row neighbour loop and a dictionary of ``within``."""
+    g, rows, within = case
+    where = {v: k for k, v in enumerate(within.tolist())}
+    arcs, row, head, weight, offsets = [], [], [], [], [0]
+    for k, v in enumerate(rows.tolist()):
+        ids, ws = g.neighbors(v)
+        start = int(g.indptr[v])
+        arcs += range(start, start + ids.size)
+        row += [k] * ids.size
+        head += ids.tolist()
+        weight += ws.tolist()
+        offsets.append(offsets[-1] + ids.size)
+    got = _gather(g, rows, within)
+    assert all(a.dtype == np.int64 for a in got)
+    arc, got_row, got_head, slot, got_offsets = got
+    assert arc.tolist() == arcs
+    assert g.weights[arc].tolist() == weight
+    assert got_row.tolist() == row
+    assert got_head.tolist() == head
+    assert slot.tolist() == [where.get(h, within.size) for h in head]
+    assert got_offsets.tolist() == offsets
 
 
 @st.composite

@@ -146,6 +146,16 @@ def test_parameter_validation(dumbbell, solve):
             solve(dumbbell, seed, alpha=0.15, epsilon=bad_epsilon)
 
 
+def test_kkt_residual_rejects_a_vector_for_another_vertex_count():
+    """A shorter vector once gave a number and a longer one numpy's IndexError."""
+    g = ring_of_cliques(5, 4)
+    x, _ = l1_pagerank(g, {0: 1.0}, alpha=0.15, epsilon=1e-3)
+    dense = x.to_dense()
+    for other in (dense[:18], np.concatenate((dense, np.full(3, 1e-3)))):
+        with pytest.raises(ParameterError, match="embedding is for a different vertex count"):
+            kkt_residual(g, {0: 1.0}, 0.15, 1e-3, EmbeddingVector(n=other.size, values=other))
+
+
 def test_kkt_residual_checks_its_parameters_as_the_solver_does():
     g = ring_of_cliques(5, 4)
     h = {0: 1.0}

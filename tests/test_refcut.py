@@ -11,19 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localcluster import (
-    AugmentedGraphSpec,
     InvalidSetError,
     ParameterError,
-    augmented_cut_value,
     cut,
-    cut_capacity,
-    materialize,
     relative_conductance,
-    solve_maxflow,
+)
+from localcluster.flownet import cut_capacity, solve_maxflow
+from localcluster.graph import Graph, NodeSet
+from localcluster.refcut import (
+    AugmentedGraphSpec,
+    _subnetwork,
+    augmented_cut_value,
+    materialize,
+    rescale,
     solve_maxflow_local,
 )
-from localcluster.graph import Graph, NodeSet
-from localcluster.refcut import _subnetwork, rescale
 from localcluster.synth import path_graph, random_connected_graph, ring_of_cliques, star_graph
 from test_flownet import ArcRows, assert_ids, push_relabel_residuals
 

@@ -18,7 +18,6 @@ from localcluster import (
     sweep_cut,
 )
 from localcluster import rounding
-from localcluster.graph import _locate
 from localcluster.synth import random_connected_graph, ring_of_cliques, star_graph
 from test_flowcluster import relabel
 
@@ -293,9 +292,15 @@ def unchunked_sweep(g, x, objective):
     rank[by_value] = np.arange(m)
     rank[m] = m
     swept = order[:limit]
-    arc = g.arcs_of(swept)
-    step = np.repeat(np.arange(limit), g.indptr[swept + 1] - g.indptr[swept])
-    earlier = rank[_locate(g.indices[arc], cand, g.n)] < step
+    # Every arc leaving the swept rows, row by row, and its head's position in cand (m if absent).
+    starts = g.indptr[swept]
+    lengths = g.indptr[swept + 1] - starts
+    step = np.repeat(np.arange(limit), lengths)
+    arc = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(step.size)
+    head = g.indices[arc]
+    at = np.searchsorted(cand, head)
+    at[cand[np.minimum(at, m - 1)] != head] = m
+    earlier = rank[at] < step
     inside = np.bincount(step[earlier], weights=g.weights[arc[earlier]], minlength=limit)
     d = g.degrees[swept]
     cut_val = np.cumsum(d - 2.0 * inside)
